@@ -32,7 +32,8 @@ from .rootdata import load_datum
 from .scalars import PadicParams, ScalarQ, vp
 from .uq import (UqContext, check_antipode, check_coassociativity,
                  check_coproduct_multiplicative, check_counit)
-from .weightmods import build_mlambda, build_verma, braid_rep, ybe_check
+from .weightmods import (_multidegrees, build_mlambda, build_verma, braid_rep,
+                         ybe_check)
 
 EXIT_MATH = 1
 EXIT_CONFIG = 2
@@ -145,16 +146,9 @@ def _parse_weight(text: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _multidegrees(rank: int, total: int):
-    if rank == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _multidegrees(rank - 1, total - head):
-            yield (head,) + rest
-
-
 def cmd_nichols_dims(args):
+    if args.max_degree < 0:
+        raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
     datum = load_datum(args.datum)
     ctx = NicholsContext(datum, cap=max(args.max_degree, 2))
     dims = {}

@@ -2,8 +2,7 @@
 
 The braided tensor algebra T(V) carries the shuffle-type coproduct determined
 by Delta(v) = 1 (x) v + v (x) 1 extended as an algebra map into the braided
-tensor square, and the antipode given by the convolution series
-S = sum_n gamma^{*n} with gamma = unit.counit - Id (finite in each degree).
+tensor square.
 
 The bilinear form starts from <v_i, v_j> = delta_ij / (q_i - q_i^{-1}) and
 extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
@@ -11,22 +10,32 @@ extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
 kernel of the Gram matrix on words; the Nichols algebra is the quotient, with
 dimension the Gram rank.  Basis words are the greedy lexicographic pivots of
 the Gram elimination, so reduction is deterministic.
+
+Every Gram entry of multidegree deg is prod_i <v_i, v_i>^{deg_i} times a
+Laurent polynomial in q with integer coefficients, and scaling the rows by
+that constant changes neither the pivots nor the reduced form.  So the Gram
+matrix is kept as integer Laurent polynomials and eliminated fraction-free
+(`linalg.rref_laurent`): exactly, with a coefficient bound on every minor
+that makes the integer (Kronecker) encoding lossless.  The pivot words and
+reductions are those of `linalg.rref` over Q(q); a rational function is
+built only for the entries of the final reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .braiding import BraidedSpace, TensorElement, Word
 from .errors import CapError, ConfigError
-from .linalg import nullspace, rref
+from .linalg import rref_laurent
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
+_LAURENT_ONE: dict[int, int] = {0: 1}
 
 Degree = tuple[int, ...]
 
@@ -81,39 +90,6 @@ def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
     return out
 
 
-def _gamma_power(space: BraidedSpace, m: int, w: Word, memo: dict) -> TensorElement:
-    """gamma^{*m} on the basis word w, gamma = unit.counit - Id."""
-    key = (m, w)
-    if key in memo:
-        return memo[key]
-    if m == 0:
-        res = TensorElement({(): ONE}) if len(w) == 0 else TensorElement()
-    elif len(w) == 0:
-        res = TensorElement()  # gamma(1) = 0 and convolution keeps that
-    else:
-        res = TensorElement()
-        for (a, b), c in braided_coproduct(space, TensorElement.basis(w)).items():
-            if len(a) == 0:
-                continue  # gamma kills the unit
-            rest = _gamma_power(space, m - 1, b, memo)
-            for bw, bc in rest.terms.items():
-                res.add_term(a + bw, -(c * bc))
-    memo[key] = res
-    return res
-
-
-def tensor_antipode(space: BraidedSpace, x: TensorElement, _memo_store: dict = {}) -> TensorElement:
-    """S = sum_{m>=0} gamma^{*m}; the sum stops at the word length."""
-    memo = _memo_store.setdefault(id(space), {})
-    out = TensorElement()
-    for w, coef in x.terms.items():
-        acc = TensorElement()
-        for m in range(len(w) + 1):
-            acc = acc + _gamma_power(space, m, w, memo)
-        out = out + acc.scale(coef)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The extended bilinear form and its radical
 # ---------------------------------------------------------------------------
@@ -145,7 +121,7 @@ class NicholsContext:
         self.space = diagonal_space(datum)
         self.pairing = PairingSpec.from_datum(datum)
         self.cap = cap
-        self._pair_memo: dict[tuple[Word, Word], ScalarQ] = {}
+        self._pair_memo: dict[tuple[Word, Word], dict[int, int]] = {}
         self._basis_cache: dict[Degree, "NicholsBasis"] = {}
 
     # -- pairing ------------------------------------------------------------
@@ -163,40 +139,56 @@ class NicholsContext:
                 if len(wy) > self.cap:
                     raise CapError(f"word degree {len(wy)} above cap {self.cap}")
                 v = self._pair_words(wx, wy)
-                if not v.is_zero():
-                    out = out + cx * cy * v
+                if v:
+                    scale = self._gram_scale(self.space.word_degree(wx))
+                    out = out + cx * cy * scale * ScalarQ(v)
         return out
 
-    def _pair_words(self, x: Word, y: Word) -> ScalarQ:
+    def _gram_scale(self, deg: Degree) -> ScalarQ:
+        """prod_i <v_i, v_i>^{deg_i}, the factor every pairing of degree deg carries."""
+        out = ONE
+        for d, k in zip(self.pairing.diag, deg):
+            out = out * d ** k
+        return out
+
+    def _pair_words(self, x: Word, y: Word) -> dict[int, int]:
+        """<x, y> divided by `_gram_scale` of its degree: a Laurent polynomial
+        {exponent: int} with integer coefficients.  Results are shared through
+        the memo and must not be mutated."""
         if len(x) != len(y):
-            return ZERO
+            return {}
         if not x:
-            return ONE
+            return _LAURENT_ONE
         if self.space.word_degree(x) != self.space.word_degree(y):
-            return ZERO
+            return {}
         key = (x, y)
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
         # <v_i x', y> = sum over positions of y carrying letter i, with the
-        # crossing weight of that letter moving to the front of y.
+        # crossing weight q^{sum_a (alpha_{y[a]}, alpha_i)} of that letter
+        # moving past the letters y[a] before it to the front of y.
         i, rest = x[0], x[1:]
-        acc = ZERO
+        pairing = self.datum.pairing
+        acc: dict[int, int] = {}
+        shift = 0
         for pos, letter in enumerate(y):
-            if letter != i:
-                continue
-            beta = ONE
-            for a in range(pos):
-                beta = beta * self.space.b(y[a], i)
-            sub = self._pair_words(rest, y[:pos] + y[pos + 1:])
-            if not sub.is_zero():
-                acc = acc + beta * self.pairing.diag[i] * sub
+            if letter == i:
+                for e, c in self._pair_words(rest, y[:pos] + y[pos + 1:]).items():
+                    e += shift
+                    s = acc.get(e, 0) + c
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+            shift += pairing[letter][i]
         self._pair_memo[key] = acc
         return acc
 
     # -- Gram data per multidegree -------------------------------------------
 
-    def graded_gram(self, deg: Degree) -> tuple[list[Word], list[list[ScalarQ]]]:
+    def graded_gram(self, deg: Degree) -> tuple[list[Word], list[list[dict[int, int]]]]:
+        """The words of degree deg and their Gram matrix divided by `_gram_scale`."""
         if sum(deg) > self.cap:
             raise CapError(f"multidegree {deg} has total degree above cap {self.cap}")
         words = words_of_degree(deg)
@@ -208,17 +200,18 @@ class NicholsContext:
         if hit is not None:
             return hit
         words, gram = self.graded_gram(deg)
-        red, pivots = rref(gram, ZERO, ONE)
+        red, pivots = rref_laurent(gram)
         basis_words = [words[c] for c in pivots]
+        pivot_set = set(pivots)
         reduction: dict[Word, dict[Word, ScalarQ]] = {}
         for c, w in enumerate(words):
-            if c in pivots:
+            if c in pivot_set:
                 reduction[w] = {w: ONE}
             else:
                 expr: dict[Word, ScalarQ] = {}
                 for r, pc in enumerate(pivots):
-                    if not red[r][c].is_zero():
-                        expr[words[pc]] = red[r][c]
+                    if red[r][c]:
+                        expr[words[pc]] = ScalarQ(red[r][c], red[r][pc])
                 reduction[w] = expr
         nb = NicholsBasis(degree=deg, words=tuple(words), basis_words=tuple(basis_words),
                           reduction=reduction)
@@ -229,15 +222,15 @@ class NicholsContext:
         return len(self.nichols_basis(deg).basis_words)
 
     def radical_basis(self, deg: Degree) -> list[TensorElement]:
-        words, gram = self.graded_gram(deg)
-        vecs = nullspace(gram, ZERO, ONE)
+        """One radical vector per non-pivot word w: w minus its reduction."""
+        nb = self.nichols_basis(deg)
         out = []
-        for v in vecs:
-            el = TensorElement()
-            for w, c in zip(words, v):
-                if not c.is_zero():
-                    el.add_term(w, c)
-            out.append(el)
+        for w in nb.words:
+            red = nb.reduction[w]
+            if w in red:
+                continue
+            out.append(TensorElement({u: ONE if u == w else -red[u]
+                                      for u in nb.words if u == w or u in red}))
         return out
 
     def reduce_mod_radical(self, x: TensorElement) -> TensorElement:

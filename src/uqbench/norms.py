@@ -30,9 +30,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .braiding import BraidedSpace, TensorElement
+from .braiding import TensorElement
 from .errors import ConfigError
-from .nichols import braided_coproduct
+from .nichols import braided_coproduct, diagonal_space
 from .rootdata import RootDatum
 from .scalars import (PadicParams, ScalarQ, ValuationBound, gauss_valuation,
                       vp, vp_factorial)
@@ -260,7 +260,7 @@ def norm_contract_check(datum: RootDatum, params: PadicParams,
     """
     violations: list[NormViolation] = []
     count = [0]
-    space = _diagonal_space(datum)
+    space = diagonal_space(datum)
 
     for i in range(datum.rank):
         for j in range(datum.rank):
@@ -279,14 +279,6 @@ def norm_contract_check(datum: RootDatum, params: PadicParams,
         _check_module(violations, count, M, params, radii)
 
     return NormReport(checked=count[0], violations=violations)
-
-
-def _diagonal_space(datum: RootDatum) -> BraidedSpace:
-    coeff = tuple(
-        tuple(ScalarQ.q_power(datum.pairing[i][j]) for j in range(datum.rank))
-        for i in range(datum.rank)
-    )
-    return BraidedSpace(dim=datum.rank, coeff=coeff)
 
 
 def _check_module(violations: list, count: list, M: WeightModule,

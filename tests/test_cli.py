@@ -97,6 +97,14 @@ def test_exit_two_on_malformed_weight():
     assert proc.returncode == 2
 
 
+def test_exit_two_on_negative_max_degree():
+    proc = run_cli(["nichols-dims", "--datum", "A2", "--max-degree", "-1"])
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "ERROR"
+    assert "max-degree" in report["result"]["error"]
+
+
 def test_exit_three_on_window_escape():
     proc = run_cli(["braid-rep", "--datum", "A1", "--lam", "3",
                     "--strands", "2", "--word", "1", "--cap", "2",
