@@ -29,7 +29,7 @@ from .nichols import NicholsContext, serre_element
 from .norms import (RadiusParams, admissible, coaction_convergence,
                     reverify_certificate, rmatrix_condition)
 from .rootdata import load_datum
-from .scalars import PadicParams, ScalarQ, vp
+from .scalars import PadicParams, ScalarQ, ValuationError, vp
 from .uq import (UqContext, check_antipode, check_coassociativity,
                  check_coproduct_multiplicative, check_counit)
 from .weightmods import (_multidegrees, build_mlambda, build_verma, braid_rep,
@@ -281,8 +281,17 @@ def cmd_mlambda(args):
     return _module_report(M), "OK"
 
 
+def _padic_params(args) -> PadicParams:
+    """(p, vh) from the command line; outside the domain is a ConfigError."""
+    vh = _fraction(args.vh)
+    try:
+        return PadicParams(args.p, vh)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_converge_cert(args):
-    params = PadicParams(args.p, _fraction(args.vh))
+    params = _padic_params(args)
     radii = RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
     cert = coaction_convergence(params, radii)
     ok = reverify_certificate(cert, params)
@@ -293,9 +302,12 @@ def cmd_converge_cert(args):
 
 def cmd_admissible(args):
     datum = load_datum(args.datum)
-    params = PadicParams(args.p, _fraction(args.vh))
+    params = _padic_params(args)
     radii = RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
-    verdict = admissible(datum, params, radii)
+    try:
+        verdict = admissible(datum, params, radii)
+    except ValuationError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         rmatrix = rmatrix_condition(datum, params)
     except ConfigError:

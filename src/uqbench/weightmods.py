@@ -43,6 +43,13 @@ F(b (x) c) = Fb (x) c + q^{(alpha_i, wt b)} b (x) Fc, stored in
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on rank-1 windows
 (the module tensor action `f_cols` keeps the inverse decoration q^{-(tau, wt)}
 and is what `apply_f_word` uses).
+
+`ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
+label pair, and apply it to sparse vectors of label tuples; `braid_rep`
+writes the dense matrix out only at the end.  Both are rank-1 only and raise
+ConfigError on rank >= 2: there `build_verma` keeps only the first-order
+terms of the coaction, which is not a braiding, and the quasi-R-matrix
+coaction is not implemented.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Mapping, Sequence
 
 from .braiding import Word
 from .errors import CapError, ConfigError
-from .linalg import invert, mat_mul
+from .linalg import invert
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .uq import UqContext
@@ -490,27 +497,6 @@ def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int, m: int,
     return out
 
 
-def phi_twist_exponent(datum: RootDatum, mu: Sequence[int], nu: Sequence[int]) -> Fraction:
-    """sum_{i,j} A^{-1}_{ij} (alpha_i, mu)(alpha_j, nu) as an exact rational.
-
-    The extension of the braiding twist to weights outside the root lattice;
-    a fractional value signals that the twist is not a Laurent power of q.
-    """
-    ainv = datum.cartan_inverse()
-    if ainv is None:
-        raise ConfigError("the symmetrised Cartan matrix is singular")
-    acc = Fraction(0)
-    for i in range(datum.rank):
-        ai = _pair_root_weight(datum, i, mu)
-        if ai == 0:
-            continue
-        for j in range(datum.rank):
-            aj = _pair_root_weight(datum, j, nu)
-            if aj:
-                acc += ainv[i][j] * ai * aj
-    return acc
-
-
 def _pair_root_weight(datum: RootDatum, i: int, mu: Sequence[int]) -> int:
     """(alpha_i, mu) where mu is a weight vector in coroot-dual coordinates:
     computed as d_i times the coroot pairing so that (alpha_i, alpha_j)
@@ -579,14 +565,60 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
         braid_f_cols=braid_f_cols)
 
 
-def _braid_slot(datum: RootDatum, M: WeightModule, slot: int, vec: Vec,
-                weight_twist: bool = True) -> Vec:
-    """Apply sigma on tensor slots (slot, slot+1) of label tuples."""
+class _SigmaTable(dict):
+    """The categorical braiding sigma on M (x) M, one label pair at a time.
+
+    table[a, b] is sigma(a (x) b) as a tuple of ((b2, a2), c), computed by
+    `braid_pair` the first time the pair is asked for.  A table serves one
+    `ybe_check` or `braid_rep` call and is dropped with it.  Rank-1 only
+    (see the module docstring).
+    """
+
+    def __init__(self, datum: RootDatum, M: WeightModule):
+        if datum.rank != 1:
+            raise ConfigError(
+                f"braidings are implemented for rank 1 only ({datum.name} has "
+                f"rank {datum.rank}): the quasi-R-matrix coaction is not "
+                "implemented")
+        super().__init__()
+        self.datum = datum
+        self.M = M
+
+    def __missing__(self, pair):
+        col = tuple(braid_pair(self.datum, self.M, self.M, pair[0], pair[1],
+                               True).items())
+        self[pair] = col
+        return col
+
+
+def _inverse_table(sigma: _SigmaTable, pairs: Sequence) -> dict:
+    """sigma^{-1} on the span of `pairs`, in the form of a sigma table.
+
+    sigma must map the span of `pairs` into itself; it does on any depth
+    window, because sigma preserves the total depth of a pair.
+    """
+    index = {p: k for k, p in enumerate(pairs)}
+    mat = [[ZERO] * len(pairs) for _ in pairs]
+    for k, p in enumerate(pairs):
+        for image, c in sigma[p]:
+            if image not in index:
+                raise CapError(f"braid image {image!r} leaves the depth window")
+            mat[index[image]][k] = c
+    inv = invert(mat, ZERO, ONE)
+    return {p: tuple((r, inv[i][k]) for i, r in enumerate(pairs)
+                     if not inv[i][k].is_zero())
+            for k, p in enumerate(pairs)}
+
+
+def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:
+    """Apply a pair map (a sigma table or its inverse) on tensor slots
+    (slot, slot+1) of label tuples; every image tuple must lie in window."""
     out: Vec = {}
     for labels, c in vec.items():
-        a, b = labels[slot], labels[slot + 1]
-        for (b2, a2), c2 in braid_pair(datum, M, M, a, b, weight_twist).items():
-            new = labels[:slot] + (b2, a2) + labels[slot + 2:]
+        for (x, y), c2 in table[labels[slot], labels[slot + 1]]:
+            new = labels[:slot] + (x, y) + labels[slot + 2:]
+            if new not in window:
+                raise CapError(f"braid image {new!r} leaves the depth window")
             vec_add(out, new, c * c2)
     return out
 
@@ -595,16 +627,22 @@ def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     """(sigma (x) 1)(1 (x) sigma)(sigma (x) 1) = (1 (x) sigma)(sigma (x) 1)(1 (x) sigma)
     on all triples of total depth <= cap.
 
-    Uses the categorical braiding (weight_twist=True); the display
-    normalization is not a braiding and is covered by the closed-form oracle
-    tests instead."""
-    triples = [(a, b, c) for a in M.labels for b in M.labels for c in M.labels
-               if _total_depth(M, a) + _total_depth(M, b) + _total_depth(M, c) <= cap]
-    for t in triples:
+    Uses the categorical braiding (weight_twist=True), computed once per
+    label pair; the display normalization is not a braiding and is covered
+    by the closed-form oracle tests instead.  Rank-1 only (ConfigError
+    otherwise)."""
+    sigma = _SigmaTable(datum, M)
+    triples = {(a, b, c) for a in M.labels for b in M.labels for c in M.labels
+               if _total_depth(M, a) + _total_depth(M, b) + _total_depth(M, c) <= cap}
+
+    def slots(vec: Vec, order) -> Vec:
+        for slot in order:
+            vec = _braid_slot(sigma, slot, vec, triples)
+        return vec
+
+    for t in sorted(triples):
         start: Vec = {t: ONE}
-        lhs = _braid_slot(datum, M, 0, _braid_slot(datum, M, 1, _braid_slot(datum, M, 0, start)))
-        rhs = _braid_slot(datum, M, 1, _braid_slot(datum, M, 0, _braid_slot(datum, M, 1, start)))
-        if not vec_eq(lhs, rhs):
+        if not vec_eq(slots(start, (0, 1, 0)), slots(start, (1, 0, 1))):
             return False
     return True
 
@@ -614,41 +652,37 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
     """Matrix of a braid word on the depth-capped window of M^{(x) n_strands}.
 
     Letters are nonzero integers: +i is the braiding on strands (i, i+1),
-    -i its inverse (1-indexed, |i| < n_strands).
+    -i its inverse (1-indexed, |i| < n_strands).  Rank-1 only.
+
+    The word acts on sparse columns, starting from the identity, and the
+    dense matrix is written out once at the end.  sigma is computed once per
+    label pair; sigma^{-1} is one inversion on the label pairs of the window
+    and acts slot by slot.  That equals the inverse of the slot generator
+    because the generator is block-diagonal, one block per label tuple on the
+    other strands, and every block is the restriction of sigma to the pairs
+    of the window it fits; the window check on every image is what ensures
+    that each block maps into itself.
     """
     if n_strands < 2:
         raise ConfigError("need at least two strands")
     basis = sorted(
         t for t in _label_tuples(M, n_strands)
         if sum(_total_depth(M, x) for x in t) <= cap)
-    index = {t: k for k, t in enumerate(basis)}
-    dim = len(basis)
-
-    def generator_matrix(slot: int) -> list[list[ScalarQ]]:
-        cols = []
-        for t in basis:
-            out = _braid_slot(datum, M, slot, {t: ONE})
-            col = [ZERO] * dim
-            for t2, c in out.items():
-                if t2 not in index:
-                    raise CapError(f"braid image {t2!r} leaves the depth window")
-                col[index[t2]] = c
-            cols.append(col)
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    result = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
-    gen_cache: dict[int, list[list[ScalarQ]]] = {}
+    window = set(basis)
+    sigma = _SigmaTable(datum, M)
+    sigma_inv = None
+    cols = {t: {t: ONE} for t in basis}
     for letter in word:
         if letter == 0 or abs(letter) >= n_strands:
             raise ConfigError(f"braid letter {letter} out of range for {n_strands} strands")
-        slot = abs(letter) - 1
-        if slot not in gen_cache:
-            gen_cache[slot] = generator_matrix(slot)
-        mat = gen_cache[slot]
+        table = sigma
         if letter < 0:
-            mat = invert(mat, ZERO, ONE)
-        result = mat_mul(mat, result, ZERO)
-    return basis, result
+            if sigma_inv is None:
+                sigma_inv = _inverse_table(sigma, sorted({t[:2] for t in basis}))
+            table = sigma_inv
+        cols = {t: _braid_slot(table, abs(letter) - 1, col, window)
+                for t, col in cols.items()}
+    return basis, [[cols[t].get(t2, ZERO) for t in basis] for t2 in basis]
 
 
 def _label_tuples(M: WeightModule, n: int):

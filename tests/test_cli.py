@@ -5,12 +5,18 @@ compared byte for byte; hash randomization is varied between the runs so
 accidental dict-order dependence cannot hide.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uqbench.cli import main
 
 CASES = {
     "nichols-dims": ["nichols-dims", "--datum", "A2", "--max-degree", "3"],
@@ -103,6 +109,44 @@ def test_exit_two_on_negative_max_degree():
     report = json.loads(proc.stdout)
     assert report["status"] == "ERROR"
     assert "max-degree" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["converge-cert", "--p", "4", "--vh", "1"],
+    ["converge-cert", "--p", "5", "--vh", "0"],
+    ["admissible", "--datum", "A1", "--p", "3", "--vh", "1/3"],
+    ["braid-rep", "--datum", "A2", "--lam", "1,1", "--strands", "3",
+     "--cap", "2"],
+    ["braid-rep", "--datum", "A1xA1", "--lam", "1,1", "--strands", "3",
+     "--cap", "2"],
+    ["ybe-check", "--datum", "A2", "--lam", "1,1", "--cap", "2"],
+    ["ybe-check", "--datum", "A1xA1", "--lam", "1,1", "--cap", "2"],
+], ids=lambda a: " ".join(a))
+def test_exit_two_outside_domain_without_traceback(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "ERROR"
+    assert report["result"]["error"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["converge-cert", "admissible"]),
+       datum=st.sampled_from(["A1", "B2"]),
+       p=st.integers(min_value=2, max_value=12),
+       vh=st.sampled_from(["0", "-1", "-1/2", "1/4", "1/3", "1/2", "1",
+                           "3/2", "2"]))
+def test_padic_commands_always_report(command, datum, p, vh):
+    argv = [command, "--p", str(p), "--vh=" + vh]
+    if command == "admissible":
+        argv += ["--datum", datum]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert report["command"] == command and "status" in report
 
 
 def test_exit_three_on_window_escape():

@@ -7,10 +7,14 @@ pinned here: the display form against the closed formula term by term, the
 categorical form through ybe_check and matrix braid relations.
 """
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
+from uqbench import weightmods
 from uqbench.errors import CapError, ConfigError
-from uqbench.linalg import mat_eq, mat_mul
+from uqbench.linalg import invert, mat_eq, mat_mul
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial, q_int
 from uqbench.weightmods import (braid_pair, braid_rep, braiding, build_mlambda,
@@ -339,6 +343,83 @@ def test_braid_rep_window_escape_raises():
     M = build_verma(A1, 3, 1)
     with pytest.raises(CapError):
         braid_rep(A1, M, 2, (1,), 2)
+
+
+def _dense_braid_rep(M, n_strands, word, cap):
+    """Reference for braid_rep: dense slot generators on the whole tuple
+    window, built from braid_pair alone, multiplied and inverted densely."""
+    basis = sorted(t for t in product(M.labels, repeat=n_strands)
+                   if sum(len(x) for x in t) <= cap)
+    index = {t: k for k, t in enumerate(basis)}
+    dim = len(basis)
+
+    def generator(slot):
+        mat = [[ZERO] * dim for _ in range(dim)]
+        for j, t in enumerate(basis):
+            image = braid_pair(A1, M, M, t[slot], t[slot + 1], True)
+            for (x, y), c in image.items():
+                mat[index[t[:slot] + (x, y) + t[slot + 2:]]][j] = c
+        return mat
+
+    result = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    for letter in word:
+        gen = generator(abs(letter) - 1)
+        if letter < 0:
+            gen = invert(gen, ZERO, ONE)
+        result = mat_mul(gen, result, ZERO)
+    return basis, result
+
+
+@pytest.mark.parametrize("lam,n_strands,cap,word", [
+    (0, 3, 4, (1, -2, 1)),
+    (1, 3, 2, (-1, 2, -1, -2)),
+    (2, 3, 3, (1, -1)),
+    (3, 3, 4, (-1, 2, -1, -2)),
+    (1, 4, 2, (1, -2, 1, 3)),
+    (2, 4, 3, (-3, 2, -1, -2)),
+    (3, 4, 2, (1, -1, -3)),
+    (0, 4, 4, (-1, 3, 2)),
+])
+def test_braid_rep_matches_dense_reference(lam, n_strands, cap, word):
+    M = build_verma(A1, lam, cap)
+    basis, mat = braid_rep(A1, M, n_strands, word, cap)
+    ref_basis, ref = _dense_braid_rep(M, n_strands, word, cap)
+    assert basis == ref_basis
+    assert mat_eq(mat, ref)
+
+
+def _counting_braid_pair(monkeypatch):
+    calls = Counter()
+    real = weightmods.braid_pair
+
+    def counted(datum, M, N, a, b, weight_twist=False):
+        calls[a, b, weight_twist] += 1
+        return real(datum, M, N, a, b, weight_twist)
+
+    monkeypatch.setattr(weightmods, "braid_pair", counted)
+    return calls
+
+
+def test_sigma_is_computed_once_per_pair_and_call(monkeypatch):
+    calls = _counting_braid_pair(monkeypatch)
+    M = build_verma(A1, 2, 3)
+    assert ybe_check(A1, M, 3)
+    assert calls and set(calls.values()) == {1}
+    assert all(twist for _, _, twist in calls)
+    for word in ((1, 2, 1), (1, -2, -1, 2)):
+        calls.clear()
+        braid_rep(A1, M, 3, word, 3)
+        assert calls and set(calls.values()) == {1}, word
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("A1xA1", (1, 1))])
+def test_higher_rank_braidings_are_refused(name, lam):
+    datum = load_datum(name)
+    M = build_verma(datum, lam, 2)
+    with pytest.raises(ConfigError, match="rank 1 only"):
+        ybe_check(datum, M, 2)
+    with pytest.raises(ConfigError, match="rank 1 only"):
+        braid_rep(datum, M, 3, (1, 2, 1), 2)
 
 
 def test_tensor_module_weights_add():
