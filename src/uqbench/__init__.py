@@ -5,6 +5,7 @@ generic-parameter side, Fractions and p-adic valuations for the analytic
 side.  The main entry points:
 
 - scalars: ScalarQ Laurent fractions, q-integers, p-adic valuations.
+- sparse: the one sparse-vector core (add at a key, drop zero sums).
 - rootdata: RootDatum presets and validation.
 - nichols: diagonal Nichols algebras via the pairing radical.
 - uq: the double-bosonised quantum group on a truncated PBW window.
@@ -16,7 +17,7 @@ side.  The main entry points:
 - cli: the `uqbench` command.
 """
 
-from .errors import CapError, ConfigError
+from .errors import CapError, ConfigError, ObstructionError
 from .scalars import (PadicParams, ScalarQ, ValuationBound, gauss_valuation,
                       q_binomial, q_factorial, q_int, vp, vp_factorial)
 from .rootdata import RootDatum, list_presets, load_datum, validate_datum
@@ -29,9 +30,9 @@ from .weightmods import (WeightModule, braid_pair, braid_rep, braiding,
 from .norms import (ConvergenceCertificate, NormReport, RadiusParams,
                     admissible, coaction_convergence, norm_contract_check,
                     reverify_certificate, rmatrix_condition)
-from .deform import (ObstructionError, SeriesElement, SeriesMap, TruncatedUg,
-                     conjugate_map, derivation_gauge, identity_map,
-                     mult_trivialize, plant_deformation, rigidity_conjugator)
+from .deform import (SeriesElement, SeriesMap, TruncatedUg, conjugate_map,
+                     derivation_gauge, identity_map, mult_trivialize,
+                     plant_deformation, rigidity_conjugator)
 
 __all__ = [
     "CapError", "ConfigError", "ObstructionError",

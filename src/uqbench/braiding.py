@@ -2,16 +2,16 @@
 
 A diagonal braiding on V with basis (v_i) is c(v_i (x) v_j) = b(i,j) v_j (x) v_i
 for invertible scalars b(i,j).  Such a braiding always satisfies the hexagon
-identity; `check_hexagon` verifies it anyway by exact matrix arithmetic, and
-also accepts arbitrary matrix braidings so that non-examples can be refuted.
+identity; `check_hexagon` verifies it anyway by exact matrix arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .scalars import ScalarQ
+from .sparse import Sparse
 
 Word = tuple[int, ...]
 
@@ -19,54 +19,17 @@ ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
 
 
-class TensorElement:
+class TensorElement(Sparse):
     """A finite k-linear combination of pure tensor words v_{i1} (x) ... (x) v_{in}.
 
     Stored sparsely as {word: ScalarQ}.  Words of an element may span several
     lengths or multidegrees; operations that need homogeneity must check."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, ScalarQ] | None = None):
-        self.terms: dict[Word, ScalarQ] = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(w)] = c
+    __slots__ = ()
 
     @staticmethod
     def basis(word: Sequence[int]) -> "TensorElement":
         return TensorElement({tuple(word): ONE})
-
-    def add_term(self, word: Word, c: ScalarQ) -> None:
-        s = self.terms.get(word, ZERO) + c
-        if s.is_zero():
-            self.terms.pop(word, None)
-        else:
-            self.terms[word] = s
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = TensorElement(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        out = TensorElement(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
-
-    def scale(self, c: ScalarQ) -> "TensorElement":
-        if c.is_zero():
-            return TensorElement()
-        return TensorElement({w: x * c for w, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -117,23 +80,6 @@ class BraidedSpace:
         return out
 
 
-@dataclass(frozen=True)
-class MatrixBraiding:
-    """A general linear map c on V (x) V, entries[(k, l), (i, j)] being the
-    coefficient of v_k (x) v_l in c(v_i (x) v_j).  Only hexagon checking is
-    supported for these; the Nichols machinery requires diagonal type."""
-
-    dim: int
-    entries: Mapping[tuple[tuple[int, int], tuple[int, int]], ScalarQ]
-
-    def as_matrix(self) -> list[list[ScalarQ]]:
-        d = self.dim
-        m = [[ZERO] * (d * d) for _ in range(d * d)]
-        for ((k, l), (i, j)), c in self.entries.items():
-            m[k * d + l][i * d + j] = c
-        return m
-
-
 def _diagonal_as_matrix(space: BraidedSpace) -> list[list[ScalarQ]]:
     d = space.dim
     m = [[ZERO] * (d * d) for _ in range(d * d)]
@@ -166,18 +112,13 @@ def _lift(c: list[list[ScalarQ]], dim: int, slot: int) -> list[list[ScalarQ]]:
     return m
 
 
-def check_hexagon(braiding: BraidedSpace | MatrixBraiding) -> bool:
+def check_hexagon(space: BraidedSpace) -> bool:
     """Exact check of (c12)(c23)(c12) = (c23)(c12)(c23) on V (x) V (x) V."""
     from .linalg import mat_eq, mat_mul
 
-    if isinstance(braiding, BraidedSpace):
-        c = _diagonal_as_matrix(braiding)
-        dim = braiding.dim
-    else:
-        c = braiding.as_matrix()
-        dim = braiding.dim
-    c12 = _lift(c, dim, 0)
-    c23 = _lift(c, dim, 1)
+    c = _diagonal_as_matrix(space)
+    c12 = _lift(c, space.dim, 0)
+    c23 = _lift(c, space.dim, 1)
     lhs = mat_mul(mat_mul(c12, c23, ZERO), c12, ZERO)
     rhs = mat_mul(mat_mul(c23, c12, ZERO), c23, ZERO)
     return mat_eq(lhs, rhs)

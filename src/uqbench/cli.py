@@ -20,16 +20,15 @@ import random
 import sys
 from fractions import Fraction
 
-from .deform import (GEN_MONO, ObstructionError, SeriesElement, TruncatedUg,
-                     conjugate_map, conjugation_residuals, derivation_gauge,
-                     identity_map, mult_trivialize, plant_deformation,
-                     rigidity_conjugator)
-from .errors import CapError, ConfigError
+from .deform import (GEN_MONO, SeriesElement, TruncatedUg, conjugate_map,
+                     conjugation_residuals, derivation_gauge, identity_map,
+                     mult_trivialize, plant_deformation, rigidity_conjugator)
+from .errors import CapError, ConfigError, ObstructionError
 from .nichols import NicholsContext, serre_element
 from .norms import (RadiusParams, admissible, coaction_convergence,
                     reverify_certificate, rmatrix_condition)
 from .rootdata import load_datum
-from .scalars import PadicParams, ScalarQ, ValuationError, vp
+from .scalars import PadicParams, ScalarQ, ValuationError, is_prime, vp
 from .uq import (UqContext, check_antipode, check_coassociativity,
                  check_coproduct_multiplicative, check_counit)
 from .weightmods import (_multidegrees, build_mlambda, build_verma, braid_rep,
@@ -319,6 +318,8 @@ def cmd_admissible(args):
 
 
 def cmd_rigidity_solve(args):
+    if args.prime and not is_prime(args.prime):
+        raise ConfigError(f"--prime must be 0 or a prime, got {args.prime}")
     datum = load_datum(args.datum)
     algebra = TruncatedUg(datum, args.cap, args.window)
     seed_mono = _parse_mono(args.seed_coeff)

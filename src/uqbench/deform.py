@@ -50,9 +50,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .errors import CapError, ConfigError
+from .errors import CapError, ConfigError, ObstructionError
 from .linalg import solve
 from .rootdata import RootDatum
+from .sparse import add_term, combine, scale
 
 Mono = tuple[int, int, int]  # exponents of F, H, E in normal order
 El = dict  # Mono -> Fraction
@@ -60,39 +61,6 @@ El = dict  # Mono -> Fraction
 GEN_ORDER = ("E", "H", "F")
 GEN_MONO: dict[str, Mono] = {"F": (1, 0, 0), "H": (0, 1, 0), "E": (0, 0, 1)}
 UNIT: Mono = (0, 0, 0)
-
-
-class ObstructionError(RuntimeError):
-    """A cochain equation has no solution inside the window.
-
-    `order` is the hbar-order at which the solve failed (None for a bare
-    coboundary_solve call outside any series iteration).
-    """
-
-    def __init__(self, message: str, order: int | None = None):
-        super().__init__(message)
-        self.order = order
-
-
-def el_add(acc: El, m: Mono, c: Fraction) -> None:
-    s = acc.get(m, Fraction(0)) + c
-    if s == 0:
-        acc.pop(m, None)
-    else:
-        acc[m] = s
-
-
-def el_combine(x: El, y: El, sign: int = 1) -> El:
-    out = dict(x)
-    for m, c in y.items():
-        el_add(out, m, sign * c)
-    return out
-
-
-def el_scale(x: El, c: Fraction) -> El:
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in x.items()}
 
 
 def el_degree(x: El) -> int:
@@ -146,21 +114,21 @@ class TruncatedUg:
         k = self.kappa
         out: El = {}
         if g == "E":
-            el_add(out, (a, b, c + 1), Fraction(1))
+            add_term(out, (a, b, c + 1), Fraction(1))
         elif g == "H":
             # E^c H = (H - c kappa) E^c
-            el_add(out, (a, b + 1, c), Fraction(1))
+            add_term(out, (a, b + 1, c), Fraction(1))
             if c:
-                el_add(out, (a, b, c), -c * k)
+                add_term(out, (a, b, c), -c * k)
         elif g == "F":
             # E^c F = F E^c + c H E^{c-1} - (kappa/2) c (c-1) E^{c-1},
             # then H^b F = F (H - kappa)^b
             for j in range(b + 1):
-                el_add(out, (a + 1, j, c), comb(b, j) * (-k) ** (b - j))
+                add_term(out, (a + 1, j, c), comb(b, j) * (-k) ** (b - j))
             if c:
-                el_add(out, (a, b + 1, c - 1), Fraction(c))
+                add_term(out, (a, b + 1, c - 1), Fraction(c))
                 if c > 1:
-                    el_add(out, (a, b, c - 1), -k / 2 * c * (c - 1))
+                    add_term(out, (a, b, c - 1), -k / 2 * c * (c - 1))
         else:
             raise ConfigError(f"unknown generator {g!r}")
         return out
@@ -178,7 +146,7 @@ class TruncatedUg:
                 nxt: El = {}
                 for m, coef in acc.items():
                     for m3, c3 in self._rmul_gen(m, g).items():
-                        el_add(nxt, m3, coef * c3)
+                        add_term(nxt, m3, coef * c3)
                 acc = nxt
         self._mono_cache[key] = acc
         return acc
@@ -192,11 +160,11 @@ class TruncatedUg:
                         f"product degree {sum(m1)} + {sum(m2)} exceeds the "
                         f"cap {self.cap}")
                 for m3, c3 in self.mono_mul(m1, m2).items():
-                    el_add(out, m3, c1 * c2 * c3)
+                    add_term(out, m3, c1 * c2 * c3)
         return out
 
     def commutator(self, x: El, y: El) -> El:
-        return el_combine(self.multiply(x, y), self.multiply(y, x), -1)
+        return combine(self.multiply(x, y), self.multiply(y, x), -1)
 
     # -- structure checks --------------------------------------------------
 
@@ -204,8 +172,8 @@ class TruncatedUg:
         """[H,E] = kappa E, [H,F] = -kappa F, [E,F] = H inside the window."""
         e, h, f = self.gen("E"), self.gen("H"), self.gen("F")
         k = self.kappa
-        return (self.commutator(h, e) == el_scale(e, k)
-                and self.commutator(h, f) == el_scale(f, -k)
+        return (self.commutator(h, e) == scale(e, k)
+                and self.commutator(h, f) == scale(f, -k)
                 and self.commutator(e, f) == h)
 
     def check_associativity(self, total_degree: int) -> bool:
@@ -270,7 +238,7 @@ def _cochain2_lookup(f: dict, x: str, y: str) -> El:
     if (x, y) in f:
         return f[(x, y)]
     if (y, x) in f:
-        return el_scale(f[(y, x)], Fraction(-1))
+        return scale(f[(y, x)], Fraction(-1))
     return {}
 
 
@@ -279,7 +247,7 @@ def _validate_cochain2(f: dict) -> None:
         if x == y and v:
             raise ConfigError(
                 f"2-cochain is not antisymmetric: f({x},{x}) != 0")
-        if (y, x) in f and el_combine(v, f[(y, x)]) != {}:
+        if (y, x) in f and combine(v, f[(y, x)]) != {}:
             raise ConfigError(f"2-cochain is not antisymmetric on ({x},{y})")
 
 
@@ -287,7 +255,7 @@ def _eval_on_lie(f: dict, lie: dict[str, Fraction]) -> El:
     out: El = {}
     for g, c in lie.items():
         for m, v in f.get(g, {}).items():
-            el_add(out, m, c * v)
+            add_term(out, m, c * v)
     return out
 
 
@@ -295,7 +263,7 @@ def _eval2_on_lie(f: dict, lie: dict[str, Fraction], z: str) -> El:
     out: El = {}
     for g, c in lie.items():
         for m, v in _cochain2_lookup(f, g, z).items():
-            el_add(out, m, c * v)
+            add_term(out, m, c * v)
     return out
 
 
@@ -323,9 +291,9 @@ def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
         out = {}
         for i, x in enumerate(GEN_ORDER):
             for y in GEN_ORDER[i + 1:]:
-                term = el_combine(act(x, f.get(y, {})),
-                                  act(y, f.get(x, {})), -1)
-                term = el_combine(
+                term = combine(act(x, f.get(y, {})),
+                               act(y, f.get(x, {})), -1)
+                term = combine(
                     term, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
                 out[(x, y)] = term
         return out
@@ -333,13 +301,13 @@ def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
         _validate_cochain2(f)
         x, y, z = GEN_ORDER
         term = act(x, _cochain2_lookup(f, y, z))
-        term = el_combine(term, act(y, _cochain2_lookup(f, x, z)), -1)
-        term = el_combine(term, act(z, _cochain2_lookup(f, x, y)))
-        term = el_combine(
+        term = combine(term, act(y, _cochain2_lookup(f, x, z)), -1)
+        term = combine(term, act(z, _cochain2_lookup(f, x, y)))
+        term = combine(
             term, _eval2_on_lie(f, lie_bracket(algebra, x, y), z), -1)
-        term = el_combine(
+        term = combine(
             term, _eval2_on_lie(f, lie_bracket(algebra, x, z), y))
-        term = el_combine(
+        term = combine(
             term, _eval2_on_lie(f, lie_bracket(algebra, y, z), x), -1)
         return {(x, y, z): term}
     raise ConfigError(f"cochain degree must be 0, 1 or 2, got {n}")
@@ -380,9 +348,8 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
     at = f" at order {order}" if order is not None else ""
     for i, x in enumerate(GEN_ORDER):
         for y in GEN_ORDER[i + 1:]:
-            lhs = el_combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
-            lhs = el_combine(lhs, _eval_on_lie(f, lie_bracket(algebra, x, y)),
-                             -1)
+            lhs = combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
+            lhs = combine(lhs, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
             if lhs:
                 raise ConfigError(
                     f"not a cocycle: identity fails on ({x},{y}){at}")
@@ -446,7 +413,7 @@ def series_mul(algebra: TruncatedUg, a: list, b: list, upto: int) -> list:
             if i + j > upto or not bj:
                 continue
             for m, c in algebra.multiply(ai, bj).items():
-                el_add(out[i + j], m, c)
+                add_term(out[i + j], m, c)
     return out
 
 
@@ -462,8 +429,8 @@ def series_inverse(algebra: TruncatedUg, a: list, upto: int) -> list:
             if not ak or not inv[n - k]:
                 continue
             for m, c in algebra.multiply(ak, inv[n - k]).items():
-                el_add(acc, m, c)
-        inv[n] = el_scale(acc, Fraction(-1))
+                add_term(acc, m, c)
+        inv[n] = scale(acc, Fraction(-1))
     return inv
 
 
@@ -498,7 +465,7 @@ class SeriesMap:
                 raise CapError(f"map is not defined on monomial {m}")
             img = col[n] if n < len(col) else {}
             for m2, c2 in img.items():
-                el_add(out, m2, c * c2)
+                add_term(out, m2, c * c2)
         return out
 
 
@@ -528,7 +495,7 @@ def _check_lie_map(algebra: TruncatedUg, d: SeriesMap) -> None:
             rhs: El = {}
             for g, c in lie_bracket(algebra, x, y).items():
                 for m, v in d.gen_image(g, 0).items():
-                    el_add(rhs, m, c * v)
+                    add_term(rhs, m, c * v)
             if lhs != rhs:
                 raise ConfigError(
                     f"order-0 map does not respect the bracket on ({x},{y})")
@@ -564,7 +531,7 @@ def rigidity_conjugator(d: SeriesMap, d_prime: SeriesMap, upto: int,
             col = d.columns[GEN_MONO[g]]
             conj = series_mul(algebra, series_mul(algebra, F, col, n),
                               finv, n)
-            gamma[g] = el_combine(conj[n], d_prime.gen_image(g, n), -1)
+            gamma[g] = combine(conj[n], d_prime.gen_image(g, n), -1)
         if all(not gamma[g] for g in GEN_ORDER):
             transcript.append({"order": n, "u": {}, "defect": "zero"})
             continue
@@ -595,7 +562,7 @@ def conjugation_residuals(F: SeriesElement, d: SeriesMap, d_prime: SeriesMap,
         lhs = series_mul(algebra, F.coeffs, d.columns[GEN_MONO[g]], upto)
         rhs = series_mul(algebra, d_prime.columns[GEN_MONO[g]], F.coeffs,
                          upto)
-        out[g] = [el_combine(a, b, -1) for a, b in zip(lhs, rhs)]
+        out[g] = [combine(a, b, -1) for a, b in zip(lhs, rhs)]
     return out
 
 
@@ -628,7 +595,7 @@ def _mu_term(mu_n: dict, x: El, y: El, strict: bool) -> El:
                         f"multiplication table has no entry for ({m1}, {m2})")
                 continue
             for m3, c3 in entry.items():
-                el_add(out, m3, c1 * c2 * c3)
+                add_term(out, m3, c1 * c2 * c3)
     return out
 
 
@@ -672,9 +639,9 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
                     right = _mu_term(mu[i], {m1: Fraction(1)}, inner,
                                      strict=(i == 0))
                     for m, c in left.items():
-                        el_add(acc, m, c)
+                        add_term(acc, m, c)
                     for m, c in right.items():
-                        el_add(acc, m, -c)
+                        add_term(acc, m, -c)
                 if acc:
                     return (m1, m2, m3, acc)
     return None
@@ -684,10 +651,10 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
 # candidate gauge values depend linearly on the unknown generator images.
 
 def _aff_add(a, b, sign: int = 1):
-    const = el_combine(a[0], b[0], sign)
+    const = combine(a[0], b[0], sign)
     lin = dict(a[1])
     for i, el in b[1].items():
-        merged = el_combine(lin.get(i, {}), el, sign)
+        merged = combine(lin.get(i, {}), el, sign)
         if merged:
             lin[i] = merged
         else:
@@ -698,7 +665,7 @@ def _aff_add(a, b, sign: int = 1):
 def _aff_scale(a, c: Fraction):
     if c == 0:
         return ({}, {})
-    return (el_scale(a[0], c), {i: el_scale(el, c) for i, el in a[1].items()})
+    return (scale(a[0], c), {i: scale(el, c) for i, el in a[1].items()})
 
 
 def _aff_mul(algebra: TruncatedUg, left, a, right):
@@ -761,7 +728,7 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
         t = _aff_add(t, _aff_mul(algebra, None, beta[x], {y: Fraction(1)}))
         for m3, c3 in algebra.mono_mul(x, y).items():
             t = _aff_add(t, _aff_scale(beta[m3], c3), -1)
-        diff = el_combine(f_n.get((x, y), {}), t[0], -1)
+        diff = combine(f_n.get((x, y), {}), t[0], -1)
         block = [[Fraction(0)] * len(unknowns) for _ in targets]
         for i, el in t[1].items():
             for mm, cc in el.items():
@@ -781,7 +748,7 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
         el = dict(const)
         for i, elli in lin.items():
             for mm, cc in elli.items():
-                el_add(el, mm, cc * sol[i])
+                add_term(el, mm, cc * sol[i])
         if el:
             out[m] = el
     return out
@@ -803,7 +770,7 @@ def _apply_order_term(series: list, k: int, x: El) -> El:
                 raise CapError(f"gauge map is not defined on monomial {m}")
             continue
         for m2, c2 in img.items():
-            el_add(out, m2, c * c2)
+            add_term(out, m2, c * c2)
     return out
 
 
@@ -824,7 +791,7 @@ def _map_series_inverse(algebra: TruncatedUg, v: list, upto: int) -> list:
                     if not src:
                         continue
                     for m2, c in _apply_order_term(v, k, src).items():
-                        el_add(acc, m2, -c)
+                        add_term(acc, m2, -c)
             if acc:
                 cols[m] = acc
         inv[n] = cols
@@ -845,7 +812,7 @@ def _compose_map_series(algebra: TruncatedUg, a: list, b: list,
                 if not mid:
                     continue
                 for m2, c in _apply_order_term(a, i, mid).items():
-                    el_add(acc, m2, c)
+                    add_term(acc, m2, c)
             if acc:
                 cols[m] = acc
         out[n] = cols
@@ -876,7 +843,7 @@ def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
                         if not prod:
                             continue
                         for m, c in _apply_order_term(v, i, prod).items():
-                            el_add(acc, m, c)
+                            add_term(acc, m, c)
             if acc:
                 out[order][(m1, m2)] = acc
     return out
@@ -909,10 +876,10 @@ def derivation_gauge(algebra: TruncatedUg, gen_images: dict) -> dict:
         acc: El = {}
         if w in cols:
             for mm, cc in algebra.multiply({g: Fraction(1)}, cols[w]).items():
-                el_add(acc, mm, cc)
+                add_term(acc, mm, cc)
         if g in cols:
             for mm, cc in algebra.multiply(cols[g], {w: Fraction(1)}).items():
-                el_add(acc, mm, cc)
+                add_term(acc, mm, cc)
         if acc:
             cols[m] = acc
     return cols

@@ -32,6 +32,7 @@ from .errors import CapError, ConfigError
 from .linalg import rref_laurent
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial
+from .sparse import add_term
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -49,10 +50,6 @@ def diagonal_space(datum: RootDatum) -> BraidedSpace:
         for i in range(datum.rank)
     )
     return BraidedSpace(dim=datum.rank, coeff=coeff)
-
-
-def word_multidegree(space: BraidedSpace, w: Word) -> Degree:
-    return space.word_degree(w)
 
 
 def words_of_degree(deg: Degree) -> list[Word]:
@@ -81,12 +78,7 @@ def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
                     left.append(w[pos])
                 else:
                     right.append(w[pos])
-            key = (tuple(left), tuple(right))
-            s = out.get(key, ZERO) + coef * beta
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (tuple(left), tuple(right)), coef * beta)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Root data on a weight lattice, the Cartan Hopf algebra, and its pairing.
+"""Root data on a weight lattice and the Cartan indices they fix.
 
 A datum consists of simple roots alpha_i living in a lattice Z^N, coroots
 lambda_i in the dual lattice, and a symmetric integer matrix ((alpha_i,
@@ -8,8 +8,8 @@ alpha_i) is validated on the simple-root basis.
 
 Group-likes K_lambda for lambda in the dual lattice form the Cartan Hopf
 algebra; t_i := K_{d_i lambda_i} with d_i = (alpha_i, alpha_i)/2 generate the
-subalgebra used by the positive/negative parts.  The bilinear Hopf pairing
-sends K_lambda (x) t^n to q^{lambda(sum n_i alpha_i)}.
+subalgebra used by the positive/negative parts; `t_indices` records the
+dual vectors d_i lambda_i.
 """
 
 from __future__ import annotations
@@ -19,16 +19,9 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigError
-from .scalars import ScalarQ
-
-ZERO = ScalarQ.zero()
-ONE = ScalarQ.one()
-
-
-DualVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -128,84 +121,6 @@ def validate_datum(datum: RootDatum) -> None:
                     f"coroot relation fails at ({i}, {j}): lambda_{i}(alpha_{j}) = {got}, "
                     f"2(alpha_{i}, alpha_{j})/(alpha_{i}, alpha_{i}) = {expect}"
                 )
-
-
-# ---------------------------------------------------------------------------
-# Cartan Hopf algebra elements
-# ---------------------------------------------------------------------------
-
-class CartanElement:
-    """Finite k-linear combination of group-likes K_lambda, lambda in Z^N dual."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[DualVector, ScalarQ] | None = None):
-        self.terms: dict[DualVector, ScalarQ] = {}
-        if terms:
-            for v, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(v)] = c
-
-    @staticmethod
-    def k(lam: Sequence[int], coeff: ScalarQ = ONE) -> "CartanElement":
-        return CartanElement({tuple(lam): coeff})
-
-    def __add__(self, other: "CartanElement") -> "CartanElement":
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            s = out.get(v, ZERO) + c
-            if s.is_zero():
-                out.pop(v, None)
-            else:
-                out[v] = s
-        return CartanElement(out)
-
-    def __mul__(self, other: "CartanElement") -> "CartanElement":
-        out: dict[DualVector, ScalarQ] = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                v = tuple(a + b for a, b in zip(v1, v2))
-                s = out.get(v, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(v, None)
-                else:
-                    out[v] = s
-        return CartanElement(out)
-
-    def scale(self, c: ScalarQ) -> "CartanElement":
-        return CartanElement({v: x * c for v, x in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, CartanElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*K{list(v)}" for v, c in sorted(self.terms.items()))
-
-
-def cartan_pairing(datum: RootDatum, x: CartanElement | Sequence[int], n: Sequence[int]) -> ScalarQ:
-    """Hopf pairing <K_lambda, t^n> = q^{lambda(sum n_i alpha_i)}, extended
-    bilinearly in the first slot.  `n` is an integer vector over the index set I."""
-    beta = datum.root_combination(n)
-    if isinstance(x, CartanElement):
-        out = ZERO
-        for lam, c in x.terms.items():
-            out = out + c * ScalarQ.q_power(_dot(lam, beta))
-        return out
-    return ScalarQ.q_power(_dot(tuple(x), beta))
-
-
-def weakqt_maps(datum: RootDatum, n: Sequence[int]) -> tuple[CartanElement, CartanElement]:
-    """The weak quasi-triangular pair (R, Rbar) on the t-monomial t^n:
-    R fixes t^n as K_{sum n_i tau_i} and Rbar inverts it."""
-    acc = [0] * datum.lattice_rank
-    for i, c in enumerate(n):
-        for k, x in enumerate(datum.t_indices[i]):
-            acc[k] += c * x
-    plus = CartanElement.k(tuple(acc))
-    minus = CartanElement.k(tuple(-a for a in acc))
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------

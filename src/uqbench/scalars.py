@@ -17,9 +17,9 @@ exact valuation precisely when the minimum is attained by a unique k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Mapping
 
 
@@ -190,6 +190,9 @@ class ScalarQ:
     def is_zero(self) -> bool:
         return not self._num
 
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
     def is_one(self) -> bool:
         return self._num == {0: Fraction(1)} and self._den == {0: Fraction(1)}
 
@@ -350,7 +353,9 @@ def q_rising(a: int, k: int, d: int = 1) -> ScalarQ:
 # p-adic layer
 # ---------------------------------------------------------------------------
 
-_INFINITY = object()
+def is_prime(n: int) -> bool:
+    """Trial division; False for every n < 2."""
+    return n >= 2 and all(n % r for r in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -367,7 +372,7 @@ class PadicParams:
     vh: Fraction
 
     def __post_init__(self):
-        if self.p < 3 or any(self.p % r == 0 for r in range(2, int(self.p ** 0.5) + 1)):
+        if self.p == 2 or not is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         object.__setattr__(self, "vh", Fraction(self.vh))
         if self.vh <= 0:
@@ -395,7 +400,12 @@ class ValuationBound:
 
 
 def vp(n: int | Fraction, p: int) -> Fraction | None:
-    """p-adic valuation of a rational; None encodes +infinity (input 0)."""
+    """p-adic valuation of a rational; None encodes +infinity (input 0).
+
+    |p| must be at least 2: for p = 0 or +-1 there is no valuation, and the
+    division loop would never end."""
+    if abs(p) < 2:
+        raise ValueError(f"no p-adic valuation for p = {p}")
     x = Fraction(n)
     if x == 0:
         return None

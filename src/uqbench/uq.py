@@ -37,6 +37,7 @@ from .errors import CapError, ConfigError
 from .nichols import NicholsContext
 from .rootdata import RootDatum
 from .scalars import ScalarQ
+from .sparse import Sparse, add_term
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -44,47 +45,10 @@ ONE = ScalarQ.one()
 DualVector = tuple[int, ...]
 Term = tuple[Word, DualVector, Word]  # (f_word, cartan index, e_word)
 
-class UqElement:
+class UqElement(Sparse):
     """Sparse combination of normal-ordered terms."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Term, ScalarQ] | None = None):
-        self.terms: dict[Term, ScalarQ] = {}
-        if terms:
-            for t, c in terms.items():
-                if not c.is_zero():
-                    self.terms[t] = c
-
-    def add_term(self, t: Term, c: ScalarQ) -> None:
-        s = self.terms.get(t, ZERO) + c
-        if s.is_zero():
-            self.terms.pop(t, None)
-        else:
-            self.terms[t] = s
-
-    def __add__(self, other: "UqElement") -> "UqElement":
-        out = UqElement(self.terms)
-        for t, c in other.terms.items():
-            out.add_term(t, c)
-        return out
-
-    def __sub__(self, other: "UqElement") -> "UqElement":
-        out = UqElement(self.terms)
-        for t, c in other.terms.items():
-            out.add_term(t, -c)
-        return out
-
-    def scale(self, c: ScalarQ) -> "UqElement":
-        if c.is_zero():
-            return UqElement()
-        return UqElement({t: x * c for t, x in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, UqElement) and self.terms == other.terms
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -179,14 +143,6 @@ class UqContext:
         i, e_prefix = e[-1], e[:-1]
         j, f_rest = f[0], f[1:]
         acc: dict[Term, ScalarQ] = {}
-
-        def put(t: Term, c: ScalarQ) -> None:
-            s = acc.get(t, ZERO) + c
-            if s.is_zero():
-                acc.pop(t, None)
-            else:
-                acc[t] = s
-
         # E_i F_j = F_j E_i + delta_ij X_i; first the straight-through part:
         # e_prefix . F_j . (E_i f_rest)
         for (fw, mu, ew), c in self._reorder((i,), f_rest):
@@ -196,7 +152,7 @@ class UqContext:
                     cross = ScalarQ.q_power(-self.lam_apply(mu, self.word_degree(ew3)))
                     lam = tuple(a + b for a, b in zip(nu, mu))
                     for ew4, c4 in self.word_product(ew3, ew):
-                        put((fw3, lam, ew4), c * c2 * c3 * cross * c4)
+                        add_term(acc, (fw3, lam, ew4), c * c2 * c3 * cross * c4)
         if i == j:
             # e_prefix . X_i . f_rest with X_i = (t_i - t_i^-1)/(q_i - q_i^-1)
             d = self.datum.d[i]
@@ -210,7 +166,7 @@ class UqContext:
                 for (fw, nu, ew), c in self._reorder(e_prefix, f_rest):
                     cross = ScalarQ.q_power(-self.lam_apply(stau, self.word_degree(ew)))
                     lam = tuple(a + b for a, b in zip(nu, stau))
-                    put((fw, lam, ew), coef * c * cross)
+                    add_term(acc, (fw, lam, ew), coef * c * cross)
         out = list(acc.items())
         self._reorder_memo[key] = out
         return out
@@ -252,11 +208,7 @@ class UqContext:
         for (f, lam, e), coef in x.terms.items():
             pairs = self._coproduct_term(f, lam, e)
             for key, c in pairs.items():
-                s = out.get(key, ZERO) + coef * c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, key, coef * c)
         return out
 
     def _coproduct_term(self, f: Word, lam: DualVector, e: Word) -> dict[tuple[Term, Term], ScalarQ]:
@@ -286,12 +238,7 @@ class UqContext:
         for l, r in acc:
             for t1, c1 in l.terms.items():
                 for t2, c2 in r.terms.items():
-                    key = (t1, t2)
-                    s = out.get(key, ZERO) + c1 * c2
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, (t1, t2), c1 * c2)
         return out
 
     def antipode(self, x: UqElement) -> UqElement:
@@ -486,12 +433,7 @@ def tensor_square_multiply(ctx: UqContext, a: Mapping[tuple[Term, Term], ScalarQ
             right = ctx.multiply(UqElement({a2: ONE}), UqElement({b2: ONE}))
             for t1, c1 in left.terms.items():
                 for t2, c2 in right.terms.items():
-                    key = (t1, t2)
-                    s = out.get(key, ZERO) + ca * cb * c1 * c2
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, (t1, t2), ca * cb * c1 * c2)
     return out
 
 
@@ -519,21 +461,11 @@ def check_coassociativity(ctx: UqContext, x: UqElement) -> bool:
     lhs: dict[tuple[Term, Term, Term], ScalarQ] = {}
     for (t1, t2), c in d.items():
         for (u1, u2), c2 in ctx.coproduct(UqElement({t1: ONE})).items():
-            key = (u1, u2, t2)
-            s = lhs.get(key, ZERO) + c * c2
-            if s.is_zero():
-                lhs.pop(key, None)
-            else:
-                lhs[key] = s
+            add_term(lhs, (u1, u2, t2), c * c2)
     rhs: dict[tuple[Term, Term, Term], ScalarQ] = {}
     for (t1, t2), c in d.items():
         for (u1, u2), c2 in ctx.coproduct(UqElement({t2: ONE})).items():
-            key = (t1, u1, u2)
-            s = rhs.get(key, ZERO) + c * c2
-            if s.is_zero():
-                rhs.pop(key, None)
-            else:
-                rhs[key] = s
+            add_term(rhs, (t1, u1, u2), c * c2)
     return lhs == rhs
 
 

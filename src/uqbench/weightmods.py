@@ -63,20 +63,13 @@ from .errors import CapError, ConfigError
 from .linalg import invert
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
+from .sparse import add_term
 from .uq import UqContext
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
 
 Vec = dict  # label -> ScalarQ
-
-
-def vec_add(acc: Vec, label, c: ScalarQ) -> None:
-    s = acc.get(label, ZERO) + c
-    if s.is_zero():
-        acc.pop(label, None)
-    else:
-        acc[label] = s
 
 
 def vec_eq(a: Vec, b: Vec) -> bool:
@@ -116,7 +109,7 @@ class WeightModule:
     def apply_k(self, lam: Sequence[int], vec: Vec) -> Vec:
         out: Vec = {}
         for label, c in vec.items():
-            vec_add(out, label, c * self.k_scalar(lam, label))
+            add_term(out, label, c * self.k_scalar(lam, label))
         return out
 
     def _apply_cols(self, cols: dict, which: str, i: int, vec: Vec) -> Vec:
@@ -127,7 +120,7 @@ class WeightModule:
                 raise CapError(
                     f"{which}_{i} on {label!r} leaves the window ({self.window})")
             for target, c2 in col:
-                vec_add(out, target, c * c2)
+                add_term(out, target, c * c2)
         return out
 
     def apply_e(self, i: int, vec: Vec) -> Vec:
@@ -186,7 +179,7 @@ def coaction_contract(module: WeightModule, e_len: int, label) -> Vec:
     for (fw, target, c) in module.coaction(label):
         val = module_pairing(datum, e_len, len(fw))
         if not val.is_zero():
-            vec_add(out, target, c * val)
+            add_term(out, target, c * val)
     return out
 
 
@@ -274,15 +267,12 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
             if len(w) + 1 <= cap:
                 f_cols[i][w] = [(w2, c) for w2, c in ctx.word_product((i,), w)]
             ef = ctx.multiply(ctx.e_gen(i), _f_word_elt(ctx, w))
-            col = []
+            acc: Vec = {}
             for (fw, lam, ew), c in ef.terms.items():
                 if ew:
                     continue
                 scalar = ScalarQ.q_power(sum(a * b for a, b in zip(lam, hw_vec)))
-                col.append((fw, c * scalar))
-            acc: Vec = {}
-            for fw, c in col:
-                vec_add(acc, fw, c)
+                add_term(acc, fw, c * scalar)
             e_cols[i][w] = sorted(acc.items())
 
     coaction_cols: dict = {}
@@ -446,7 +436,7 @@ def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
                        - dep)
             else:
                 exp = dep
-            vec_add(out, (b2, a2), c * c2 * ScalarQ.q_power(exp))
+            add_term(out, (b2, a2), c * c2 * ScalarQ.q_power(exp))
     return out
 
 
@@ -533,9 +523,9 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 col: Vec = {}
                 tn = ScalarQ.q_power(sum(x * y for x, y in zip(tau, N.weights[b])))
                 for a2, c in ca:
-                    vec_add(col, (a2, b), c * tn)
+                    add_term(col, (a2, b), c * tn)
                 for b2, c in cb:
-                    vec_add(col, (a, b2), c)
+                    add_term(col, (a, b2), c)
                 e_cols[i][(a, b)] = sorted(col.items())
             fa = M.f_cols[i].get(a)
             fb = N.f_cols[i].get(b)
@@ -543,9 +533,9 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 col = {}
                 tin = ScalarQ.q_power(-sum(x * y for x, y in zip(tau, M.weights[a])))
                 for a2, c in fa:
-                    vec_add(col, (a2, b), c)
+                    add_term(col, (a2, b), c)
                 for b2, c in fb:
-                    vec_add(col, (a, b2), c * tin)
+                    add_term(col, (a, b2), c * tin)
                 f_cols[i][(a, b)] = sorted(col.items())
             ba = m_braid[i].get(a)
             bb = n_braid[i].get(b)
@@ -553,9 +543,9 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 col = {}
                 tpos = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
                 for a2, c in ba:
-                    vec_add(col, (a2, b), c)
+                    add_term(col, (a2, b), c)
                 for b2, c in bb:
-                    vec_add(col, (a, b2), c * tpos)
+                    add_term(col, (a, b2), c * tpos)
                 braid_f_cols[i][(a, b)] = sorted(col.items())
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
@@ -619,7 +609,7 @@ def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:
             new = labels[:slot] + (x, y) + labels[slot + 2:]
             if new not in window:
                 raise CapError(f"braid image {new!r} leaves the depth window")
-            vec_add(out, new, c * c2)
+            add_term(out, new, c * c2)
     return out
 
 

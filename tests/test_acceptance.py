@@ -15,7 +15,7 @@ import pytest
 from uqbench.deform import (GEN_MONO, GEN_ORDER, ObstructionError,
                             SeriesElement, SeriesMap, TruncatedUg,
                             conjugate_map, conjugation_residuals,
-                            derivation_gauge, el_combine, identity_map,
+                            derivation_gauge, identity_map,
                             mult_trivialize, plant_deformation,
                             rigidity_conjugator, standard_multiplication,
                             window_pairs)
@@ -27,6 +27,7 @@ from uqbench.norms import (RadiusParams, admissible, coaction_convergence,
 from uqbench.rootdata import load_datum
 from uqbench.scalars import (PadicParams, ScalarQ, gauss_valuation, q_int,
                              vp, vp_factorial)
+from uqbench.sparse import combine
 from uqbench.uq import (UqContext, check_antipode, check_coassociativity,
                         check_coproduct_multiplicative, check_counit)
 from uqbench.weightmods import (braid_pair, build_mlambda, build_verma,
@@ -290,8 +291,8 @@ def test_criterion_8_rigidity_plant_and_recover():
                 j = order - i
                 mu_j = algebra.mono_mul(m1, m2) if j == 0 \
                     else mu[j].get((m1, m2), {})
-                lhs = el_combine(lhs, V.apply(mu_j, i))
-                rhs = el_combine(rhs, algebra.multiply(
+                lhs = combine(lhs, V.apply(mu_j, i))
+                rhs = combine(rhs, algebra.multiply(
                     V.apply({m1: Fraction(1)}, i),
                     V.apply({m2: Fraction(1)}, j)))
             assert lhs == rhs, (m1, m2, order)

@@ -121,6 +121,9 @@ def test_exit_two_on_negative_max_degree():
      "--cap", "2"],
     ["ybe-check", "--datum", "A2", "--lam", "1,1", "--cap", "2"],
     ["ybe-check", "--datum", "A1xA1", "--lam", "1,1", "--cap", "2"],
+    ["rigidity-solve", "--order", "2", "--prime", "1"],
+    ["rigidity-solve", "--order", "2", "--prime=-1"],
+    ["rigidity-solve", "--order", "2", "--prime", "4"],
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)

@@ -16,13 +16,14 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             SeriesElement, SeriesMap, TruncatedUg,
                             adjoint_action, cochain_differential,
                             coboundary_solve, conjugate_map,
-                            conjugation_residuals, derivation_gauge, el_combine,
+                            conjugation_residuals, derivation_gauge,
                             el_degree, identity_map, lie_bracket,
                             mult_trivialize, plant_deformation, series_inverse,
                             series_mul, standard_multiplication, window_pairs,
                             rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import load_datum
+from uqbench.sparse import combine
 
 A1 = load_datum("A1")
 E, H, F = GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"]
@@ -346,10 +347,10 @@ def _transport_identity_holds(a, mu, V, upto):
                 j = n - i
                 mu_j = a.mono_mul(m1, m2) if j == 0 \
                     else mu[j].get((m1, m2), {})
-                lhs = el_combine(lhs, V.apply(mu_j, i))
+                lhs = combine(lhs, V.apply(mu_j, i))
                 x = V.apply({m1: ONE}, i)
                 y = V.apply({m2: ONE}, j)
-                rhs = el_combine(rhs, a.multiply(x, y))
+                rhs = combine(rhs, a.multiply(x, y))
             if lhs != rhs:
                 return False
     return True

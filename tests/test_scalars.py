@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench.scalars import (PadicParams, ScalarQ, ValuationBound,
-                             gauss_valuation, q_binomial, q_factorial, q_int,
-                             q_rising, vp, vp_factorial)
+                             gauss_valuation, is_prime, q_binomial,
+                             q_factorial, q_int, q_rising, vp, vp_factorial)
 
 ONE = ScalarQ.one()
 ZERO = ScalarQ.zero()
@@ -184,6 +184,19 @@ def test_vp_fractions():
     assert vp(Fraction(3, 4), 2) == Fraction(-2)
     assert vp(Fraction(50, 3), 5) == Fraction(2)
     assert vp(Fraction(0), 7) is None
+
+
+def test_vp_refuses_units_and_zero():
+    # |p| < 2 has no valuation; the division loop used to spin forever
+    for p in (1, -1, 0):
+        with pytest.raises(ValueError):
+            vp(5, p)
+
+
+def test_is_prime_against_divisor_count():
+    for n in range(-5, 200):
+        divisors = [d for d in range(1, n + 1) if n % d == 0] if n > 0 else []
+        assert is_prime(n) == (divisors == [1, n] and n > 1), n
 
 
 def test_vp_factorial_legendre():
