@@ -8,8 +8,9 @@ timestamps, so identical configurations produce byte-identical output.
 The fully resolved configuration is echoed into each report.
 
 Exit codes: 0 success, 1 mathematical failure (a check returned false or a
-solver hit a window obstruction), 2 configuration error, 3 truncation
-window error.
+solver hit a window obstruction), 2 configuration error (a command line the
+parser rejects included: its usage line goes to stderr, the JSON report to
+stdout), 3 truncation window error.
 """
 
 from __future__ import annotations
@@ -387,8 +388,38 @@ def cmd_trivialize(args):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _UsageError(ConfigError):
+    """argparse rejected the command line.  `command` names the subcommand
+    whose options were wrong, or is None when the subcommand itself was."""
+
+    def __init__(self, message: str, command: str | None):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that prints its usage line to stderr as usual but
+    raises _UsageError instead of exiting, so `main` can print the JSON
+    report; `--help` still exits 0."""
+
+    command: str | None = None  # set on each subcommand's parser
+
+    def error(self, message, command=None):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message, command or self.command)
+
+    def parse_args(self, args=None, namespace=None):
+        # as argparse's own, but naming the subcommand in the report
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}",
+                       parsed.command)
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqbench",
         description="Exact workbench for root-datum quantum groups: Nichols "
                     "algebra dimensions, Hopf and braiding checks, windowed "
@@ -398,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
+        p.command = name
         p.set_defaults(func=func)
         p.add_argument("--out", help="also write the report to this file")
         return p
@@ -493,8 +525,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _emit(argparse.Namespace(command=exc.command), {"argv": argv},
+              {"error": str(exc)}, "ERROR")
+        return EXIT_CONFIG
     if args.command == "trivialize" and args.plant is None:
         args.plant = ["E=H"]
     config = _config_echo(args)

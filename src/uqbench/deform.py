@@ -29,7 +29,9 @@ Contents:
 Both solvers re-verify their output from scratch before returning it: the
 conjugator through the inversion-free identity F d(x) = d'(x) F, the
 trivializer by transporting the original multiplication through the final
-gauge and comparing against the standard table.  An order whose linear
+gauge and comparing against the standard table (a transport forms each
+product of gauge columns once and shares it among the orders it feeds;
+see _transport_table).  An order whose linear
 system has no solution inside the window raises ObstructionError carrying
 the order index; window solvability is a proxy for the cohomology vanishing
 the full statements assume, and the solvers report obstructions without
@@ -582,20 +584,40 @@ def standard_multiplication(algebra: TruncatedUg) -> dict:
             for m1, m2 in window_pairs(algebra)}
 
 
-def _mu_term(mu_n: dict, x: El, y: El, strict: bool) -> El:
-    """Evaluate a bilinear order term on two elements; a missing pair is
-    zero for sparse higher-order terms and an error for the order-0 table."""
-    out: El = {}
+def _add_scaled(acc: El, x: El, c) -> None:
+    """acc += c * x, multiplying only where neither factor is 1: basis
+    monomials and identity columns carry coefficient 1."""
+    if c == 1:
+        for m, cm in x.items():
+            add_term(acc, m, cm)
+    else:
+        for m, cm in x.items():
+            add_term(acc, m, c if cm == 1 else c * cm)
+
+
+def _table_entry(mu_n: dict, m1: Mono, m2: Mono, strict: bool) -> El:
+    """mu_n(m1, m2) read in place from the table (callers never mutate it);
+    a missing pair is zero for sparse higher-order terms and an error for
+    the order-0 table."""
+    entry = mu_n.get((m1, m2))
+    if entry is None:
+        if strict:
+            raise CapError(
+                f"multiplication table has no entry for ({m1}, {m2})")
+        return {}
+    return entry
+
+
+def _mu_term(mu_n: dict, x: El, y: El, strict: bool,
+             out: El | None = None) -> El:
+    """Add a bilinear order term evaluated on two elements to `out` (a new
+    dict by default) and return it; missing pairs as in `_table_entry`."""
+    out = {} if out is None else out
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            entry = mu_n.get((m1, m2))
-            if entry is None:
-                if strict and c1 * c2 != 0:
-                    raise CapError(
-                        f"multiplication table has no entry for ({m1}, {m2})")
-                continue
-            for m3, c3 in entry.items():
-                add_term(out, m3, c1 * c2 * c3)
+            c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+            if c:
+                _add_scaled(out, _table_entry(mu_n, m1, m2, strict), c)
     return out
 
 
@@ -630,16 +652,10 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
                     j = n - i
                     if i >= len(mu) or j >= len(mu):
                         continue
-                    inner = _mu_term(mu[j], {m1: Fraction(1)},
-                                     {m2: Fraction(1)}, strict=(j == 0))
-                    left = _mu_term(mu[i], inner, {m3: Fraction(1)},
-                                    strict=(i == 0))
-                    inner = _mu_term(mu[j], {m2: Fraction(1)},
-                                     {m3: Fraction(1)}, strict=(j == 0))
-                    right = _mu_term(mu[i], {m1: Fraction(1)}, inner,
-                                     strict=(i == 0))
-                    for m, c in left.items():
-                        add_term(acc, m, c)
+                    inner = _table_entry(mu[j], m1, m2, strict=(j == 0))
+                    _mu_term(mu[i], inner, {m3: 1}, strict=(i == 0), out=acc)
+                    inner = _table_entry(mu[j], m2, m3, strict=(j == 0))
+                    right = _mu_term(mu[i], {m1: 1}, inner, strict=(i == 0))
                     for m, c in right.items():
                         add_term(acc, m, -c)
                 if acc:
@@ -758,19 +774,27 @@ def identity_columns(algebra: TruncatedUg) -> dict:
     return {m: {m: Fraction(1)} for m in algebra.basis(algebra.window)}
 
 
-def _apply_order_term(series: list, k: int, x: El) -> El:
-    """Apply the order-k coefficient of a map series; order 0 must cover
-    every monomial it is fed, higher orders treat missing columns as zero."""
+def _column(series: list, k: int, m: Mono) -> El:
+    """Column m of the order-k coefficient of a map series, read in place
+    (callers never mutate it); order 0 must cover m, higher orders treat a
+    missing column as zero."""
     cols = series[k] if k < len(series) else {}
-    out: El = {}
+    img = cols.get(m)
+    if img is None:
+        if k == 0:
+            raise CapError(f"gauge map is not defined on monomial {m}")
+        return {}
+    return img
+
+
+def _apply_order_term(series: list, k: int, x: El,
+                      out: El | None = None) -> El:
+    """Add the order-k coefficient of a map series applied to x to `out` (a
+    new dict by default) and return it; missing columns as in `_column`."""
+    out = {} if out is None else out
     for m, c in x.items():
-        img = cols.get(m)
-        if img is None:
-            if k == 0 and c != 0:
-                raise CapError(f"gauge map is not defined on monomial {m}")
-            continue
-        for m2, c2 in img.items():
-            add_term(out, m2, c * c2)
+        if c:
+            _add_scaled(out, _column(series, k, m), c)
     return out
 
 
@@ -787,7 +811,7 @@ def _map_series_inverse(algebra: TruncatedUg, v: list, upto: int) -> list:
             acc: El = {}
             for k in range(1, n + 1):
                 if k < len(v) and v[k]:
-                    src = _apply_order_term(inv, n - k, {m: Fraction(1)})
+                    src = _column(inv, n - k, m)
                     if not src:
                         continue
                     for m2, c in _apply_order_term(v, k, src).items():
@@ -808,11 +832,9 @@ def _compose_map_series(algebra: TruncatedUg, a: list, b: list,
         for m in monos:
             acc: El = {}
             for i in range(n + 1):
-                mid = _apply_order_term(b, n - i, {m: Fraction(1)})
-                if not mid:
-                    continue
-                for m2, c in _apply_order_term(a, i, mid).items():
-                    add_term(acc, m2, c)
+                mid = _column(b, n - i, m)
+                if mid:
+                    _apply_order_term(a, i, mid, out=acc)
             if acc:
                 cols[m] = acc
         out[n] = cols
@@ -822,30 +844,34 @@ def _compose_map_series(algebra: TruncatedUg, a: list, b: list,
 def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
                      upto: int) -> list:
     """The gauge-transported multiplication v(mu(vinv x, vinv y)) as a list
-    of per-order tables on window pairs."""
+    of per-order tables on window pairs.
+
+    By bilinearity the order-n term on (x, y) is sum_i v_i(P_{n-i}) with
+    P_s = sum_{l+j+k=s} mu_l(vinv_j x, vinv_k y), so each product is formed
+    once, not once for every order it feeds.
+    """
     out: list[dict] = [{} for _ in range(upto + 1)]
     for (m1, m2) in window_pairs(algebra):
-        for order in range(upto + 1):
+        xs = [_column(vinv, j, m1) for j in range(upto + 1)]
+        ys = [_column(vinv, k, m2) for k in range(upto + 1)]
+        prods: list[El] = []
+        for s in range(upto + 1):
             acc: El = {}
-            for i in range(order + 1):
-                for j in range(order - i + 1):
-                    for k in range(order - i - j + 1):
-                        l = order - i - j - k
-                        if l >= len(mu) or not mu[l]:
-                            continue
-                        x = _apply_order_term(vinv, j, {m1: Fraction(1)})
-                        if not x:
-                            continue
-                        y = _apply_order_term(vinv, k, {m2: Fraction(1)})
-                        if not y:
-                            continue
-                        prod = _mu_term(mu[l], x, y, strict=(l == 0))
-                        if not prod:
-                            continue
-                        for m, c in _apply_order_term(v, i, prod).items():
-                            add_term(acc, m, c)
+            for l in range(min(s + 1, len(mu))):
+                if not mu[l]:
+                    continue
+                for j in range(s - l + 1):
+                    if xs[j] and ys[s - l - j]:
+                        _mu_term(mu[l], xs[j], ys[s - l - j],
+                                 strict=(l == 0), out=acc)
+            prods.append(acc)
+        for n in range(upto + 1):
+            acc = {}
+            for i in range(n + 1):
+                if prods[n - i]:
+                    _apply_order_term(v, i, prods[n - i], out=acc)
             if acc:
-                out[order][(m1, m2)] = acc
+                out[n][(m1, m2)] = acc
     return out
 
 

@@ -1,9 +1,11 @@
 """Small exact linear algebra over any field-like scalar (ScalarQ or Fraction).
 
-Matrices are lists of lists.  Scalars must support +, -, *, /, equality with
-the supplied zero/one elements.  Pivoting is always "first nonzero column,
-first usable row", which keeps every reduction deterministic; callers encode
-their preferred pivot preference by ordering rows/columns beforehand.
+Matrices are lists of lists.  Scalars must support +, -, * and /, and their
+truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify);
+zero and one are passed in for the entries the routines create.  Pivoting
+is always "first nonzero column, first usable row", which keeps every
+reduction deterministic; callers encode their preferred pivot preference by
+ordering rows/columns beforehand.
 
 `rref_laurent` is the same elimination for matrices over Z[q, q^-1], done
 fraction-free on integers, so that no rational function is built.
@@ -17,7 +19,15 @@ S = TypeVar("S")
 
 
 def rref(rows: Sequence[Sequence[S]], zero: S, one: S) -> tuple[list[list[S]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Row operations touch only the nonzero columns of the pivot row.  Those
+    are all at or right of the pivot column: every earlier column is either
+    a pivot column, already cleared outside its own pivot row, or was zero
+    from the current row down when it was passed and stays so.  Skipped
+    entries would only have been multiplied or reduced by zero, so the
+    result equals the dense elimination entry for entry.
+    """
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -27,18 +37,23 @@ def rref(rows: Sequence[Sequence[S]], zero: S, one: S) -> tuple[list[list[S]], l
     for c in range(ncols):
         pr = None
         for i in range(r, len(m)):
-            if m[i][c] != zero:
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = one / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        prow = m[r]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        inv = one / prow[c]
+        for j in nz:
+            prow[j] = inv * prow[j]
         for i in range(len(m)):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -1,6 +1,16 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+lets the tests that run `python -m uqbench` in a subprocess import the
+package from this checkout's `src/` (pytest's `pythonpath` setting only
+reaches the test process itself)."""
 
+import os
 import re
+
+
+def pytest_configure(config):
+    src = str(config.rootpath / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    os.environ["PYTHONPATH"] = os.pathsep.join([src] + paths)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

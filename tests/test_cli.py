@@ -134,6 +134,35 @@ def test_exit_two_outside_domain_without_traceback(args):
     assert report["result"]["error"]
 
 
+@pytest.mark.parametrize("args", [
+    ["mlambda", "--datum", "A1", "--window", "-1,2"],
+    ["converge-cert", "--p", "5", "--vh", "-1/3"],
+    ["nichols-dims", "--datum", "A2", "--max-degree", "x"],
+    ["nichols-dims"],
+    ["nichols-dims", "--datum", "A2", "--bogus", "1"],
+    ["no-such-command"],
+    [],
+], ids=lambda a: " ".join(a) or "no arguments")
+def test_argparse_errors_print_a_json_report(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "ERROR"
+    assert report["result"]["error"]
+    assert report["config"] == {"argv": args}
+    assert report["command"] == (args[0] if args and args[0] in CASES
+                                 else None)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["trivialize", "--help"]])
+def test_help_exits_zero(args):
+    proc = run_cli(args)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage:")
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["converge-cert", "admissible"]),
        datum=st.sampled_from(["A1", "B2"]),

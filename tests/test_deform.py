@@ -14,12 +14,14 @@ import pytest
 
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             SeriesElement, SeriesMap, TruncatedUg,
+                            _map_series_inverse, _transport_table,
                             adjoint_action, cochain_differential,
                             coboundary_solve, conjugate_map,
                             conjugation_residuals, derivation_gauge,
-                            el_degree, identity_map, lie_bracket,
-                            mult_trivialize, plant_deformation, series_inverse,
-                            series_mul, standard_multiplication, window_pairs,
+                            el_degree, identity_columns, identity_map,
+                            lie_bracket, mult_trivialize, plant_deformation,
+                            series_inverse, series_mul,
+                            standard_multiplication, window_pairs,
                             rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import load_datum
@@ -442,6 +444,124 @@ def test_trivialize_wrong_order_zero_rejected():
     wrong[(E, F)] = {UNIT: Fraction(5)}
     with pytest.raises(ConfigError):
         mult_trivialize(a, [wrong], 0)
+
+
+# ---------------------------------------------------------------------------
+# gauge transport against the order-by-order quadruple sum
+# ---------------------------------------------------------------------------
+
+def _ref_apply(series, k, x):
+    cols = series[k] if k < len(series) else {}
+    out: dict = {}
+    for m, c in x.items():
+        img = cols.get(m)
+        if img is None:
+            if k == 0 and c != 0:
+                raise CapError(f"gauge map is not defined on monomial {m}")
+            continue
+        for m2, c2 in img.items():
+            out = combine(out, {m2: c * c2})
+    return out
+
+
+def _ref_mu(mu_n, x, y, strict):
+    out: dict = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            entry = mu_n.get((m1, m2))
+            if entry is None:
+                if strict and c1 * c2 != 0:
+                    raise CapError(f"no entry for ({m1}, {m2})")
+                continue
+            for m3, c3 in entry.items():
+                out = combine(out, {m3: c1 * c2 * c3})
+    return out
+
+
+def _ref_transport(a, mu, v, vinv, upto):
+    """v(mu(vinv x, vinv y)) summed over every split i+j+k+l = n of every
+    order n, each product recomputed: the definition, term by term."""
+    out = [{} for _ in range(upto + 1)]
+    for (m1, m2) in window_pairs(a):
+        for order in range(upto + 1):
+            acc: dict = {}
+            for i in range(order + 1):
+                for j in range(order - i + 1):
+                    for k in range(order - i - j + 1):
+                        l = order - i - j - k
+                        if l >= len(mu) or not mu[l]:
+                            continue
+                        x = _ref_apply(vinv, j, {m1: ONE})
+                        y = _ref_apply(vinv, k, {m2: ONE})
+                        if not x or not y:
+                            continue
+                        prod = _ref_mu(mu[l], x, y, strict=(l == 0))
+                        acc = combine(acc, _ref_apply(v, i, prod))
+            if acc:
+                out[order][(m1, m2)] = acc
+    return out
+
+
+def _planted_gauge_series(a, gen_images, upto):
+    gauge = derivation_gauge(a, gen_images)
+    v = [identity_columns(a), gauge] + [{} for _ in range(upto - 1)]
+    return v, _map_series_inverse(a, v, upto)
+
+
+BENCH_PLANTS = [{E: {H: ONE}}, {H: {E: ONE}}, {F: {}},
+                {E: {H: ONE}, F: {H: ONE}}]
+
+
+@pytest.mark.parametrize("upto", [3, 4, 5])
+@pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
+def test_transport_matches_quadruple_sum_on_planted_gauges(plant, upto):
+    a = alg(6, 3)
+    v, vinv = _planted_gauge_series(a, BENCH_PLANTS[plant], upto)
+    std = standard_multiplication(a)
+    got = _transport_table(a, [std], vinv, v, upto)
+    assert got == _ref_transport(a, [std], vinv, v, upto)
+    assert got == plant_deformation(a, derivation_gauge(
+        a, BENCH_PLANTS[plant]), upto)
+
+
+def test_transport_matches_quadruple_sum_with_higher_orders():
+    # mu has nonzero terms at every order; v is the solver's own gauge (which
+    # removes them) and, separately, an unrelated planted gauge (which does
+    # not), so every order of the result is exercised
+    a = alg(6, 3)
+    upto = 3
+    mu = plant_deformation(a, derivation_gauge(a, {E: {H: ONE}}), upto)
+    assert all(mu[n] for n in range(1, upto + 1))
+    V = mult_trivialize(a, mu, upto)
+    v = [{m: col[k] for m, col in V.columns.items() if col[k]}
+         for k in range(upto + 1)]
+    vinv = _map_series_inverse(a, v, upto)
+    got = _transport_table(a, mu, v, vinv, upto)
+    assert got == _ref_transport(a, mu, v, vinv, upto)
+    assert got[0] == standard_multiplication(a)
+    assert not any(got[1:])
+    v, vinv = _planted_gauge_series(a, {F: {E: Fraction(1, 3)}}, upto)
+    got = _transport_table(a, mu, v, vinv, upto)
+    assert all(got[n] for n in range(upto + 1))
+    assert got == _ref_transport(a, mu, v, vinv, upto)
+
+
+def test_transport_missing_order_zero_entries_raise():
+    a = alg(6, 3)
+    v, vinv = _planted_gauge_series(a, {E: {H: ONE}}, 3)
+    std = standard_multiplication(a)
+    holed = dict(std)
+    del holed[(E, F)]
+    for fn in (_transport_table, _ref_transport):
+        with pytest.raises(CapError):
+            fn(a, [holed], vinv, v, 3)
+    short = [dict(vinv[0]), *vinv[1:]]
+    del short[0][H]
+    for fn in (_transport_table, _ref_transport):
+        with pytest.raises(CapError):
+            fn(a, [std], short, v, 3)
+        with pytest.raises(CapError):
+            fn(a, [std], v, short, 3)
 
 
 def test_derivation_gauge_leibniz_extension():
