@@ -374,7 +374,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
             if any(row) or want[r]:
                 rows.append(row)
                 rhs.append(want[r])
-    sol = solve(rows, rhs, Fraction(0), Fraction(1))
+    sol = solve(rows, rhs, len(unknowns), Fraction(0), Fraction(1))
     if sol is None:
         raise ObstructionError(
             f"coboundary equation has no solution within the window{at}",
@@ -754,7 +754,7 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
             if any(block[r]) or vec[r]:
                 rows.append(block[r])
                 rhs.append(vec[r])
-    sol = solve(rows, rhs, Fraction(0), Fraction(1))
+    sol = solve(rows, rhs, len(unknowns), Fraction(0), Fraction(1))
     if sol is None:
         raise ObstructionError(
             f"gauge coboundary equation has no window solution at order "

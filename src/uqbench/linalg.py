@@ -151,13 +151,15 @@ def _kronecker_unpack(x: int, k: int) -> dict[int, int]:
     return out
 
 
-def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], zero: S, one: S) -> list[S] | None:
-    """One solution of A x = b with free coordinates set to zero, or None."""
-    if not rows:
-        return None
+def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
+          zero: S, one: S) -> list[S] | None:
+    """One solution x (length `ncols`) of A x = b with free coordinates set
+    to zero, or None when the system is inconsistent.  An empty system is
+    solved by every x, so it returns the zero vector."""
+    if len(rhs) != len(rows) or any(len(r) != ncols for r in rows):
+        raise ValueError("solve: rows must have ncols entries, one rhs each")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug, zero, one)
-    ncols = len(rows[0])
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
     x = [zero] * ncols

@@ -8,6 +8,18 @@ with any monomial unit q^k folded into the numerator.  Equality of canonical
 forms is therefore plain representational equality, which keeps hash-based
 memo tables sound.
 
+A stored coefficient is an int when it is integral and a Fraction otherwise
+(never a float); int and Fraction agree on ==, hash and str, so keys and
+printed forms do not depend on the type.  Every integer Laurent polynomial
+(denominator 1, int coefficients) stores the one shared denominator dict
+`_ONE_DEN`.  `+` and `*` of two such values skip the normalisation: a sum or
+product of integer Laurent polynomials is again one, with denominator 1, and
+has no zero coefficient after `_lp_add`/`_lp_mul`, so it is canonical as it
+stands.  A numerator given without a denominator is canonical for the same
+reason.  Every other value, Laurent polynomials with non-integral
+coefficients included (their sums can become integral), goes through the
+Euclidean normalisation.
+
 The valuation side interprets q as exp(hbar) with v_p(hbar) = vh.  Then
 v(q - 1) = vh whenever vh > 1/(p-1) (the convergence disc of exp), and the
 valuation of a Laurent polynomial is bounded below by the Gauss minimum
@@ -33,7 +45,7 @@ class ValuationError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomial helpers.  A Laurent polynomial is a dict {exponent: coeff}
-# with int exponents, Fraction coefficients, and no zero values stored.
+# with int exponents, int or Fraction coefficients, and no zero values stored.
 # ---------------------------------------------------------------------------
 
 def _lp_clean(d: Mapping[int, Fraction]) -> dict[int, Fraction]:
@@ -43,7 +55,7 @@ def _lp_clean(d: Mapping[int, Fraction]) -> dict[int, Fraction]:
 def _lp_add(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s == 0:
             out.pop(e, None)
         else:
@@ -60,7 +72,7 @@ def _lp_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, F
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s == 0:
                 out.pop(e, None)
             else:
@@ -119,6 +131,27 @@ def _poly_gcd(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int,
 # ScalarQ
 # ---------------------------------------------------------------------------
 
+# The denominator of every integer Laurent polynomial (denominator 1, int
+# coefficients only), shared by all of them: `x._den is _ONE_DEN` is the
+# fast-path test.  No stored dict is ever mutated.
+_ONE_DEN: dict[int, int] = {0: 1}
+_ONE_DEN_KEY = ((0, 1),)
+
+
+def _int_if_integral(c: Fraction) -> Fraction | int:
+    return c.numerator if c.denominator == 1 else c
+
+
+def _laurent_den(num: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """The denominator to store for the canonical Laurent numerator `num`:
+    the shared `_ONE_DEN` when every coefficient is an int, else a fresh
+    {0: 1} (a sum of rational coefficients can be integral, so such values
+    must take the general path)."""
+    if all(type(c) is int for c in num.values()):
+        return _ONE_DEN
+    return {0: 1}
+
+
 class ScalarQ:
     """An element of Q(q) in canonical reduced form.
 
@@ -130,13 +163,26 @@ class ScalarQ:
     __slots__ = ("_num", "_den", "_key", "__weakref__")
 
     def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] | None = None):
+        if not den:
+            # A Laurent polynomial is canonical as given: drop zeros and
+            # store integral coefficients as int.
+            n = {}
+            for e, c in num.items():
+                if type(c) is not int:
+                    c = _int_if_integral(Fraction(c))
+                if c:
+                    n[int(e)] = c
+            self._num = n
+            self._den = _laurent_den(n)
+            self._key = (tuple(sorted(n.items())), _ONE_DEN_KEY)
+            return
         n = _lp_clean({int(e): Fraction(c) for e, c in num.items()})
-        d = _lp_clean({int(e): Fraction(c) for e, c in (den or {0: 1}).items()})
+        d = _lp_clean({int(e): Fraction(c) for e, c in den.items()})
         if not d:
             raise ScalarError("zero denominator")
         if not n:
-            self._num: dict[int, Fraction] = {}
-            self._den: dict[int, Fraction] = {0: Fraction(1)}
+            self._num: dict[int, Fraction | int] = {}
+            self._den: dict[int, Fraction | int] = _ONE_DEN
         else:
             npoly, nshift = _poly_from_laurent(n)
             dpoly, dshift = _poly_from_laurent(d)
@@ -146,10 +192,12 @@ class ScalarQ:
                     npoly, _ = _poly_divmod(npoly, g)
                     dpoly, _ = _poly_divmod(dpoly, g)
             lc = dpoly[_poly_degree(dpoly)]
-            dpoly = {e: c / lc for e, c in dpoly.items()}
-            npoly = {e: c / lc for e, c in npoly.items()}
-            self._num = _lp_shift(npoly, nshift - dshift)
-            self._den = dpoly
+            shift = nshift - dshift
+            self._num = {e + shift: _int_if_integral(c / lc) for e, c in npoly.items()}
+            if len(dpoly) == 1:
+                self._den = _laurent_den(self._num)
+            else:
+                self._den = {e: _int_if_integral(c / lc) for e, c in dpoly.items()}
         self._key = (
             tuple(sorted(self._num.items())),
             tuple(sorted(self._den.items())),
@@ -194,10 +242,10 @@ class ScalarQ:
         return bool(self._num)
 
     def is_one(self) -> bool:
-        return self._num == {0: Fraction(1)} and self._den == {0: Fraction(1)}
+        return self._num == {0: 1} and self._den == {0: 1}
 
     def is_laurent(self) -> bool:
-        return self._den == {0: Fraction(1)}
+        return self._den == {0: 1}
 
     def __hash__(self):
         return hash(self._key)
@@ -210,6 +258,8 @@ class ScalarQ:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ScalarQ") -> "ScalarQ":
+        if self._den is _ONE_DEN and other._den is _ONE_DEN:
+            return _laurent(_lp_add(self._num, other._num))
         if self._den == other._den:
             return ScalarQ(_lp_add(self._num, other._num), self._den)
         return ScalarQ(
@@ -220,14 +270,16 @@ class ScalarQ:
     def __neg__(self) -> "ScalarQ":
         out = object.__new__(ScalarQ)
         out._num = _lp_neg(self._num)
-        out._den = dict(self._den)
-        out._key = (tuple(sorted(out._num.items())), tuple(sorted(out._den.items())))
+        out._den = self._den
+        out._key = (tuple((e, -c) for e, c in self._key[0]), self._key[1])
         return out
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
         return self + (-other)
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
+        if self._den is _ONE_DEN and other._den is _ONE_DEN:
+            return _laurent(_lp_mul(self._num, other._num))
         if self.is_zero() or other.is_zero():
             return ScalarQ.zero()
         return ScalarQ(_lp_mul(self._num, other._num), _lp_mul(self._den, other._den))
@@ -298,6 +350,17 @@ class ScalarQ:
 
     def __repr__(self) -> str:
         return f"ScalarQ({self})"
+
+
+def _laurent(num: dict[int, int]) -> ScalarQ:
+    """The ScalarQ of an integer Laurent polynomial, which is canonical as it
+    stands: no gcd, no shift, no coefficient conversion.  `num` must have int
+    coefficients and no zeros; the new value owns it."""
+    out = object.__new__(ScalarQ)
+    out._num = num
+    out._den = _ONE_DEN
+    out._key = (tuple(sorted(num.items())), _ONE_DEN_KEY)
+    return out
 
 
 # ---------------------------------------------------------------------------

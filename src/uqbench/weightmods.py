@@ -246,7 +246,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         degs = sorted(_multidegrees(datum.rank, total))
         for deg in degs:
             nb = ctx.nichols.nichols_basis(deg)
-            labels.extend(sorted(nb.words))
+            labels.extend(sorted(nb.basis_words))
     labels = tuple(labels)
     label_set = set(labels)
 

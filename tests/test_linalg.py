@@ -1,7 +1,8 @@
 """Exact elimination over the rationals against sympy's reduced row echelon
 form: `rref` touches only the pivot row's nonzero columns, so random sparse
 matrices with zero rows, repeated rows and rank deficiency check that it
-still returns the dense result, pivots and all.
+still returns the dense result, pivots and all; `solve` is checked on the
+same matrices, 0-row systems included.
 """
 
 from fractions import Fraction
@@ -22,11 +23,13 @@ entries = st.one_of(
 
 
 @st.composite
-def sparse_matrices(draw, min_rows=0):
-    """0-8 x 0-8 rational matrices built from a few random base rows: each
-    row is a base row, a zero row or a combination of two base rows."""
-    ncols = draw(st.integers(0, 8))
-    nrows = draw(st.integers(min_rows, 8))
+def sparse_matrices(draw, ncols=None):
+    """0-8 x 0-8 rational matrices (0-8 x ncols when ncols is given) built
+    from a few random base rows: each row is a base row, a zero row or a
+    combination of two base rows."""
+    if ncols is None:
+        ncols = draw(st.integers(0, 8))
+    nrows = draw(st.integers(0, 8))
     base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=4))
     rows = []
@@ -65,10 +68,9 @@ def test_rref_matches_sympy(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_matrices(min_rows=1), st.data())
-def test_solve_none_exactly_when_rhs_is_a_pivot(rows, data):
-    # solve needs at least one row: it reads the column count off rows[0]
-    ncols = len(rows[0])
+@given(st.integers(0, 8), st.data())
+def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
+    rows = data.draw(sparse_matrices(ncols=ncols))
     rhs = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
     if data.draw(st.booleans()):
         # a right-hand side in the column space
@@ -77,10 +79,23 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(rows, data):
                for row in rows]
     aug = [row + [b] for row, b in zip(rows, rhs)]
     _, aug_pivots = _sympy_rref(aug, ncols + 1)
-    x = solve(rows, rhs, ZERO, ONE)
+    x = solve(rows, rhs, ncols, ZERO, ONE)
     if ncols in aug_pivots:
         assert x is None
     else:
         assert x is not None and len(x) == ncols
         assert all(sum((a * xi for a, xi in zip(row, x)), ZERO) == b
                    for row, b in zip(rows, rhs))
+
+
+@pytest.mark.parametrize("ncols", [0, 1, 3])
+def test_solve_empty_system_returns_zero_vector(ncols):
+    # every x solves a system without equations
+    assert solve([], [], ncols, ZERO, ONE) == [ZERO] * ncols
+
+
+def test_solve_refuses_mismatched_shapes():
+    with pytest.raises(ValueError):
+        solve([[ONE, ZERO]], [ONE], 3, ZERO, ONE)
+    with pytest.raises(ValueError):
+        solve([[ONE]], [], 1, ZERO, ONE)

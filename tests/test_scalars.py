@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench.scalars import (PadicParams, ScalarQ, ValuationBound,
+from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
+                             ValuationBound, _lp_add, _lp_mul, _lp_neg,
                              gauss_valuation, is_prime, q_binomial,
                              q_factorial, q_int, q_rising, vp, vp_factorial)
+
+try:
+    import sympy
+except ImportError:  # sympy is the oracle of the field-operation tests
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="needs sympy")
 
 ONE = ScalarQ.one()
 ZERO = ScalarQ.zero()
@@ -157,6 +164,142 @@ def test_ring_axioms_on_laurent_monomials(a, b, c):
 def test_q_int_addition_rule(m, n):
     # [m+n] = q^n [m] + q^-m [n]
     assert q_int(m + n) == Q(n) * q_int(m) + Q(-m) * q_int(n)
+
+
+# ---------------------------------------------------------------------------
+# Integer-Laurent fast path against the general constructor and sympy
+# ---------------------------------------------------------------------------
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+laurents = st.dictionaries(st.integers(-3, 3), coefficients, max_size=4)
+int_laurents = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4),
+                               max_size=5)
+
+
+@st.composite
+def rational_functions(draw):
+    """A ScalarQ with its (num, den) input: Laurent (den None) or a quotient,
+    with negative exponents and integral or non-integral coefficients."""
+    num = draw(laurents)
+    if draw(st.booleans()):
+        return ScalarQ(num), (num, {0: 1})
+    den = draw(laurents.filter(lambda d: any(d.values())))
+    return ScalarQ(num, den), (num, den)
+
+
+def _assert_coefficient_types(x):
+    """Integral coefficients are int, the rest Fraction (never float), and
+    the shared denominator marks exactly the integer Laurent values."""
+    for c in [*x._num.values(), *x._den.values()]:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    int_laurent = x._den == {0: 1} and all(type(c) is int
+                                          for c in x._num.values())
+    assert (x._den is _ONE_DEN) == int_laurent
+
+
+def _sym(d):
+    q = sympy.Symbol("q")
+    return sum((sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                * q ** e for e, c in d.items()), sympy.Integer(0))
+
+
+def _sym_canonical(expr):
+    """The canonical (num, den) dicts of a sympy rational function in q: den
+    a monic polynomial with nonzero constant term, any q^k moved to num."""
+    q = sympy.Symbol("q")
+    n, d = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if n == 0:
+        return {}, {0: 1}
+    nt = {e: Fraction(int(c.p), int(c.q))
+          for (e,), c in sympy.Poly(n, q).terms()}
+    dt = {e: Fraction(int(c.p), int(c.q))
+          for (e,), c in sympy.Poly(d, q).terms()}
+    k, lc = min(dt), dt[max(dt)]
+    return ({e - k: c / lc for e, c in nt.items()},
+            {e - k: c / lc for e, c in dt.items()})
+
+
+@needs_sympy
+@settings(max_examples=300, deadline=None)
+@given(rational_functions(), rational_functions(),
+       st.sampled_from(["+", "-", "*", "/", "inverse", "**"]),
+       st.integers(-3, 3))
+def test_field_operations_against_sympy_cancel(a, b, op, k):
+    (x, (xn, xd)), (y, (yn, yd)) = a, b
+    ex, ey = _sym(xn) / _sym(xd), _sym(yn) / _sym(yd)
+    if (op == "/" and y.is_zero()) or (x.is_zero() and (
+            op == "inverse" or (op == "**" and k < 0))):
+        with pytest.raises(ScalarError):
+            {"/": lambda: x / y, "inverse": x.inverse,
+             "**": lambda: x ** k}[op]()
+        return
+    got, want = {
+        "+": (lambda: x + y, lambda: ex + ey),
+        "-": (lambda: x - y, lambda: ex - ey),
+        "*": (lambda: x * y, lambda: ex * ey),
+        "/": (lambda: x / y, lambda: ex / ey),
+        "inverse": (x.inverse, lambda: 1 / ex),
+        "**": (lambda: x ** k, lambda: ex ** k),
+    }[op]
+    result = got()
+    assert (result.num, result.den) == _sym_canonical(want())
+    for z in (x, y, result):
+        _assert_coefficient_types(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_laurents, int_laurents)
+def test_fast_path_equals_general_constructor(a_num, b_num):
+    a, b = ScalarQ(a_num), ScalarQ(b_num)
+    # each fast-path value next to the value the general constructor builds
+    # from the same data (for + and *, the operands of the Euclidean path)
+    cases = [
+        (a, ScalarQ(a_num, {0: 1})),
+        (a + b, ScalarQ(_lp_add(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den)),
+                        _lp_mul(a.den, b.den))),
+        (a - b, ScalarQ(_lp_add(a.num, _lp_neg(b.num)), {0: 1})),
+        (a * b, ScalarQ(_lp_mul(a.num, b.num), _lp_mul(a.den, b.den))),
+        (-a, ScalarQ(_lp_neg(a.num), {0: Fraction(1)})),
+    ]
+    for fast, general in cases:
+        assert fast._den is _ONE_DEN
+        assert fast._key == general._key
+        assert hash(fast) == hash(general)
+        assert str(fast) == str(general)
+        assert fast == general
+        _assert_coefficient_types(fast)
+        _assert_coefficient_types(general)
+
+
+def test_rational_laurent_values_take_the_general_path():
+    # 1/2 q + 1/2 q = q: the sum of non-integral coefficients is integral
+    half = ScalarQ({1: Fraction(1, 2)})
+    assert half._den is not _ONE_DEN and half.is_laurent()
+    for x in (half + half, half * ScalarQ.from_int(2), half / half):
+        _assert_coefficient_types(x)
+    assert half + half == Q(1) and (half + half)._num == {1: 1}
+
+
+def test_inputs_are_stored_as_int_or_fraction():
+    x = ScalarQ({0: 0.5, 1: 2.0, 2: Fraction(4, 2), 3: 0, -1: True})
+    assert x._num == {0: Fraction(1, 2), 1: 2, 2: 2, -1: 1}
+    _assert_coefficient_types(x)
+    y = ScalarQ({0: 3.0, 2: Fraction(6)}, {1: 2.0, 0: 0.0})
+    assert (y._num, y._den) == ({-1: Fraction(3, 2), 1: 3}, {0: 1})
+    _assert_coefficient_types(y)
+    for z in (ZERO, ONE, ScalarQ({}, {3: 5}), Q(-2), q_int(4), -Q(3)):
+        _assert_coefficient_types(z)
+        assert z._den is _ONE_DEN
+
+
+def test_num_and_den_are_copies():
+    x = q_int(3)
+    x.num[0] = 7
+    x.den[0] = 7
+    assert str(x) == "q^2 + 1 + q^-2"
+    assert _ONE_DEN == {0: 1}
 
 
 # ---------------------------------------------------------------------------

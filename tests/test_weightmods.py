@@ -15,6 +15,7 @@ import pytest
 from uqbench import weightmods
 from uqbench.errors import CapError, ConfigError
 from uqbench.linalg import invert, mat_eq, mat_mul
+from uqbench.nichols import NicholsContext
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial, q_int
 from uqbench.weightmods import (braid_pair, braid_rep, braiding, build_mlambda,
@@ -153,6 +154,22 @@ def test_verma_rank_two():
         down = M.apply_f(i, {top: ONE})
         back = M.apply_e(i, down)
         assert back == {top: ONE}
+
+
+@pytest.mark.parametrize("name,hw", [("A2", (1, 1)), ("B2", (1, 1)),
+                                     ("A1xA1", (1, 2))])
+def test_verma_labels_are_a_basis_per_depth(name, hw):
+    # one label per Nichols basis word: as many as nichols_dim, all reduced
+    datum = load_datum(name)
+    M = build_verma(datum, hw, 3)
+    ctx = NicholsContext(datum, cap=3)
+    per_depth = Counter(M.depths[w] for w in M.labels)
+    for total in range(4):
+        for deg in weightmods._multidegrees(datum.rank, total):
+            assert per_depth.get(deg, 0) == ctx.nichols_dim(deg), deg
+            words = {w for w in M.labels if M.depths[w] == deg}
+            assert words == set(ctx.nichols_basis(deg).basis_words)
+    assert sum(per_depth.values()) == len(M.labels)
 
 
 # ---------------------------------------------------------------------------
