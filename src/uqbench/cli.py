@@ -379,6 +379,7 @@ def cmd_trivialize(args):
         "planted_order1_terms": len(mu[1]) if len(mu) > 1 else 0,
         "transcript": entries,
         "gauge": gauge_cols,
+        # mult_trivialize checked it; a failed check exits 1 with FAIL
         "verified": True,
     }
     return result, "PASS"

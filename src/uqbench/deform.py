@@ -20,22 +20,24 @@ Contents:
     deterministic solution selection (lexicographic pivoting over the PBW
     basis, free coordinates zero, hence minimal support among echelon
     solutions).
-  * hbar-series machinery (SeriesElement, SeriesMap) and the two solvers:
+  * one hbar-series core (_series_mul, _series_inverse): truncated
+    products and inverses of coefficient lists for a product passed in,
+    algebra multiplication for element series and composition for map
+    series (one column dict per order).  On it stand the two solvers:
     rigidity_conjugator finds F = ...(1+u_2 hbar^2)(1+u_1 hbar) conjugating
     one series algebra map into another order by order, and mult_trivialize
     removes a deformed multiplication through the coboundary equation
-    f(x, y) = x b(y) - b(xy) + b(x) y.
+    f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz extensions.
 
-Both solvers re-verify their output from scratch before returning it: the
-conjugator through the inversion-free identity F d(x) = d'(x) F, the
-trivializer by transporting the original multiplication through the final
-gauge and comparing against the standard table (a transport forms each
-product of gauge columns once and shares it among the orders it feeds;
-see _transport_table).  An order whose linear
-system has no solution inside the window raises ObstructionError carrying
-the order index; window solvability is a proxy for the cohomology vanishing
-the full statements assume, and the solvers report obstructions without
-interpreting them.
+Both solvers solve each order in one helper (_window_solve) and re-verify
+their output from the inputs through an identity with no inverse in it:
+F d(x) = d'(x) F for the conjugator (conjugation_residuals), and
+V(mu(x, y)) = V(x) V(y) on every window pair for the trivializer
+(trivialization_residuals), which never transports.  An order whose
+linear system has no solution inside the window raises ObstructionError
+carrying the order index; window solvability is a proxy for the cohomology
+vanishing the full statements assume, and the solvers report obstructions
+without interpreting them.
 
 The trivializer searches over filtration-preserving gauges: each unknown
 map sends a monomial to a combination of monomials of no larger total
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from math import comb
 
@@ -319,13 +322,37 @@ def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
 # Coboundary solver for the conjugation equation
 # ---------------------------------------------------------------------------
 
-def _el_as_vector(x: El, index: dict[Mono, int]) -> list[Fraction]:
-    v = [Fraction(0)] * len(index)
-    for m, c in x.items():
-        if m not in index:
+def _window_solve(equations, n: int, targets: list[Mono], message: str,
+                  order: int | None) -> list[Fraction]:
+    """The linalg.solve solution s of sum_i s_i lin[i] = rhs for every
+    (lin, rhs) in `equations`, one row per target monomial either side
+    reaches, in target order.  A monomial outside the targets raises
+    CapError, an inconsistent system ObstructionError(message, order)."""
+    t_index = {m: r for r, m in enumerate(targets)}
+
+    def row_of(m: Mono) -> int:
+        r = t_index.get(m)
+        if r is None:
             raise CapError(f"element reaches monomial {m} outside the window")
-        v[index[m]] = c
-    return v
+        return r
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for lin, want in equations:
+        block: dict[int, list[Fraction]] = {}
+        for i, el in enumerate(lin):
+            for m, c in el.items():
+                block.setdefault(row_of(m), [Fraction(0)] * n)[i] = c
+        vec = {row_of(m): c for m, c in want.items()}
+        for r in sorted(block.keys() | vec.keys()):
+            row = block.get(r) or [Fraction(0)] * n
+            if any(row) or vec.get(r):
+                rows.append(row)
+                rhs.append(vec.get(r, Fraction(0)))
+    sol = solve(rows, rhs, n, Fraction(0), Fraction(1))
+    if sol is None:
+        raise ObstructionError(message, order=order)
+    return sol
 
 
 def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
@@ -348,43 +375,74 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
         return algebra.commutator(d0[gen], v)
 
     at = f" at order {order}" if order is not None else ""
-    for i, x in enumerate(GEN_ORDER):
-        for y in GEN_ORDER[i + 1:]:
-            lhs = combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
-            lhs = combine(lhs, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
-            if lhs:
-                raise ConfigError(
-                    f"not a cocycle: identity fails on ({x},{y}){at}")
+    for (x, y), v in cochain_differential(algebra, 1, f, act).items():
+        if v:
+            raise ConfigError(
+                f"not a cocycle: identity fails on ({x},{y}){at}")
 
     unknowns = algebra.basis(algebra.window)
     deg_f = max((el_degree(v) for v in f.values()), default=-1)
     deg_d0 = max(el_degree(d0[g]) for g in GEN_ORDER)
     t_deg = min(algebra.cap,
                 max(algebra.window + max(deg_d0, 0), deg_f, algebra.window))
-    targets = algebra.basis(t_deg)
-    t_index = {m: i for i, m in enumerate(targets)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for g in GEN_ORDER:
-        cols = [_el_as_vector(act(g, {m: Fraction(1)}), t_index)
-                for m in unknowns]
-        want = _el_as_vector(f.get(g, {}), t_index)
-        for r in range(len(targets)):
-            row = [cols[c][r] for c in range(len(unknowns))]
-            if any(row) or want[r]:
-                rows.append(row)
-                rhs.append(want[r])
-    sol = solve(rows, rhs, len(unknowns), Fraction(0), Fraction(1))
-    if sol is None:
-        raise ObstructionError(
-            f"coboundary equation has no solution within the window{at}",
-            order=order)
+    sol = _window_solve(
+        (((act(g, {m: Fraction(1)}) for m in unknowns), f.get(g, {}))
+         for g in GEN_ORDER),
+        len(unknowns), algebra.basis(t_deg),
+        f"coboundary equation has no solution within the window{at}", order)
     return {m: c for m, c in zip(unknowns, sol) if c}
 
 
 # ---------------------------------------------------------------------------
-# hbar-series machinery
+# hbar-series: one truncated product and inverse for every kind of series
 # ---------------------------------------------------------------------------
+
+# A series is the list of its hbar-coefficients.  `mul(x, y, out, sign)`
+# adds sign * x y to `out`: algebra multiplication for element series,
+# composition for map series (one column dict per order).
+
+def _series_mul(mul, a: list, b: list, upto: int) -> list:
+    """sum_{i+j=n} a_i b_j for n = 0..upto."""
+    out: list = [{} for _ in range(upto + 1)]
+    for i, ai in enumerate(a[:upto + 1]):
+        if ai:
+            for j, bj in enumerate(b[:upto + 1 - i]):
+                if bj:
+                    mul(ai, bj, out[i + j], 1)
+    return out
+
+
+def _series_inverse(mul, a: list, one, upto: int) -> list:
+    """The right inverse of a series with a_0 = one:
+    inv_n = -sum_{k>=1} a_k inv_{n-k}."""
+    inv: list = [one] + [{} for _ in range(upto)]
+    for n in range(1, upto + 1):
+        for k in range(1, min(n, len(a) - 1) + 1):
+            if a[k] and inv[n - k]:
+                mul(a[k], inv[n - k], inv[n], -1)
+    return inv
+
+
+def _el_mul(algebra: TruncatedUg, x: El, y: El, out: El, sign: int) -> None:
+    """`mul` for element series, bound to an algebra: out += sign * x y."""
+    for m, c in algebra.multiply(x, y).items():
+        add_term(out, m, c if sign == 1 else -c)
+
+
+def _compose(x: dict, y: dict, out: dict, sign: int) -> None:
+    """`mul` for map series: out += sign * (x after y) column by column; a
+    column absent from x maps to zero."""
+    for m, col in y.items():
+        acc = out.get(m, {})
+        for mm, c in col.items():
+            img = x.get(mm)
+            if img:
+                _add_scaled(acc, img, c if sign == 1 else -c)
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+
 
 @dataclass
 class SeriesElement:
@@ -393,13 +451,6 @@ class SeriesElement:
     algebra: TruncatedUg
     coeffs: list
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> El:
-        return self.coeffs[n] if n < len(self.coeffs) else {}
-
     def is_one(self) -> bool:
         return self.coeffs[0] == self.algebra.one() and all(
             not c for c in self.coeffs[1:])
@@ -407,33 +458,15 @@ class SeriesElement:
 
 def series_mul(algebra: TruncatedUg, a: list, b: list, upto: int) -> list:
     """Product of two coefficient lists, truncated at the hbar^upto term."""
-    out: list[El] = [{} for _ in range(upto + 1)]
-    for i, ai in enumerate(a):
-        if i > upto or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > upto or not bj:
-                continue
-            for m, c in algebra.multiply(ai, bj).items():
-                add_term(out[i + j], m, c)
-    return out
+    return _series_mul(partial(_el_mul, algebra), a, b, upto)
 
 
 def series_inverse(algebra: TruncatedUg, a: list, upto: int) -> list:
     """Inverse of a series with leading coefficient 1."""
     if a[0] != algebra.one():
         raise ConfigError("series inverse needs leading coefficient 1")
-    inv: list[El] = [algebra.one()] + [{} for _ in range(upto)]
-    for n in range(1, upto + 1):
-        acc: El = {}
-        for k in range(1, n + 1):
-            ak = a[k] if k < len(a) else {}
-            if not ak or not inv[n - k]:
-                continue
-            for m, c in algebra.multiply(ak, inv[n - k]).items():
-                add_term(acc, m, c)
-        inv[n] = scale(acc, Fraction(-1))
-    return inv
+    return _series_inverse(partial(_el_mul, algebra), a, algebra.one(),
+                           upto)
 
 
 @dataclass
@@ -448,10 +481,6 @@ class SeriesMap:
 
     algebra: TruncatedUg
     columns: dict
-
-    @property
-    def order(self) -> int:
-        return max(len(c) for c in self.columns.values()) - 1
 
     def gen_image(self, gen: str, n: int) -> El:
         col = self.columns.get(GEN_MONO[gen])
@@ -490,15 +519,11 @@ def conjugate_map(F: SeriesElement, d: SeriesMap, upto: int) -> SeriesMap:
     return SeriesMap(algebra=algebra, columns=cols)
 
 
-def _check_lie_map(algebra: TruncatedUg, d: SeriesMap) -> None:
+def _check_lie_map(algebra: TruncatedUg, d0: dict) -> None:
     for i, x in enumerate(GEN_ORDER):
         for y in GEN_ORDER[i + 1:]:
-            lhs = algebra.commutator(d.gen_image(x, 0), d.gen_image(y, 0))
-            rhs: El = {}
-            for g, c in lie_bracket(algebra, x, y).items():
-                for m, v in d.gen_image(g, 0).items():
-                    add_term(rhs, m, c * v)
-            if lhs != rhs:
+            if algebra.commutator(d0[x], d0[y]) != _eval_on_lie(
+                    d0, lie_bracket(algebra, x, y)):
                 raise ConfigError(
                     f"order-0 map does not respect the bracket on ({x},{y})")
 
@@ -521,8 +546,8 @@ def rigidity_conjugator(d: SeriesMap, d_prime: SeriesMap, upto: int,
     for g in GEN_ORDER:
         if d.gen_image(g, 0) != d_prime.gen_image(g, 0):
             raise ConfigError("maps are not equal mod hbar")
-    _check_lie_map(algebra, d)
     d0 = {g: d.gen_image(g, 0) for g in GEN_ORDER}
+    _check_lie_map(algebra, d0)
 
     F: list[El] = [algebra.one()] + [{} for _ in range(upto)]
     transcript: list[dict] = []
@@ -539,8 +564,8 @@ def rigidity_conjugator(d: SeriesMap, d_prime: SeriesMap, upto: int,
             continue
         u = coboundary_solve(algebra, gamma, d0=d0, order=n)
         transcript.append({"order": n, "u": u, "defect": "solved"})
-        step: list[El] = [algebra.one()] + [{} for _ in range(upto)]
-        step[n] = u
+        step = [algebra.one()] + [u if k == n else {}
+                                  for k in range(1, upto + 1)]
         F = series_mul(algebra, step, F, upto)
 
     result = SeriesElement(algebra=algebra, coeffs=F)
@@ -663,36 +688,42 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
     return None
 
 
-# Affine elements (constant El, {unknown index: coefficient El}) track how
-# candidate gauge values depend linearly on the unknown generator images.
+def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
+    """The window map b with b(m) = images[m] on 1 and on the generators,
+    and b(g w) = g b(w) + b(g) w - f(g, w) above them, g the leading PBW
+    generator of the monomial g w.  f is a table on monomial pairs; columns
+    are sparse, an absent monomial maps to zero."""
+    cols: dict = {}
+    for m in algebra.basis(algebra.window):
+        a, b, c = m
+        if a + b + c <= 1:
+            if images.get(m):
+                cols[m] = dict(images[m])
+            continue
+        g = (1, 0, 0) if a else (0, 1, 0) if b else (0, 0, 1)
+        w = (a - g[0], b - g[1], c - g[2])
+        acc = algebra.multiply({g: Fraction(1)}, cols[w]) if w in cols else {}
+        if g in cols:
+            acc = combine(acc, algebra.multiply(cols[g], {w: Fraction(1)}))
+        if f.get((g, w)):
+            acc = combine(acc, f[(g, w)], -1)
+        if acc:
+            cols[m] = acc
+    return cols
 
-def _aff_add(a, b, sign: int = 1):
-    const = combine(a[0], b[0], sign)
-    lin = dict(a[1])
-    for i, el in b[1].items():
-        merged = combine(lin.get(i, {}), el, sign)
-        if merged:
-            lin[i] = merged
-        else:
-            lin.pop(i, None)
-    return (const, lin)
 
-
-def _aff_scale(a, c: Fraction):
-    if c == 0:
-        return ({}, {})
-    return (scale(a[0], c), {i: scale(el, c) for i, el in a[1].items()})
-
-
-def _aff_mul(algebra: TruncatedUg, left, a, right):
-    const, lin = a
-    if left is not None:
-        const = algebra.multiply(left, const) if const else {}
-        lin = {i: algebra.multiply(left, el) for i, el in lin.items()}
-    if right is not None:
-        const = algebra.multiply(const, right) if const else {}
-        lin = {i: algebra.multiply(el, right) for i, el in lin.items()}
-    return (const, {i: el for i, el in lin.items() if el})
+def _gauge_defect(std: dict, b: dict, x: Mono, y: Mono) -> El:
+    """x b(y) - b(xy) + b(x) y on a window pair, through the standard table
+    and the sparse columns of b."""
+    out: El = {}
+    if y in b:
+        _mu_term(std, {x: 1}, b[y], True, out)
+    for m, c in std[(x, y)].items():
+        if m in b:
+            _add_scaled(out, b[m], -c)
+    if x in b:
+        _mu_term(std, b[x], {y: 1}, True, out)
+    return out
 
 
 def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
@@ -702,69 +733,32 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
     On a monomial x = g w (g the leading PBW generator) the pair (g, w)
     forces b(g w) = g b(w) + b(g) w - f_n(g, w), so a filtered solution is
     determined by its values on 1 (a scalar) and on the three generators
-    (degree at most one each).  Those thirteen coefficients are solved from
-    the window-pair equations with lexicographic pivoting and free
-    coordinates zero; inconsistency raises ObstructionError carrying the
-    order index.
+    (degree at most one each).  b is one particular Leibniz extension (zero
+    on 1 and the generators) plus a combination of thirteen homogeneous
+    ones, one per coefficient; the coefficients are solved from the
+    window-pair equations with lexicographic pivoting and free coordinates
+    zero, and inconsistency raises ObstructionError carrying the order.
     """
-    img_monos = algebra.basis(1)
-    unknowns: list[tuple[Mono, Mono]] = [(UNIT, UNIT)]
-    unknowns += [(gm, im) for gm in sorted(GEN_MONO.values())
-                 for im in img_monos]
-    u_index = {u: i for i, u in enumerate(unknowns)}
-
-    beta: dict[Mono, tuple] = {
-        UNIT: ({}, {u_index[(UNIT, UNIT)]: {UNIT: Fraction(1)}})}
-    for m in algebra.basis(algebra.window):
-        dm = sum(m)
-        if dm == 0:
-            continue
-        if dm == 1:
-            beta[m] = ({}, {u_index[(m, im)]: {im: Fraction(1)}
-                            for im in img_monos})
-            continue
-        a, b, c = m
-        if a > 0:
-            g, w = (1, 0, 0), (a - 1, b, c)
-        elif b > 0:
-            g, w = (0, 1, 0), (a, b - 1, c)
-        else:
-            g, w = (0, 0, 1), (a, b, c - 1)
-        t = _aff_mul(algebra, {g: Fraction(1)}, beta[w], None)
-        t = _aff_add(t, _aff_mul(algebra, None, beta[g], {w: Fraction(1)}))
-        t = _aff_add(t, (f_n.get((g, w), {}), {}), -1)
-        beta[m] = t
-
-    targets = algebra.basis(algebra.window)
-    t_index = {mm: i for i, mm in enumerate(targets)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for (x, y) in window_pairs(algebra):
-        t = _aff_mul(algebra, {x: Fraction(1)}, beta[y], None)
-        t = _aff_add(t, _aff_mul(algebra, None, beta[x], {y: Fraction(1)}))
-        for m3, c3 in algebra.mono_mul(x, y).items():
-            t = _aff_add(t, _aff_scale(beta[m3], c3), -1)
-        diff = combine(f_n.get((x, y), {}), t[0], -1)
-        block = [[Fraction(0)] * len(unknowns) for _ in targets]
-        for i, el in t[1].items():
-            for mm, cc in el.items():
-                block[t_index[mm]][i] += cc
-        vec = _el_as_vector(diff, t_index)
-        for r in range(len(targets)):
-            if any(block[r]) or vec[r]:
-                rows.append(block[r])
-                rhs.append(vec[r])
-    sol = solve(rows, rhs, len(unknowns), Fraction(0), Fraction(1))
-    if sol is None:
-        raise ObstructionError(
-            f"gauge coboundary equation has no window solution at order "
-            f"{order}", order=order)
+    unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
+                                 for im in algebra.basis(1)]
+    particular = _leibniz(algebra, {}, f_n)
+    homogeneous = [_leibniz(algebra, {m: {im: Fraction(1)}}, {})
+                   for m, im in unknowns]
+    std = standard_multiplication(algebra)
+    sol = _window_solve(
+        (([_gauge_defect(std, b, x, y) for b in homogeneous],
+          combine(f_n.get((x, y), {}), _gauge_defect(std, particular, x, y),
+                  -1))
+         for x, y in window_pairs(algebra)),
+        len(unknowns), algebra.basis(algebra.window),
+        f"gauge coboundary equation has no window solution at order {order}",
+        order)
     out: dict[Mono, El] = {}
-    for m, (const, lin) in beta.items():
-        el = dict(const)
-        for i, elli in lin.items():
-            for mm, cc in elli.items():
-                add_term(el, mm, cc * sol[i])
+    for m in algebra.basis(algebra.window):
+        el = dict(particular.get(m, {}))
+        for s, b in zip(sol, homogeneous):
+            if s and m in b:
+                _add_scaled(el, b[m], s)
         if el:
             out[m] = el
     return out
@@ -803,42 +797,7 @@ def _map_series_inverse(algebra: TruncatedUg, v: list, upto: int) -> list:
     ident = identity_columns(algebra)
     if any(v[0].get(m) != ident[m] for m in ident):
         raise ConfigError("map series inverse needs the identity at order 0")
-    inv: list[dict] = [identity_columns(algebra)] + [{} for _ in range(upto)]
-    monos = algebra.basis(algebra.window)
-    for n in range(1, upto + 1):
-        cols: dict = {}
-        for m in monos:
-            acc: El = {}
-            for k in range(1, n + 1):
-                if k < len(v) and v[k]:
-                    src = _column(inv, n - k, m)
-                    if not src:
-                        continue
-                    for m2, c in _apply_order_term(v, k, src).items():
-                        add_term(acc, m2, -c)
-            if acc:
-                cols[m] = acc
-        inv[n] = cols
-    return inv
-
-
-def _compose_map_series(algebra: TruncatedUg, a: list, b: list,
-                        upto: int) -> list:
-    """(a after b) order by order; both must be identity at order 0."""
-    out: list[dict] = [identity_columns(algebra)] + [{} for _ in range(upto)]
-    monos = algebra.basis(algebra.window)
-    for n in range(1, upto + 1):
-        cols: dict = {}
-        for m in monos:
-            acc: El = {}
-            for i in range(n + 1):
-                mid = _column(b, n - i, m)
-                if mid:
-                    _apply_order_term(a, i, mid, out=acc)
-            if acc:
-                cols[m] = acc
-        out[n] = cols
-    return out
+    return _series_inverse(_compose, v, ident, upto)
 
 
 def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
@@ -883,32 +842,8 @@ def derivation_gauge(algebra: TruncatedUg, gen_images: dict) -> dict:
     most one keep the extension filtered.  A convenient builder for planted
     gauges in tests and reports.
     """
-    cols: dict = {}
-    for m in algebra.basis(algebra.window):
-        dm = sum(m)
-        if dm == 0:
-            continue
-        if dm == 1:
-            if m in gen_images and gen_images[m]:
-                cols[m] = dict(gen_images[m])
-            continue
-        a, b, c = m
-        if a > 0:
-            g, w = (1, 0, 0), (a - 1, b, c)
-        elif b > 0:
-            g, w = (0, 1, 0), (a, b - 1, c)
-        else:
-            g, w = (0, 0, 1), (a, b, c - 1)
-        acc: El = {}
-        if w in cols:
-            for mm, cc in algebra.multiply({g: Fraction(1)}, cols[w]).items():
-                add_term(acc, mm, cc)
-        if g in cols:
-            for mm, cc in algebra.multiply(cols[g], {w: Fraction(1)}).items():
-                add_term(acc, mm, cc)
-        if acc:
-            cols[m] = acc
-    return cols
+    return _leibniz(algebra, {m: img for m, img in gen_images.items()
+                              if m != UNIT}, {})
 
 
 def plant_deformation(algebra: TruncatedUg, gauge_cols: dict,
@@ -937,9 +872,10 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
 
         V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y)  mod hbar^{upto+1},
 
-    re-verified on every window pair from the original input before
-    returning.  At each order the current multiplication must be
-    associative (ConfigError otherwise) and the coboundary equation
+    re-verified before returning through the inversion-free identity
+    V(mu(x, y)) = V(x) V(y) on every window pair (trivialization_residuals).
+    At each order the current multiplication must be associative
+    (ConfigError otherwise) and the coboundary equation
     f_n(x, y) = x b(y) - b(xy) + b(x) y must be solvable on the window
     (ObstructionError with the order index otherwise).
     with_transcript=True also returns the per-order record.
@@ -973,31 +909,42 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
             continue
         beta = _solve_gauge_order(algebra, f_n, order=n)
         transcript.append({"order": n, "beta": beta, "defect": "solved"})
-        step: list[dict] = [identity_columns(algebra)] \
-            + [{} for _ in range(upto)]
-        step[n] = beta
-        v_total = _compose_map_series(algebra, step, v_total, upto)
+        step = [identity_columns(algebra)] + [beta if k == n else {}
+                                              for k in range(1, upto + 1)]
+        v_total = _series_mul(_compose, step, v_total, upto)
         vinv = _map_series_inverse(algebra, v_total, upto)
         current = _transport_table(algebra, mu, v_total, vinv, upto)
-
-    vinv = _map_series_inverse(algebra, v_total, upto)
-    final = _transport_table(algebra, mu, v_total, vinv, upto)
-    for key in pairs:
-        if final[0].get(key, {}) != std[key]:
-            raise ObstructionError(
-                "internal: transported multiplication lost the order-0 table")
-    for order in range(1, upto + 1):
-        for key in pairs:
-            if final[order].get(key):
-                raise ObstructionError(
-                    "internal: transported multiplication is still deformed "
-                    f"at order {order} on {key}")
 
     monos = algebra.basis(algebra.window)
     result = SeriesMap(algebra=algebra, columns={
         m: [v_total[k].get(m, {m: Fraction(1)} if k == 0 else {})
             for k in range(upto + 1)]
         for m in monos})
+    residuals = trivialization_residuals(algebra, mu, result, upto)
+    if residuals:
+        n, pair = residuals[0]
+        raise ObstructionError(
+            f"internal: V(mu(x, y)) != V(x) V(y) at order {n} on {pair}")
     if with_transcript:
         return result, transcript
     return result
+
+
+def trivialization_residuals(algebra: TruncatedUg, mu: list, V: SeriesMap,
+                             upto: int) -> list:
+    """The (order, pair) list where V(mu(x, y)) != V(x) V(y) modulo
+    hbar^{upto+1} on window pairs, the right side in the standard product:
+    an inversion-free restatement of V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y),
+    recomputed from the inputs alone with no transport.  mu is as for
+    mult_trivialize, with mu[0] the order-0 table; a column V lacks is
+    zero."""
+    v = [{m: col[k] for m, col in V.columns.items() if k < len(col)}
+         for k in range(upto + 1)]
+    lhs = _series_mul(_compose, v, mu, upto)
+    out: list = []
+    for x, y in window_pairs(algebra):
+        rhs = series_mul(algebra, V.columns.get(x, []), V.columns.get(y, []),
+                         upto)
+        out += [(n, (x, y)) for n in range(upto + 1)
+                if lhs[n].get((x, y), {}) != rhs[n]]
+    return out

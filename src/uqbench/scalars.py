@@ -163,7 +163,7 @@ class ScalarQ:
     __slots__ = ("_num", "_den", "_key", "__weakref__")
 
     def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] | None = None):
-        if not den:
+        if den is None:
             # A Laurent polynomial is canonical as given: drop zeros and
             # store integral coefficients as int.
             n = {}

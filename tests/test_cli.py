@@ -181,6 +181,48 @@ def test_padic_commands_always_report(command, datum, p, vh):
     assert report["command"] == command and "status" in report
 
 
+# Monomial arguments: generator letters, exponent triples (negative ones
+# included) and malformed text.
+_MONO_TEXT = st.one_of(
+    st.sampled_from(["E", "H", "F", "x", "", "1,1", "E,H,F", "1,a,0"]),
+    st.tuples(*[st.integers(-1, 3)] * 3).map(
+        lambda t: ",".join(map(str, t))))
+_PLANT_TEXT = st.one_of(
+    st.tuples(_MONO_TEXT, st.one_of(_MONO_TEXT, st.just("0"))).map("=".join),
+    st.sampled_from(["E", "=", "E=H=F", "X=H"]))
+
+
+# (cap, window): half the draws within 1 <= window <= cap/2, so that most
+# runs reach the solvers.
+_CAP_WINDOW = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda w: st.tuples(st.integers(2 * w, 8), st.just(w))),
+    st.tuples(st.integers(0, 8), st.integers(0, 5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["rigidity-solve", "trivialize"]),
+       cap_window=_CAP_WINDOW, order=st.integers(0, 4), seed=_MONO_TEXT,
+       prime=st.sampled_from([0, 3, 4]),
+       plants=st.lists(_PLANT_TEXT, max_size=2))
+def test_deform_commands_always_report(command, cap_window, order, seed,
+                                       prime, plants):
+    cap, window = cap_window
+    argv = [command, "--cap", str(cap), "--window", str(window),
+            "--order", str(order)]
+    if command == "rigidity-solve":
+        argv += ["--seed-coeff=" + seed, "--prime", str(prime)]
+    else:
+        argv += ["--plant=" + p for p in plants]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert report["command"] == command and "status" in report
+    assert "Traceback" not in err.getvalue()
+
+
 def test_exit_three_on_window_escape():
     proc = run_cli(["braid-rep", "--datum", "A1", "--lam", "3",
                     "--strands", "2", "--word", "1", "--cap", "2",

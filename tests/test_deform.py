@@ -12,16 +12,18 @@ from fractions import Fraction
 
 import pytest
 
+import uqbench.deform as deform
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
-                            SeriesElement, SeriesMap, TruncatedUg,
-                            _map_series_inverse, _transport_table,
-                            adjoint_action, cochain_differential,
-                            coboundary_solve, conjugate_map,
-                            conjugation_residuals, derivation_gauge,
-                            el_degree, identity_columns, identity_map,
-                            lie_bracket, mult_trivialize, plant_deformation,
-                            series_inverse, series_mul,
-                            standard_multiplication, window_pairs,
+                            SeriesElement, SeriesMap, TruncatedUg, _compose,
+                            _map_series_inverse, _series_mul,
+                            _transport_table, adjoint_action,
+                            cochain_differential, coboundary_solve,
+                            conjugate_map, conjugation_residuals,
+                            derivation_gauge, el_degree, identity_columns,
+                            identity_map, lie_bracket, mult_trivialize,
+                            plant_deformation, series_inverse, series_mul,
+                            standard_multiplication,
+                            trivialization_residuals, window_pairs,
                             rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import load_datum
@@ -222,6 +224,17 @@ def test_series_inverse_needs_unit_head():
     a = alg()
     with pytest.raises(ConfigError):
         series_inverse(a, [{E: ONE}], 1)
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 4, 5])
+def test_element_series_inverse_both_sides(upto):
+    a = alg(8, 3)
+    s = [a.one()] + [{E: ONE, H: Fraction(k)} if k % 2 else {F: Fraction(-k)}
+                     for k in range(1, upto + 1)]
+    inv = series_inverse(a, s, upto)
+    unit = [a.one()] + [{} for _ in range(upto)]
+    assert series_mul(a, s, inv, upto) == unit
+    assert series_mul(a, inv, s, upto) == unit
 
 
 def test_identity_map_columns():
@@ -562,6 +575,119 @@ def test_transport_missing_order_zero_entries_raise():
             fn(a, [std], short, v, 3)
         with pytest.raises(CapError):
             fn(a, [std], v, short, 3)
+
+
+# ---------------------------------------------------------------------------
+# the series core against per-order loops, and the solver's own identities
+# ---------------------------------------------------------------------------
+
+def _ref_compose_map_series(a, x, y, upto):
+    """(x after y) column by column, each order summed over i + j = n."""
+    monos = a.basis(a.window)
+    out = [identity_columns(a)] + [{} for _ in range(upto)]
+    for n in range(1, upto + 1):
+        for m in monos:
+            acc: dict = {}
+            for i in range(n + 1):
+                mid = y[n - i].get(m, {}) if n - i < len(y) else {}
+                if mid:
+                    acc = combine(acc, _ref_apply(x, i, mid))
+            if acc:
+                out[n][m] = acc
+    return out
+
+
+def _ref_map_series_inverse(a, v, upto):
+    """inv_n(m) = -sum_{k>=1} v_k(inv_{n-k}(m)), column by column."""
+    monos = a.basis(a.window)
+    inv = [identity_columns(a)] + [{} for _ in range(upto)]
+    for n in range(1, upto + 1):
+        for m in monos:
+            acc: dict = {}
+            for k in range(1, n + 1):
+                src = inv[n - k].get(m, {})
+                if src:
+                    acc = combine(acc, _ref_apply(v, k, src), -1)
+            if acc:
+                inv[n][m] = acc
+    return inv
+
+
+def _gauge_series(a, upto, shift):
+    """Identity plus a derivation gauge of a benchmark plant at every
+    order, the plants rotating with the order."""
+    gauges = [derivation_gauge(a, p) for p in BENCH_PLANTS]
+    return [identity_columns(a)] + [gauges[(k + shift) % len(gauges)]
+                                    for k in range(upto)]
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 4, 5])
+def test_map_series_core_matches_per_order_loops(upto):
+    a = alg(6, 3)
+    v, w = _gauge_series(a, upto, 0), _gauge_series(a, upto, 1)
+    unit = [identity_columns(a)] + [{} for _ in range(upto)]
+    assert _series_mul(_compose, v, w, upto) \
+        == _ref_compose_map_series(a, v, w, upto)
+    vinv = _map_series_inverse(a, v, upto)
+    assert vinv == _ref_map_series_inverse(a, v, upto)
+    assert _series_mul(_compose, v, vinv, upto) == unit
+    assert _series_mul(_compose, vinv, v, upto) == unit
+
+
+def _gauge_identity_holds(a, f_n, b):
+    """f_n(x, y) == x b(y) - b(xy) + b(x) y on every window pair, with the
+    products taken by TruncatedUg.multiply."""
+    for x, y in window_pairs(a):
+        rhs = a.multiply({x: ONE}, b.get(y, {}))
+        for m, c in a.mono_mul(x, y).items():
+            rhs = combine(rhs, {mm: c * cc for mm, cc in b.get(m, {}).items()},
+                          -1)
+        rhs = combine(rhs, a.multiply(b.get(x, {}), {y: ONE}))
+        if f_n.get((x, y), {}) != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
+def test_every_gauge_step_solves_its_coboundary_equation(plant, monkeypatch):
+    a = alg(6, 3)
+    solved = []
+    solve_order = deform._solve_gauge_order
+
+    def record(algebra, f_n, order):
+        beta = solve_order(algebra, f_n, order)
+        solved.append((f_n, beta))
+        return beta
+
+    monkeypatch.setattr(deform, "_solve_gauge_order", record)
+    mu = plant_deformation(a, derivation_gauge(a, BENCH_PLANTS[plant]), 3)
+    _, transcript = mult_trivialize(a, mu, 3, with_transcript=True)
+    assert len(solved) == sum(t["defect"] == "solved" for t in transcript)
+    assert solved or not any(mu[1:])
+    for f_n, beta in solved:
+        assert _gauge_identity_holds(a, f_n, beta)
+
+
+@pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
+def test_trivialization_residuals_empty_on_solver_output(plant):
+    a = alg(6, 3)
+    mu = plant_deformation(a, derivation_gauge(a, BENCH_PLANTS[plant]), 3)
+    V = mult_trivialize(a, mu, 3)
+    assert trivialization_residuals(a, mu, V, 3) == []
+    assert _transport_identity_holds(a, mu, V, 3)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_trivialization_residuals_catch_one_perturbed_column(order):
+    a = alg(6, 3)
+    mu = plant_deformation(a, derivation_gauge(a, {E: {H: ONE}}), 3)
+    V = mult_trivialize(a, mu, 3)
+    cols = {m: list(col) for m, col in V.columns.items()}
+    cols[F][order] = combine(cols[F][order], {H: ONE})
+    bad = trivialization_residuals(a, mu, SeriesMap(a, cols), 3)
+    assert bad and min(n for n, _ in bad) == order
+    assert all(n >= order for n, _ in bad)
+    assert not _transport_identity_holds(a, mu, SeriesMap(a, cols), 3)
 
 
 def test_derivation_gauge_leibniz_extension():

@@ -66,6 +66,14 @@ def test_pow_and_inverse():
         ZERO.inverse()
 
 
+@pytest.mark.parametrize("den", [{0: 0}, {}, {1: 0, 3: Fraction(0)}],
+                         ids=["zero-constant", "empty", "zero-coefficients"])
+def test_zero_denominator_raises(den):
+    # an empty dict is the zero polynomial, not the default denominator 1
+    with pytest.raises(ScalarError, match="zero denominator"):
+        ScalarQ({0: 1}, den)
+
+
 def test_q_power_shift_identity():
     assert Q(2) * Q(-2) == ONE
     assert Q(3) == Q(1) ** 3
