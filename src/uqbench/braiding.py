@@ -70,15 +70,6 @@ class BraidedSpace:
                 out[k] += d
         return tuple(out)
 
-    def crossing(self, left: Word, right: Word) -> ScalarQ:
-        """Product of b(a, b) over all letters a of `left` and b of `right`:
-        the scalar picked up when the whole of `left` braids past `right`."""
-        out = ONE
-        for a in left:
-            for b in right:
-                out = out * self.coeff[a][b]
-        return out
-
 
 def _diagonal_as_matrix(space: BraidedSpace) -> list[list[ScalarQ]]:
     d = space.dim

@@ -122,9 +122,12 @@ def _parse_mono(text: str) -> tuple[int, int, int]:
         raise ConfigError(
             f"monomial must be E, H, F or 'a,b,c' exponents, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
+        mono = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad monomial exponents {text!r}") from exc
+    if min(mono) < 0:
+        raise ConfigError(f"negative exponent in monomial {text!r}")
+    return mono  # type: ignore[return-value]
 
 
 def _frac_valuation(c: Fraction, p: int):

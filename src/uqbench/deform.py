@@ -726,7 +726,23 @@ def _gauge_defect(std: dict, b: dict, x: Mono, y: Mono) -> El:
     return out
 
 
-def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
+def _homogeneous_gauges(algebra: TruncatedUg, std: dict) -> tuple[list, list]:
+    """The thirteen homogeneous Leibniz extensions of the gauge solve, one
+    per unknown coefficient (the value on 1, and on each generator one basis
+    monomial of degree at most one), and their defects on every window pair
+    as ((x, y), [x b(y) - b(xy) + b(x) y for each b]).  Both depend only on
+    the algebra, so `mult_trivialize` builds them once for all orders."""
+    unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
+                                 for im in algebra.basis(1)]
+    homogeneous = [_leibniz(algebra, {m: {im: Fraction(1)}}, {})
+                   for m, im in unknowns]
+    return homogeneous, [((x, y), [_gauge_defect(std, b, x, y)
+                                   for b in homogeneous])
+                         for x, y in window_pairs(algebra)]
+
+
+def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
+                       std: dict, gauges: tuple[list, list]) -> dict:
     """Solve f_n(x, y) = x b(y) - b(xy) + b(x) y for a filtered window
     endomorphism b.
 
@@ -734,23 +750,19 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
     forces b(g w) = g b(w) + b(g) w - f_n(g, w), so a filtered solution is
     determined by its values on 1 (a scalar) and on the three generators
     (degree at most one each).  b is one particular Leibniz extension (zero
-    on 1 and the generators) plus a combination of thirteen homogeneous
-    ones, one per coefficient; the coefficients are solved from the
-    window-pair equations with lexicographic pivoting and free coordinates
-    zero, and inconsistency raises ObstructionError carrying the order.
+    on 1 and the generators) plus a combination of the thirteen homogeneous
+    ones of `gauges` (from `_homogeneous_gauges` on the standard table
+    `std`); the coefficients are solved from the window-pair equations with
+    lexicographic pivoting and free coordinates zero, and inconsistency
+    raises ObstructionError carrying the order.
     """
-    unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
-                                 for im in algebra.basis(1)]
+    homogeneous, defects = gauges
     particular = _leibniz(algebra, {}, f_n)
-    homogeneous = [_leibniz(algebra, {m: {im: Fraction(1)}}, {})
-                   for m, im in unknowns]
-    std = standard_multiplication(algebra)
     sol = _window_solve(
-        (([_gauge_defect(std, b, x, y) for b in homogeneous],
-          combine(f_n.get((x, y), {}), _gauge_defect(std, particular, x, y),
-                  -1))
-         for x, y in window_pairs(algebra)),
-        len(unknowns), algebra.basis(algebra.window),
+        ((lin, combine(f_n.get(pair, {}), _gauge_defect(std, particular, *pair),
+                       -1))
+         for pair, lin in defects),
+        len(homogeneous), algebra.basis(algebra.window),
         f"gauge coboundary equation has no window solution at order {order}",
         order)
     out: dict[Mono, El] = {}
@@ -897,6 +909,7 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
     v_total: list[dict] = [identity_columns(algebra)] \
         + [{} for _ in range(upto)]
     transcript: list[dict] = []
+    gauges = None
     for n in range(1, upto + 1):
         defect = _associativity_defect(algebra, current, n)
         if defect is not None:
@@ -907,7 +920,9 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
         if not any(f_n.get(key) for key in pairs):
             transcript.append({"order": n, "beta": {}, "defect": "zero"})
             continue
-        beta = _solve_gauge_order(algebra, f_n, order=n)
+        if gauges is None:
+            gauges = _homogeneous_gauges(algebra, std)
+        beta = _solve_gauge_order(algebra, f_n, n, std, gauges)
         transcript.append({"order": n, "beta": beta, "defect": "solved"})
         step = [identity_columns(algebra)] + [beta if k == n else {}
                                               for k in range(1, upto + 1)]

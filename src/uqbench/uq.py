@@ -1,12 +1,22 @@
 """The quantum group on PBW-ordered data: F-word (x) K_lambda (x) E-word.
 
-Multiplication normal-orders any product into that shape using
-  [E_i, F_j] = delta_ij (t_i - t_i^{-1})/(q_i - q_i^{-1}),
+Every product goes through one normal-ordered product of two PBW terms,
+`UqContext._term_mul`:
+
+  (f1 K_l1 e1)(f2 K_l2 e2)
+      = sum c q^{-l1(deg fa) - l2(deg ea)} (f1 fa) K_{l1 + mu + l2} (ea e2)
+
+over the normal order e1 f2 = sum c fa K_mu ea (`_reorder`).  The Cartan
+factors cross by
   K_lambda E_i = q^{lambda(alpha_i)} E_i K_lambda,
   K_lambda F_i = q^{-lambda(alpha_i)} F_i K_lambda,
-with E- and F-words multiplied inside their Nichols algebras (concatenate,
-then reduce modulo the pairing radical).  Comultiplication, counit, and
-antipode follow
+and the F- and E-words are multiplied inside their Nichols algebras
+(concatenate, then reduce modulo the pairing radical).  `_reorder` peels E_i
+off the end of e = e' E_i and F_j off the front of f = F_j f' with
+  E_i F_j = F_j E_i + delta_ij X_i,   X_i = (t_i - t_i^{-1})/(q_i - q_i^{-1}),
+as e' (F_j (E_i f')) + delta_ij e' (X_i f'), each product again by
+`_term_mul`; `multiply` is its bilinear extension.  Comultiplication,
+counit, and antipode follow
   Delta(E_i) = E_i (x) t_i + 1 (x) E_i,   Delta(F_i) = F_i (x) 1 + t_i^{-1} (x) F_i,
   Delta(K_lambda) = K_lambda (x) K_lambda,
   S(E_i) = -E_i t_i^{-1},  S(F_i) = -t_i F_i,  S(K_lambda) = K_{-lambda}.
@@ -19,13 +29,20 @@ identify the double's two Cartan copies,
   b * c = sum <S(b_(1)), c_(1)> <b_(3), c_(3)>  c_(2) b_(2).
 
 This route never touches the E-F cross relation, so agreement with `multiply`
-is a real consistency check, not a tautology.
+is a real consistency check, not a tautology.  It shares `_term_mul` only on
+terms without an F-word (the double's B side, K_lam E-word) or without an
+E-word (its C side, F-word t^n): such products call `_reorder` with an empty
+side, which returns the pair as it stands.
 
 The skew pairing is determined by its generator values together with the
 one-sided comultiplication laws <uv, a> = <u, a_(1)> <v, a_(2)> and
 <u, ab> = <u_(1), b> <u_(2), a>; the reversal in the second law is what makes
 the pairing skew, and it is why <K_lam E_i, F_j> = q^{lam(alpha_j)} times
 <E_i, F_j> picks up a Cartan factor even though <E_i, F_j t^m> does not.
+C-monomials keep the exponent n of t^n over the index set beside the term
+(F-word, K_{tau(n)}, ()), tau(n) = sum n_i tau_i: the Cartan pairing
+<K_lam, t^n> = q^{-lam(sum n_i alpha_i)} reads n, which the lattice index
+tau(n) does not give back.
 """
 
 from __future__ import annotations
@@ -44,6 +61,7 @@ ONE = ScalarQ.one()
 
 DualVector = tuple[int, ...]
 Term = tuple[Word, DualVector, Word]  # (f_word, cartan index, e_word)
+CMono = tuple[Word, tuple[int, ...]]  # (f_word, n): F-word . t^n
 
 class UqElement(Sparse):
     """Sparse combination of normal-ordered terms."""
@@ -95,26 +113,19 @@ class UqContext:
         tau = self.datum.t_indices[i]
         return self.k_elt(tuple(power * x for x in tau))
 
-    def cross_term(self, i: int) -> UqElement:
-        """(t_i - t_i^{-1}) / (q_i - q_i^{-1})."""
-        d = self.datum.d[i]
-        denom = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-        inv = denom.inverse()
-        tau = self.datum.t_indices[i]
-        mtau = tuple(-x for x in tau)
-        return UqElement({((), tau, ()): inv, ((), mtau, ()): -inv})
-
     # -- small helpers ------------------------------------------------------
-
-    def word_degree(self, w: Word) -> tuple[int, ...]:
-        deg = [0] * self.datum.rank
-        for i in w:
-            deg[i] += 1
-        return tuple(deg)
 
     def lam_apply(self, lam: Sequence[int], deg: Sequence[int]) -> int:
         beta = self.datum.root_combination(deg)
         return sum(a * b for a, b in zip(lam, beta))
+
+    def _t_index(self, n: Sequence[int]) -> DualVector:
+        """The lattice index tau(n) = sum n_i tau_i of t^n."""
+        lam = [0] * self.datum.lattice_rank
+        for i, m in enumerate(n):
+            for k, x in enumerate(self.datum.t_indices[i]):
+                lam[k] += m * x
+        return tuple(lam)
 
     def reduce_word(self, w: Word) -> list[tuple[Word, ScalarQ]]:
         if len(w) > self.cap:
@@ -132,6 +143,22 @@ class UqContext:
 
     # -- normal ordering ------------------------------------------------------
 
+    def _term_mul(self, t1: Term, t2: Term) -> list[tuple[Term, ScalarQ]]:
+        """The product of two PBW terms in normal order, possibly with
+        repeated terms."""
+        (f1, l1, e1), (f2, l2, e2) = t1, t2
+        degree = self.nichols.space.word_degree
+        out = []
+        for (fa, mu, ea), c in self._reorder(e1, f2):
+            # f1 . K_l1 . fa . K_mu . ea . K_l2 . e2
+            cross = ScalarQ.q_power(-self.lam_apply(l1, degree(fa))
+                                    - self.lam_apply(l2, degree(ea)))
+            lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
+            for fw, cf in self.word_product(f1, fa):
+                for ew, ce in self.word_product(ea, e2):
+                    out.append(((fw, lam, ew), c * cross * cf * ce))
+        return out
+
     def _reorder(self, e: Word, f: Word) -> list[tuple[Term, ScalarQ]]:
         """Normal-order the product (E-word e) * (F-word f)."""
         if not e or not f:
@@ -140,52 +167,36 @@ class UqContext:
         hit = self._reorder_memo.get(key)
         if hit is not None:
             return hit
-        i, e_prefix = e[-1], e[:-1]
-        j, f_rest = f[0], f[1:]
+        i, j = e[-1], f[0]
+        zero = self._zero_dual
+        prefix, f_rest = ((), zero, e[:-1]), (f[1:], zero, ())
         acc: dict[Term, ScalarQ] = {}
-        # E_i F_j = F_j E_i + delta_ij X_i; first the straight-through part:
-        # e_prefix . F_j . (E_i f_rest)
-        for (fw, mu, ew), c in self._reorder((i,), f_rest):
-            for fw2, c2 in self.word_product((j,), fw):
-                for (fw3, nu, ew3), c3 in self._reorder(e_prefix, fw2):
-                    # fw3 K_nu ew3 K_mu ew  ->  collect Cartan
-                    cross = ScalarQ.q_power(-self.lam_apply(mu, self.word_degree(ew3)))
-                    lam = tuple(a + b for a, b in zip(nu, mu))
-                    for ew4, c4 in self.word_product(ew3, ew):
-                        add_term(acc, (fw3, lam, ew4), c * c2 * c3 * cross * c4)
+        # E_i F_j = F_j E_i + delta_ij X_i; first prefix . (F_j . (E_i f_rest))
+        for t, c in self._reorder((i,), f[1:]):
+            for t2, c2 in self._term_mul(((j,), zero, ()), t):
+                for t3, c3 in self._term_mul(prefix, t2):
+                    add_term(acc, t3, c * c2 * c3)
         if i == j:
-            # e_prefix . X_i . f_rest with X_i = (t_i - t_i^-1)/(q_i - q_i^-1)
+            # prefix . (K_{+-tau_i} . f_rest), X_i = (t_i - t_i^-1)/(q_i - q_i^-1)
             d = self.datum.d[i]
             inv = (ScalarQ.q_power(d) - ScalarQ.q_power(-d)).inverse()
             tau = self.datum.t_indices[i]
-            deg_frest = self.word_degree(f_rest)
-            for sign in (1, -1):
-                stau = tuple(sign * x for x in tau)
-                coef = inv if sign == 1 else -inv
-                coef = coef * ScalarQ.q_power(-self.lam_apply(stau, deg_frest))
-                for (fw, nu, ew), c in self._reorder(e_prefix, f_rest):
-                    cross = ScalarQ.q_power(-self.lam_apply(stau, self.word_degree(ew)))
-                    lam = tuple(a + b for a, b in zip(nu, stau))
-                    add_term(acc, (fw, lam, ew), coef * c * cross)
+            for sign, coef in ((1, inv), (-1, -inv)):
+                k = ((), tuple(sign * x for x in tau), ())
+                for t, c in self._term_mul(k, f_rest):
+                    for t2, c2 in self._term_mul(prefix, t):
+                        add_term(acc, t2, coef * c * c2)
         out = list(acc.items())
         self._reorder_memo[key] = out
         return out
 
     def multiply(self, x: UqElement, y: UqElement) -> UqElement:
         out = UqElement()
-        for (f1, l1, e1), c1 in x.terms.items():
-            for (f2, l2, e2), c2 in y.terms.items():
+        for t1, c1 in x.terms.items():
+            for t2, c2 in y.terms.items():
                 base = c1 * c2
-                for (fa, mu, ea), c in self._reorder(e1, f2):
-                    # f1 . K_l1 . fa . K_mu . ea . K_l2 . e2
-                    cross = ScalarQ.q_power(
-                        -self.lam_apply(l1, self.word_degree(fa))
-                        - self.lam_apply(l2, self.word_degree(ea))
-                    )
-                    lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
-                    for fw, cf in self.word_product(f1, fa):
-                        for ew, ce in self.word_product(ea, e2):
-                            out.add_term((fw, lam, ew), base * c * cross * cf * ce)
+                for t, c in self._term_mul(t1, t2):
+                    out.add_term(t, base * c)
         return out
 
     def multiply_all(self, factors: Sequence[UqElement]) -> UqElement:
@@ -205,14 +216,14 @@ class UqContext:
 
     def coproduct(self, x: UqElement) -> dict[tuple[Term, Term], ScalarQ]:
         out: dict[tuple[Term, Term], ScalarQ] = {}
-        for (f, lam, e), coef in x.terms.items():
-            pairs = self._coproduct_term(f, lam, e)
-            for key, c in pairs.items():
+        for t, coef in x.terms.items():
+            for key, c in self._coproduct_term(t).items():
                 add_term(out, key, coef * c)
         return out
 
-    def _coproduct_term(self, f: Word, lam: DualVector, e: Word) -> dict[tuple[Term, Term], ScalarQ]:
+    def _coproduct_term(self, t: Term) -> dict[tuple[Term, Term], ScalarQ]:
         # product of the generator coproducts, multiplied slotwise
+        f, lam, e = t
         factors: list[list[tuple[UqElement, UqElement]]] = []
         for i in f:
             factors.append([
@@ -225,9 +236,7 @@ class UqContext:
                 (self.e_gen(i), self.t_elt(i)),
                 (self.one(), self.e_gen(i)),
             ])
-        left = self.one()
-        right = self.one()
-        acc: list[tuple[UqElement, UqElement]] = [(left, right)]
+        acc: list[tuple[UqElement, UqElement]] = [(self.one(), self.one())]
         for options in factors:
             nxt: list[tuple[UqElement, UqElement]] = []
             for (l, r) in acc:
@@ -255,54 +264,21 @@ class UqContext:
 
     # -- the double pairing and drinfeld_reorder ------------------------------
 
-    # B-monomials are (lam, e_word) = K_lam . E-word; C-monomials are
-    # (f_word, n) = F-word . t^n with n over the index set I.
+    # B-monomials K_lam . E-word are the terms ((), lam, e_word), paired as
+    # (lam, e_word); C-monomials are (f_word, n) = F-word . t^n with n over
+    # the index set I.
 
-    def _bmono_mul(self, a: tuple[DualVector, Word], b: tuple[DualVector, Word]) -> list[tuple[tuple[DualVector, Word], ScalarQ]]:
-        (l1, u1), (l2, u2) = a, b
-        cross = ScalarQ.q_power(-self.lam_apply(l2, self.word_degree(u1)))
-        lam = tuple(x + y for x, y in zip(l1, l2))
-        return [(((lam), w), cross * c) for w, c in self.word_product(u1, u2)]
-
-    def _cmono_mul(self, a: tuple[Word, tuple[int, ...]], b: tuple[Word, tuple[int, ...]]) -> list[tuple[tuple[Word, tuple[int, ...]], ScalarQ]]:
+    def _cmono_mul(self, a: CMono, b: CMono) -> list[tuple[CMono, ScalarQ]]:
         (w1, n1), (w2, n2) = a, b
-        # t^{n1} crosses w2: K_{sum n1_i tau_i} F_j = q^{-tau(alpha_j)} F_j K
-        tau = [0] * self.datum.lattice_rank
-        for i, m in enumerate(n1):
-            for k, x in enumerate(self.datum.t_indices[i]):
-                tau[k] += m * x
-        cross = ScalarQ.q_power(-self.lam_apply(tuple(tau), self.word_degree(w2)))
         n = tuple(x + y for x, y in zip(n1, n2))
-        return [(((w), n), cross * c) for w, c in self.word_product(w1, w2)]
+        return [((t[0], n), c) for t, c in self._term_mul(
+            (w1, self._t_index(n1), ()), (w2, self._t_index(n2), ()))]
 
-    def _delta_b(self, mono: tuple[DualVector, Word]) -> list[tuple[tuple[DualVector, Word], tuple[DualVector, Word], ScalarQ]]:
-        # Coproduct of the double's B factor: Delta(E_i) = E_i (x) t_i + 1 (x) E_i
-        lam, e = mono
-        acc: list[tuple[tuple[DualVector, Word], tuple[DualVector, Word], ScalarQ]] = [
-            ((lam, ()), (lam, ()), ONE)
-        ]
-        for i in e:
-            tau = self.datum.t_indices[i]
-            parts = [
-                ((self._zero_dual, (i,)), (tau, ())),
-                ((self._zero_dual, ()), (self._zero_dual, (i,))),
-            ]
-            nxt = []
-            for (b1, b2, c) in acc:
-                for (d1, d2) in parts:
-                    for (m1, c1) in self._bmono_mul(b1, d1):
-                        for (m2, c2) in self._bmono_mul(b2, d2):
-                            nxt.append((m1, m2, c * c1 * c2))
-            acc = nxt
-        return acc
-
-    def _delta_c(self, mono: tuple[Word, tuple[int, ...]]) -> list[tuple[tuple[Word, tuple[int, ...]], tuple[Word, tuple[int, ...]], ScalarQ]]:
+    def _delta_c(self, mono: CMono) -> list[tuple[CMono, CMono, ScalarQ]]:
         # Coproduct of the double's C factor: Delta(F_i) = F_i (x) 1 + t_i^{-1} (x) F_i
         f, n = mono
         zero_n = (0,) * self.datum.rank
-        acc: list[tuple[tuple[Word, tuple[int, ...]], tuple[Word, tuple[int, ...]], ScalarQ]] = [
-            (((), n), ((), n), ONE)
-        ]
+        acc: list[tuple[CMono, CMono, ScalarQ]] = [(((), n), ((), n), ONE)]
         for i in reversed(f):
             ti_inv = tuple(-1 if k == i else 0 for k in range(self.datum.rank))
             parts = [
@@ -318,7 +294,7 @@ class UqContext:
             acc = nxt
         return acc
 
-    def double_pairing_mono(self, b: tuple[DualVector, Word], c: tuple[Word, tuple[int, ...]]) -> ScalarQ:
+    def double_pairing_mono(self, b: tuple[DualVector, Word], c: CMono) -> ScalarQ:
         """Skew pairing of a K_lam E-word monomial with an F-word t^n monomial.
 
         Computed from the generator values by the skew-pairing laws: stripping
@@ -361,60 +337,32 @@ class UqContext:
         return self.double_pairing_mono(
             (self._zero_dual, tuple(e_word)), (tuple(f_word), (0,) * self.datum.rank))
 
-    def _b_antipode(self, mono: tuple[DualVector, Word]) -> list[tuple[tuple[DualVector, Word], ScalarQ]]:
-        """Antipode of the B factor on a monomial, in normal order.
-
-        S is the anti-homomorphism with S(E_i) = -E_i t_i^{-1}, here written
-        -q^{(alpha_i, alpha_i)} K_{-tau_i} E_i, and S(K_lam) = K_{-lam}.
-        """
-        lam, e = mono
-        out: list[tuple[tuple[DualVector, Word], ScalarQ]] = [((self._zero_dual, ()), ONE)]
-        for i in reversed(e):
-            tau = self.datum.t_indices[i]
-            cart = tuple(-x for x in tau)
-            coef = -ScalarQ.q_power(self.datum.pairing[i][i])
-            nxt = []
-            for (m, c) in out:
-                for (m3, c3) in self._bmono_mul(m, (cart, (i,))):
-                    nxt.append((m3, c * coef * c3))
-            out = nxt
-        final = []
-        for (m, c) in out:
-            for (m2, c2) in self._bmono_mul(m, (tuple(-x for x in lam), ())):
-                final.append((m2, c * c2))
-        return final
-
     def drinfeld_reorder(self, e_word: Sequence[int], f_word: Sequence[int]) -> UqElement:
         """E-word * F-word computed through the double; must agree with multiply."""
         e_word = tuple(e_word)
         f_word = tuple(f_word)
         if not self.is_reduced(e_word) or not self.is_reduced(f_word):
             raise ConfigError("drinfeld_reorder expects Nichols-reduced words")
-        b0 = (self._zero_dual, e_word)
         c0 = (f_word, (0,) * self.datum.rank)
         out = UqElement()
-        for (b1, bmid, c_outer) in self._delta_b(b0):
-            for (b2, b3, c_inner) in self._delta_b(bmid):
+        for (b1, bmid), c_outer in self._coproduct_term(((), self._zero_dual, e_word)).items():
+            s_b1 = self.antipode(UqElement({b1: ONE})).terms.items()
+            for (b2, b3), c_inner in self._coproduct_term(bmid).items():
                 for (c1, cmid, cc_outer) in self._delta_c(c0):
                     for (c2, c3, cc_inner) in self._delta_c(cmid):
-                        p3 = self.double_pairing_mono(b3, c3)
+                        p3 = self.double_pairing_mono(b3[1:], c3)
                         if p3.is_zero():
                             continue
                         p1 = ZERO
-                        for (bs, cs) in self._b_antipode(b1):
-                            contrib = self.double_pairing_mono(bs, c1)
+                        for bs, cs in s_b1:
+                            contrib = self.double_pairing_mono(bs[1:], c1)
                             if not contrib.is_zero():
                                 p1 = p1 + cs * contrib
                         if p1.is_zero():
                             continue
                         # middle legs, already normal ordered: c2 . b2
-                        fw, n = c2
-                        lam_c = [0] * self.datum.lattice_rank
-                        for i, m in enumerate(n):
-                            for k, x in enumerate(self.datum.t_indices[i]):
-                                lam_c[k] += m * x
-                        lam_b, ew = b2
-                        lam = tuple(a + bb for a, bb in zip(lam_c, lam_b))
+                        (fw, n), (_, lam_b, ew) = c2, b2
+                        lam = tuple(a + bb for a, bb in zip(self._t_index(n), lam_b))
                         coef = c_outer * c_inner * cc_outer * cc_inner * p1 * p3
                         out.add_term((fw, lam, ew), coef)
         return out

@@ -42,7 +42,7 @@ F(b (x) c) = Fb (x) c + q^{(alpha_i, wt b)} b (x) Fc, stored in
 `braid_f_cols`; with it the categorical form also satisfies the right hexagon
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on rank-1 windows
 (the module tensor action `f_cols` keeps the inverse decoration q^{-(tau, wt)}
-and is what `apply_f_word` uses).
+and is what `apply_f` uses).
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
 label pair, and apply it to sparse vectors of label tuples; `braid_rep`
@@ -129,23 +129,11 @@ class WeightModule:
     def apply_f(self, i: int, vec: Vec) -> Vec:
         return self._apply_cols(self.f_cols[i], "F", i, vec)
 
-    def apply_f_word(self, word: Word, vec: Vec) -> Vec:
-        out = vec
-        for i in reversed(word):
-            out = self.apply_f(i, out)
-        return out
-
     def apply_braid_f_word(self, word: Word, vec: Vec) -> Vec:
         cols = self.braid_f_cols if self.braid_f_cols is not None else self.f_cols
         out = vec
         for i in reversed(word):
             out = self._apply_cols(cols[i], "F", i, out)
-        return out
-
-    def apply_e_word(self, word: Word, vec: Vec) -> Vec:
-        out = vec
-        for i in reversed(word):
-            out = self.apply_e(i, out)
         return out
 
     def coaction(self, label):

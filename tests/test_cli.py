@@ -111,6 +111,12 @@ def test_exit_two_on_negative_max_degree():
     assert "max-degree" in report["result"]["error"]
 
 
+NEGATIVE_EXPONENT = [
+    ["rigidity-solve", "--seed-coeff=-1,0,0"],
+    ["trivialize", "--plant=E=0,-1,2"],
+]
+
+
 @pytest.mark.parametrize("args", [
     ["converge-cert", "--p", "4", "--vh", "1"],
     ["converge-cert", "--p", "5", "--vh", "0"],
@@ -124,6 +130,7 @@ def test_exit_two_on_negative_max_degree():
     ["rigidity-solve", "--order", "2", "--prime", "1"],
     ["rigidity-solve", "--order", "2", "--prime=-1"],
     ["rigidity-solve", "--order", "2", "--prime", "4"],
+    *NEGATIVE_EXPONENT,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)
@@ -132,6 +139,8 @@ def test_exit_two_outside_domain_without_traceback(args):
     report = json.loads(proc.stdout)
     assert report["status"] == "ERROR"
     assert report["result"]["error"]
+    if args in NEGATIVE_EXPONENT:
+        assert "negative exponent" in report["result"]["error"]
 
 
 @pytest.mark.parametrize("args", [

@@ -654,8 +654,8 @@ def test_every_gauge_step_solves_its_coboundary_equation(plant, monkeypatch):
     solved = []
     solve_order = deform._solve_gauge_order
 
-    def record(algebra, f_n, order):
-        beta = solve_order(algebra, f_n, order)
+    def record(algebra, f_n, order, *tables):
+        beta = solve_order(algebra, f_n, order, *tables)
         solved.append((f_n, beta))
         return beta
 

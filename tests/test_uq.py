@@ -6,8 +6,9 @@ import pytest
 
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial
-from uqbench.uq import (UqContext, check_antipode, check_coassociativity,
-                        check_coproduct_multiplicative, check_counit)
+from uqbench.uq import (UqContext, UqElement, check_antipode,
+                        check_coassociativity, check_coproduct_multiplicative,
+                        check_counit)
 
 ONE = ScalarQ.one()
 Q = ScalarQ.q_power
@@ -21,6 +22,11 @@ def a1():
 @pytest.fixture(scope="module")
 def a2():
     return UqContext(load_datum("A2"), cap=6)
+
+
+@pytest.fixture(scope="module")
+def b2():
+    return UqContext(load_datum("B2"), cap=6)
 
 
 def _sample_elements(ctx, seed, count):
@@ -157,7 +163,7 @@ def test_drinfeld_reorder_matches_multiply_on_generators(a1, a2):
                 assert ctx.drinfeld_reorder((i,), (j,)) == direct
 
 
-def test_drinfeld_reorder_on_longer_words(a1):
+def test_drinfeld_reorder_on_longer_words(a1, a2, b2):
     for e_len in range(1, 4):
         for f_len in range(1, 4):
             e_word = (0,) * e_len
@@ -166,6 +172,51 @@ def test_drinfeld_reorder_on_longer_words(a1):
                 a1.multiply_all([a1.e_gen(0)] * e_len),
                 a1.multiply_all([a1.f_gen(0)] * f_len))
             assert a1.drinfeld_reorder(e_word, f_word) == direct
+    for ctx in (a2, b2):
+        words = [(i, j) for i in range(2) for j in range(2)
+                 if ctx.is_reduced((i, j))]
+        assert len(words) == 4
+        for e_word in words:
+            for f_word in words:
+                direct = ctx.multiply(
+                    ctx.multiply_all([ctx.e_gen(i) for i in e_word]),
+                    ctx.multiply_all([ctx.f_gen(j) for j in f_word]))
+                assert ctx.drinfeld_reorder(e_word, f_word) == direct
+
+
+def test_drinfeld_reorder_never_uses_the_cross_relation():
+    # the double's route shares _term_mul with multiply, but only on terms
+    # with an empty F- or E-word, so _reorder never sees E-word * F-word
+    for name, words in (("A1", [(0,), (0, 0)]), ("A2", [(0,), (1,), (0, 1)])):
+        ctx = UqContext(load_datum(name), cap=6)
+        calls = []
+        reorder = ctx._reorder
+
+        def spy(e, f):
+            calls.append((e, f))
+            return reorder(e, f)
+
+        ctx._reorder = spy
+        for e_word in words:
+            for f_word in words:
+                ctx.drinfeld_reorder(e_word, f_word)
+        assert calls
+        assert [c for c in calls if c[0] and c[1]] == []
+        ctx.multiply(ctx.e_gen(0), ctx.f_gen(0))
+        assert ((0,), (0,)) in calls
+
+
+def test_term_mul_matches_the_product_of_generators(a2):
+    zero = (0, 0)
+    t1 = ((1,), (1, 0), (0, 1))
+    t2 = ((0,), (0, -1), (1,))
+    got = UqElement()
+    for t, c in a2._term_mul(t1, t2):
+        got.add_term(t, c)
+    assert got == a2.multiply_all([
+        a2.f_gen(1), a2.k_elt((1, 0)), a2.e_gen(0), a2.e_gen(1),
+        a2.f_gen(0), a2.k_elt((0, -1)), a2.e_gen(1)])
+    assert a2._term_mul(((), zero, ()), t2) == [(t2, ONE)]
 
 
 def test_antipode_is_algebra_antihomomorphism(a1):
