@@ -1,17 +1,27 @@
 """Braided vector spaces of diagonal type and braid group actions on tensor powers.
 
 A diagonal braiding on V with basis (v_i) is c(v_i (x) v_j) = b(i,j) v_j (x) v_i
-for invertible scalars b(i,j).  Such a braiding always satisfies the hexagon
-identity; `check_hexagon` verifies it anyway by exact matrix arithmetic.
+for invertible scalars b(i,j).
+
+One engine applies braid words.  A pair table lists the image of each label
+pair, table[x, y] = ((x2, y2), c), ...; `braid_slot` applies it to tensor
+slots (slot, slot+1) of sparse vectors of label tuples, and
+`braid_relation_holds` checks its braid relation on label triples.  A
+diagonal space gives the tables of c and c^{-1}; `weightmods` gives those of
+the module braiding sigma and sigma^{-1}.  A diagonal braiding always
+satisfies the hexagon identity; `check_hexagon` verifies it anyway, sparsely,
+on every basis word of V (x) V (x) V.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .errors import CapError
 from .scalars import ScalarQ
-from .sparse import Sparse
+from .sparse import Sparse, add_term
 
 Word = tuple[int, ...]
 
@@ -71,93 +81,78 @@ class BraidedSpace:
         return tuple(out)
 
 
-def _diagonal_as_matrix(space: BraidedSpace) -> list[list[ScalarQ]]:
-    d = space.dim
-    m = [[ZERO] * (d * d) for _ in range(d * d)]
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i][i * d + j] = space.b(i, j)
-    return m
+def braid_slot(table: Mapping, slot: int, vec: Mapping, window=None) -> dict:
+    """Apply a pair map on tensor slots (slot, slot+1) of the key tuples of vec.
+
+    table[x, y] lists the image of the pair as ((x2, y2), c).  When a window
+    is given, every image tuple must lie in it, or CapError is raised."""
+    out: dict = {}
+    for labels, c in vec.items():
+        for (x, y), c2 in table[labels[slot], labels[slot + 1]]:
+            new = labels[:slot] + (x, y) + labels[slot + 2:]
+            if window is not None and new not in window:
+                raise CapError(f"braid image {new!r} leaves the depth window")
+            add_term(out, new, c * c2)
+    return out
 
 
-def _lift(c: list[list[ScalarQ]], dim: int, slot: int) -> list[list[ScalarQ]]:
-    """c acting on factors (slot, slot+1) of V^(x)3 as an exact dim^3 matrix."""
-    n = dim ** 3
-    m = [[ZERO] * n for _ in range(n)]
-    for a in range(dim):
-        for b in range(dim):
-            for cix in range(dim):
-                col = (a * dim + b) * dim + cix
-                if slot == 0:
-                    for k in range(dim):
-                        for l in range(dim):
-                            x = c[k * dim + l][a * dim + b]
-                            if not x.is_zero():
-                                m[(k * dim + l) * dim + cix][col] = x
-                else:
-                    for k in range(dim):
-                        for l in range(dim):
-                            x = c[k * dim + l][b * dim + cix]
-                            if not x.is_zero():
-                                m[(a * dim + k) * dim + l][col] = x
-    return m
+def braid_relation_holds(table: Mapping, triples: Iterable, window=None) -> bool:
+    """(t (x) 1)(1 (x) t)(t (x) 1) = (1 (x) t)(t (x) 1)(1 (x) t) on every
+    label triple of `triples`, for the pair map t of `table`."""
+    def act(vec, slots):
+        for slot in slots:
+            vec = braid_slot(table, slot, vec, window)
+        return vec
+
+    return all(act({t: ONE}, (0, 1, 0)) == act({t: ONE}, (1, 0, 1))
+               for t in triples)
+
+
+def _pair_table(space: BraidedSpace, inverse: bool = False) -> dict:
+    """c, or c^{-1}, as a pair table: (a, b) -> v_b (x) v_a times b(a, b),
+    or times 1/b(b, a)."""
+    d = range(space.dim)
+    if inverse:
+        return {(a, b): (((b, a), space.b(b, a).inverse()),) for a in d for b in d}
+    return {(a, b): (((b, a), space.b(a, b)),) for a in d for b in d}
 
 
 def check_hexagon(space: BraidedSpace) -> bool:
     """Exact check of (c12)(c23)(c12) = (c23)(c12)(c23) on V (x) V (x) V."""
-    from .linalg import mat_eq, mat_mul
+    return braid_relation_holds(_pair_table(space),
+                                itertools.product(range(space.dim), repeat=3))
 
-    c = _diagonal_as_matrix(space)
-    c12 = _lift(c, space.dim, 0)
-    c23 = _lift(c, space.dim, 1)
-    lhs = mat_mul(mat_mul(c12, c23, ZERO), c12, ZERO)
-    rhs = mat_mul(mat_mul(c23, c12, ZERO), c23, ZERO)
-    return mat_eq(lhs, rhs)
+
+def _generator_index(i: int, n: int) -> int:
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for {n} strands")
+    return i
 
 
 def braid_generator(space: BraidedSpace, n: int, i: int, x: TensorElement) -> TensorElement:
     """sigma_i = Id^(i-1) (x) c (x) Id^(n-i-1) applied to x in V^(x)n; i is 1-based."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    out = TensorElement()
-    for w, coef in x.terms.items():
-        if len(w) != n:
-            raise ValueError("word length does not match strand count")
-        a, b = w[i - 1], w[i]
-        nw = w[: i - 1] + (b, a) + w[i + 1:]
-        out.add_term(nw, coef * space.b(a, b))
-    return out
+    return braid_word_action(space, n, (_generator_index(i, n),), x)
 
 
 def braid_generator_inverse(space: BraidedSpace, n: int, i: int, x: TensorElement) -> TensorElement:
-    out = TensorElement()
-    for w, coef in x.terms.items():
-        if len(w) != n:
-            raise ValueError("word length does not match strand count")
-        a, b = w[i - 1], w[i]
-        nw = w[: i - 1] + (b, a) + w[i + 1:]
-        out.add_term(nw, coef / space.b(b, a))
-    return out
+    """sigma_i^{-1} applied to x in V^(x)n; i is 1-based."""
+    return braid_word_action(space, n, (-_generator_index(i, n),), x)
 
 
 def braid_word_action(space: BraidedSpace, n: int, word: Sequence[int], x: TensorElement) -> TensorElement:
     """Apply a braid word given as signed generator indices (negative = inverse),
     leftmost letter acting first."""
-    out = x
+    out = x.terms
     for g in word:
-        if g == 0:
-            raise ValueError("generator indices are nonzero signed integers")
-        if g > 0:
-            out = braid_generator(space, n, g, out)
-        else:
-            out = braid_generator_inverse(space, n, -g, out)
-    return out
+        slot = _generator_index(abs(g), n) - 1
+        if any(len(w) != n for w in out):
+            raise ValueError("word length does not match strand count")
+        out = braid_slot(_pair_table(space, g < 0), slot, out)
+    return TensorElement(out)
 
 
 def braid_generator_matrix(space: BraidedSpace, n: int, i: int) -> tuple[list[Word], list[list[ScalarQ]]]:
     """sigma_i as an exact matrix over the lexicographic basis of words of length n."""
-    import itertools
-
     words = [tuple(w) for w in itertools.product(range(space.dim), repeat=n)]
     index = {w: k for k, w in enumerate(words)}
     m = [[ZERO] * len(words) for _ in range(len(words))]

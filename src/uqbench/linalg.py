@@ -9,6 +9,8 @@ ordering rows/columns beforehand.
 
 `rref_laurent` is the same elimination for matrices over Z[q, q^-1], done
 fraction-free on integers, so that no rational function is built.
+`mat_mul` and `mat_eq` are the dense reference that the tests check the
+sparse braid actions against.
 """
 
 from __future__ import annotations

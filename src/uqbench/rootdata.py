@@ -174,5 +174,7 @@ def load_datum(name: str) -> RootDatum:
             coroots=tuple(tuple(int(x) for x in v) for v in raw["coroots"]),
             comments=raw.get("comments", ""),
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed preset file {path}: {exc}") from exc

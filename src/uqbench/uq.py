@@ -15,8 +15,9 @@ and the F- and E-words are multiplied inside their Nichols algebras
 off the end of e = e' E_i and F_j off the front of f = F_j f' with
   E_i F_j = F_j E_i + delta_ij X_i,   X_i = (t_i - t_i^{-1})/(q_i - q_i^{-1}),
 as e' (F_j (E_i f')) + delta_ij e' (X_i f'), each product again by
-`_term_mul`; `multiply` is its bilinear extension.  Comultiplication,
-counit, and antipode follow
+`_term_mul`; `multiply` is its bilinear extension and `tensor_square_multiply`
+its extension to U (x) U, where the coproduct of a term is the product of its
+generators' coproducts.  Comultiplication, counit, and antipode follow
   Delta(E_i) = E_i (x) t_i + 1 (x) E_i,   Delta(F_i) = F_i (x) 1 + t_i^{-1} (x) F_i,
   Delta(K_lambda) = K_lambda (x) K_lambda,
   S(E_i) = -E_i t_i^{-1},  S(F_i) = -t_i F_i,  S(K_lambda) = K_{-lambda}.
@@ -222,32 +223,35 @@ class UqContext:
         return out
 
     def _coproduct_term(self, t: Term) -> dict[tuple[Term, Term], ScalarQ]:
-        # product of the generator coproducts, multiplied slotwise
+        """Delta of one term: the product in U (x) U of its generators'
+        coproducts, as term pairs."""
         f, lam, e = t
-        factors: list[list[tuple[UqElement, UqElement]]] = []
-        for i in f:
-            factors.append([
-                (self.f_gen(i), self.one()),
-                (self.t_elt(i, -1), self.f_gen(i)),
-            ])
-        factors.append([(self.k_elt(lam), self.k_elt(lam))])
-        for i in e:
-            factors.append([
-                (self.e_gen(i), self.t_elt(i)),
-                (self.one(), self.e_gen(i)),
-            ])
-        acc: list[tuple[UqElement, UqElement]] = [(self.one(), self.one())]
-        for options in factors:
-            nxt: list[tuple[UqElement, UqElement]] = []
-            for (l, r) in acc:
-                for (dl, dr) in options:
-                    nxt.append((self.multiply(l, dl), self.multiply(r, dr)))
-            acc = nxt
+        z = self._zero_dual
+        one = ((), z, ())
+        tau = self.datum.t_indices
+        factors = [{(((i,), z, ()), one): ONE,
+                    (((), tuple(-x for x in tau[i]), ()), ((i,), z, ())): ONE}
+                   for i in f]
+        factors.append({(((), lam, ()), ((), lam, ())): ONE})
+        factors += [{(((), z, (i,)), ((), tau[i], ())): ONE,
+                     (one, ((), z, (i,))): ONE} for i in e]
+        out = {(one, one): ONE}
+        for factor in factors:
+            out = self.tensor_square_multiply(out, factor)
+        return out
+
+    def tensor_square_multiply(self, a: Mapping[tuple[Term, Term], ScalarQ],
+                               b: Mapping[tuple[Term, Term], ScalarQ]
+                               ) -> dict[tuple[Term, Term], ScalarQ]:
+        """The product in U (x) U of two term-pair combinations, factor by
+        factor through `_term_mul`."""
         out: dict[tuple[Term, Term], ScalarQ] = {}
-        for l, r in acc:
-            for t1, c1 in l.terms.items():
-                for t2, c2 in r.terms.items():
-                    add_term(out, (t1, t2), c1 * c2)
+        for (a1, a2), ca in a.items():
+            for (b1, b2), cb in b.items():
+                base = ca * cb
+                for t1, c1 in self._term_mul(a1, b1):
+                    for t2, c2 in self._term_mul(a2, b2):
+                        add_term(out, (t1, t2), base * c1 * c2)
         return out
 
     def antipode(self, x: UqElement) -> UqElement:
@@ -372,22 +376,9 @@ class UqContext:
 # Hopf axiom checks (used by tests and the CLI hopf-check subcommand)
 # ---------------------------------------------------------------------------
 
-def tensor_square_multiply(ctx: UqContext, a: Mapping[tuple[Term, Term], ScalarQ],
-                           b: Mapping[tuple[Term, Term], ScalarQ]) -> dict[tuple[Term, Term], ScalarQ]:
-    out: dict[tuple[Term, Term], ScalarQ] = {}
-    for (a1, a2), ca in a.items():
-        for (b1, b2), cb in b.items():
-            left = ctx.multiply(UqElement({a1: ONE}), UqElement({b1: ONE}))
-            right = ctx.multiply(UqElement({a2: ONE}), UqElement({b2: ONE}))
-            for t1, c1 in left.terms.items():
-                for t2, c2 in right.terms.items():
-                    add_term(out, (t1, t2), ca * cb * c1 * c2)
-    return out
-
-
 def check_coproduct_multiplicative(ctx: UqContext, x: UqElement, y: UqElement) -> bool:
     lhs = ctx.coproduct(ctx.multiply(x, y))
-    rhs = tensor_square_multiply(ctx, ctx.coproduct(x), ctx.coproduct(y))
+    rhs = ctx.tensor_square_multiply(ctx.coproduct(x), ctx.coproduct(y))
     return lhs == rhs
 
 

@@ -45,20 +45,22 @@ sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on rank-1 windows
 and is what `apply_f` uses).
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
-label pair, and apply it to sparse vectors of label tuples; `braid_rep`
-writes the dense matrix out only at the end.  Both are rank-1 only and raise
-ConfigError on rank >= 2: there `build_verma` keeps only the first-order
-terms of the coaction, which is not a braiding, and the quasi-R-matrix
-coaction is not implemented.
+label pair, as a pair table, and apply it to sparse vectors of label tuples
+with `braiding.braid_slot`, the engine the diagonal braidings use too;
+`ybe_check` is `braiding.braid_relation_holds` on its depth-capped triples,
+and `braid_rep` writes the dense matrix out only at the end.  Both are
+rank-1 only and raise ConfigError on rank >= 2: there `build_verma` keeps
+only the first-order terms of the coaction, which is not a braiding, and the
+quasi-R-matrix coaction is not implemented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .braiding import Word
+from .braiding import Word, braid_relation_holds, braid_slot
 from .errors import CapError, ConfigError
 from .linalg import invert
 from .rootdata import RootDatum
@@ -70,11 +72,6 @@ ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
 
 Vec = dict  # label -> ScalarQ
-
-
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return {k: v for k, v in a.items() if not v.is_zero()} == \
-           {k: v for k, v in b.items() if not v.is_zero()}
 
 
 @dataclass
@@ -201,6 +198,8 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
 
     Coefficient (-1)^k (q-q^{-1})^k [n]! [lam-n+k]! / ([k]! [n-k]! [lam-n]!),
     with the factorial ratio read as a rising product so any integer lam works.
+    Terms whose coefficient is zero (k >= n - lam when n > lam >= 0) are left
+    out: their F-words would act for nothing and could leave a window.
     """
     if datum.rank != 1:
         raise ConfigError("closed-form Verma coaction is rank-1 only")
@@ -212,7 +211,8 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
     for k in range(0, min(n, cap) + 1):
         sign = ONE if k % 2 == 0 else -ONE
         coeff = sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
-        out.append(((0,) * k, n - k, coeff))
+        if not coeff.is_zero():
+            out.append(((0,) * k, n - k, coeff))
     return out
 
 
@@ -505,36 +505,22 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     for (a, b) in labels:
         for i in range(datum.rank):
             tau = datum.t_indices[i]
-            ca = M.e_cols[i].get(a)
-            cb = N.e_cols[i].get(b)
-            if ca is not None and cb is not None:
+            tn = ScalarQ.q_power(sum(x * y for x, y in zip(tau, N.weights[b])))
+            tin = ScalarQ.q_power(-sum(x * y for x, y in zip(tau, M.weights[a])))
+            tpos = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
+            for cols, cols_m, cols_n, scale_m, scale_n in (
+                    (e_cols, M.e_cols, N.e_cols, tn, ONE),
+                    (f_cols, M.f_cols, N.f_cols, ONE, tin),
+                    (braid_f_cols, m_braid, n_braid, ONE, tpos)):
+                ca, cb = cols_m[i].get(a), cols_n[i].get(b)
+                if ca is None or cb is None:
+                    continue
                 col: Vec = {}
-                tn = ScalarQ.q_power(sum(x * y for x, y in zip(tau, N.weights[b])))
                 for a2, c in ca:
-                    add_term(col, (a2, b), c * tn)
+                    add_term(col, (a2, b), c * scale_m)
                 for b2, c in cb:
-                    add_term(col, (a, b2), c)
-                e_cols[i][(a, b)] = sorted(col.items())
-            fa = M.f_cols[i].get(a)
-            fb = N.f_cols[i].get(b)
-            if fa is not None and fb is not None:
-                col = {}
-                tin = ScalarQ.q_power(-sum(x * y for x, y in zip(tau, M.weights[a])))
-                for a2, c in fa:
-                    add_term(col, (a2, b), c)
-                for b2, c in fb:
-                    add_term(col, (a, b2), c * tin)
-                f_cols[i][(a, b)] = sorted(col.items())
-            ba = m_braid[i].get(a)
-            bb = n_braid[i].get(b)
-            if ba is not None and bb is not None:
-                col = {}
-                tpos = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
-                for a2, c in ba:
-                    add_term(col, (a2, b), c)
-                for b2, c in bb:
-                    add_term(col, (a, b2), c * tpos)
-                braid_f_cols[i][(a, b)] = sorted(col.items())
+                    add_term(col, (a, b2), c * scale_n)
+                cols[i][(a, b)] = sorted(col.items())
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
         norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
@@ -588,19 +574,6 @@ def _inverse_table(sigma: _SigmaTable, pairs: Sequence) -> dict:
             for k, p in enumerate(pairs)}
 
 
-def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:
-    """Apply a pair map (a sigma table or its inverse) on tensor slots
-    (slot, slot+1) of label tuples; every image tuple must lie in window."""
-    out: Vec = {}
-    for labels, c in vec.items():
-        for (x, y), c2 in table[labels[slot], labels[slot + 1]]:
-            new = labels[:slot] + (x, y) + labels[slot + 2:]
-            if new not in window:
-                raise CapError(f"braid image {new!r} leaves the depth window")
-            add_term(out, new, c * c2)
-    return out
-
-
 def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     """(sigma (x) 1)(1 (x) sigma)(sigma (x) 1) = (1 (x) sigma)(sigma (x) 1)(1 (x) sigma)
     on all triples of total depth <= cap.
@@ -612,17 +585,7 @@ def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     sigma = _SigmaTable(datum, M)
     triples = {(a, b, c) for a in M.labels for b in M.labels for c in M.labels
                if _total_depth(M, a) + _total_depth(M, b) + _total_depth(M, c) <= cap}
-
-    def slots(vec: Vec, order) -> Vec:
-        for slot in order:
-            vec = _braid_slot(sigma, slot, vec, triples)
-        return vec
-
-    for t in sorted(triples):
-        start: Vec = {t: ONE}
-        if not vec_eq(slots(start, (0, 1, 0)), slots(start, (1, 0, 1))):
-            return False
-    return True
+    return braid_relation_holds(sigma, sorted(triples), triples)
 
 
 def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
@@ -658,7 +621,7 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
             if sigma_inv is None:
                 sigma_inv = _inverse_table(sigma, sorted({t[:2] for t in basis}))
             table = sigma_inv
-        cols = {t: _braid_slot(table, abs(letter) - 1, col, window)
+        cols = {t: braid_slot(table, abs(letter) - 1, col, window)
                 for t, col in cols.items()}
     return basis, [[cols[t].get(t2, ZERO) for t in basis] for t2 in basis]
 

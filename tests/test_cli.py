@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench.cli import main
+from uqbench.rootdata import PRESET_ENV
 
 CASES = {
     "nichols-dims": ["nichols-dims", "--datum", "A2", "--max-degree", "3"],
@@ -238,6 +239,128 @@ def test_exit_three_on_window_escape():
                     "--module-cap", "1"])
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["status"] == "ERROR"
+
+
+def _in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def test_zero_coaction_terms_stay_inside_the_window():
+    # At lam = 0 the coaction of x^2 is its k = 0 term alone, so no F-word
+    # acts on the other factor and every image stays in module cap 1.
+    argv = ["braid-rep", "--datum", "A1", "--lam", "0", "--strands", "2",
+            "--word", "1", "--cap", "2"]
+    code, small = _in_process(argv + ["--module-cap", "1"])
+    assert code == 0 and small["status"] == "OK"
+    code, full = _in_process(argv)
+    assert code == 0
+    small, full = small["result"], full["result"]
+    index = {t: k for k, t in enumerate(full["basis"])}
+    kept = [index[t] for t in small["basis"]]
+    assert len(kept) < len(full["basis"])
+    assert small["matrix"] == [[full["matrix"][i][j] for j in kept]
+                               for i in kept]
+    assert all(full["matrix"][i][j] == "0" for j in kept
+               for i in set(range(len(full["basis"]))) - set(kept))
+
+
+# Presets read through UQBENCH_PRESET_PATH that no run may trace back on;
+# BadDir.json is a directory.
+_MALFORMED = {
+    "BadJson": "{not json",
+    "BadKeys": json.dumps({"name": "BadKeys", "rank": 1}),
+    "BadInt": json.dumps({"name": "BadInt", "rank": "one", "pairing": [[2]],
+                          "simple_roots": [[2]], "coroots": [[1]]}),
+    "BadEntry": json.dumps({"name": "BadEntry", "rank": 1,
+                            "pairing": [["a"]], "simple_roots": [[2]],
+                            "coroots": [[1]]}),
+    "BadOdd": json.dumps({"name": "BadOdd", "rank": 1, "pairing": [[3]],
+                          "simple_roots": [[3]], "coroots": [[1]]}),
+    "BadShape": json.dumps({"name": "BadShape", "rank": 2,
+                            "pairing": [[2, -1]], "simple_roots": [[2]],
+                            "coroots": [[1]]}),
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_presets(tmp_path_factory):
+    path = tmp_path_factory.mktemp("presets")
+    for name, text in _MALFORMED.items():
+        (path / f"{name}.json").write_text(text)
+    (path / "BadDir.json").mkdir()
+    return str(path)
+
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+def _mostly(good, bad):
+    """Draw from `good` four times in five, else from `bad`."""
+    return st.integers(0, 4).flatmap(lambda k: good if k else bad)
+
+
+_DATUM = _mostly(st.sampled_from(["A1", "A1", "A2", "B2", "G2", "A1xA1"]),
+                 st.sampled_from(["none", "BadDir"] + sorted(_MALFORMED)))
+_WEIGHT = _mostly(
+    st.one_of(st.integers(-2, 4).map(str),
+              st.lists(st.integers(-1, 3), min_size=2, max_size=2).map(_joined)),
+    st.one_of(st.lists(st.integers(-1, 3), min_size=3, max_size=3).map(_joined),
+              st.sampled_from(["", "x", "1,,2"])))
+_WORD = _mostly(st.lists(st.integers(-3, 3).filter(bool), max_size=4).map(_joined),
+                st.sampled_from(["0", "x", "1,,2", "1.5"]))
+_WINDOW = _mostly(st.lists(st.integers(0, 3), min_size=2, max_size=2).map(_joined),
+                  st.sampled_from(["-1,2", "1", "1,2,3", "", "x", "1,x"]))
+_CAP_FLAG = {"nichols-dims": "--max-degree", "serre-check": "--cap",
+             "hopf-check": "--cap", "ybe-check": "--cap",
+             "braid-rep": "--cap", "verma": "--cap"}
+
+
+@st.composite
+def _module_argv(draw):
+    """A command line of one of the seven algebra and module subcommands."""
+    command = draw(st.sampled_from(sorted(_CAP_FLAG) + ["mlambda"]))
+    argv = [command, "--datum", draw(_DATUM)]
+    cap = draw(st.integers(-1, 4))
+    if command in _CAP_FLAG:
+        argv += [f"{_CAP_FLAG[command]}={cap}"]
+    if command in ("ybe-check", "braid-rep", "verma"):
+        argv += ["--lam=" + draw(_WEIGHT)]
+    if command == "hopf-check":
+        argv += ["--seed", str(draw(st.integers(0, 9))),
+                 "--samples", str(draw(st.integers(0, 3)))]
+    elif command == "braid-rep":
+        argv += [f"--strands={draw(st.integers(1, 4))}",
+                 "--word=" + draw(_WORD)]
+        if cap > 0 and draw(st.booleans()):
+            argv += [f"--module-cap={draw(st.integers(0, cap - 1))}"]
+    elif command == "mlambda":
+        argv += [f"--lam={draw(st.integers(-1, 4))}",
+                 "--window=" + draw(_WINDOW)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_module_argv())
+def test_module_commands_always_report(malformed_presets, argv):
+    saved = os.environ.get(PRESET_ENV)
+    os.environ[PRESET_ENV] = malformed_presets
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if saved is None:
+            del os.environ[PRESET_ENV]
+        else:
+            os.environ[PRESET_ENV] = saved
+    assert code in (0, 1, 2, 3)
+    report = json.loads(out.getvalue())
+    assert report["command"] == argv[0] and "status" in report
+    assert "Traceback" not in err.getvalue()
 
 
 def test_nichols_dims_worked_entries():

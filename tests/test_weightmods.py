@@ -103,6 +103,16 @@ def test_verma_coaction_matches_closed_form():
             assert fw1 == fw2 and t1 == t2 and c1 == c2, n
 
 
+def test_verma_coaction_keeps_only_nonzero_terms():
+    # [lam-n+1]...[lam-n+k] vanishes for k >= n - lam when n > lam >= 0
+    for lam in range(-2, 4):
+        for n in range(5):
+            terms = verma_coaction(A1, lam, n, 4)
+            assert all(not c.is_zero() for _, _, c in terms)
+            want = n - lam if 0 <= lam < n else n + 1
+            assert [len(fw) for fw, _, _ in terms] == list(range(want))
+
+
 def test_coaction_contraction_recovers_e_action():
     # contracting the coaction with a single E equals the E column exactly;
     # the pairing normalization is chosen to make this hold with no rescale
