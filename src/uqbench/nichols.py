@@ -86,21 +86,6 @@ def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
 # The extended bilinear form and its radical
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairingSpec:
-    """Diagonal generator pairings <v_i, v_i>; zero off the diagonal."""
-
-    diag: tuple[ScalarQ, ...]
-
-    @staticmethod
-    def from_datum(datum: RootDatum) -> "PairingSpec":
-        vals = []
-        for d in datum.d:
-            denom = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-            vals.append(denom.inverse())
-        return PairingSpec(diag=tuple(vals))
-
-
 class NicholsContext:
     """Caches Gram matrices, pivot bases, and reductions for one datum.
 
@@ -111,7 +96,9 @@ class NicholsContext:
     def __init__(self, datum: RootDatum, cap: int = 8):
         self.datum = datum
         self.space = diagonal_space(datum)
-        self.pairing = PairingSpec.from_datum(datum)
+        # the generator pairings <v_i, v_i> = 1/(q_i - q_i^-1); zero off the diagonal
+        self.generator_pairings = tuple(
+            (ScalarQ.q_power(d) - ScalarQ.q_power(-d)).inverse() for d in datum.d)
         self.cap = cap
         self._pair_memo: dict[tuple[Word, Word], dict[int, int]] = {}
         self._basis_cache: dict[Degree, "NicholsBasis"] = {}
@@ -139,7 +126,7 @@ class NicholsContext:
     def _gram_scale(self, deg: Degree) -> ScalarQ:
         """prod_i <v_i, v_i>^{deg_i}, the factor every pairing of degree deg carries."""
         out = ONE
-        for d, k in zip(self.pairing.diag, deg):
+        for d, k in zip(self.generator_pairings, deg):
             out = out * d ** k
         return out
 

@@ -1,24 +1,24 @@
 """Exact arithmetic in the rational function field Q(q), balanced q-combinatorics,
 and Gauss valuations for the substitution q = exp(hbar) over Q_p.
 
-Elements of Q(q) are kept as reduced fractions of Laurent polynomials with
-rational coefficients.  The canonical form fixes the denominator to be an
-honest polynomial in q with nonzero constant term and leading coefficient 1,
-with any monomial unit q^k folded into the numerator.  Equality of canonical
-forms is therefore plain representational equality, which keeps hash-based
-memo tables sound.
+Elements of Q(q) are kept as reduced fractions n/d of Laurent polynomials
+with integer coefficients.  In canonical form d is an honest polynomial in q
+with nonzero constant term and positive leading coefficient, any monomial
+unit q^k is folded into n, and n and d are coprime in Z[q, q^-1], their
+integer contents included.  That form is unique, so equality of canonical
+forms is plain representational equality, which keeps hash-based memo
+tables sound.  The constructor is the one routine that brings any n/d with
+rational coefficients to it: clear denominators, shift to polynomials,
+divide both exactly by the gcd of their primitive parts (`_poly_gcd`, a
+primitive remainder sequence), then by their common integer content, signed
+so that d leads positive.  `num` and `den` give the same value over the
+monic denominator, as printed.
 
-A stored coefficient is an int when it is integral and a Fraction otherwise
-(never a float); int and Fraction agree on ==, hash and str, so keys and
-printed forms do not depend on the type.  Every integer Laurent polynomial
-(denominator 1, int coefficients) stores the one shared denominator dict
-`_ONE_DEN`.  `+` and `*` of two such values skip the normalisation: a sum or
-product of integer Laurent polynomials is again one, with denominator 1, and
-has no zero coefficient after `_lp_add`/`_lp_mul`, so it is canonical as it
-stands.  A numerator given without a denominator is canonical for the same
-reason.  Every other value, Laurent polynomials with non-integral
-coefficients included (their sums can become integral), goes through the
-Euclidean normalisation.
+Every integer Laurent polynomial (denominator 1) stores the one shared
+denominator dict `_ONE_DEN`.  `+` and `*` of two such values skip the
+normalisation: a sum or product of integer Laurent polynomials is again
+one, and has no zero coefficient after `_lp_add`/`_lp_mul`, so it is
+canonical as it stands.
 
 The valuation side interprets q as exp(hbar) with v_p(hbar) = vh.  Then
 v(q - 1) = vh whenever vh > 1/(p-1) (the convergence disc of exp), and the
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Mapping
+from math import gcd, isqrt, lcm
+from typing import Mapping
 
 
 class ScalarError(ArithmeticError):
@@ -45,14 +45,10 @@ class ValuationError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Laurent polynomial helpers.  A Laurent polynomial is a dict {exponent: coeff}
-# with int exponents, int or Fraction coefficients, and no zero values stored.
+# with int exponents, int coefficients, and no zero values stored.
 # ---------------------------------------------------------------------------
 
-def _lp_clean(d: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    return {e: c for e, c in d.items() if c != 0}
-
-
-def _lp_add(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _lp_add(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
@@ -63,12 +59,12 @@ def _lp_add(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, F
     return out
 
 
-def _lp_neg(a: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _lp_neg(a: Mapping[int, int]) -> dict[int, int]:
     return {e: -c for e, c in a.items()}
 
 
-def _lp_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _lp_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
@@ -80,124 +76,104 @@ def _lp_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, F
     return out
 
 
-def _lp_shift(a: Mapping[int, Fraction], k: int) -> dict[int, Fraction]:
-    return {e + k: c for e, c in a.items()}
-
-
-def _poly_from_laurent(a: Mapping[int, Fraction]) -> tuple[dict[int, Fraction], int]:
-    """Split a nonzero Laurent polynomial as q^shift * (polynomial with nonzero
-    constant term); returns (polynomial, shift)."""
-    m = min(a)
-    return _lp_shift(a, -m), m
-
-
-def _poly_degree(a: Mapping[int, Fraction]) -> int:
-    return max(a)
-
-
-def _poly_divmod(num: Mapping[int, Fraction], den: Mapping[int, Fraction]) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-    """Long division for ordinary polynomials (all exponents >= 0)."""
-    num = dict(num)
-    q: dict[int, Fraction] = {}
-    dd = _poly_degree(den)
-    dlc = den[dd]
-    while num and _poly_degree(num) >= dd:
-        d = _poly_degree(num)
-        c = num[d] / dlc
-        q[d - dd] = c
-        for e, cc in den.items():
-            e2 = e + d - dd
-            s = num.get(e2, Fraction(0)) - c * cc
+def _pseudo_divmod(a: Mapping[int, int], b: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Divide a by b != 0 in Z[q] (all exponents >= 0): (quot, rem) with
+    c*a = quot*b + rem and deg rem < deg b, for some integer c > 0.  c grows
+    only at a leading coefficient that lc(b) does not divide, so c = 1 and
+    the quotient is exact when b divides a in Z[q]."""
+    db = max(b)
+    lb = b[db]
+    quot: dict[int, int] = {}
+    rem = dict(a)
+    for d in range(max(rem, default=-1), db - 1, -1):
+        lead = rem.get(d)
+        if lead is None:
+            continue
+        if lead % lb:
+            m = abs(lb) // gcd(lead, lb)
+            quot = {e: c * m for e, c in quot.items()}
+            rem = {e: c * m for e, c in rem.items()}
+            lead *= m
+        k = lead // lb
+        quot[d - db] = k
+        for e, c in b.items():
+            e += d - db
+            s = rem.get(e, 0) - k * c
             if s == 0:
-                num.pop(e2, None)
+                rem.pop(e, None)
             else:
-                num[e2] = s
-    return q, num
+                rem[e] = s
+    return quot, rem
 
 
-def _poly_gcd(a: Mapping[int, Fraction], b: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """Monic gcd by the Euclidean algorithm; cheap exits for unit inputs."""
-    a, b = dict(a), dict(b)
+def _poly_gcd(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The gcd in Z[q], up to sign, of two primitive polynomials, b nonzero.
+    Primitive remainder sequence: each pseudo-remainder is divided by its
+    integer content, which keeps the gcd primitive and no coefficient larger
+    than it needs to be; a constant remainder means the gcd is 1."""
     while b:
-        if _poly_degree(b) == 0:
-            return {0: Fraction(1)}
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lc = a[_poly_degree(a)]
-    return {e: c / lc for e, c in a.items()}
+        if max(b) == 0:
+            return {0: 1}
+        _, r = _pseudo_divmod(a, b)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _primitive(a: Mapping[int, int]) -> dict[int, int]:
+    """a divided by the gcd of its coefficients."""
+    content = gcd(*a.values())
+    return {e: c // content for e, c in a.items()}
 
 
 # ---------------------------------------------------------------------------
 # ScalarQ
 # ---------------------------------------------------------------------------
 
-# The denominator of every integer Laurent polynomial (denominator 1, int
-# coefficients only), shared by all of them: `x._den is _ONE_DEN` is the
-# fast-path test.  No stored dict is ever mutated.
+# The denominator of every integer Laurent polynomial, shared by all of them:
+# `x._den is _ONE_DEN` is the fast-path test.  No stored dict is ever mutated.
 _ONE_DEN: dict[int, int] = {0: 1}
 _ONE_DEN_KEY = ((0, 1),)
-
-
-def _int_if_integral(c: Fraction) -> Fraction | int:
-    return c.numerator if c.denominator == 1 else c
-
-
-def _laurent_den(num: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The denominator to store for the canonical Laurent numerator `num`:
-    the shared `_ONE_DEN` when every coefficient is an int, else a fresh
-    {0: 1} (a sum of rational coefficients can be integral, so such values
-    must take the general path)."""
-    if all(type(c) is int for c in num.values()):
-        return _ONE_DEN
-    return {0: 1}
 
 
 class ScalarQ:
     """An element of Q(q) in canonical reduced form.
 
-    Internally a pair of Laurent-coefficient maps (num, den) with den a
-    monic polynomial of nonzero constant term, gcd(num-part, den) = 1.
-    Instances are immutable and hashable.
+    Internally a pair of integer Laurent-coefficient maps (num, den) with den
+    a polynomial of nonzero constant term and positive leading coefficient,
+    num and den coprime over Z.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_num", "_den", "_key", "__weakref__")
 
-    def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] | None = None):
-        if den is None:
-            # A Laurent polynomial is canonical as given: drop zeros and
-            # store integral coefficients as int.
-            n = {}
-            for e, c in num.items():
-                if type(c) is not int:
-                    c = _int_if_integral(Fraction(c))
-                if c:
-                    n[int(e)] = c
-            self._num = n
-            self._den = _laurent_den(n)
-            self._key = (tuple(sorted(n.items())), _ONE_DEN_KEY)
-            return
-        n = _lp_clean({int(e): Fraction(c) for e, c in num.items()})
-        d = _lp_clean({int(e): Fraction(c) for e, c in den.items()})
+    def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] = _ONE_DEN):
+        n = {int(e): c for e, c in num.items() if c}
+        d = {int(e): c for e, c in den.items() if c}
         if not d:
             raise ScalarError("zero denominator")
         if not n:
-            self._num: dict[int, Fraction | int] = {}
-            self._den: dict[int, Fraction | int] = _ONE_DEN
-        else:
-            npoly, nshift = _poly_from_laurent(n)
-            dpoly, dshift = _poly_from_laurent(d)
-            if _poly_degree(dpoly) > 0 and _poly_degree(npoly) > 0:
-                g = _poly_gcd(npoly, dpoly)
-                if _poly_degree(g) > 0:
-                    npoly, _ = _poly_divmod(npoly, g)
-                    dpoly, _ = _poly_divmod(dpoly, g)
-            lc = dpoly[_poly_degree(dpoly)]
-            shift = nshift - dshift
-            self._num = {e + shift: _int_if_integral(c / lc) for e, c in npoly.items()}
-            if len(dpoly) == 1:
-                self._den = _laurent_den(self._num)
-            else:
-                self._den = {e: _int_if_integral(c / lc) for e, c in dpoly.items()}
+            self._num, self._den, self._key = {}, _ONE_DEN, ((), _ONE_DEN_KEY)
+            return
+        if not all(type(c) is int for c in (*n.values(), *d.values())):
+            n = {e: Fraction(c) for e, c in n.items()}
+            d = {e: Fraction(c) for e, c in d.items()}
+            m = lcm(*(c.denominator for c in (*n.values(), *d.values())))
+            n = {e: (c * m).numerator for e, c in n.items()}
+            d = {e: (c * m).numerator for e, c in d.items()}
+        nshift, dshift = min(n), min(d)
+        n = {e - nshift: c for e, c in n.items()}
+        d = {e - dshift: c for e, c in d.items()}
+        if max(d) > 0 and max(n) > 0:
+            g = _poly_gcd(_primitive(n), _primitive(d))
+            if max(g) > 0:
+                n, _ = _pseudo_divmod(n, g)
+                d, _ = _pseudo_divmod(d, g)
+        content = gcd(*n.values(), *d.values())
+        if d[max(d)] < 0:
+            content = -content
+        shift = nshift - dshift
+        self._num = {e + shift: c // content for e, c in n.items()}
+        d = {e: c // content for e, c in d.items()}
+        self._den = _ONE_DEN if d == _ONE_DEN else d
         self._key = (
             tuple(sorted(self._num.items())),
             tuple(sorted(self._den.items())),
@@ -207,11 +183,11 @@ class ScalarQ:
 
     @staticmethod
     def zero() -> "ScalarQ":
-        return ScalarQ({})
+        return _laurent({})
 
     @staticmethod
     def one() -> "ScalarQ":
-        return ScalarQ({0: 1})
+        return _laurent({0: 1})
 
     @staticmethod
     def from_int(n: int) -> "ScalarQ":
@@ -223,17 +199,25 @@ class ScalarQ:
 
     @staticmethod
     def q_power(k: int) -> "ScalarQ":
-        return ScalarQ({k: 1})
+        return _laurent({k: 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def num(self) -> dict[int, Fraction]:
-        return dict(self._num)
+    def num(self) -> dict[int, Fraction | int]:
+        """The numerator over the monic denominator `den`."""
+        return self._monic(self._num)
 
     @property
-    def den(self) -> dict[int, Fraction]:
-        return dict(self._den)
+    def den(self) -> dict[int, Fraction | int]:
+        """The denominator scaled to leading coefficient 1."""
+        return self._monic(self._den)
+
+    def _monic(self, d: Mapping[int, int]) -> dict[int, Fraction | int]:
+        lc = self._den[max(self._den)]
+        if lc == 1:
+            return dict(d)
+        return {e: Fraction(c, lc) for e, c in d.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -242,10 +226,10 @@ class ScalarQ:
         return bool(self._num)
 
     def is_one(self) -> bool:
-        return self._num == {0: 1} and self._den == {0: 1}
+        return self._den is _ONE_DEN and self._num == {0: 1}
 
     def is_laurent(self) -> bool:
-        return self._den == {0: 1}
+        return len(self._den) == 1
 
     def __hash__(self):
         return hash(self._key)
@@ -308,10 +292,10 @@ class ScalarQ:
 
     def at_one(self) -> Fraction:
         """Evaluate at q = 1 (denominator must not vanish there)."""
-        dv = sum(self._den.values(), Fraction(0))
+        dv = sum(self._den.values())
         if dv == 0:
             raise ScalarError("denominator vanishes at q = 1")
-        return sum(self._num.values(), Fraction(0)) / dv
+        return Fraction(sum(self._num.values()), dv)
 
     def substitute_power(self, d: int) -> "ScalarQ":
         """The image under q -> q^d (d a nonzero integer)."""
@@ -342,10 +326,10 @@ class ScalarQ:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
     def __str__(self) -> str:
-        ns = self._fmt_laurent(self._num)
+        ns = self._fmt_laurent(self.num)
         if self.is_laurent():
             return ns
-        ds = self._fmt_laurent(self._den)
+        ds = self._fmt_laurent(self.den)
         return f"({ns})/({ds})"
 
     def __repr__(self) -> str:
@@ -501,10 +485,10 @@ def _laurent_gauss(poly: Mapping[int, Fraction], params: PadicParams) -> Valuati
     The monomial unit q^k has valuation 0, so only the polynomial part
     matters; it is expanded exactly in u = q - 1 by shifted binomials.
     """
-    base, _shift = _poly_from_laurent(poly)
-    deg = _poly_degree(base)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in base.items():
+    shift = min(poly)
+    coeffs = [Fraction(0)] * (max(poly) - shift + 1)
+    for e, c in poly.items():
+        e -= shift
         # q^e = (1+u)^e; binomial row
         b = 1
         for k in range(e + 1):

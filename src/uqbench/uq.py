@@ -135,9 +135,6 @@ class UqContext:
         nb = self.nichols.nichols_basis(deg)
         return [(bw, c) for bw, c in nb.reduction[w].items()]
 
-    def word_product(self, w1: Word, w2: Word) -> list[tuple[Word, ScalarQ]]:
-        return self.reduce_word(w1 + w2)
-
     def is_reduced(self, w: Word) -> bool:
         red = self.reduce_word(w)
         return len(red) == 1 and red[0][0] == w and red[0][1].is_one()
@@ -155,8 +152,8 @@ class UqContext:
             cross = ScalarQ.q_power(-self.lam_apply(l1, degree(fa))
                                     - self.lam_apply(l2, degree(ea)))
             lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
-            for fw, cf in self.word_product(f1, fa):
-                for ew, ce in self.word_product(ea, e2):
+            for fw, cf in self.reduce_word(f1 + fa):
+                for ew, ce in self.reduce_word(ea + e2):
                     out.append(((fw, lam, ew), c * cross * cf * ce))
         return out
 

@@ -66,7 +66,7 @@ from .linalg import invert
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .sparse import add_term
-from .uq import UqContext
+from .uq import UqContext, UqElement
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -95,7 +95,6 @@ class WeightModule:
     e_cols: dict
     f_cols: dict
     coaction_cols: dict
-    coaction_cap: int
     window: str
     braid_f_cols: dict | None = None
 
@@ -250,11 +249,14 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
 
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
+    zero = (0,) * datum.lattice_rank
     for w in labels:
+        # w is a Nichols basis word, so F_w is the single term (w, 0, ()).
+        f_w = UqElement({(w, zero, ()): ONE})
         for i in range(datum.rank):
             if len(w) + 1 <= cap:
-                f_cols[i][w] = [(w2, c) for w2, c in ctx.word_product((i,), w)]
-            ef = ctx.multiply(ctx.e_gen(i), _f_word_elt(ctx, w))
+                f_cols[i][w] = ctx.reduce_word((i,) + w)
+            ef = ctx.multiply(ctx.e_gen(i), f_w)
             acc: Vec = {}
             for (fw, lam, ew), c in ef.terms.items():
                 if ew:
@@ -285,7 +287,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
         norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols=coaction_cols, coaction_cap=cap,
+        coaction_cols=coaction_cols,
         window=f"f-degree <= {cap}")
 
 
@@ -296,13 +298,6 @@ def _multidegrees(rank: int, total: int):
     for first in range(total + 1):
         for rest in _multidegrees(rank - 1, total - first):
             yield (first,) + rest
-
-
-def _f_word_elt(ctx: UqContext, w: Word):
-    out = ctx.one()
-    for i in w:
-        out = ctx.multiply(out, ctx.f_gen(i))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
         norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols=coaction_cols, coaction_cap=coaction_cap,
+        coaction_cols=coaction_cols,
         window=f"0<=i<={i_max}, 0<=j<={j_max}")
 
 
@@ -524,7 +519,7 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
         norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols={}, coaction_cap=0,
+        coaction_cols={},
         window=f"({M.window}) (x) ({N.window})",
         braid_f_cols=braid_f_cols)
 

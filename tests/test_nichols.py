@@ -236,7 +236,7 @@ def _pair_words_q(ctx, x, y, memo):
         for pos, letter in enumerate(y):
             if letter == i:
                 sub = _pair_words_q(ctx, rest, y[:pos] + y[pos + 1:], memo)
-                acc = acc + beta * ctx.pairing.diag[i] * sub
+                acc = acc + beta * ctx.generator_pairings[i] * sub
             beta = beta * ctx.space.b(letter, i)
         memo[key] = acc
     return memo[key]

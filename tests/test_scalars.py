@@ -188,7 +188,7 @@ int_laurents = st.dictionaries(st.integers(-4, 4), st.integers(-4, 4),
 
 @st.composite
 def rational_functions(draw):
-    """A ScalarQ with its (num, den) input: Laurent (den None) or a quotient,
+    """A ScalarQ with its (num, den) input: Laurent (no den given) or a quotient,
     with negative exponents and integral or non-integral coefficients."""
     num = draw(laurents)
     if draw(st.booleans()):
@@ -197,14 +197,16 @@ def rational_functions(draw):
     return ScalarQ(num, den), (num, den)
 
 
-def _assert_coefficient_types(x):
-    """Integral coefficients are int, the rest Fraction (never float), and
-    the shared denominator marks exactly the integer Laurent values."""
+def _assert_canonical(x):
+    """Only int coefficients are stored; the denominator is a polynomial with
+    nonzero constant term and positive leading coefficient; numerator and
+    denominator share no integer content; and the shared denominator marks
+    exactly the denominator 1."""
     for c in [*x._num.values(), *x._den.values()]:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
-    int_laurent = x._den == {0: 1} and all(type(c) is int
-                                          for c in x._num.values())
-    assert (x._den is _ONE_DEN) == int_laurent
+        assert type(c) is int, c
+    assert min(x._den) == 0 and x._den[max(x._den)] > 0, x._den
+    assert math.gcd(*x._num.values(), *x._den.values()) == 1
+    assert (x._den is _ONE_DEN) == (x._den == {0: 1})
 
 
 def _sym(d):
@@ -254,7 +256,7 @@ def test_field_operations_against_sympy_cancel(a, b, op, k):
     result = got()
     assert (result.num, result.den) == _sym_canonical(want())
     for z in (x, y, result):
-        _assert_coefficient_types(z)
+        _assert_canonical(z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,7 +264,7 @@ def test_field_operations_against_sympy_cancel(a, b, op, k):
 def test_fast_path_equals_general_constructor(a_num, b_num):
     a, b = ScalarQ(a_num), ScalarQ(b_num)
     # each fast-path value next to the value the general constructor builds
-    # from the same data (for + and *, the operands of the Euclidean path)
+    # from the same data (for + and *, the operands of the general path)
     cases = [
         (a, ScalarQ(a_num, {0: 1})),
         (a + b, ScalarQ(_lp_add(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den)),
@@ -277,29 +279,56 @@ def test_fast_path_equals_general_constructor(a_num, b_num):
         assert hash(fast) == hash(general)
         assert str(fast) == str(general)
         assert fast == general
-        _assert_coefficient_types(fast)
-        _assert_coefficient_types(general)
+        _assert_canonical(fast)
+        _assert_canonical(general)
 
 
-def test_rational_laurent_values_take_the_general_path():
+def test_rational_laurent_values_have_a_constant_denominator():
     # 1/2 q + 1/2 q = q: the sum of non-integral coefficients is integral
     half = ScalarQ({1: Fraction(1, 2)})
-    assert half._den is not _ONE_DEN and half.is_laurent()
+    assert (half._num, half._den) == ({1: 1}, {0: 2}) and half.is_laurent()
     for x in (half + half, half * ScalarQ.from_int(2), half / half):
-        _assert_coefficient_types(x)
+        _assert_canonical(x)
     assert half + half == Q(1) and (half + half)._num == {1: 1}
+    assert (half + half)._den is _ONE_DEN
 
 
-def test_inputs_are_stored_as_int_or_fraction():
+def test_inputs_are_stored_over_the_integers():
     x = ScalarQ({0: 0.5, 1: 2.0, 2: Fraction(4, 2), 3: 0, -1: True})
-    assert x._num == {0: Fraction(1, 2), 1: 2, 2: 2, -1: 1}
-    _assert_coefficient_types(x)
+    assert x.num == {0: Fraction(1, 2), 1: 2, 2: 2, -1: 1}
+    assert (x._num, x._den) == ({0: 1, 1: 4, 2: 4, -1: 2}, {0: 2})
+    _assert_canonical(x)
     y = ScalarQ({0: 3.0, 2: Fraction(6)}, {1: 2.0, 0: 0.0})
-    assert (y._num, y._den) == ({-1: Fraction(3, 2), 1: 3}, {0: 1})
-    _assert_coefficient_types(y)
+    assert (y.num, y.den) == ({-1: Fraction(3, 2), 1: 3}, {0: 1})
+    assert (y._num, y._den) == ({-1: 3, 1: 6}, {0: 2})
+    _assert_canonical(y)
     for z in (ZERO, ONE, ScalarQ({}, {3: 5}), Q(-2), q_int(4), -Q(3)):
-        _assert_coefficient_types(z)
+        _assert_canonical(z)
         assert z._den is _ONE_DEN
+
+
+@pytest.mark.parametrize("num, den, stored, text", [
+    # (2q+1)(q+3) / ((2q+1)(q-1)): a common factor with leading coefficient 2
+    ({0: 3, 1: 7, 2: 2}, {0: -1, 1: -1, 2: 2},
+     ({0: 3, 1: 1}, {0: -1, 1: 1}), "(q + 3)/(q - 1)"),
+    # (3q+1)(q+2) / ((3q+1)(2q+1)): pseudo-division must scale the dividend
+    ({0: 2, 1: 7, 2: 3}, {0: 1, 1: 5, 2: 6},
+     ({0: 2, 1: 1}, {0: 1, 1: 2}), "(1/2*q + 1)/(q + 1/2)"),
+    # 6(q+1)^2 / (-3(q+1)(q-1)(q+3)): a remainder with integer content
+    ({0: 6, 1: 12, 2: 6}, {0: 9, 1: 3, 2: -9, 3: -3},
+     ({0: -2, 1: -2}, {0: -3, 1: 2, 2: 1}), "(-2*q - 2)/(q^2 + 2*q - 3)"),
+    # (-2q-2) / (4q+4): integer content and sign
+    ({0: -2, 1: -2}, {0: 4, 1: 4}, ({0: -1}, {0: 2}), "-1/2"),
+    ({0: 0.5}, {0: 1}, ({0: 1}, {0: 2}), "1/2"),
+], ids=["non-monic-factor", "scaled-remainder", "remainder-content",
+        "content-and-sign", "float"])
+def test_integer_normal_form(num, den, stored, text):
+    x = ScalarQ(num, den)
+    assert (x._num, x._den) == stored
+    assert str(x) == text
+    _assert_canonical(x)
+    with pytest.raises(ScalarError, match="zero denominator"):
+        ScalarQ(num, {})
 
 
 def test_num_and_den_are_copies():
