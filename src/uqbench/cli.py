@@ -328,7 +328,7 @@ def cmd_rigidity_solve(args):
     algebra = TruncatedUg(datum, args.cap, args.window)
     seed_mono = _parse_mono(args.seed_coeff)
     d = identity_map(algebra, args.order, gens_only=True)
-    seed = SeriesElement(algebra, [algebra.one(), {seed_mono: Fraction(1)}]
+    seed = SeriesElement(algebra, [algebra.one(), {seed_mono: 1}]
                          + [{} for _ in range(max(0, args.order - 1))])
     d_prime = conjugate_map(seed, d, args.order)
     F, transcript = rigidity_conjugator(d, d_prime, args.order,
@@ -364,7 +364,7 @@ def cmd_trivialize(args):
         if mono not in GEN_MONO.values():
             raise ConfigError(f"plant source must be a generator: {plant!r}")
         image = {} if dst.strip() in {"0", ""} \
-            else {_parse_mono(dst.strip()): Fraction(1)}
+            else {_parse_mono(dst.strip()): 1}
         gen_images[mono] = image
     gauge = derivation_gauge(algebra, gen_images)
     mu = plant_deformation(algebra, gauge, args.order)

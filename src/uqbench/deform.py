@@ -2,10 +2,12 @@
 algebra.
 
 Everything lives inside a finite PBW window: monomials F^a H^b E^c with
-a + b + c <= cap, exact rational coefficients, and a smaller solve window of
+a + b + c <= cap, exact coefficients, and a smaller solve window of
 degree <= window (with 2 * window <= cap) from which unknowns are drawn.
 Products whose degrees sum beyond the cap raise CapError instead of being
-truncated, so no computation silently loses terms.
+truncated, so no computation silently loses terms.  The structure constants
+are ints, so integer data stay on int; only the linear solves divide, and
+_window_solve gives linalg.solve a Fraction zero and one.
 
 Contents:
 
@@ -28,6 +30,7 @@ Contents:
     one series algebra map into another order by order, and mult_trivialize
     removes a deformed multiplication through the coboundary equation
     f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz extensions.
+    Each solved order transports the current product by its step alone.
 
 Both solvers solve each order in one helper (_window_solve) and re-verify
 their output from the inputs through an identity with no inverse in it:
@@ -61,7 +64,7 @@ from .rootdata import RootDatum
 from .sparse import add_term, combine, scale
 
 Mono = tuple[int, int, int]  # exponents of F, H, E in normal order
-El = dict  # Mono -> Fraction
+El = dict  # Mono -> int | Fraction
 
 GEN_ORDER = ("E", "H", "F")
 GEN_MONO: dict[str, Mono] = {"F": (1, 0, 0), "H": (0, 1, 0), "E": (0, 0, 1)}
@@ -84,7 +87,7 @@ class TruncatedUg:
         if cap < 2:
             raise ConfigError("cap must be at least 2")
         self.datum = datum
-        self.kappa = Fraction(datum.pairing[0][0])
+        self.kappa = datum.pairing[0][0]
         self.cap = cap
         self.window = cap // 2 if window is None else window
         if self.window < 1 or 2 * self.window > cap:
@@ -95,12 +98,12 @@ class TruncatedUg:
     # -- constructors ------------------------------------------------------
 
     def one(self) -> El:
-        return {UNIT: Fraction(1)}
+        return {UNIT: 1}
 
     def gen(self, name: str) -> El:
         if name not in GEN_MONO:
             raise ConfigError(f"unknown generator {name!r}")
-        return {GEN_MONO[name]: Fraction(1)}
+        return {GEN_MONO[name]: 1}
 
     def basis(self, max_degree: int | None = None) -> list[Mono]:
         """All monomials of total degree <= max_degree (default: the solve
@@ -119,10 +122,10 @@ class TruncatedUg:
         k = self.kappa
         out: El = {}
         if g == "E":
-            add_term(out, (a, b, c + 1), Fraction(1))
+            add_term(out, (a, b, c + 1), 1)
         elif g == "H":
             # E^c H = (H - c kappa) E^c
-            add_term(out, (a, b + 1, c), Fraction(1))
+            add_term(out, (a, b + 1, c), 1)
             if c:
                 add_term(out, (a, b, c), -c * k)
         elif g == "F":
@@ -131,9 +134,9 @@ class TruncatedUg:
             for j in range(b + 1):
                 add_term(out, (a + 1, j, c), comb(b, j) * (-k) ** (b - j))
             if c:
-                add_term(out, (a, b + 1, c - 1), Fraction(c))
+                add_term(out, (a, b + 1, c - 1), c)
                 if c > 1:
-                    add_term(out, (a, b, c - 1), -k / 2 * c * (c - 1))
+                    add_term(out, (a, b, c - 1), -(k * c * (c - 1) // 2))
         else:
             raise ConfigError(f"unknown generator {g!r}")
         return out
@@ -144,7 +147,7 @@ class TruncatedUg:
         hit = self._mono_cache.get(key)
         if hit is not None:
             return hit
-        acc: El = {m1: Fraction(1)}
+        acc: El = {m1: 1}
         a, b, c = m2
         for g, reps in (("F", a), ("H", b), ("E", c)):
             for _ in range(reps):
@@ -195,10 +198,8 @@ class TruncatedUg:
                 for m3 in monos:
                     if d12 + sum(m3) > bound:
                         continue
-                    left = self.multiply(self.mono_mul(m1, m2),
-                                         {m3: Fraction(1)})
-                    right = self.multiply({m1: Fraction(1)},
-                                          self.mono_mul(m2, m3))
+                    left = self.multiply(self.mono_mul(m1, m2), {m3: 1})
+                    right = self.multiply({m1: 1}, self.mono_mul(m2, m3))
                     if left != right:
                         return False
         return True
@@ -208,13 +209,13 @@ class TruncatedUg:
 # Lie layer: generator brackets and the adjoint action
 # ---------------------------------------------------------------------------
 
-def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, Fraction]:
+def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, int]:
     """[x, y] for generator names, as a combination of generator names."""
     k = algebra.kappa
     table = {
         ("H", "E"): {"E": k},
         ("H", "F"): {"F": -k},
-        ("E", "F"): {"H": Fraction(1)},
+        ("E", "F"): {"H": 1},
     }
     if x == y:
         return {}
@@ -243,7 +244,7 @@ def _cochain2_lookup(f: dict, x: str, y: str) -> El:
     if (x, y) in f:
         return f[(x, y)]
     if (y, x) in f:
-        return scale(f[(y, x)], Fraction(-1))
+        return scale(f[(y, x)], -1)
     return {}
 
 
@@ -256,18 +257,13 @@ def _validate_cochain2(f: dict) -> None:
             raise ConfigError(f"2-cochain is not antisymmetric on ({x},{y})")
 
 
-def _eval_on_lie(f: dict, lie: dict[str, Fraction]) -> El:
+def _eval_on_lie(f: dict, lie: dict[str, int], z: str | None = None) -> El:
+    """A 1-cochain f on a combination of generators, or with z given, the
+    2-cochain f on (that combination, z)."""
     out: El = {}
     for g, c in lie.items():
-        for m, v in f.get(g, {}).items():
-            add_term(out, m, c * v)
-    return out
-
-
-def _eval2_on_lie(f: dict, lie: dict[str, Fraction], z: str) -> El:
-    out: El = {}
-    for g, c in lie.items():
-        for m, v in _cochain2_lookup(f, g, z).items():
+        val = f.get(g, {}) if z is None else _cochain2_lookup(f, g, z)
+        for m, v in val.items():
             add_term(out, m, c * v)
     return out
 
@@ -309,11 +305,11 @@ def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
         term = combine(term, act(y, _cochain2_lookup(f, x, z)), -1)
         term = combine(term, act(z, _cochain2_lookup(f, x, y)))
         term = combine(
-            term, _eval2_on_lie(f, lie_bracket(algebra, x, y), z), -1)
+            term, _eval_on_lie(f, lie_bracket(algebra, x, y), z), -1)
         term = combine(
-            term, _eval2_on_lie(f, lie_bracket(algebra, x, z), y))
+            term, _eval_on_lie(f, lie_bracket(algebra, x, z), y))
         term = combine(
-            term, _eval2_on_lie(f, lie_bracket(algebra, y, z), x), -1)
+            term, _eval_on_lie(f, lie_bracket(algebra, y, z), x), -1)
         return {(x, y, z): term}
     raise ConfigError(f"cochain degree must be 0, 1 or 2, got {n}")
 
@@ -386,7 +382,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
     t_deg = min(algebra.cap,
                 max(algebra.window + max(deg_d0, 0), deg_f, algebra.window))
     sol = _window_solve(
-        (((act(g, {m: Fraction(1)}) for m in unknowns), f.get(g, {}))
+        (((act(g, {m: 1}) for m in unknowns), f.get(g, {}))
          for g in GEN_ORDER),
         len(unknowns), algebra.basis(t_deg),
         f"coboundary equation has no solution within the window{at}", order)
@@ -504,7 +500,7 @@ def identity_map(algebra: TruncatedUg, upto: int,
                  gens_only: bool = False) -> SeriesMap:
     monos = [GEN_MONO[g] for g in GEN_ORDER] if gens_only \
         else algebra.basis(algebra.window)
-    cols = {m: [{m: Fraction(1)}] + [{} for _ in range(upto)] for m in monos}
+    cols = {m: [{m: 1}] + [{} for _ in range(upto)] for m in monos}
     return SeriesMap(algebra=algebra, columns=cols)
 
 
@@ -620,29 +616,31 @@ def _add_scaled(acc: El, x: El, c) -> None:
             add_term(acc, m, c if cm == 1 else c * cm)
 
 
-def _table_entry(mu_n: dict, m1: Mono, m2: Mono, strict: bool) -> El:
-    """mu_n(m1, m2) read in place from the table (callers never mutate it);
-    a missing pair is zero for sparse higher-order terms and an error for
-    the order-0 table."""
-    entry = mu_n.get((m1, m2))
-    if entry is None:
-        if strict:
-            raise CapError(
-                f"multiplication table has no entry for ({m1}, {m2})")
-        return {}
-    return entry
+_NO_ENTRY = "multiplication table has no entry for"
+_NO_COLUMN = "gauge map is not defined on monomial"
+
+
+def _entry(table: dict, key, strict: bool, missing: str) -> El:
+    """table[key] read in place (callers never mutate it): a monomial pair
+    of a multiplication table, or a monomial column of one order of a map
+    series.  A missing key is zero in sparse higher-order terms and, where
+    strict (order 0), a CapError saying `missing` and the key."""
+    entry = table.get(key)
+    if entry is None and strict:
+        raise CapError(f"{missing} {key}")
+    return {} if entry is None else entry
 
 
 def _mu_term(mu_n: dict, x: El, y: El, strict: bool,
              out: El | None = None) -> El:
     """Add a bilinear order term evaluated on two elements to `out` (a new
-    dict by default) and return it; missing pairs as in `_table_entry`."""
+    dict by default) and return it; missing pairs as in `_entry`."""
     out = {} if out is None else out
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
             if c:
-                _add_scaled(out, _table_entry(mu_n, m1, m2, strict), c)
+                _add_scaled(out, _entry(mu_n, (m1, m2), strict, _NO_ENTRY), c)
     return out
 
 
@@ -661,7 +659,10 @@ def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:
 
 
 def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
-    """First nonzero associativity defect at hbar-order n, or None."""
+    """First nonzero associativity defect at hbar-order n, or None.  Only
+    splits i + j = n with both order terms nonzero can contribute."""
+    splits = [(i, n - i) for i in range(n + 1)
+              if i < len(mu) and n - i < len(mu) and mu[i] and mu[n - i]]
     monos = algebra.basis(algebra.window)
     for m1 in monos:
         d1 = sum(m1)
@@ -673,13 +674,10 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
                 if d12 + sum(m3) > algebra.window:
                     continue
                 acc: El = {}
-                for i in range(n + 1):
-                    j = n - i
-                    if i >= len(mu) or j >= len(mu):
-                        continue
-                    inner = _table_entry(mu[j], m1, m2, strict=(j == 0))
+                for i, j in splits:
+                    inner = _entry(mu[j], (m1, m2), j == 0, _NO_ENTRY)
                     _mu_term(mu[i], inner, {m3: 1}, strict=(i == 0), out=acc)
-                    inner = _table_entry(mu[j], m2, m3, strict=(j == 0))
+                    inner = _entry(mu[j], (m2, m3), j == 0, _NO_ENTRY)
                     right = _mu_term(mu[i], {m1: 1}, inner, strict=(i == 0))
                     for m, c in right.items():
                         add_term(acc, m, -c)
@@ -702,9 +700,9 @@ def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
             continue
         g = (1, 0, 0) if a else (0, 1, 0) if b else (0, 0, 1)
         w = (a - g[0], b - g[1], c - g[2])
-        acc = algebra.multiply({g: Fraction(1)}, cols[w]) if w in cols else {}
+        acc = algebra.multiply({g: 1}, cols[w]) if w in cols else {}
         if g in cols:
-            acc = combine(acc, algebra.multiply(cols[g], {w: Fraction(1)}))
+            acc = combine(acc, algebra.multiply(cols[g], {w: 1}))
         if f.get((g, w)):
             acc = combine(acc, f[(g, w)], -1)
         if acc:
@@ -734,7 +732,7 @@ def _homogeneous_gauges(algebra: TruncatedUg, std: dict) -> tuple[list, list]:
     the algebra, so `mult_trivialize` builds them once for all orders."""
     unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
                                  for im in algebra.basis(1)]
-    homogeneous = [_leibniz(algebra, {m: {im: Fraction(1)}}, {})
+    homogeneous = [_leibniz(algebra, {m: {im: 1}}, {})
                    for m, im in unknowns]
     return homogeneous, [((x, y), [_gauge_defect(std, b, x, y)
                                    for b in homogeneous])
@@ -777,30 +775,17 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
 
 
 def identity_columns(algebra: TruncatedUg) -> dict:
-    return {m: {m: Fraction(1)} for m in algebra.basis(algebra.window)}
-
-
-def _column(series: list, k: int, m: Mono) -> El:
-    """Column m of the order-k coefficient of a map series, read in place
-    (callers never mutate it); order 0 must cover m, higher orders treat a
-    missing column as zero."""
-    cols = series[k] if k < len(series) else {}
-    img = cols.get(m)
-    if img is None:
-        if k == 0:
-            raise CapError(f"gauge map is not defined on monomial {m}")
-        return {}
-    return img
+    return {m: {m: 1} for m in algebra.basis(algebra.window)}
 
 
 def _apply_order_term(series: list, k: int, x: El,
                       out: El | None = None) -> El:
     """Add the order-k coefficient of a map series applied to x to `out` (a
-    new dict by default) and return it; missing columns as in `_column`."""
+    new dict by default) and return it; missing columns as in `_entry`."""
     out = {} if out is None else out
     for m, c in x.items():
         if c:
-            _add_scaled(out, _column(series, k, m), c)
+            _add_scaled(out, _entry(series[k], m, k == 0, _NO_COLUMN), c)
     return out
 
 
@@ -819,12 +804,13 @@ def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
 
     By bilinearity the order-n term on (x, y) is sum_i v_i(P_{n-i}) with
     P_s = sum_{l+j+k=s} mu_l(vinv_j x, vinv_k y), so each product is formed
-    once, not once for every order it feeds.
+    once, not once for every order it feeds.  v and vinv carry every order
+    0..upto (an empty dict for a zero order).
     """
     out: list[dict] = [{} for _ in range(upto + 1)]
     for (m1, m2) in window_pairs(algebra):
-        xs = [_column(vinv, j, m1) for j in range(upto + 1)]
-        ys = [_column(vinv, k, m2) for k in range(upto + 1)]
+        xs = [_entry(vinv[j], m1, j == 0, _NO_COLUMN) for j in range(upto + 1)]
+        ys = [_entry(vinv[k], m2, k == 0, _NO_COLUMN) for k in range(upto + 1)]
         prods: list[El] = []
         for s in range(upto + 1):
             acc: El = {}
@@ -927,14 +913,12 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
         step = [identity_columns(algebra)] + [beta if k == n else {}
                                               for k in range(1, upto + 1)]
         v_total = _series_mul(_compose, step, v_total, upto)
-        vinv = _map_series_inverse(algebra, v_total, upto)
-        current = _transport_table(algebra, mu, v_total, vinv, upto)
+        current = _transport_table(algebra, current, step,
+                                   _map_series_inverse(algebra, step, upto),
+                                   upto)
 
-    monos = algebra.basis(algebra.window)
     result = SeriesMap(algebra=algebra, columns={
-        m: [v_total[k].get(m, {m: Fraction(1)} if k == 0 else {})
-            for k in range(upto + 1)]
-        for m in monos})
+        m: [v_k.get(m, {}) for v_k in v_total] for m in v_total[0]})
     residuals = trivialization_residuals(algebra, mu, result, upto)
     if residuals:
         n, pair = residuals[0]

@@ -64,6 +64,12 @@ DualVector = tuple[int, ...]
 Term = tuple[Word, DualVector, Word]  # (f_word, cartan index, e_word)
 CMono = tuple[Word, tuple[int, ...]]  # (f_word, n): F-word . t^n
 
+
+def _times(a: ScalarQ, b: ScalarQ) -> ScalarQ:
+    """a * b, with no product formed when either factor is one."""
+    return a if b.is_one() else b if a.is_one() else a * b
+
+
 class UqElement(Sparse):
     """Sparse combination of normal-ordered terms."""
 
@@ -116,8 +122,11 @@ class UqContext:
 
     # -- small helpers ------------------------------------------------------
 
-    def lam_apply(self, lam: Sequence[int], deg: Sequence[int]) -> int:
-        beta = self.datum.root_combination(deg)
+    def _cross(self, lam: DualVector, w: Word) -> int:
+        """lam(deg w), the q-exponent of K_lam crossing the word w."""
+        if not w or not any(lam):
+            return 0
+        beta = self.datum.root_combination(self.nichols.space.word_degree(w))
         return sum(a * b for a, b in zip(lam, beta))
 
     def _t_index(self, n: Sequence[int]) -> DualVector:
@@ -129,6 +138,8 @@ class UqContext:
         return tuple(lam)
 
     def reduce_word(self, w: Word) -> list[tuple[Word, ScalarQ]]:
+        if not w:
+            return [(w, ONE)]
         if len(w) > self.cap:
             raise CapError(f"word degree {len(w)} above cap {self.cap}")
         deg = self.nichols.space.word_degree(w)
@@ -145,16 +156,16 @@ class UqContext:
         """The product of two PBW terms in normal order, possibly with
         repeated terms."""
         (f1, l1, e1), (f2, l2, e2) = t1, t2
-        degree = self.nichols.space.word_degree
         out = []
         for (fa, mu, ea), c in self._reorder(e1, f2):
             # f1 . K_l1 . fa . K_mu . ea . K_l2 . e2
-            cross = ScalarQ.q_power(-self.lam_apply(l1, degree(fa))
-                                    - self.lam_apply(l2, degree(ea)))
+            k = self._cross(l1, fa) + self._cross(l2, ea)
+            c = c * ScalarQ.q_power(-k) if k else c
             lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
             for fw, cf in self.reduce_word(f1 + fa):
+                cf = _times(c, cf)
                 for ew, ce in self.reduce_word(ea + e2):
-                    out.append(((fw, lam, ew), c * cross * cf * ce))
+                    out.append(((fw, lam, ew), _times(cf, ce)))
         return out
 
     def _reorder(self, e: Word, f: Word) -> list[tuple[Term, ScalarQ]]:

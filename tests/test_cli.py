@@ -6,6 +6,7 @@ accidental dict-order dependence cannot hide.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -431,3 +432,33 @@ def test_preset_env_var_reaches_cli(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["dims"]["(2,)"] == 1
+
+
+# sha256 of deformation-solver reports as the Fraction-coefficient,
+# full-transport solvers printed them; the integer and step-transport paths
+# must print the same bytes.  The exit-3 report is a rigidity window escape.
+GOLDEN_DEFORM_REPORTS = [
+    ("trivialize --cap 6 --window 3 --order 3 --plant E=H", 0,
+     "03f3614c4cabac582e6038699d6281c284545341050d4c6f3085efd241b54b82"),
+    ("trivialize --cap 6 --window 3 --order 5 --plant E=H --plant F=H", 0,
+     "064fc4af4cd6b5c1e7493a9cd76be57dd5af86cde547eaca621506bdbff28836"),
+    ("trivialize --cap 8 --window 4 --order 3 --plant H=1,0,0 "
+     "--plant E=0,1,0", 0,
+     "10541aaced95dded9e62b6747a799c18f4dadc218e32fde3aa60bd4cf00a4b91"),
+    ("trivialize --cap 4 --window 2 --order 2", 0,
+     "74cee18e573961da7693fafec33403296b5abb1fb9bfc9634fd43b0d21d56b7b"),
+    ("rigidity-solve --cap 8 --window 4 --order 4 --seed-coeff H --prime 3",
+     0, "2a33ecf8624531d43e2fea4916253373c955c8ed5536027c08238e55e121d44a"),
+    ("rigidity-solve --cap 12 --window 6 --order 8 --seed-coeff F --prime 3",
+     0, "b1129c9136e0417f01e8d3f36e7b3c8c967e5ada5cca906aff960708a8963271"),
+    ("rigidity-solve --cap 8 --window 4 --order 6 --seed-coeff 1,0,1", 3,
+     "011c0c5eeca2cbf354091ce0607a64ebbce49bbbf160750576d4f9a0a2a209f5"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_DEFORM_REPORTS)
+def test_deformation_reports_are_byte_identical(argv, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -9,6 +9,7 @@ Obstructed inputs are pinned as errors with the failing order attached.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,8 +27,8 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             trivialization_residuals, window_pairs,
                             rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
-from uqbench.rootdata import load_datum
-from uqbench.sparse import combine
+from uqbench.rootdata import PRESET_ENV, load_datum
+from uqbench.sparse import add_term, combine
 
 A1 = load_datum("A1")
 E, H, F = GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"]
@@ -575,6 +576,116 @@ def test_transport_missing_order_zero_entries_raise():
             fn(a, [std], short, v, 3)
         with pytest.raises(CapError):
             fn(a, [std], v, short, 3)
+
+
+@pytest.mark.parametrize("upto", [3, 4, 5])
+@pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
+def test_step_transport_matches_full_transport(plant, upto, monkeypatch):
+    # After every solved order the solver's table, updated by the new step
+    # alone, equals the input transported from scratch through the whole
+    # gauge so far, v(mu(v^-1 x, v^-1 y)).
+    a = alg(6, 3)
+    mu = plant_deformation(a, derivation_gauge(a, BENCH_PLANTS[plant]), upto)
+    solve_order, transport = deform._solve_gauge_order, _transport_table
+    betas, tables = [], []
+
+    def record_solve(algebra, f_n, order, *rest):
+        beta = solve_order(algebra, f_n, order, *rest)
+        betas.append((order, beta))
+        return beta
+
+    def record_transport(*args):
+        tables.append(transport(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(deform, "_solve_gauge_order", record_solve)
+    monkeypatch.setattr(deform, "_transport_table", record_transport)
+    mult_trivialize(a, mu, upto)
+    assert len(tables) == len(betas)
+    assert betas or not any(mu[1:])
+    v = [identity_columns(a)] + [{} for _ in range(upto)]
+    for (n, beta), table in zip(betas, tables):
+        step = [identity_columns(a)] + [beta if k == n else {}
+                                        for k in range(1, upto + 1)]
+        v = _series_mul(_compose, step, v, upto)
+        assert table == transport(a, mu, v, _map_series_inverse(a, v, upto),
+                                  upto)
+        assert table[0] == standard_multiplication(a)
+        assert not any(table[1:n + 1])
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients, and Fractions wherever a solve divides
+# ---------------------------------------------------------------------------
+
+def test_mono_mul_coefficients_are_int():
+    a = alg(6, 3)
+    monos = a.basis(3)
+    for m1 in monos:
+        for m2 in monos:
+            prod = a.mono_mul(m1, m2)
+            assert prod and all(type(c) is int for c in prod.values())
+
+
+def _rmul_gen_fraction(m, g, kappa):
+    """(F^a H^b E^c) g over the rationals, the F-rule coefficient
+    (kappa/2) c (c-1) taken by division."""
+    a, b, c = m
+    k = Fraction(kappa)
+    if g == "E":
+        return {(a, b, c + 1): Fraction(1)}
+    out: dict = {}
+    if g == "H":
+        add_term(out, (a, b + 1, c), Fraction(1))
+        add_term(out, (a, b, c), -c * k)
+        return out
+    for j in range(b + 1):
+        add_term(out, (a + 1, j, c), comb(b, j) * (-k) ** (b - j))
+    add_term(out, (a, b + 1, c - 1), Fraction(c))
+    add_term(out, (a, b, c - 1), -k / 2 * c * (c - 1))
+    return out
+
+
+def _check_integer_rule(a, kappa):
+    for m in a.basis(a.cap - 1):
+        for g in GEN_ORDER:
+            got = a._rmul_gen(m, g)
+            assert got == _rmul_gen_fraction(m, g, kappa), (m, g)
+            assert all(type(c) is int for c in got.values())
+    assert a.check_relations()
+    assert a.check_associativity(a.cap)
+
+
+@pytest.mark.parametrize("kappa", [1, 3])
+def test_integer_f_rule_with_odd_kappa(kappa):
+    # RootDatum refuses odd self-pairings, so the window's kappa is set
+    # directly; c (c-1) is even, so kappa c (c-1) // 2 is still exact.
+    a = TruncatedUg(A1, 5, 2)
+    a.kappa = kappa
+    _check_integer_rule(a, kappa)
+
+
+def test_integer_f_rule_on_a_preset_with_kappa_four(tmp_path, monkeypatch):
+    (tmp_path / "K4.json").write_text(
+        '{"name": "K4", "rank": 1, "pairing": [[4]], '
+        '"simple_roots": [[2]], "coroots": [[1]]}')
+    monkeypatch.setenv(PRESET_ENV, str(tmp_path))
+    a = TruncatedUg(load_datum("K4"), 5, 2)
+    assert a.kappa == 4 and type(a.kappa) is int
+    _check_integer_rule(a, 4)
+
+
+def test_window_solve_on_integer_rows_returns_fractions():
+    # 2x = 1 on integer rows is exact 1/2, never the float 0.5
+    sol = deform._window_solve([([{UNIT: 2}], {UNIT: 1})], 1, [UNIT],
+                               "unsolvable", None)
+    assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
+    sol = deform._window_solve([([{UNIT: 2}, {E: 3}], {UNIT: 4, E: 3})], 2,
+                               [UNIT, E], "unsolvable", None)
+    assert sol == [2, 1] and all(type(s) is Fraction for s in sol)
+    with pytest.raises(ObstructionError):
+        deform._window_solve([([{UNIT: 2}], {E: 1})], 1, [UNIT, E],
+                             "unsolvable", 4)
 
 
 # ---------------------------------------------------------------------------

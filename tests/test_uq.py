@@ -219,6 +219,47 @@ def test_term_mul_matches_the_product_of_generators(a2):
     assert a2._term_mul(((), zero, ()), t2) == [(t2, ONE)]
 
 
+def _term_mul_unshortcut(ctx, t1, t2):
+    """`_term_mul` with no shortcut: every crossing exponent computed, the
+    empty word reduced through its Nichols basis, and every factor, 1 or
+    not, multiplied in."""
+    (f1, l1, e1), (f2, l2, e2) = t1, t2
+    nichols = ctx.nichols
+
+    def cross(lam, w):
+        beta = ctx.datum.root_combination(nichols.space.word_degree(w))
+        return sum(a * b for a, b in zip(lam, beta))
+
+    def reduce(w):
+        return nichols.nichols_basis(
+            nichols.space.word_degree(w)).reduction[w].items()
+
+    out = []
+    for (fa, mu, ea), c in ctx._reorder(e1, f2):
+        q = Q(-cross(l1, fa) - cross(l2, ea))
+        lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
+        for fw, cf in reduce(f1 + fa):
+            for ew, ce in reduce(ea + e2):
+                out.append(((fw, lam, ew), c * q * cf * ce))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "b2"])
+def test_term_mul_shortcuts_match_the_full_product(name, request):
+    # Terms with empty F- or E-words and zero or nonzero K indices: the
+    # products that skip crossings, reductions and factors of 1.  The word
+    # (1, 0, 0) is not a Nichols basis word, so a skipped reduction shows.
+    ctx = request.getfixturevalue(name)
+    assert ctx.reduce_word((1, 0, 0)) != [((1, 0, 0), ONE)]
+    words = [(), (0,), (1,), (1, 0), (1, 0, 0)]
+    lams = [ctx._zero_dual, ctx.datum.t_indices[0],
+            tuple(-x for x in ctx.datum.t_indices[1])]
+    terms = [(f, lam, e) for f in words for lam in lams for e in words[:4]]
+    for t1 in terms:
+        for t2 in terms:
+            assert ctx._term_mul(t1, t2) == _term_mul_unshortcut(ctx, t1, t2)
+
+
 def test_antipode_is_algebra_antihomomorphism(a1):
     elts = _sample_elements(a1, seed=13, count=4)
     for x in elts[:3]:
