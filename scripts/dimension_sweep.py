@@ -11,7 +11,7 @@ import itertools
 import sys
 import time
 
-from uqbench.nichols import NicholsContext
+from uqbench.nichols import NicholsContext, words_of_degree
 from uqbench.rootdata import load_datum
 
 
@@ -29,7 +29,7 @@ def sweep(name, max_total):
     print(f"{'degree':>12} {'words':>7} {'dim':>5} {'radical':>8}")
     start = time.monotonic()
     for deg in degree_range(datum.rank, max_total):
-        words = len(ctx.nichols_basis(deg).words)
+        words = len(words_of_degree(deg))
         dim = ctx.nichols_dim(deg)
         rad = len(ctx.radical_basis(deg))
         print(f"{str(deg):>12} {words:>7} {dim:>5} {rad:>8}")

@@ -365,6 +365,9 @@ def cmd_trivialize(args):
             raise ConfigError(f"plant source must be a generator: {plant!r}")
         image = {} if dst.strip() in {"0", ""} \
             else {_parse_mono(dst.strip()): 1}
+        # a higher-degree image leaves every window: no cap decides it
+        if any(sum(m) > 1 for m in image):
+            raise ConfigError(f"plant image must have degree <= 1: {plant!r}")
         gen_images[mono] = image
     gauge = derivation_gauge(algebra, gen_images)
     mu = plant_deformation(algebra, gauge, args.order)
@@ -522,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--order", type=int, default=1)
     p.add_argument("--plant", action="append", default=None,
-                   help="generator image of the planted gauge, like E=H "
-                        "(repeatable; default E=H)")
+                   help="generator image of the planted gauge, like E=H, "
+                        "of degree <= 1 (repeatable; default E=H)")
 
     return parser
 

@@ -6,30 +6,39 @@ tensor square.
 
 The bilinear form starts from <v_i, v_j> = delta_ij / (q_i - q_i^{-1}) and
 extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
-<x, a> <y, b> and no braiding twist.  Its radical per multidegree is the
-kernel of the Gram matrix on words; the Nichols algebra is the quotient, with
-dimension the Gram rank.  Basis words are the greedy lexicographic pivots of
-the Gram elimination, so reduction is deterministic.
+<x, a> <y, b> and no braiding twist.  It is symmetric, and its radical is a
+graded ideal; the Nichols algebra is the quotient, with dimension per
+multidegree the Gram rank.  Basis words are the greedy lexicographic pivots:
+a word is a basis word when it is not congruent, modulo the radical, to a
+combination of lex-earlier words.  So reduction is deterministic.
+
+Only the right extensions need the Gram matrix.  A non-basis word w' of
+degree beta - alpha_i is congruent to a combination of earlier words, and
+since the radical is an ideal so is w' i: every basis word of beta is b i
+with b a basis word of beta - alpha_i (Kharchenko 1999).  These words b i
+are the candidates of beta.  Congruent words have equal Gram rows, so every
+row is a combination of candidate rows, and `nichols_basis` eliminates the
+candidate Gram matrix alone with `linalg.rref`: its pivots are the basis
+words and its columns the reductions of the candidates.
+
+Other reductions are built on demand and kept by `reduce_word`: a
+non-candidate w' i reduces as (reduce w') i, a combination of candidates,
+followed by the candidate reductions.  Dimensions never build one.
 
 Every Gram entry of multidegree deg is prod_i <v_i, v_i>^{deg_i} times a
-Laurent polynomial in q with integer coefficients, and scaling the rows by
-that constant changes neither the pivots nor the reduced form.  So the Gram
-matrix is kept as integer Laurent polynomials and eliminated fraction-free
-(`linalg.rref_laurent`): exactly, with a coefficient bound on every minor
-that makes the integer (Kronecker) encoding lossless.  The pivot words and
-reductions are those of `linalg.rref` over Q(q); a rational function is
-built only for the entries of the final reduction.
+Laurent polynomial in q with integer coefficients (`_pair_words`).  Scaling
+the Gram matrix by that constant changes neither the pivots nor the reduced
+form, so it is left out of the elimination; `pairing_eval` multiplies it
+back in.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping
 
 from .braiding import BraidedSpace, TensorElement, Word
 from .errors import CapError, ConfigError
-from .linalg import rref_laurent
+from .linalg import rref
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial
 from .sparse import add_term
@@ -54,10 +63,15 @@ def diagonal_space(datum: RootDatum) -> BraidedSpace:
 
 def words_of_degree(deg: Degree) -> list[Word]:
     """All arrangements of the multiset with deg[i] copies of letter i, lex sorted."""
-    letters: list[int] = []
-    for i, k in enumerate(deg):
-        letters.extend([i] * k)
-    return sorted(set(itertools.permutations(letters)))
+    if not any(deg):
+        return [()]
+    return [(i,) + w for i, k in enumerate(deg) if k > 0
+            for w in words_of_degree(_lower(deg, i))]
+
+
+def _lower(deg: Degree, i: int) -> Degree:
+    """deg - alpha_i."""
+    return deg[:i] + (deg[i] - 1,) + deg[i + 1:]
 
 
 def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
@@ -87,7 +101,7 @@ def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
 # ---------------------------------------------------------------------------
 
 class NicholsContext:
-    """Caches Gram matrices, pivot bases, and reductions for one datum.
+    """Caches pairings, pivot bases and reductions for one datum.
 
     The degree cap bounds the total degree of any word entering the pairing
     or reduction; crossing it raises CapError rather than truncating.
@@ -102,6 +116,7 @@ class NicholsContext:
         self.cap = cap
         self._pair_memo: dict[tuple[Word, Word], dict[int, int]] = {}
         self._basis_cache: dict[Degree, "NicholsBasis"] = {}
+        self._reductions: dict[Word, dict[Word, ScalarQ]] = {}
 
     # -- pairing ------------------------------------------------------------
 
@@ -114,13 +129,15 @@ class NicholsContext:
         for wx, cx in x.terms.items():
             if len(wx) > self.cap:
                 raise CapError(f"word degree {len(wx)} above cap {self.cap}")
+            deg = self.space.word_degree(wx)
             for wy, cy in y.terms.items():
                 if len(wy) > self.cap:
                     raise CapError(f"word degree {len(wy)} above cap {self.cap}")
+                if self.space.word_degree(wy) != deg:
+                    continue
                 v = self._pair_words(wx, wy)
                 if v:
-                    scale = self._gram_scale(self.space.word_degree(wx))
-                    out = out + cx * cy * scale * ScalarQ(v)
+                    out = out + cx * cy * self._gram_scale(deg) * ScalarQ(v)
         return out
 
     def _gram_scale(self, deg: Degree) -> ScalarQ:
@@ -131,15 +148,11 @@ class NicholsContext:
         return out
 
     def _pair_words(self, x: Word, y: Word) -> dict[int, int]:
-        """<x, y> divided by `_gram_scale` of its degree: a Laurent polynomial
-        {exponent: int} with integer coefficients.  Results are shared through
-        the memo and must not be mutated."""
-        if len(x) != len(y):
-            return {}
+        """<x, y> for two words of one degree, divided by `_gram_scale` of it:
+        a Laurent polynomial {exponent: int} with integer coefficients.
+        Results are shared through the memo and must not be mutated."""
         if not x:
             return _LAURENT_ONE
-        if self.space.word_degree(x) != self.space.word_degree(y):
-            return {}
         key = (x, y)
         hit = self._pair_memo.get(key)
         if hit is not None:
@@ -164,52 +177,71 @@ class NicholsContext:
         self._pair_memo[key] = acc
         return acc
 
-    # -- Gram data per multidegree -------------------------------------------
+    # -- basis and reduction per multidegree ----------------------------------
 
     def graded_gram(self, deg: Degree) -> tuple[list[Word], list[list[dict[int, int]]]]:
-        """The words of degree deg and their Gram matrix divided by `_gram_scale`."""
+        """The candidate words b i of degree deg, b a basis word of
+        deg - alpha_i, lex sorted, and their Gram matrix divided by
+        `_gram_scale`."""
         if sum(deg) > self.cap:
             raise CapError(f"multidegree {deg} has total degree above cap {self.cap}")
-        words = words_of_degree(deg)
+        if not any(deg):
+            words = [()]
+        else:
+            words = sorted(b + (i,) for i, k in enumerate(deg) if k > 0
+                           for b in self.nichols_basis(_lower(deg, i)).basis_words)
         gram = [[self._pair_words(u, w) for w in words] for u in words]
         return words, gram
 
     def nichols_basis(self, deg: Degree) -> "NicholsBasis":
+        """The basis words of degree deg; reduces the candidates on the way."""
         hit = self._basis_cache.get(deg)
         if hit is not None:
             return hit
         words, gram = self.graded_gram(deg)
-        red, pivots = rref_laurent(gram)
-        basis_words = [words[c] for c in pivots]
-        pivot_set = set(pivots)
-        reduction: dict[Word, dict[Word, ScalarQ]] = {}
+        red, pivots = rref([[ScalarQ(e) for e in row] for row in gram], ZERO, ONE)
         for c, w in enumerate(words):
-            if c in pivot_set:
-                reduction[w] = {w: ONE}
-            else:
-                expr: dict[Word, ScalarQ] = {}
-                for r, pc in enumerate(pivots):
-                    if red[r][c]:
-                        expr[words[pc]] = ScalarQ(red[r][c], red[r][pc])
-                reduction[w] = expr
-        nb = NicholsBasis(degree=deg, words=tuple(words), basis_words=tuple(basis_words),
-                          reduction=reduction)
+            self._reductions[w] = {words[pc]: red[r][c]
+                                   for r, pc in enumerate(pivots) if red[r][c]}
+        nb = NicholsBasis(degree=deg, basis_words=tuple(words[c] for c in pivots))
         self._basis_cache[deg] = nb
         return nb
 
     def nichols_dim(self, deg: Degree) -> int:
         return len(self.nichols_basis(deg).basis_words)
 
+    def reduce_word(self, w: Word) -> dict[Word, ScalarQ]:
+        """{basis word: coefficient}, basis words in lex order: the
+        combination that w is congruent to modulo the radical.  Shared
+        through the memo; must not be mutated."""
+        hit = self._reductions.get(w)
+        if hit is not None:
+            return hit
+        if len(w) > self.cap:
+            raise CapError(f"word degree {len(w)} above cap {self.cap}")
+        self.nichols_basis(self.space.word_degree(w))
+        hit = self._reductions.get(w)
+        if hit is None:
+            # w = w' i is no candidate: (reduce w') i is a combination of
+            # candidates b i, whose reductions are known now
+            tail = w[-1:]
+            acc: dict[Word, ScalarQ] = {}
+            for b, a in self.reduce_word(w[:-1]).items():
+                for u, c in self._reductions[b + tail].items():
+                    add_term(acc, u, a * c)
+            hit = self._reductions[w] = {u: acc[u] for u in sorted(acc)}
+        return hit
+
     def radical_basis(self, deg: Degree) -> list[TensorElement]:
         """One radical vector per non-pivot word w: w minus its reduction."""
-        nb = self.nichols_basis(deg)
         out = []
-        for w in nb.words:
-            red = nb.reduction[w]
+        for w in words_of_degree(deg):
+            red = self.reduce_word(w)
             if w in red:
                 continue
-            out.append(TensorElement({u: ONE if u == w else -red[u]
-                                      for u in nb.words if u == w or u in red}))
+            terms = {u: -c for u, c in red.items()}
+            terms[w] = ONE
+            out.append(TensorElement({u: terms[u] for u in sorted(terms)}))
         return out
 
     def reduce_mod_radical(self, x: TensorElement) -> TensorElement:
@@ -218,11 +250,7 @@ class NicholsContext:
         Handles inhomogeneous input degree by degree."""
         out = TensorElement()
         for w, coef in x.terms.items():
-            if len(w) > self.cap:
-                raise CapError(f"word degree {len(w)} above cap {self.cap}")
-            deg = self.space.word_degree(w)
-            nb = self.nichols_basis(deg)
-            for bw, c in nb.reduction[w].items():
+            for bw, c in self.reduce_word(w).items():
                 out.add_term(bw, coef * c)
         return out
 
@@ -232,12 +260,10 @@ class NicholsContext:
 
 @dataclass(frozen=True)
 class NicholsBasis:
-    """Pivot words of one multidegree plus the reduction of every word."""
+    """The pivot words of one multidegree, lex sorted."""
 
     degree: Degree
-    words: tuple[Word, ...]
     basis_words: tuple[Word, ...]
-    reduction: Mapping[Word, Mapping[Word, ScalarQ]]
 
 
 def serre_element(datum: RootDatum, i: int, j: int) -> TensorElement:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .braiding import Word
-from .errors import CapError, ConfigError
+from .errors import ConfigError
 from .nichols import NicholsContext
 from .rootdata import RootDatum
 from .scalars import ScalarQ
@@ -138,13 +138,7 @@ class UqContext:
         return tuple(lam)
 
     def reduce_word(self, w: Word) -> list[tuple[Word, ScalarQ]]:
-        if not w:
-            return [(w, ONE)]
-        if len(w) > self.cap:
-            raise CapError(f"word degree {len(w)} above cap {self.cap}")
-        deg = self.nichols.space.word_degree(w)
-        nb = self.nichols.nichols_basis(deg)
-        return [(bw, c) for bw, c in nb.reduction[w].items()]
+        return list(self.nichols.reduce_word(w).items())
 
     def is_reduced(self, w: Word) -> bool:
         red = self.reduce_word(w)

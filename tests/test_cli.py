@@ -118,6 +118,14 @@ NEGATIVE_EXPONENT = [
     ["trivialize", "--plant=E=0,-1,2"],
 ]
 
+# a plant image of degree above 1 gives a gauge that leaves every window,
+# so no cap decides it: exit 2, not 3
+HIGH_DEGREE_PLANT = [
+    ["trivialize", "--cap", "8", "--window", "4", "--plant", "F=2,0,0"],
+    ["trivialize", "--cap", "6", "--window", "3", "--plant", "E=H",
+     "--plant", "E=1,1,0"],
+]
+
 
 @pytest.mark.parametrize("args", [
     ["converge-cert", "--p", "4", "--vh", "1"],
@@ -133,6 +141,7 @@ NEGATIVE_EXPONENT = [
     ["rigidity-solve", "--order", "2", "--prime=-1"],
     ["rigidity-solve", "--order", "2", "--prime", "4"],
     *NEGATIVE_EXPONENT,
+    *HIGH_DEGREE_PLANT,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)
@@ -143,6 +152,8 @@ def test_exit_two_outside_domain_without_traceback(args):
     assert report["result"]["error"]
     if args in NEGATIVE_EXPONENT:
         assert "negative exponent" in report["result"]["error"]
+    if args in HIGH_DEGREE_PLANT:
+        assert "degree <= 1" in report["result"]["error"]
 
 
 @pytest.mark.parametrize("args", [

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench.braiding import TensorElement
-from uqbench.linalg import (_kronecker_pack, _kronecker_unpack, rref,
-                            rref_laurent)
+from uqbench.linalg import rref
 from uqbench.nichols import (NicholsContext, braided_coproduct,
                              diagonal_space, serre_element, words_of_degree)
 from uqbench.rootdata import load_datum
@@ -88,6 +87,15 @@ def test_rank_one_dimensions_all_one():
 
 def test_a2_dimensions_match_pbw_counts():
     datum = load_datum("A2")
+    ctx = NicholsContext(datum, cap=7)
+    roots = positive_roots(datum)
+    for total in range(8):
+        for deg in _degrees(2, total):
+            assert ctx.nichols_dim(deg) == pbw_count(roots, deg), deg
+
+
+def test_b2_dimensions_match_pbw_counts():
+    datum = load_datum("B2")
     ctx = NicholsContext(datum, cap=6)
     roots = positive_roots(datum)
     for total in range(7):
@@ -95,11 +103,11 @@ def test_a2_dimensions_match_pbw_counts():
             assert ctx.nichols_dim(deg) == pbw_count(roots, deg), deg
 
 
-def test_b2_dimensions_match_pbw_counts():
-    datum = load_datum("B2")
-    ctx = NicholsContext(datum, cap=5)
+def test_g2_dimensions_match_pbw_counts():
+    datum = load_datum("G2")
+    ctx = NicholsContext(datum, cap=6)
     roots = positive_roots(datum)
-    for total in range(6):
+    for total in range(7):
         for deg in _degrees(2, total):
             assert ctx.nichols_dim(deg) == pbw_count(roots, deg), deg
 
@@ -220,7 +228,7 @@ def test_coproduct_is_coassociative(letters):
 
 
 # ---------------------------------------------------------------------------
-# the integer Gram and fraction-free elimination against the Q(q) path
+# candidate elimination on the integer Gram against the full Q(q) Gram
 # ---------------------------------------------------------------------------
 
 def _pair_words_q(ctx, x, y, memo):
@@ -244,73 +252,30 @@ def _pair_words_q(ctx, x, y, memo):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1xA1"])
 def test_nichols_basis_matches_rational_rref(name):
+    # The full Gram of every word in Q(q), eliminated by `rref`: its pivots
+    # and the reduction of every word, key order included, are what the
+    # candidate elimination and the lazy reductions give.
     datum = load_datum(name)
-    ctx = NicholsContext(datum, cap=4)
+    ctx = NicholsContext(datum, cap=5)
     memo = {}
-    for total in range(5):
+    for total in range(6):
         for deg in _degrees(datum.rank, total):
-            words, gram = ctx.graded_gram(deg)
+            words = words_of_degree(deg)
+            gram_q = [[_pair_words_q(ctx, u, w, memo) for w in words]
+                      for u in words]
             scale = ctx._gram_scale(deg)
-            gram_q = [[scale * ScalarQ(e) for e in row] for row in gram]
             for u, row in zip(words, gram_q):
                 for w, entry in zip(words, row):
-                    assert entry == _pair_words_q(ctx, u, w, memo), (u, w)
+                    assert scale * ScalarQ(ctx._pair_words(u, w)) == entry, \
+                        (u, w)
             red, pivots = rref(gram_q, ZERO, ONE)
             nb = ctx.nichols_basis(deg)
             assert nb.basis_words == tuple(words[c] for c in pivots), deg
+            candidates, _ = ctx.graded_gram(deg)
+            assert set(nb.basis_words) <= set(candidates), deg
             for c, w in enumerate(words):
-                if c in pivots:
-                    want = {w: ONE}
-                else:
-                    want = {words[pc]: red[r][c] for r, pc in enumerate(pivots)
-                            if not red[r][c].is_zero()}
-                assert nb.reduction[w] == want, (deg, w)
-                assert list(nb.reduction[w]) == list(want), (deg, w)
-
-
-_laurent = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3).filter(bool),
-                           max_size=3)
-
-
-@st.composite
-def _laurent_matrices(draw):
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    rows = [[draw(_laurent) for _ in range(ncols)] for _ in range(nrows)]
-    if nrows > 1 and draw(st.booleans()):
-        # a row in the span of two others, or a zero row
-        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
-        a, b = draw(_laurent), draw(_laurent)
-        combos = (ScalarQ(a) * ScalarQ(x) + ScalarQ(b) * ScalarQ(y)
-                  for x, y in zip(rows[i], rows[j]))
-        rows[k] = [{e: int(c) for e, c in z.num.items()} for z in combos]
-    return rows
-
-
-@settings(max_examples=60, deadline=None)
-@given(_laurent_matrices())
-def test_rref_laurent_matches_rational_rref(rows):
-    red, pivots = rref([[ScalarQ(p) for p in row] for row in rows], ZERO, ONE)
-    got, got_pivots = rref_laurent(rows)
-    assert got_pivots == pivots
-    assert len(got) == len(pivots)
-    for r, pc in enumerate(pivots):
-        assert got[r][pc] == got[0][pivots[0]]
-        for c in range(len(rows[0])):
-            assert ScalarQ(got[r][c], got[r][pc]) == red[r][c], (r, c)
-
-
-def test_kronecker_round_trip_at_the_bound():
-    for k in (2, 3, 8, 64):
-        half = 1 << (k - 1)
-        for p in ({0: half - 1, 3: -half, 5: 1},
-                  {0: -half, 1: -half, 2: half - 1},
-                  {7: half - 1}, {}):
-            assert _kronecker_unpack(_kronecker_pack(p, k), k) == p
-    # A diagonal matrix of sign-free polynomials has a determinant whose
-    # 1-norm is exactly the product of the row norms, the coefficient bound.
-    a, b = {0: 1, 1: 3, 2: 3, 3: 1}, {0: 2, 4: 5}
-    got, pivots = rref_laurent([[a, {}], [{}, b]])
-    ab = (ScalarQ(a) * ScalarQ(b)).num
-    assert pivots == [0, 1]
-    assert got == [[{e: int(c) for e, c in ab.items()}, {}],
-                   [{}, {e: int(c) for e, c in ab.items()}]]
+                want = {words[pc]: red[r][c] for r, pc in enumerate(pivots)
+                        if not red[r][c].is_zero()}
+                got = ctx.reduce_word(w)
+                assert got == want, (deg, w)
+                assert list(got) == list(want), (deg, w)

@@ -221,8 +221,8 @@ def test_term_mul_matches_the_product_of_generators(a2):
 
 def _term_mul_unshortcut(ctx, t1, t2):
     """`_term_mul` with no shortcut: every crossing exponent computed, the
-    empty word reduced through its Nichols basis, and every factor, 1 or
-    not, multiplied in."""
+    empty word reduced by `NicholsContext.reduce_word`, and every factor, 1
+    or not, multiplied in."""
     (f1, l1, e1), (f2, l2, e2) = t1, t2
     nichols = ctx.nichols
 
@@ -231,8 +231,7 @@ def _term_mul_unshortcut(ctx, t1, t2):
         return sum(a * b for a, b in zip(lam, beta))
 
     def reduce(w):
-        return nichols.nichols_basis(
-            nichols.space.word_degree(w)).reduction[w].items()
+        return nichols.reduce_word(w).items()
 
     out = []
     for (fa, mu, ea), c in ctx._reorder(e1, f2):
