@@ -6,8 +6,10 @@ a + b + c <= cap, exact coefficients, and a smaller solve window of
 degree <= window (with 2 * window <= cap) from which unknowns are drawn.
 Products whose degrees sum beyond the cap raise CapError instead of being
 truncated, so no computation silently loses terms.  The structure constants
-are ints, so integer data stay on int; only the linear solves divide, and
-_window_solve gives linalg.solve a Fraction zero and one.
+are ints, so integer data stay on int: _window_solve gives linalg.solve
+integer rows, an int zero and the one Fraction(1) that makes every pivot
+inverse exact, and returns each solved coefficient as an int when it is
+integral, so both solvers stay on int unless a solution is fractional.
 
 Contents:
 
@@ -319,10 +321,11 @@ def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
 # ---------------------------------------------------------------------------
 
 def _window_solve(equations, n: int, targets: list[Mono], message: str,
-                  order: int | None) -> list[Fraction]:
+                  order: int | None) -> list:
     """The linalg.solve solution s of sum_i s_i lin[i] = rhs for every
     (lin, rhs) in `equations`, one row per target monomial either side
-    reaches, in target order.  A monomial outside the targets raises
+    reaches, in target order, each s_i an int when it is integral and an
+    exact Fraction otherwise.  A monomial outside the targets raises
     CapError, an inconsistent system ObstructionError(message, order)."""
     t_index = {m: r for r, m in enumerate(targets)}
 
@@ -332,23 +335,25 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
             raise CapError(f"element reaches monomial {m} outside the window")
         return r
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list] = []
+    rhs: list = []
     for lin, want in equations:
-        block: dict[int, list[Fraction]] = {}
+        block: dict[int, list] = {}
         for i, el in enumerate(lin):
             for m, c in el.items():
-                block.setdefault(row_of(m), [Fraction(0)] * n)[i] = c
+                block.setdefault(row_of(m), [0] * n)[i] = c
         vec = {row_of(m): c for m, c in want.items()}
         for r in sorted(block.keys() | vec.keys()):
-            row = block.get(r) or [Fraction(0)] * n
+            row = block.get(r) or [0] * n
             if any(row) or vec.get(r):
                 rows.append(row)
-                rhs.append(vec.get(r, Fraction(0)))
-    sol = solve(rows, rhs, n, Fraction(0), Fraction(1))
+                rhs.append(vec.get(r, 0))
+    # one = Fraction(1) makes each pivot inverse one / p exact; an int one
+    # would divide to a float
+    sol = solve(rows, rhs, n, 0, Fraction(1))
     if sol is None:
         raise ObstructionError(message, order=order)
-    return sol
+    return [s.numerator if s.denominator == 1 else s for s in sol]
 
 
 def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
@@ -616,18 +621,13 @@ def _add_scaled(acc: El, x: El, c) -> None:
             add_term(acc, m, c if cm == 1 else c * cm)
 
 
-_NO_ENTRY = "multiplication table has no entry for"
-_NO_COLUMN = "gauge map is not defined on monomial"
-
-
-def _entry(table: dict, key, strict: bool, missing: str) -> El:
-    """table[key] read in place (callers never mutate it): a monomial pair
-    of a multiplication table, or a monomial column of one order of a map
-    series.  A missing key is zero in sparse higher-order terms and, where
-    strict (order 0), a CapError saying `missing` and the key."""
+def _entry(table: dict, key, strict: bool) -> El:
+    """The entry of a multiplication table on a monomial pair, read in place
+    (callers never mutate tables).  A missing pair is zero in sparse
+    higher-order terms and, where strict (order 0), a CapError."""
     entry = table.get(key)
     if entry is None and strict:
-        raise CapError(f"{missing} {key}")
+        raise CapError(f"multiplication table has no entry for {key}")
     return {} if entry is None else entry
 
 
@@ -640,7 +640,7 @@ def _mu_term(mu_n: dict, x: El, y: El, strict: bool,
         for m2, c2 in y.items():
             c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
             if c:
-                _add_scaled(out, _entry(mu_n, (m1, m2), strict, _NO_ENTRY), c)
+                _add_scaled(out, _entry(mu_n, (m1, m2), strict), c)
     return out
 
 
@@ -663,6 +663,8 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
     splits i + j = n with both order terms nonzero can contribute."""
     splits = [(i, n - i) for i in range(n + 1)
               if i < len(mu) and n - i < len(mu) and mu[i] and mu[n - i]]
+    if not splits:
+        return None
     monos = algebra.basis(algebra.window)
     for m1 in monos:
         d1 = sum(m1)
@@ -675,9 +677,9 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
                     continue
                 acc: El = {}
                 for i, j in splits:
-                    inner = _entry(mu[j], (m1, m2), j == 0, _NO_ENTRY)
+                    inner = _entry(mu[j], (m1, m2), j == 0)
                     _mu_term(mu[i], inner, {m3: 1}, strict=(i == 0), out=acc)
-                    inner = _entry(mu[j], (m2, m3), j == 0, _NO_ENTRY)
+                    inner = _entry(mu[j], (m2, m3), j == 0)
                     right = _mu_term(mu[i], {m1: 1}, inner, strict=(i == 0))
                     for m, c in right.items():
                         add_term(acc, m, -c)
@@ -778,23 +780,21 @@ def identity_columns(algebra: TruncatedUg) -> dict:
     return {m: {m: 1} for m in algebra.basis(algebra.window)}
 
 
-def _apply_order_term(series: list, k: int, x: El,
-                      out: El | None = None) -> El:
-    """Add the order-k coefficient of a map series applied to x to `out` (a
-    new dict by default) and return it; missing columns as in `_entry`."""
-    out = {} if out is None else out
-    for m, c in x.items():
-        if c:
-            _add_scaled(out, _entry(series[k], m, k == 0, _NO_COLUMN), c)
-    return out
+def _check_identity_head(algebra: TruncatedUg, v: list, what: str) -> None:
+    """Order 0 of a map series must be the identity on the window: a missing
+    column is a CapError, a column other than the identity a ConfigError."""
+    for m in algebra.basis(algebra.window):
+        col = v[0].get(m)
+        if col is None:
+            raise CapError(f"gauge map is not defined on monomial {m}")
+        if col != {m: 1}:
+            raise ConfigError(f"{what} needs the identity at order 0")
 
 
 def _map_series_inverse(algebra: TruncatedUg, v: list, upto: int) -> list:
     """Compositional inverse of a map series with identity order-0 part."""
-    ident = identity_columns(algebra)
-    if any(v[0].get(m) != ident[m] for m in ident):
-        raise ConfigError("map series inverse needs the identity at order 0")
-    return _series_inverse(_compose, v, ident, upto)
+    _check_identity_head(algebra, v, "map series inverse")
+    return _series_inverse(_compose, v, identity_columns(algebra), upto)
 
 
 def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
@@ -805,14 +805,18 @@ def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
     By bilinearity the order-n term on (x, y) is sum_i v_i(P_{n-i}) with
     P_s = sum_{l+j+k=s} mu_l(vinv_j x, vinv_k y), so each product is formed
     once, not once for every order it feeds.  v and vinv carry every order
-    0..upto (an empty dict for a zero order).
+    0..upto (an empty dict for a zero order) and the identity at order 0
+    (`_check_identity_head`), so output order 0 is mu[0] itself (shared, as
+    tables are never mutated) and only orders 1..upto are convolved.
     """
-    out: list[dict] = [{} for _ in range(upto + 1)]
+    for series in (v, vinv):
+        _check_identity_head(algebra, series, "gauge transport")
+    out: list[dict] = [mu[0]] + [{} for _ in range(upto)]
     for (m1, m2) in window_pairs(algebra):
-        xs = [_entry(vinv[j], m1, j == 0, _NO_COLUMN) for j in range(upto + 1)]
-        ys = [_entry(vinv[k], m2, k == 0, _NO_COLUMN) for k in range(upto + 1)]
-        prods: list[El] = []
-        for s in range(upto + 1):
+        xs = [{m1: 1}] + [vinv[j].get(m1, {}) for j in range(1, upto + 1)]
+        ys = [{m2: 1}] + [vinv[k].get(m2, {}) for k in range(1, upto + 1)]
+        prods: list[El] = [_entry(mu[0], (m1, m2), True)]
+        for s in range(1, upto + 1):
             acc: El = {}
             for l in range(min(s + 1, len(mu))):
                 if not mu[l]:
@@ -822,11 +826,13 @@ def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
                         _mu_term(mu[l], xs[j], ys[s - l - j],
                                  strict=(l == 0), out=acc)
             prods.append(acc)
-        for n in range(upto + 1):
-            acc = {}
-            for i in range(n + 1):
-                if prods[n - i]:
-                    _apply_order_term(v, i, prods[n - i], out=acc)
+        for n in range(1, upto + 1):
+            acc = dict(prods[n])
+            for i in range(1, n + 1):
+                for m, c in prods[n - i].items():
+                    img = v[i].get(m)
+                    if img:
+                        _add_scaled(acc, img, c)
             if acc:
                 out[n][(m1, m2)] = acc
     return out

@@ -578,6 +578,20 @@ def test_transport_missing_order_zero_entries_raise():
             fn(a, [std], v, short, 3)
 
 
+def test_transport_needs_the_identity_at_order_zero():
+    # a present but non-identity order-0 column is refused; with identity
+    # heads the output order 0 is the input table itself
+    a = alg(6, 3)
+    v, vinv = _planted_gauge_series(a, {E: {H: ONE}}, 3)
+    std = standard_multiplication(a)
+    assert _transport_table(a, [std], vinv, v, 3)[0] is std
+    scaled = [{**vinv[0], H: {H: 2}}, *vinv[1:]]
+    with pytest.raises(ConfigError):
+        _transport_table(a, [std], scaled, v, 3)
+    with pytest.raises(ConfigError):
+        _transport_table(a, [std], v, scaled, 3)
+
+
 @pytest.mark.parametrize("upto", [3, 4, 5])
 @pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
 def test_step_transport_matches_full_transport(plant, upto, monkeypatch):
@@ -675,17 +689,49 @@ def test_integer_f_rule_on_a_preset_with_kappa_four(tmp_path, monkeypatch):
     _check_integer_rule(a, 4)
 
 
-def test_window_solve_on_integer_rows_returns_fractions():
+def test_window_solve_returns_int_when_integral_else_fraction():
     # 2x = 1 on integer rows is exact 1/2, never the float 0.5
     sol = deform._window_solve([([{UNIT: 2}], {UNIT: 1})], 1, [UNIT],
                                "unsolvable", None)
     assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
     sol = deform._window_solve([([{UNIT: 2}, {E: 3}], {UNIT: 4, E: 3})], 2,
                                [UNIT, E], "unsolvable", None)
-    assert sol == [2, 1] and all(type(s) is Fraction for s in sol)
+    assert sol == [2, 1] and all(type(s) is int for s in sol)
     with pytest.raises(ObstructionError):
         deform._window_solve([([{UNIT: 2}], {E: 1})], 1, [UNIT, E],
                              "unsolvable", 4)
+
+
+@pytest.mark.parametrize("upto", [3, 4, 5])
+@pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
+def test_trivializer_stays_on_int(plant, upto, monkeypatch):
+    # The plants with int coefficients, as the CLI builds them: every solved
+    # step, every transported table and every returned gauge column is int.
+    a = alg(6, 3)
+    images = {g: {m: int(c) for m, c in img.items()}
+              for g, img in BENCH_PLANTS[plant].items()}
+    mu = plant_deformation(a, derivation_gauge(a, images), upto)
+    solve_order, transport = deform._solve_gauge_order, _transport_table
+    betas, coeffs = [], []
+
+    def record_solve(*args):
+        betas.append(solve_order(*args))
+        coeffs.extend(c for el in betas[-1].values() for c in el.values())
+        return betas[-1]
+
+    def record_transport(*args):
+        table = transport(*args)
+        coeffs.extend(c for t in table for el in t.values()
+                      for c in el.values())
+        return table
+
+    monkeypatch.setattr(deform, "_solve_gauge_order", record_solve)
+    monkeypatch.setattr(deform, "_transport_table", record_transport)
+    V = mult_trivialize(a, mu, upto)
+    assert betas or not any(mu[1:])
+    coeffs.extend(c for col in V.columns.values() for el in col
+                  for c in el.values())
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
