@@ -46,13 +46,15 @@ EXIT_CAP = 3
 
 def _jsonable(value):
     """Convert report values to canonical JSON-safe forms."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (bool, int)) or value is None:
         return value
     return str(value)
 

@@ -326,6 +326,8 @@ class ScalarQ:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
     def __str__(self) -> str:
+        if self._den is _ONE_DEN:
+            return self._fmt_laurent(self._num)
         ns = self._fmt_laurent(self.num)
         if self.is_laurent():
             return ns
@@ -358,7 +360,7 @@ def q_int(n: int, d: int = 1) -> ScalarQ:
         return ScalarQ.zero()
     if n < 0:
         return -q_int(-n, d)
-    return ScalarQ({d * (n - 1 - 2 * k): 1 for k in range(n)})
+    return _laurent({d * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
 def q_factorial(n: int, d: int = 1) -> ScalarQ:
@@ -373,8 +375,9 @@ def q_factorial(n: int, d: int = 1) -> ScalarQ:
 def q_binomial(n: int, k: int, d: int = 1) -> ScalarQ:
     """Balanced q-binomial [n choose k]; a Laurent polynomial for all integer n.
 
-    Computed multiplicatively as prod_{j=1..k} [n-j+1]/[j]; the division is
-    exact so the result carries denominator 1.
+    Computed as prod_{j=1..k} [n-j+1] divided by [k]! exactly in Z[q], both
+    shifted to polynomials; [k]! is monic, so the quotient has integer
+    coefficients and a nonzero remainder would mean a wrong product.
     """
     if k < 0:
         return ScalarQ.zero()
@@ -383,8 +386,15 @@ def q_binomial(n: int, k: int, d: int = 1) -> ScalarQ:
     num = ScalarQ.one()
     for j in range(1, k + 1):
         num = num * q_int(n - j + 1, d)
-    out = num / q_factorial(k, d)
-    return out
+    if num.is_zero():
+        return num
+    den = q_factorial(k, d)._num
+    nshift, dshift = min(num._num), min(den)
+    quot, rem = _pseudo_divmod({e - nshift: c for e, c in num._num.items()},
+                               {e - dshift: c for e, c in den.items()})
+    if rem:
+        raise ScalarError(f"[{n} choose {k}] is not a Laurent polynomial")
+    return _laurent({e + nshift - dshift: c for e, c in quot.items()})
 
 
 def q_rising(a: int, k: int, d: int = 1) -> ScalarQ:

@@ -35,6 +35,19 @@ terms without an F-word (the double's B side, K_lam E-word) or without an
 E-word (its C side, F-word t^n): such products call `_reorder` with an empty
 side, which returns the pair as it stands.
 
+Each `UqContext` computes a value once and keeps it for its own lifetime:
+`_reorder` per (E-word, F-word), `_term_mul` per term pair, `_coproduct_term`
+and `_antipode_term` per term, `double_pairing_mono` per monomial pair.
+These are functions of the key alone (the Nichols reductions they read are
+fixed by the datum and the cap), so a hit returns exactly what a fresh
+computation would.  A memo value is handed out shared and must never be
+mutated; every caller only iterates it.  There is no module-level cache, so
+two contexts share nothing.  A memo key fixes its computation, so the
+double's route above stays off the E-F cross relation: every `_term_mul` key
+on it has no E-word on the left or no F-word on the right, and the
+computation of such a key, whoever stored it first, calls `_reorder` only
+with an empty side.
+
 The skew pairing is determined by its generator values together with the
 one-sided comultiplication laws <uv, a> = <u, a_(1)> <v, a_(2)> and
 <u, ab> = <u_(1), b> <u_(2), a>; the reversal in the second law is what makes
@@ -101,6 +114,9 @@ class UqContext:
         self._zero_dual: DualVector = (0,) * datum.lattice_rank
         self._reorder_memo: dict[tuple[Word, Word], list[tuple[Term, ScalarQ]]] = {}
         self._pair_memo: dict = {}
+        self._term_mul_memo: dict[tuple[Term, Term], list[tuple[Term, ScalarQ]]] = {}
+        self._coproduct_memo: dict[Term, dict[tuple[Term, Term], ScalarQ]] = {}
+        self._antipode_memo: dict[Term, UqElement] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -149,6 +165,10 @@ class UqContext:
     def _term_mul(self, t1: Term, t2: Term) -> list[tuple[Term, ScalarQ]]:
         """The product of two PBW terms in normal order, possibly with
         repeated terms."""
+        key = (t1, t2)
+        hit = self._term_mul_memo.get(key)
+        if hit is not None:
+            return hit
         (f1, l1, e1), (f2, l2, e2) = t1, t2
         out = []
         for (fa, mu, ea), c in self._reorder(e1, f2):
@@ -160,6 +180,7 @@ class UqContext:
                 cf = _times(c, cf)
                 for ew, ce in self.reduce_word(ea + e2):
                     out.append(((fw, lam, ew), _times(cf, ce)))
+        self._term_mul_memo[key] = out
         return out
 
     def _reorder(self, e: Word, f: Word) -> list[tuple[Term, ScalarQ]]:
@@ -227,6 +248,9 @@ class UqContext:
     def _coproduct_term(self, t: Term) -> dict[tuple[Term, Term], ScalarQ]:
         """Delta of one term: the product in U (x) U of its generators'
         coproducts, as term pairs."""
+        hit = self._coproduct_memo.get(t)
+        if hit is not None:
+            return hit
         f, lam, e = t
         z = self._zero_dual
         one = ((), z, ())
@@ -240,6 +264,7 @@ class UqContext:
         out = {(one, one): ONE}
         for factor in factors:
             out = self.tensor_square_multiply(out, factor)
+        self._coproduct_memo[t] = out
         return out
 
     def tensor_square_multiply(self, a: Mapping[tuple[Term, Term], ScalarQ],
@@ -258,14 +283,24 @@ class UqContext:
 
     def antipode(self, x: UqElement) -> UqElement:
         out = UqElement()
-        for (f, lam, e), coef in x.terms.items():
-            factors: list[UqElement] = []
-            for i in reversed(e):
-                factors.append(self.multiply(self.e_gen(i), self.t_elt(i, -1)).scale(-ONE))
-            factors.append(self.k_elt(tuple(-a for a in lam)))
-            for i in reversed(f):
-                factors.append(self.multiply(self.t_elt(i), self.f_gen(i)).scale(-ONE))
-            out = out + self.multiply_all(factors).scale(coef)
+        for t, coef in x.terms.items():
+            out = out + self._antipode_term(t).scale(coef)
+        return out
+
+    def _antipode_term(self, t: Term) -> UqElement:
+        """S of one term: the reversed product of its generators' antipodes."""
+        hit = self._antipode_memo.get(t)
+        if hit is not None:
+            return hit
+        f, lam, e = t
+        factors: list[UqElement] = []
+        for i in reversed(e):
+            factors.append(self.multiply(self.e_gen(i), self.t_elt(i, -1)).scale(-ONE))
+        factors.append(self.k_elt(tuple(-a for a in lam)))
+        for i in reversed(f):
+            factors.append(self.multiply(self.t_elt(i), self.f_gen(i)).scale(-ONE))
+        out = self.multiply_all(factors)
+        self._antipode_memo[t] = out
         return out
 
     # -- the double pairing and drinfeld_reorder ------------------------------
@@ -352,7 +387,7 @@ class UqContext:
         c0 = (f_word, (0,) * self.datum.rank)
         out = UqElement()
         for (b1, bmid), c_outer in self._coproduct_term(((), self._zero_dual, e_word)).items():
-            s_b1 = self.antipode(UqElement({b1: ONE})).terms.items()
+            s_b1 = self._antipode_term(b1).terms.items()
             for (b2, b3), c_inner in self._coproduct_term(bmid).items():
                 for (c1, cmid, cc_outer) in self._delta_c(c0):
                     for (c2, c3, cc_inner) in self._delta_c(cmid):

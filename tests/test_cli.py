@@ -12,13 +12,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench.cli import main
+from uqbench.cli import _jsonable, main
 from uqbench.rootdata import PRESET_ENV
+from uqbench.scalars import ScalarQ
 
 CASES = {
     "nichols-dims": ["nichols-dims", "--datum", "A2", "--max-degree", "3"],
@@ -373,6 +375,23 @@ def test_module_commands_always_report(malformed_presets, argv):
     report = json.loads(out.getvalue())
     assert report["command"] == argv[0] and "status" in report
     assert "Traceback" not in err.getvalue()
+
+
+def test_jsonable_keeps_strings_and_converts_the_rest():
+    text = "q + q^-1"
+    assert _jsonable(text) is text
+    assert _jsonable("") == ""
+    for value in (True, False, None, 0, -3, 10 ** 30):
+        assert _jsonable(value) is value
+    assert _jsonable(Fraction(-3, 4)) == "-3/4"
+    assert _jsonable(Fraction(6, 3)) == "2"
+    assert _jsonable(ScalarQ.q_power(-2) + ScalarQ.one()) == "1 + q^-2"
+    assert _jsonable(ScalarQ.one() / (ScalarQ.q_power(1) + ScalarQ.one())) \
+        == "(1)/(q + 1)"
+    nested = {1: [Fraction(1, 2), ("a", None)], "k": {(0, 1): True},
+              "s": [ScalarQ.zero(), 7]}
+    assert _jsonable(nested) == {"1": ["1/2", ["a", None]],
+                                 "k": {"(0, 1)": True}, "s": ["0", 7]}
 
 
 def test_nichols_dims_worked_entries():

@@ -143,6 +143,51 @@ def test_q_binomial_pascal_rule():
             assert lhs == rhs
 
 
+def test_q_binomial_matches_division_in_q_of_q():
+    # the exact Z[q] division against the field division it replaced
+    for d in (1, 2, 3):
+        for n in range(-8, 11):
+            for k in range(-1, 9):
+                want = ZERO if k < 0 else ONE
+                if k > 0:
+                    num = ONE
+                    for j in range(1, k + 1):
+                        num = num * q_int(n - j + 1, d)
+                    want = num / q_factorial(k, d)
+                got = q_binomial(n, k, d)
+                assert got == want and str(got) == str(want)
+                assert got._den is _ONE_DEN
+
+
+def test_q_int_is_canonical():
+    for d in (1, 2):
+        for n in range(-5, 6):
+            x = q_int(n, d)
+            assert x == ScalarQ(dict(x._num))
+            assert x._den is _ONE_DEN
+
+
+def _reference_str(x):
+    # the general formatting, through the monic `num` and `den` copies
+    ns = ScalarQ._fmt_laurent(x.num)
+    return ns if x.is_laurent() else f"({ns})/({ScalarQ._fmt_laurent(x.den)})"
+
+
+def test_str_matches_the_reference_formatting():
+    samples = [ZERO, ONE, -ONE, ScalarQ.from_int(-7), ScalarQ.from_int(12),
+               Q(1), Q(-1), -Q(4), Q(5) - Q(2) * ScalarQ.from_int(3) + ONE,
+               q_int(4) - Q(-6), q_binomial(5, 2, 2),
+               ScalarQ.from_fraction(Fraction(-3, 2)),
+               ONE / (Q(1) - Q(-1)),
+               ScalarQ({2: 3, 0: -1}, {1: 2, 0: 4}),
+               ScalarQ({0: -5}, {3: -3, 1: 1, 0: 2}),
+               ScalarQ({1: Fraction(1, 2)}, {2: 3, 0: 1})]
+    assert any(not x.is_laurent() and x._den[max(x._den)] != 1 for x in samples)
+    for x in samples:
+        assert str(x) == _reference_str(x)
+        assert repr(x) == f"ScalarQ({_reference_str(x)})"
+
+
 def test_q_binomial_is_laurent():
     for n in range(8):
         for k in range(n + 1):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from uqbench.cli import _sample_elements as _cli_sample_elements
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial
 from uqbench.uq import (UqContext, UqElement, check_antipode,
@@ -275,3 +276,58 @@ def test_antipode_on_generators(a1):
     assert a1.antipode(e) == a1.multiply(e, kinv).scale(-ONE)
     assert a1.antipode(f) == a1.multiply(k, f).scale(-ONE)
     assert a1.antipode(k) == kinv
+
+
+MEMOS = ("_reorder_memo", "_pair_memo", "_term_mul_memo", "_coproduct_memo",
+         "_antipode_memo")
+
+
+def _hopf_check_pass(ctx, seed, samples):
+    """Every check `hopf-check` runs, on its generators and sample set."""
+    elements = []
+    for i in range(ctx.datum.rank):
+        elements += [ctx.e_gen(i), ctx.f_gen(i)]
+    elements += _cli_sample_elements(ctx, random.Random(seed), samples)
+    for k, x in enumerate(elements):
+        assert check_coproduct_multiplicative(
+            ctx, x, elements[(k + 1) % len(elements)])
+        assert check_counit(ctx, x)
+        assert check_coassociativity(ctx, x)
+        assert check_antipode(ctx, x)
+    for i in range(ctx.datum.rank):
+        for j in range(ctx.datum.rank):
+            assert ctx.drinfeld_reorder((i,), (j,)) == \
+                ctx.multiply(ctx.e_gen(i), ctx.f_gen(j))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_memo_values_match_fresh_computations(name):
+    # After a whole hopf-check workload through one context, every memoised
+    # value still equals an independent computation: a caller that mutated a
+    # shared value would show here.
+    datum = load_datum(name)
+    ctx = UqContext(datum, cap=6)
+    for seed in (901, 7):
+        _hopf_check_pass(ctx, seed, samples=8)
+    assert ctx._term_mul_memo and ctx._coproduct_memo and ctx._antipode_memo
+    fresh = UqContext(datum, cap=6)
+    for (t1, t2), value in ctx._term_mul_memo.items():
+        assert value == _term_mul_unshortcut(fresh, t1, t2)
+    for t, value in ctx._coproduct_memo.items():
+        assert value == fresh.coproduct(UqElement({t: ONE}))
+    for t, value in ctx._antipode_memo.items():
+        assert value == fresh.antipode(UqElement({t: ONE}))
+
+
+def test_memos_start_empty_and_are_not_shared():
+    datum = load_datum("A1")
+    a, b = UqContext(datum, cap=4), UqContext(datum, cap=4)
+    for memo in MEMOS:
+        assert getattr(a, memo) == {} and getattr(b, memo) == {}
+        assert getattr(a, memo) is not getattr(b, memo)
+    x = a.multiply(a.e_gen(0), a.f_gen(0))
+    a.coproduct(x)
+    a.antipode(x)
+    a.drinfeld_reorder((0,), (0,))
+    assert all(getattr(a, memo) for memo in MEMOS)
+    assert all(getattr(b, memo) == {} for memo in MEMOS)
