@@ -2,10 +2,11 @@
 """Audit the rank-1 braiding against its closed form and run exact
 Yang-Baxter checks on truncated highest-weight windows.
 
-The compositional braiding (coaction contracted through the module pairing)
-and the printed closed form are computed separately and compared entry by
-entry, then the braid relation is verified on the degree-capped triple
-tensor window.
+The compositional braiding (the dual-basis coaction acting through the
+F-action, with the weight twist) and the rank-1 closed form are computed
+separately and compared entry by entry.  Then the braid relation is
+verified on the degree-capped triple tensor window of Vermas over A1 and
+the rank-2 data A2, B2, G2 and A1xA1.
 """
 
 import argparse
@@ -16,6 +17,8 @@ from uqbench.rootdata import load_datum
 from uqbench.weightmods import (braid_pair, build_verma,
                                 closed_form_braiding_rank1, ybe_check)
 
+YBE_DATA = ("A1", "A2", "B2", "G2", "A1xA1")
+
 
 def audit_pairs(datum, lam_max, cap):
     checked = mismatches = 0
@@ -25,8 +28,7 @@ def audit_pairs(datum, lam_max, cap):
             N = build_verma(datum, lam_p, cap)
             for n in range(cap + 1):
                 for m in range(cap + 1 - n):
-                    got = braid_pair(datum, M, N, (0,) * n, (0,) * m,
-                                     weight_twist=False)
+                    got = braid_pair(datum, M, N, (0,) * n, (0,) * m)
                     want = {((0,) * a, (0,) * b): c
                             for (a, b), c in
                             closed_form_braiding_rank1(lam, lam_p, n, m)
@@ -51,13 +53,18 @@ def main(argv=None):
     checked, mismatches = audit_pairs(datum, args.lam_max, args.cap)
     print(f"closed-form audit: {checked} pairs, {mismatches} mismatches")
 
-    for lam in range(args.lam_max + 1):
-        W = build_verma(datum, lam, args.ybe_cap)
-        ok = ybe_check(datum, W, args.ybe_cap)
-        print(f"ybe lam={lam} cap={args.ybe_cap}: "
-              f"{'exact' if ok else 'FAILED'}")
+    failures = 0
+    for name in YBE_DATA:
+        ybe_datum = load_datum(name)
+        for lam in range(args.lam_max + 1):
+            hw = lam if ybe_datum.rank == 1 else (lam, args.lam_max - lam)
+            W = build_verma(ybe_datum, hw, args.ybe_cap)
+            ok = ybe_check(ybe_datum, W, args.ybe_cap)
+            failures += not ok
+            print(f"ybe {name} lam={hw} cap={args.ybe_cap}: "
+                  f"{'exact' if ok else 'FAILED'}")
     print(f"elapsed {time.monotonic() - start:.2f}s")
-    return 1 if mismatches else 0
+    return 1 if mismatches or failures else 0
 
 
 if __name__ == "__main__":

@@ -23,10 +23,9 @@ from .scalars import (PadicParams, ScalarQ, ValuationBound, gauss_valuation,
 from .rootdata import RootDatum, list_presets, load_datum, validate_datum
 from .nichols import NicholsContext, serre_element
 from .uq import UqContext
-from .weightmods import (WeightModule, braid_pair, braid_rep, braiding,
-                         build_mlambda, build_verma,
-                         closed_form_braiding_rank1, tensor_module,
-                         ybe_check)
+from .weightmods import (WeightModule, braid_pair, braid_rep, build_mlambda,
+                         build_verma, closed_form_braiding_rank1,
+                         tensor_module, ybe_check)
 from .norms import (ConvergenceCertificate, NormReport, RadiusParams,
                     admissible, coaction_convergence, norm_contract_check,
                     reverify_certificate, rmatrix_condition)
@@ -43,7 +42,7 @@ __all__ = [
     "NicholsContext", "serre_element",
     "UqContext",
     "WeightModule", "build_verma", "build_mlambda", "tensor_module",
-    "braiding", "braid_pair", "closed_form_braiding_rank1", "braid_rep",
+    "braid_pair", "closed_form_braiding_rank1", "braid_rep",
     "ybe_check",
     "RadiusParams", "ConvergenceCertificate", "NormReport",
     "admissible", "rmatrix_condition", "coaction_convergence",

@@ -137,10 +137,12 @@ class ConvergenceCertificate:
 
 
 def coaction_term_valuation(k: int, params: PadicParams) -> Fraction:
-    """Exact valuation of the k-th coaction coefficient (q-q^{-1})^k/[k]!.
+    """Exact valuation of the k-th coaction coefficient
+    q^{-k(k-1)/2} (q-q^{-1})^k/[k]!.
 
-    |q - q^{-1}| = |2 hbar| and |[n]| = |n| once vh > 1/(p-1), so the term
-    norm is |2 hbar|^k / |k!| and its valuation is k*vh - v_p(k!) for odd p.
+    |q - q^{-1}| = |2 hbar| and |[n]| = |n| once vh > 1/(p-1), and the unit
+    q^{-k(k-1)/2} has norm 1 (v(q) = 0), so the term norm is
+    |2 hbar|^k / |k!| and its valuation is k*vh - v_p(k!) for odd p.
     """
     if k < 0:
         raise ConfigError("term index must be nonnegative")
@@ -152,7 +154,9 @@ def coaction_convergence(params: PadicParams,
     """Certificate that the coaction series terms go to zero in norm.
 
     The k-th term of the canonical coaction carries coefficient
-    (q-q^{-1})^k/[k]! together with an F-word of length k; on a window with
+    q^{-k(k-1)/2} (q-q^{-1})^k/[k]!, whose valuation is that of
+    (q-q^{-1})^k/[k]! because v(q) = 0, together with an F-word of length
+    k; on a window with
     norm exponents as built here the r-powers cancel exactly (r^k from the
     word against r^{-k} from the target), so the certificate does not depend
     on the radii.  The radii stay in the signature because the statement is

@@ -9,37 +9,28 @@ window is absent, and using it raises CapError so truncation artifacts are
 never silently dropped.  The coaction sends a basis vector to a finite sum of
 (F-word, basis vector) pairs, truncated at a stated f-degree.
 
-The contraction convention tying the coaction to the E-action is fixed in one
-place, `module_pairing`: <E^n, F^n> = (-1)^n [n]! / (q_i - q_i^{-1})^n, so that
-sum_k (-1)^k ((q-q^{-1})^k/[k]!) <E^n, F^k> = delta_{n,k} and contracting the
-coaction of x reproduces E^n x.
+The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
+ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
+of each multidegree beta <= deg a up to the cap, {E_{b*}} the dual basis
+under the skew pairing of the double.  That pairing is the Nichols form up
+to a sign, <E_u, F_w> = (-1)^{|beta|} <u, w>, so `build_verma` inverts the
+Gram matrix `nichols_basis` has already built.  Contracting the coaction
+through `uq.double_pairing` gives back the E-action (`coaction_contract`);
+on rank 1 it is the closed form `verma_coaction`.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
-the resulting F-words on the N side, and twists by a Cartan factor.  Two
-normalizations of the twist coexist and the difference matters:
-
-* display form (weight_twist=False): the twist is q^{(beta, beta')} on the
-  output legs' depth vectors only.  On rank-1 Vermas this reproduces the
-  closed form
-    x^n (x) x^m  |->  sum_k c_k(n) q^{2(m+k)(n-k)} x^{m+k} (x) x^{n-k}
-  implemented independently in `closed_form_braiding_rank1`.  This map is a
-  per-pair rescaling of the categorical braiding and does NOT satisfy the
-  Yang-Baxter equation (the dropped factor depends on the pair's depths).
-
-* categorical form (weight_twist=True): each coaction term F_i^k (x) a2 is
-  first renormalized by q_i^{-k(k-1)/2}, which is exactly what makes the
-  coaction dual to `uq.double_pairing` (<E^k, F^k> there carries
-  (-1)^k q_i^{k(k-1)/2} [k]!/(q_i-q_i^{-1})^k), and the twist exponent is
+the resulting F-words on the N side, and twists by q to the exponent
     (beta_N', ref_M) + (beta_M', ref_N) - (beta_N', beta_M')
-  on the output legs, where ref is the module's reference weight (the weight
-  at depth zero) and (,) pairs depths with weights through the root form.
-  This is the inverse Cartan weight factor normalized to 1 on the reference
-  pair; it is a genuine braiding (Yang-Baxter holds exactly, and mixed-weight
-  triples pass as well).  `ybe_check` and `braid_rep` use this form.
+on the output legs, where ref is the module's reference weight (the weight
+at depth zero) and (,) pairs depths with weights through the root form.
+This is the inverse Cartan weight factor normalized to 1 on the reference
+pair; it is a genuine braiding (Yang-Baxter holds exactly, and mixed-weight
+triples pass as well).  On rank 1 it is the closed form
+`closed_form_braiding_rank1`.
 
 On tensor windows the braiding's F-action uses the bosonized smash coproduct,
 F(b (x) c) = Fb (x) c + q^{(alpha_i, wt b)} b (x) Fc, stored in
-`braid_f_cols`; with it the categorical form also satisfies the right hexagon
+`braid_f_cols`; with it the braiding also satisfies the right hexagon
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on rank-1 windows
 (the module tensor action `f_cols` keeps the inverse decoration q^{-(tau, wt)}
 and is what `apply_f` uses).
@@ -48,10 +39,7 @@ and is what `apply_f` uses).
 label pair, as a pair table, and apply it to sparse vectors of label tuples
 with `braiding.braid_slot`, the engine the diagonal braidings use too;
 `ybe_check` is `braiding.braid_relation_holds` on its depth-capped triples,
-and `braid_rep` writes the dense matrix out only at the end.  Both are
-rank-1 only and raise ConfigError on rank >= 2: there `build_verma` keeps
-only the first-order terms of the coaction, which is not a braiding, and the
-quasi-R-matrix coaction is not implemented.
+and `braid_rep` writes the dense matrix out only at the end.
 """
 
 from __future__ import annotations
@@ -140,30 +128,15 @@ class WeightModule:
         return col
 
 
-def module_pairing(datum: RootDatum, n: int, k: int, i: int = 0) -> ScalarQ:
-    """<E_i^n, F_i^k> for the coaction contraction; the convention lives here.
-
-    Zero unless n = k, and <E^n, F^n> = (-1)^n [n]!_{q_i} / (q_i-q_i^{-1})^n,
-    which makes sum_k (-1)^k ((q_i-q_i^{-1})^k/[k]!) <E^n,F^k> collapse to 1.
-    """
-    if n != k:
-        return ZERO
-    d = datum.d[i]
-    denom = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-    sign = ONE if n % 2 == 0 else -ONE
-    return sign * q_factorial(n, d) * denom.inverse() ** n
-
-
-def coaction_contract(module: WeightModule, e_len: int, label) -> Vec:
-    """Contract the coaction against E^{e_len} with module_pairing (rank 1)."""
-    datum = module.datum
-    if datum.rank != 1:
-        raise ConfigError("coaction contraction convention is rank-1 only")
+def coaction_contract(module: WeightModule, e_word: Word, label) -> Vec:
+    """Contract the coaction of label against E_{e_word} through
+    `uq.double_pairing`; equals E_{e_word} label when the coaction is the
+    quasi-R-matrix one.  The pairing is built afresh, apart from the module."""
+    ctx = UqContext(module.datum, cap=max(len(e_word), 1))
     out: Vec = {}
     for (fw, target, c) in module.coaction(label):
-        val = module_pairing(datum, e_len, len(fw))
-        if not val.is_zero():
-            add_term(out, target, c * val)
+        if len(fw) == len(e_word):
+            add_term(out, target, c * ctx.double_pairing(e_word, fw))
     return out
 
 
@@ -195,10 +168,11 @@ def verma_k_exponent(lam: int, n: int) -> int:
 def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[Word, int, ScalarQ]]:
     """Closed-form rank-1 Verma coaction of x^n, terms F^k (x) x^{n-k}.
 
-    Coefficient (-1)^k (q-q^{-1})^k [n]! [lam-n+k]! / ([k]! [n-k]! [lam-n]!),
-    with the factorial ratio read as a rising product so any integer lam works.
-    Terms whose coefficient is zero (k >= n - lam when n > lam >= 0) are left
-    out: their F-words would act for nothing and could leave a window.
+    Coefficient (-1)^k q^{-d k(k-1)/2} (q-q^{-1})^k [n]! [lam-n+k]! /
+    ([k]! [n-k]! [lam-n]!), with the factorial ratio read as a rising product
+    so any integer lam works.  Terms whose coefficient is zero (k >= n - lam
+    when n > lam >= 0) are left out: their F-words would act for nothing and
+    could leave a window.  An oracle for `build_verma`, which does not call it.
     """
     if datum.rank != 1:
         raise ConfigError("closed-form Verma coaction is rank-1 only")
@@ -209,7 +183,8 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
     out = []
     for k in range(0, min(n, cap) + 1):
         sign = ONE if k % 2 == 0 else -ONE
-        coeff = sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
+        coeff = (sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
+                 * ScalarQ.q_power(-d * k * (k - 1) // 2))
         if not coeff.is_zero():
             out.append(((0,) * k, n - k, coeff))
     return out
@@ -265,23 +240,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
                 add_term(acc, fw, c * scalar)
             e_cols[i][w] = sorted(acc.items())
 
-    coaction_cols: dict = {}
-    if datum.rank == 1:
-        lam_int = sum(a * b for a, b in zip(datum.coroots[0], hw_vec))
-        for w in labels:
-            n = len(w)
-            coaction_cols[w] = tuple(
-                (fw, (0,) * m, c) for (fw, m, c) in verma_coaction(datum, lam_int, n, cap))
-    else:
-        for w in labels:
-            terms = [((), w, ONE)]
-            for i in range(datum.rank):
-                d = datum.d[i]
-                qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-                for (target, c) in e_cols[i][w]:
-                    terms.append(((i,), target, -qd * c))
-            coaction_cols[w] = tuple(terms)
-
+    coaction_cols = _dual_basis_coaction(ctx, labels, depths, e_cols)
     for w in labels:
         assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
@@ -300,6 +259,55 @@ def _multidegrees(rank: int, total: int):
             yield (first,) + rest
 
 
+def _dual_basis_coaction(ctx: UqContext, labels, depths: dict, e_cols: dict) -> dict:
+    """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
+
+    b runs over the Nichols basis words of each multidegree beta <= deg a,
+    and E_{b*} = sum_u (G^{-1})[b][u] E_u with G[u][b] = <E_u, F_b> =
+    (-1)^{|beta|} <u, b> the Nichols Gram, inverted once per beta.  E-words
+    act letter by letter, rightmost first; each image E_u a is computed once
+    and serves every b.  Zero sums are dropped.
+    """
+    nichols = ctx.nichols
+    duals = {}
+    for beta in sorted({d for d in depths.values() if any(d)},
+                       key=lambda d: (sum(d), d)):
+        words = nichols.nichols_basis(beta).basis_words
+        sign = ONE if sum(beta) % 2 == 0 else -ONE
+        gram = [[sign * nichols.pairing_eval(u, b) for b in words] for u in words]
+        duals[beta] = (words, invert(gram, ZERO, ONE))
+
+    images: dict = {((), a): {a: ONE} for a in labels}
+
+    def e_image(u: Word, a) -> Vec:
+        key = (u, a)
+        hit = images.get(key)
+        if hit is None:
+            hit = {}
+            for t, c in e_image(u[1:], a).items():
+                for t2, c2 in e_cols[u[0]][t]:
+                    add_term(hit, t2, c * c2)
+            images[key] = hit
+        return hit
+
+    coaction_cols = {}
+    for a in labels:
+        terms = [((), a, ONE)]
+        for beta, (words, inv) in duals.items():
+            if not all(x <= y for x, y in zip(beta, depths[a])):
+                continue
+            e_a = [e_image(u, a) for u in words]
+            for row, b in zip(inv, words):
+                acc: Vec = {}
+                for c, image in zip(row, e_a):
+                    if c:
+                        for t, c2 in image.items():
+                            add_term(acc, t, c * c2)
+                terms.extend((b, t, c) for t, c in acc.items())
+        coaction_cols[a] = tuple(terms)
+    return coaction_cols
+
+
 # ---------------------------------------------------------------------------
 # The lowest-weight-free window module
 # ---------------------------------------------------------------------------
@@ -311,7 +319,9 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
     Actions: K x_{i,j} = q^{lam+2i-2j} x_{i,j}; E x_{i,j} = x_{i+1,j};
     F x_{i,j} = x_{i,j+1} - [i][lam+i-1-2j] x_{i-1,j} (second term absent at
     i = 0).  Norm exponent j - i.  The coaction sends x_{i,j} to
-    sum_k (-1)^k ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j}, truncated at the cap.
+    sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j},
+    truncated at the cap: the normalisation of the Verma coaction, dual to
+    `uq.double_pairing`.
     """
     if datum.rank != 1 or datum.lattice_rank != 1:
         raise ConfigError("the window module is defined over the rank-one datum")
@@ -355,7 +365,8 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
         terms = []
         for k in range(coaction_cap + 1):
             sign = ONE if k % 2 == 0 else -ONE
-            coeff = sign * qd ** k / q_factorial(k, d)
+            coeff = (sign * qd ** k / q_factorial(k, d)
+                     * ScalarQ.q_power(-d * k * (k - 1) // 2))
             terms.append(((0,) * k, (i + k, j), coeff))
         coaction_cols[(i, j)] = tuple(terms)
 
@@ -383,67 +394,21 @@ def _depth_weight_pairing(datum: RootDatum, beta: Sequence[int],
                for i, b in enumerate(beta) if b)
 
 
-def _duality_factor(datum: RootDatum, fw: Word) -> ScalarQ:
-    """q_i^{-k(k-1)/2} for fw = F_i^k, aligning the stored coaction with the
-    double pairing's normalization.  Identity for words of length <= 1."""
-    k = len(fw)
-    if k <= 1:
-        return ONE
-    i = fw[0]
-    if any(j != i for j in fw):
-        raise ConfigError(
-            "weight-twisted braiding needs single-letter coaction words")
-    return ScalarQ.q_power(-datum.d[i] * k * (k - 1) // 2)
-
-
 def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
-               a_label, b_label, weight_twist: bool = False) -> Vec:
-    """sigma(a (x) b) as a sparse vector over (N-label, M-label) pairs.
-
-    weight_twist=False gives the display normalization (depth twist only);
-    weight_twist=True gives the categorical braiding.  See the module
-    docstring for the distinction.
-    """
+               a_label, b_label) -> Vec:
+    """sigma(a (x) b) as a sparse vector over (N-label, M-label) pairs; see
+    the module docstring for the coaction and the twist."""
     out: Vec = {}
-    ref_m = _reference_weight(M, a_label) if weight_twist else None
-    ref_n = _reference_weight(N, b_label) if weight_twist else None
+    ref_m = _reference_weight(M, a_label)
+    ref_n = _reference_weight(N, b_label)
     for (fw, a2, c) in M.coaction(a_label):
-        if weight_twist:
-            c = c * _duality_factor(datum, fw)
         moved = N.apply_braid_f_word(fw, {b_label: ONE})
         for b2, c2 in moved.items():
-            dep = datum.root_pairing(N.depths[b2], M.depths[a2])
-            if weight_twist:
-                exp = (_depth_weight_pairing(datum, N.depths[b2], ref_m)
-                       + _depth_weight_pairing(datum, M.depths[a2], ref_n)
-                       - dep)
-            else:
-                exp = dep
+            exp = (_depth_weight_pairing(datum, N.depths[b2], ref_m)
+                   + _depth_weight_pairing(datum, M.depths[a2], ref_n)
+                   - datum.root_pairing(N.depths[b2], M.depths[a2]))
             add_term(out, (b2, a2), c * c2 * ScalarQ.q_power(exp))
     return out
-
-
-def braiding(datum: RootDatum, M: WeightModule, N: WeightModule,
-             cap: int, weight_twist: bool = False) -> tuple[list, list[list[ScalarQ]]]:
-    """Matrix of sigma on the pairs with total depth <= cap.
-
-    Returns (basis, matrix): basis lists (M-label, N-label) pairs for columns;
-    rows are indexed by (N-label, M-label) pairs in the swapped basis order.
-    """
-    basis = [(a, b) for a in M.labels for b in N.labels
-             if _total_depth(M, a) + _total_depth(N, b) <= cap]
-    swapped = [(b, a) for (a, b) in basis]
-    index = {p: k for k, p in enumerate(swapped)}
-    cols = []
-    for (a, b) in basis:
-        col = [ZERO] * len(swapped)
-        for pair, c in braid_pair(datum, M, N, a, b, weight_twist).items():
-            if pair not in index:
-                raise CapError(f"braiding output {pair!r} leaves the depth window")
-            col[index[pair]] = c
-        cols.append(col)
-    matrix = [[cols[j][i] for j in range(len(basis))] for i in range(len(swapped))]
-    return basis, matrix
 
 
 def _total_depth(M: WeightModule, label) -> int:
@@ -452,21 +417,20 @@ def _total_depth(M: WeightModule, label) -> int:
 
 def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int, m: int,
                                d: int = 1) -> list[tuple[tuple[int, int], ScalarQ]]:
-    """The printed rank-1 braiding of x^n (x) x^m, independent of braid_pair.
+    """The rank-1 braiding of x^n (x) x^m, independent of braid_pair.
 
     Output pairs (m+k, n-k) with coefficient
-    (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) q^{2(m+k)(n-k)}.
-    The second weight lam_prime does not enter the printed coefficients; it is
-    kept in the signature to mirror the braiding's type.
+    (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) times
+    q^{d[(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2]}.
     """
-    del lam_prime
     qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
     out = []
     for k in range(n + 1):
         sign = ONE if k % 2 == 0 else -ONE
         coeff = sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
-        coeff = coeff * ScalarQ.q_power(d * 2 * (m + k) * (n - k))
-        out.append(((m + k, n - k), coeff))
+        exp = ((m + k) * lam + (n - k) * lam_prime - 2 * (m + k) * (n - k)
+               - k * (k - 1) // 2)
+        out.append(((m + k, n - k), coeff * ScalarQ.q_power(d * exp)))
     return out
 
 
@@ -525,27 +489,20 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
 
 
 class _SigmaTable(dict):
-    """The categorical braiding sigma on M (x) M, one label pair at a time.
+    """The braiding sigma on M (x) M, one label pair at a time.
 
     table[a, b] is sigma(a (x) b) as a tuple of ((b2, a2), c), computed by
     `braid_pair` the first time the pair is asked for.  A table serves one
-    `ybe_check` or `braid_rep` call and is dropped with it.  Rank-1 only
-    (see the module docstring).
+    `ybe_check` or `braid_rep` call and is dropped with it.
     """
 
     def __init__(self, datum: RootDatum, M: WeightModule):
-        if datum.rank != 1:
-            raise ConfigError(
-                f"braidings are implemented for rank 1 only ({datum.name} has "
-                f"rank {datum.rank}): the quasi-R-matrix coaction is not "
-                "implemented")
         super().__init__()
         self.datum = datum
         self.M = M
 
     def __missing__(self, pair):
-        col = tuple(braid_pair(self.datum, self.M, self.M, pair[0], pair[1],
-                               True).items())
+        col = tuple(braid_pair(self.datum, self.M, self.M, pair[0], pair[1]).items())
         self[pair] = col
         return col
 
@@ -571,12 +528,8 @@ def _inverse_table(sigma: _SigmaTable, pairs: Sequence) -> dict:
 
 def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     """(sigma (x) 1)(1 (x) sigma)(sigma (x) 1) = (1 (x) sigma)(sigma (x) 1)(1 (x) sigma)
-    on all triples of total depth <= cap.
-
-    Uses the categorical braiding (weight_twist=True), computed once per
-    label pair; the display normalization is not a braiding and is covered
-    by the closed-form oracle tests instead.  Rank-1 only (ConfigError
-    otherwise)."""
+    on all triples of total depth <= cap, with sigma computed once per label
+    pair."""
     sigma = _SigmaTable(datum, M)
     triples = {(a, b, c) for a in M.labels for b in M.labels for c in M.labels
                if _total_depth(M, a) + _total_depth(M, b) + _total_depth(M, c) <= cap}
@@ -588,7 +541,7 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
     """Matrix of a braid word on the depth-capped window of M^{(x) n_strands}.
 
     Letters are nonzero integers: +i is the braiding on strands (i, i+1),
-    -i its inverse (1-indexed, |i| < n_strands).  Rank-1 only.
+    -i its inverse (1-indexed, |i| < n_strands).
 
     The word acts on sparse columns, starting from the identity, and the
     dense matrix is written out once at the end.  sigma is computed once per

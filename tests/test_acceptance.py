@@ -171,8 +171,7 @@ def test_criterion_4_braiding_oracle_and_ybe():
             N = build_verma(A1, lam_p, cap)
             for n in range(cap + 1):
                 for m in range(cap + 1 - n):
-                    got = braid_pair(A1, M, N, (0,) * n, (0,) * m,
-                                     weight_twist=False)
+                    got = braid_pair(A1, M, N, (0,) * n, (0,) * m)
                     want = {((0,) * a, (0,) * b): c
                             for (a, b), c in
                             closed_form_braiding_rank1(lam, lam_p, n, m)

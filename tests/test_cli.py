@@ -133,12 +133,6 @@ HIGH_DEGREE_PLANT = [
     ["converge-cert", "--p", "4", "--vh", "1"],
     ["converge-cert", "--p", "5", "--vh", "0"],
     ["admissible", "--datum", "A1", "--p", "3", "--vh", "1/3"],
-    ["braid-rep", "--datum", "A2", "--lam", "1,1", "--strands", "3",
-     "--cap", "2"],
-    ["braid-rep", "--datum", "A1xA1", "--lam", "1,1", "--strands", "3",
-     "--cap", "2"],
-    ["ybe-check", "--datum", "A2", "--lam", "1,1", "--cap", "2"],
-    ["ybe-check", "--datum", "A1xA1", "--lam", "1,1", "--cap", "2"],
     ["rigidity-solve", "--order", "2", "--prime", "1"],
     ["rigidity-solve", "--order", "2", "--prime=-1"],
     ["rigidity-solve", "--order", "2", "--prime", "4"],
@@ -156,6 +150,22 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "negative exponent" in report["result"]["error"]
     if args in HIGH_DEGREE_PLANT:
         assert "degree <= 1" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["braid-rep", "--datum", "A2", "--lam", "1,1", "--strands", "3",
+     "--cap", "2"],
+    ["braid-rep", "--datum", "A1xA1", "--lam", "1,1", "--strands", "3",
+     "--cap", "2"],
+    ["ybe-check", "--datum", "A2", "--lam", "1,1", "--cap", "2"],
+    ["ybe-check", "--datum", "A1xA1", "--lam", "1,1", "--cap", "2"],
+], ids=lambda a: " ".join(a))
+def test_rank_two_braidings_answer(args):
+    proc = run_cli(args)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == ("PASS" if args[0] == "ybe-check" else "OK")
 
 
 @pytest.mark.parametrize("args", [

@@ -32,6 +32,7 @@ def test_braiding_audit(capsys):
     out = capsys.readouterr().out
     assert ", 0 mismatches" in out
     assert "FAILED" not in out
+    assert "ybe A2 lam=(0, 1) cap=2: exact" in out
 
 
 @pytest.mark.parametrize("argv", [[], ["--cap", "4", "--window", "2",

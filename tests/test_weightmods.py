@@ -1,12 +1,13 @@
 """Windowed weight modules: actions, coactions, braidings, braid matrices.
 
-The braiding has two normalizations.  The display form (weight_twist=False)
-reproduces the printed closed-form coefficients; the categorical form
-(weight_twist=True) is the one that satisfies the braid relation.  Both are
-pinned here: the display form against the closed formula term by term, the
-categorical form through ybe_check and matrix braid relations.
+The coaction is the Nichols basis against its dual basis at every rank.  It
+is pinned on rank 1 against the closed form term by term, and at every rank
+by contracting it through `uq.double_pairing`, which is built apart from it.
+The braiding is pinned against the rank-1 closed form and through ybe_check
+and matrix braid relations on ranks 1 and 2.
 """
 
+import dataclasses
 from collections import Counter
 from itertools import product
 
@@ -15,13 +16,14 @@ import pytest
 from uqbench import weightmods
 from uqbench.errors import CapError, ConfigError
 from uqbench.linalg import invert, mat_eq, mat_mul
-from uqbench.nichols import NicholsContext
+from uqbench.nichols import NicholsContext, words_of_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial, q_int
-from uqbench.weightmods import (braid_pair, braid_rep, braiding, build_mlambda,
+from uqbench.uq import UqContext
+from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
-                                coaction_contract, module_pairing,
-                                tensor_module, verma_coaction,
+                                coaction_contract, tensor_module,
+                                verma_coaction,
                                 verma_e_coefficient, verma_k_exponent,
                                 ybe_check)
 
@@ -114,12 +116,11 @@ def test_verma_coaction_keeps_only_nonzero_terms():
 
 
 def test_coaction_contraction_recovers_e_action():
-    # contracting the coaction with a single E equals the E column exactly;
-    # the pairing normalization is chosen to make this hold with no rescale
+    # contracting the coaction with a single E equals the E column exactly
     lam, cap = 4, 4
     M = build_verma(A1, lam, cap)
     for n in range(1, cap + 1):
-        assert coaction_contract(M, 1, fword(n)) == \
+        assert coaction_contract(M, (0,), fword(n)) == \
             M.apply_e(0, {fword(n): ONE})
 
 
@@ -129,7 +130,7 @@ def test_coaction_contraction_higher_orders():
     M = build_verma(A1, lam, cap)
     for n in range(2, cap + 1):
         twice = M.apply_e(0, M.apply_e(0, {fword(n): ONE}))
-        assert coaction_contract(M, 2, fword(n)) == twice
+        assert coaction_contract(M, (0, 0), fword(n)) == twice
 
 
 def test_coaction_counit_normalization():
@@ -140,17 +141,6 @@ def test_coaction_counit_normalization():
         assert len(terms) == 1
         assert terms[0][1] == fword(n)
         assert terms[0][2] == ONE
-
-
-def test_module_pairing_diagonal_only():
-    assert module_pairing(A1, 1, 2).is_zero()
-    assert module_pairing(A1, 2, 1).is_zero()
-    qd = Q(1) - Q(-1)
-    for n in range(4):
-        want = q_factorial(n) * (qd.inverse() ** n)
-        if n % 2:
-            want = -want
-        assert module_pairing(A1, n, n) == want
 
 
 def test_verma_rank_two():
@@ -228,7 +218,8 @@ def test_mlambda_norm_exponents():
 
 
 def test_mlambda_coaction_displayed_series():
-    # coaction x_{i,j} -> sum_k (-1)^k ((q-q^-1)^k/[k]!) F^k (x) x_{i+k,j};
+    # coaction x_{i,j} -> sum_k (-1)^k q^{-k(k-1)/2} ((q-q^-1)^k/[k]!)
+    # F^k (x) x_{i+k,j};
     # complete columns exist for labels with k-headroom inside the window
     lam = 2
     M = build_mlambda(A1, lam, (4, 2), coaction_cap=2)
@@ -238,7 +229,7 @@ def test_mlambda_coaction_displayed_series():
             col = {(len(fw), tgt): c for fw, tgt, c in M.coaction((i, j))}
             assert len(col) == 3
             for k in range(3):
-                want = (qd ** k) / q_factorial(k)
+                want = (qd ** k) / q_factorial(k) * Q(-k * (k - 1) // 2)
                 if k % 2:
                     want = -want
                 assert col[(k, (i + k, j))] == want, (i, j, k)
@@ -269,8 +260,7 @@ def test_braiding_matches_closed_form_all_small_cases():
             N = build_verma(A1, lam_p, cap)
             for n in range(cap + 1):
                 for m in range(cap + 1 - n):
-                    got = braid_pair(A1, M, N, fword(n), fword(m),
-                                     weight_twist=False)
+                    got = braid_pair(A1, M, N, fword(n), fword(m))
                     want = {(fword(a), fword(b)): c
                             for (a, b), c in
                             closed_form_braiding_rank1(lam, lam_p, n, m)
@@ -278,49 +268,10 @@ def test_braiding_matches_closed_form_all_small_cases():
                     assert got == want, (lam, lam_p, n, m)
 
 
-def test_braiding_matrix_against_braid_pair():
-    M = build_verma(A1, 2, 2)
-    N = build_verma(A1, 1, 2)
-    basis, mat = braiding(A1, M, N, 2)
-    swapped = [(b, a) for (a, b) in basis]
-    for col, (a, b) in enumerate(basis):
-        vec = braid_pair(A1, M, N, a, b)
-        for row, key in enumerate(swapped):
-            assert mat[row][col] == vec.get(key, ZERO)
-
-
 def test_ybe_on_degree_three_window():
     for lam in (0, 1, 2, 3):
         M = build_verma(A1, lam, 3)
         assert ybe_check(A1, M, 3), lam
-
-
-def test_display_normalization_fails_ybe():
-    # the printed form is not a braiding; the categorical twist is what
-    # ybe_check uses.  Pin the distinction so it cannot silently blur.
-    lam = 2
-    M = build_verma(A1, lam, 2)
-    MM = tensor_module(A1, M, M)
-
-    def slot_display(vec, slot):
-        out = {}
-        for (a, b, c), coeff in vec.items():
-            args = (a, b) if slot == 0 else (b, c)
-            bp = braid_pair(A1, M, M, *args, weight_twist=False)
-            for (x, y), c2 in bp.items():
-                key = (x, y, c) if slot == 0 else (a, x, y)
-                s = out.get(key, ZERO) + coeff * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
-
-    start = {(fword(1), fword(1), fword(0)): ONE}
-    lhs = slot_display(slot_display(slot_display(start, 0), 1), 0)
-    rhs = slot_display(slot_display(slot_display(start, 1), 0), 1)
-    assert lhs != rhs
-    del MM
 
 
 def test_braid_rep_identity_word_roundtrip():
@@ -383,7 +334,7 @@ def _dense_braid_rep(M, n_strands, word, cap):
     def generator(slot):
         mat = [[ZERO] * dim for _ in range(dim)]
         for j, t in enumerate(basis):
-            image = braid_pair(A1, M, M, t[slot], t[slot + 1], True)
+            image = braid_pair(A1, M, M, t[slot], t[slot + 1])
             for (x, y), c in image.items():
                 mat[index[t[:slot] + (x, y) + t[slot + 2:]]][j] = c
         return mat
@@ -419,9 +370,9 @@ def _counting_braid_pair(monkeypatch):
     calls = Counter()
     real = weightmods.braid_pair
 
-    def counted(datum, M, N, a, b, weight_twist=False):
-        calls[a, b, weight_twist] += 1
-        return real(datum, M, N, a, b, weight_twist)
+    def counted(datum, M, N, a, b):
+        calls[a, b] += 1
+        return real(datum, M, N, a, b)
 
     monkeypatch.setattr(weightmods, "braid_pair", counted)
     return calls
@@ -432,21 +383,117 @@ def test_sigma_is_computed_once_per_pair_and_call(monkeypatch):
     M = build_verma(A1, 2, 3)
     assert ybe_check(A1, M, 3)
     assert calls and set(calls.values()) == {1}
-    assert all(twist for _, _, twist in calls)
     for word in ((1, 2, 1), (1, -2, -1, 2)):
         calls.clear()
         braid_rep(A1, M, 3, word, 3)
         assert calls and set(calls.values()) == {1}, word
 
 
-@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("A1xA1", (1, 1))])
-def test_higher_rank_braidings_are_refused(name, lam):
+# ---------------------------------------------------------------------------
+# Rank >= 2: the dual-basis coaction and the braiding it gives
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
+def test_double_pairing_is_the_signed_nichols_form(name):
+    # <E_u, F_w> = (-1)^{|beta|} <u, w> on every word pair up to degree 4:
+    # what lets build_verma invert the Nichols Gram in place of the double's
+    datum = load_datum(name)
+    ctx = UqContext(datum, cap=4)
+    for total in range(5):
+        for deg in weightmods._multidegrees(datum.rank, total):
+            words = words_of_degree(deg)
+            for u in words:
+                for w in words:
+                    nichols = ctx.nichols.pairing_eval(u, w)
+                    want = -nichols if total % 2 else nichols
+                    assert ctx.double_pairing(u, w) == want, (u, w)
+
+
+def _e_word_action(M, e_word, label):
+    vec = {label: ONE}
+    for i in reversed(e_word):
+        vec = M.apply_e(i, vec)
+    return vec
+
+
+@pytest.mark.parametrize("name,hw", [("A2", (1, 1)), ("B2", (1, 1)),
+                                     ("G2", (1, 0)), ("A1xA1", (1, 2))])
+def test_coaction_contraction_reproduces_every_e_word(name, hw):
+    datum = load_datum(name)
+    M = build_verma(datum, hw, 3)
+    e_words = [w for total in range(1, 4)
+               for deg in weightmods._multidegrees(datum.rank, total)
+               for w in words_of_degree(deg)]
+    for a in M.labels:
+        for e in e_words:
+            assert coaction_contract(M, e, a) == _e_word_action(M, e, a), (a, e)
+
+
+def test_mlambda_coaction_contraction_reproduces_e_powers():
+    M = build_mlambda(A1, 2, (4, 2), coaction_cap=2)
+    for label in M.coaction_cols:
+        for k in range(3):
+            e = fword(k)
+            assert coaction_contract(M, e, label) == _e_word_action(M, e, label)
+
+
+@pytest.mark.parametrize("name,hw,cap", [
+    ("A2", (1, 1), 3), ("A2", (0, 2), 3), ("B2", (1, 1), 3), ("G2", (1, 0), 3),
+    ("A1xA1", (1, 2), 3), ("A2", (1, 1), 4), ("B2", (1, 1), 4)])
+def test_higher_rank_ybe_holds(name, hw, cap):
+    datum = load_datum(name)
+    assert ybe_check(datum, build_verma(datum, hw, cap), cap)
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("A1xA1", (1, 1)),
+                                      ("B2", (1, 1))])
+def test_higher_rank_braidings_are_braidings(name, lam):
     datum = load_datum(name)
     M = build_verma(datum, lam, 2)
-    with pytest.raises(ConfigError, match="rank 1 only"):
-        ybe_check(datum, M, 2)
-    with pytest.raises(ConfigError, match="rank 1 only"):
-        braid_rep(datum, M, 3, (1, 2, 1), 2)
+    assert ybe_check(datum, M, 2)
+    basis, lhs = braid_rep(datum, M, 3, (1, 2, 1), 2)
+    _, rhs = braid_rep(datum, M, 3, (2, 1, 2), 2)
+    assert mat_eq(lhs, rhs)
+    _, roundtrip = braid_rep(datum, M, 3, (1, -1), 2)
+    identity = [[ONE if i == j else ZERO for j in range(len(basis))]
+                for i in range(len(basis))]
+    assert mat_eq(roundtrip, identity)
+
+
+def test_a1xa1_braiding_is_the_tensor_product_of_a1_braidings():
+    # a label of depth (n1, n2) is x^{n1} y^{n2}; sigma factors entry by entry
+    datum = load_datum("A1xA1")
+    cap = 3
+    for lam, lam_p in (((1, 2), (0, 1)), ((2, 0), (3, 1))):
+        M, N = build_verma(datum, lam, cap), build_verma(datum, lam_p, cap)
+        factors = [(build_verma(A1, lam[i], cap), build_verma(A1, lam_p[i], cap))
+                   for i in range(2)]
+        for a in M.labels:
+            for b in N.labels:
+                if sum(M.depths[a]) + sum(N.depths[b]) > cap:
+                    continue
+                want = {}
+                for (x1, y1), c1 in braid_pair(
+                        A1, *factors[0], fword(M.depths[a][0]),
+                        fword(N.depths[b][0])).items():
+                    for (x2, y2), c2 in braid_pair(
+                            A1, *factors[1], fword(M.depths[a][1]),
+                            fword(N.depths[b][1])).items():
+                        want[(len(x1), len(x2)), (len(y1), len(y2))] = c1 * c2
+                got = {(N.depths[x], M.depths[y]): c
+                       for (x, y), c in braid_pair(datum, M, N, a, b).items()}
+                assert got == want, (lam, lam_p, a, b)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_first_order_coaction_fails_ybe(name):
+    # negative control: the higher-order terms are what make it a braiding
+    datum = load_datum(name)
+    M = build_verma(datum, (1, 1), 3)
+    first_order = {a: tuple(t for t in col if len(t[0]) <= 1)
+                   for a, col in M.coaction_cols.items()}
+    assert not ybe_check(datum, dataclasses.replace(
+        M, coaction_cols=first_order), 3)
 
 
 def test_tensor_module_weights_add():
