@@ -215,6 +215,8 @@ def _sample_elements(ctx: UqContext, rng: random.Random, count: int):
 
 
 def cmd_hopf_check(args):
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be nonnegative, got {args.samples}")
     datum = load_datum(args.datum)
     ctx = UqContext(datum, cap=args.cap)
     rng = random.Random(args.seed)
@@ -255,12 +257,15 @@ def cmd_ybe_check(args):
 
 def cmd_braid_rep(args):
     datum = load_datum(args.datum)
-    module_cap = args.cap if args.module_cap is None else args.module_cap
-    M = build_verma(datum, _parse_weight(args.lam), module_cap)
+    letters = args.word.split(",") if args.word else []
+    if "" in letters:
+        raise ConfigError(f"empty letter in braid word {args.word!r}")
     try:
-        word = tuple(int(x) for x in args.word.split(",") if x)
+        word = tuple(int(x) for x in letters)
     except ValueError as exc:
         raise ConfigError(f"bad braid word {args.word!r}") from exc
+    module_cap = args.cap if args.module_cap is None else args.module_cap
+    M = build_verma(datum, _parse_weight(args.lam), module_cap)
     basis, mat = braid_rep(datum, M, args.strands, word, args.cap)
     return {
         "basis": [str(t) for t in basis],

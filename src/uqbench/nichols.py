@@ -28,13 +28,15 @@ followed by the candidate reductions.  Dimensions never build one.
 Every Gram entry of multidegree deg is prod_i <v_i, v_i>^{deg_i} times a
 Laurent polynomial in q with integer coefficients (`_pair_words`).  Scaling
 the Gram matrix by that constant changes neither the pivots nor the reduced
-form, so it is left out of the elimination; `pairing_eval` multiplies it
-back in.
+form, so it is left out of the elimination, and `word_gram` hands the
+integer Gram of any words to callers that scale afterwards;
+`pairing_eval` multiplies it back in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .braiding import BraidedSpace, TensorElement, Word
 from .errors import CapError, ConfigError
@@ -190,8 +192,13 @@ class NicholsContext:
         else:
             words = sorted(b + (i,) for i, k in enumerate(deg) if k > 0
                            for b in self.nichols_basis(_lower(deg, i)).basis_words)
-        gram = [[self._pair_words(u, w) for w in words] for u in words]
-        return words, gram
+        return words, self.word_gram(words)
+
+    def word_gram(self, words: Sequence[Word]) -> list[list[dict[int, int]]]:
+        """The Gram matrix of words of one degree divided by `_gram_scale`:
+        integer Laurent polynomials, shared through the pairing memo and not
+        to be mutated."""
+        return [[self._pair_words(u, w) for w in words] for u in words]
 
     def nichols_basis(self, deg: Degree) -> "NicholsBasis":
         """The basis words of degree deg; reduces the candidates on the way."""

@@ -5,10 +5,12 @@ Elements of Q(q) are kept as reduced fractions n/d of Laurent polynomials
 with integer coefficients.  In canonical form d is an honest polynomial in q
 with nonzero constant term and positive leading coefficient, any monomial
 unit q^k is folded into n, and n and d are coprime in Z[q, q^-1], their
-integer contents included.  That form is unique, so equality of canonical
-forms is plain representational equality, which keeps hash-based memo
-tables sound.  The constructor is the one routine that brings any n/d with
-rational coefficients to it: clear denominators, shift to polynomials,
+integer contents included.  That form is unique, so `==` compares the
+canonical numerator and denominator dicts and is still exact equality, and
+the hash, computed from those dicts on first use and cached, keeps
+hash-based memo tables sound; no value builds a key it may never need.
+The constructor is the one routine that brings any n/d with rational
+coefficients to it: clear denominators, shift to polynomials,
 divide both exactly by the gcd of their primitive parts (`_poly_gcd`, a
 primitive remainder sequence), then by their common integer content, signed
 so that d leads positive.  `num` and `den` give the same value over the
@@ -132,7 +134,6 @@ def _primitive(a: Mapping[int, int]) -> dict[int, int]:
 # The denominator of every integer Laurent polynomial, shared by all of them:
 # `x._den is _ONE_DEN` is the fast-path test.  No stored dict is ever mutated.
 _ONE_DEN: dict[int, int] = {0: 1}
-_ONE_DEN_KEY = ((0, 1),)
 
 
 class ScalarQ:
@@ -141,9 +142,11 @@ class ScalarQ:
     Internally a pair of integer Laurent-coefficient maps (num, den) with den
     a polynomial of nonzero constant term and positive leading coefficient,
     num and den coprime over Z.  Instances are immutable and hashable.
+    Equality compares the canonical dicts; the hash is computed on first use
+    and cached in the `_hash` slot, which stays unset until then.
     """
 
-    __slots__ = ("_num", "_den", "_key", "__weakref__")
+    __slots__ = ("_num", "_den", "_hash", "__weakref__")
 
     def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] = _ONE_DEN):
         n = {int(e): c for e, c in num.items() if c}
@@ -151,7 +154,7 @@ class ScalarQ:
         if not d:
             raise ScalarError("zero denominator")
         if not n:
-            self._num, self._den, self._key = {}, _ONE_DEN, ((), _ONE_DEN_KEY)
+            self._num, self._den = {}, _ONE_DEN
             return
         if not all(type(c) is int for c in (*n.values(), *d.values())):
             n = {e: Fraction(c) for e, c in n.items()}
@@ -174,10 +177,6 @@ class ScalarQ:
         self._num = {e + shift: c // content for e, c in n.items()}
         d = {e: c // content for e, c in d.items()}
         self._den = _ONE_DEN if d == _ONE_DEN else d
-        self._key = (
-            tuple(sorted(self._num.items())),
-            tuple(sorted(self._den.items())),
-        )
 
     # -- constructors ------------------------------------------------------
 
@@ -232,12 +231,17 @@ class ScalarQ:
         return len(self._den) == 1
 
     def __hash__(self):
-        return hash(self._key)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((frozenset(self._num.items()),
+                               frozenset(self._den.items())))
+            return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, ScalarQ):
             return NotImplemented
-        return self._key == other._key
+        return self._num == other._num and self._den == other._den
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -255,7 +259,6 @@ class ScalarQ:
         out = object.__new__(ScalarQ)
         out._num = _lp_neg(self._num)
         out._den = self._den
-        out._key = (tuple((e, -c) for e, c in self._key[0]), self._key[1])
         return out
 
     def __sub__(self, other: "ScalarQ") -> "ScalarQ":
@@ -345,7 +348,6 @@ def _laurent(num: dict[int, int]) -> ScalarQ:
     out = object.__new__(ScalarQ)
     out._num = num
     out._den = _ONE_DEN
-    out._key = (tuple(sorted(num.items())), _ONE_DEN_KEY)
     return out
 
 

@@ -14,7 +14,10 @@ ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree beta <= deg a up to the cap, {E_{b*}} the dual basis
 under the skew pairing of the double.  That pairing is the Nichols form up
 to a sign, <E_u, F_w> = (-1)^{|beta|} <u, w>, so `build_verma` inverts the
-Gram matrix `nichols_basis` has already built.  Contracting the coaction
+integer Laurent Gram of the basis words, whose pairings `nichols_basis` has
+already computed, and scales the inverse afterwards by the Laurent
+polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}; no Gram entry
+carries the rational factor of `pairing_eval`.  Contracting the coaction
 through `uq.double_pairing` gives back the E-action (`coaction_contract`);
 on rank 1 it is the closed form `verma_coaction`.
 
@@ -51,6 +54,7 @@ from typing import Sequence
 from .braiding import Word, braid_relation_holds, braid_slot
 from .errors import CapError, ConfigError
 from .linalg import invert
+from .nichols import Degree, NicholsContext
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .sparse import add_term
@@ -259,23 +263,35 @@ def _multidegrees(rank: int, total: int):
             yield (first,) + rest
 
 
+def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...], list]:
+    """(words, G^{-1}): the Nichols basis words of beta and the inverse of
+    their Gram G[u][b] = <E_u, F_b> = (-1)^{|beta|} <u, b>.
+
+    G is (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{-beta_i} times the integer
+    Laurent Gram `word_gram`, so that is inverted and the inverse multiplied
+    by the Laurent polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}.
+    """
+    words = nichols.nichols_basis(beta).basis_words
+    inv = invert([[ScalarQ(e) for e in row] for row in nichols.word_gram(words)],
+                 ZERO, ONE)
+    scale = ONE if sum(beta) % 2 == 0 else -ONE
+    for d, k in zip(nichols.datum.d, beta):
+        scale = scale * (ScalarQ.q_power(d) - ScalarQ.q_power(-d)) ** k
+    return words, [[scale * c for c in row] for row in inv]
+
+
 def _dual_basis_coaction(ctx: UqContext, labels, depths: dict, e_cols: dict) -> dict:
     """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
 
     b runs over the Nichols basis words of each multidegree beta <= deg a,
-    and E_{b*} = sum_u (G^{-1})[b][u] E_u with G[u][b] = <E_u, F_b> =
-    (-1)^{|beta|} <u, b> the Nichols Gram, inverted once per beta.  E-words
-    act letter by letter, rightmost first; each image E_u a is computed once
-    and serves every b.  Zero sums are dropped.
+    and E_{b*} = sum_u (G^{-1})[b][u] E_u (`_dual_basis`).  E-words act
+    letter by letter, rightmost first; each image E_u a is computed once and
+    serves every b.  Zero sums are dropped.
     """
     nichols = ctx.nichols
-    duals = {}
-    for beta in sorted({d for d in depths.values() if any(d)},
-                       key=lambda d: (sum(d), d)):
-        words = nichols.nichols_basis(beta).basis_words
-        sign = ONE if sum(beta) % 2 == 0 else -ONE
-        gram = [[sign * nichols.pairing_eval(u, b) for b in words] for u in words]
-        duals[beta] = (words, invert(gram, ZERO, ONE))
+    duals = {beta: _dual_basis(nichols, beta)
+             for beta in sorted({d for d in depths.values() if any(d)},
+                                key=lambda d: (sum(d), d))}
 
     images: dict = {((), a): {a: ONE} for a in labels}
 

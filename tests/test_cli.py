@@ -128,6 +128,10 @@ HIGH_DEGREE_PLANT = [
      "--plant", "E=1,1,0"],
 ]
 
+# an empty letter between commas or at either end of a braid word
+EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
+                for word in ("1,,2", ",1", "1,", ",")]
+
 
 @pytest.mark.parametrize("args", [
     ["converge-cert", "--p", "4", "--vh", "1"],
@@ -138,6 +142,8 @@ HIGH_DEGREE_PLANT = [
     ["rigidity-solve", "--order", "2", "--prime", "4"],
     *NEGATIVE_EXPONENT,
     *HIGH_DEGREE_PLANT,
+    ["hopf-check", "--datum", "A1", "--samples", "-1"],
+    *EMPTY_LETTER,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)
@@ -150,6 +156,19 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "negative exponent" in report["result"]["error"]
     if args in HIGH_DEGREE_PLANT:
         assert "degree <= 1" in report["result"]["error"]
+    if args in EMPTY_LETTER:
+        assert "empty letter" in report["result"]["error"]
+    if args[0] == "hopf-check":
+        assert "--samples" in report["result"]["error"]
+
+
+def test_empty_braid_word_is_the_identity():
+    proc = run_cli(["braid-rep", "--datum", "A1", "--strands", "2",
+                    "--word", "", "--cap", "2"])
+    assert proc.returncode == 0
+    mat = json.loads(proc.stdout)["result"]["matrix"]
+    assert mat == [["1" if r == c else "0" for c in range(len(mat))]
+                   for r in range(len(mat))]
 
 
 @pytest.mark.parametrize("args", [
@@ -355,7 +374,7 @@ def _module_argv(draw):
         argv += ["--lam=" + draw(_WEIGHT)]
     if command == "hopf-check":
         argv += ["--seed", str(draw(st.integers(0, 9))),
-                 "--samples", str(draw(st.integers(0, 3)))]
+                 "--samples", str(draw(st.integers(-1, 3)))]
     elif command == "braid-rep":
         argv += [f"--strands={draw(st.integers(1, 4))}",
                  "--word=" + draw(_WORD)]

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
-                             ValuationBound, _lp_add, _lp_mul, _lp_neg,
-                             gauss_valuation, is_prime, q_binomial,
+                             ValuationBound, _laurent, _lp_add, _lp_mul,
+                             _lp_neg, gauss_valuation, is_prime, q_binomial,
                              q_factorial, q_int, q_rising, vp, vp_factorial)
 
 try:
@@ -320,12 +320,47 @@ def test_fast_path_equals_general_constructor(a_num, b_num):
     ]
     for fast, general in cases:
         assert fast._den is _ONE_DEN
-        assert fast._key == general._key
+        assert fast._num == general._num and fast._den == general._den
         assert hash(fast) == hash(general)
         assert str(fast) == str(general)
         assert fast == general
         _assert_canonical(fast)
         _assert_canonical(general)
+
+
+def _laurent_input(num):
+    return ScalarQ(num), (num, {0: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_laurents.map(_laurent_input), rational_functions()),
+       rational_functions())
+def test_every_route_gives_one_dict_key(x_input, y_input):
+    # equality compares the canonical dicts and the hash is computed from
+    # them on first use, so a value built by any route finds the same key
+    x, (num, den) = x_input
+    y = y_input[0]
+    routes = [ScalarQ(num, den), -(-x), x * ONE]
+    if y:
+        routes.append((x * y) / y)
+    if den == {0: 1} and all(type(c) is int for c in num.values()):
+        routes.append(_laurent({e: c for e, c in num.items() if c}))
+    table = {x: "x"}
+    for r in routes:
+        assert r == x and not r != x
+        assert hash(r) == hash(x)
+        assert table[r] == "x"
+        assert str(r) == str(x)
+        _assert_canonical(r)
+    assert len({x, *routes}) == 1
+    assert hash(x) == x._hash
+
+
+def test_hash_ignores_dict_insertion_order():
+    a, b = _laurent({2: 1, 0: -3, -1: 5}), _laurent({-1: 5, 0: -3, 2: 1})
+    assert list(a._num) != list(b._num)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert q_int(3) != Q(2) + Q(-2) and ONE != ZERO and ZERO == -ZERO
 
 
 def test_rational_laurent_values_have_a_constant_denominator():

@@ -409,6 +409,23 @@ def test_double_pairing_is_the_signed_nichols_form(name):
                     assert ctx.double_pairing(u, w) == want, (u, w)
 
 
+@pytest.mark.parametrize("name,cap", [("A1", 6), ("A2", 4), ("B2", 4),
+                                      ("G2", 3), ("A1xA1", 4)])
+def test_dual_basis_from_the_integer_gram_matches_the_rational_gram(name, cap):
+    # build_verma inverts the integer Laurent Gram and scales afterwards; the
+    # oracle inverts the signed rational Gram of pairing_eval itself
+    datum = load_datum(name)
+    nichols = UqContext(datum, cap=cap).nichols
+    for total in range(1, cap + 1):
+        for beta in weightmods._multidegrees(datum.rank, total):
+            words, inv = weightmods._dual_basis(nichols, beta)
+            assert words == nichols.nichols_basis(beta).basis_words
+            sign = ONE if total % 2 == 0 else -ONE
+            gram = [[sign * nichols.pairing_eval(u, b) for b in words]
+                    for u in words]
+            assert inv == invert(gram, ZERO, ONE), beta
+
+
 def _e_word_action(M, e_word, label):
     vec = {label: ONE}
     for i in reversed(e_word):
