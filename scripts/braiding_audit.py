@@ -1,23 +1,36 @@
 #!/usr/bin/env python3
 """Audit the rank-1 braiding against its closed form and run exact
-Yang-Baxter checks on truncated highest-weight windows.
+Yang-Baxter, naturality and hexagon checks on truncated highest-weight
+windows.
 
 The compositional braiding (the dual-basis coaction acting through the
 F-action, with the weight twist) and the rank-1 closed form are computed
 separately and compared entry by entry.  Then the braid relation is
 verified on the degree-capped triple tensor window of Vermas over A1 and
-the rank-2 data A2, B2, G2 and A1xA1.
+the rank-2 data A2, B2, G2 and A1xA1.  Last, on Vermas of two different
+weights over each of these data, the braiding is checked to be a module
+map (it commutes with every E_i and F_i acting on both tensor windows
+through `tensor_module`) and to satisfy the right hexagon
+sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1).
 """
 
 import argparse
 import sys
 import time
 
+from uqbench.errors import CapError
 from uqbench.rootdata import load_datum
+from uqbench.scalars import ScalarQ
+from uqbench.sparse import add_term
 from uqbench.weightmods import (braid_pair, build_verma,
-                                closed_form_braiding_rank1, ybe_check)
+                                closed_form_braiding_rank1, tensor_module,
+                                ybe_check)
 
 YBE_DATA = ("A1", "A2", "B2", "G2", "A1xA1")
+# two highest weights and a cap per datum for the naturality and hexagon stages
+MIXED = {"A1": (2, -1, 4), "A2": ((1, 1), (0, 2), 3), "B2": ((1, 1), (2, 0), 3),
+         "G2": ((1, 0), (0, 1), 2), "A1xA1": ((1, 2), (0, 1), 3)}
+ONE = ScalarQ.one()
 
 
 def audit_pairs(datum, lam_max, cap):
@@ -39,6 +52,54 @@ def audit_pairs(datum, lam_max, cap):
                         print(f"MISMATCH lam={lam} lam'={lam_p} "
                               f"n={n} m={m}")
     return checked, mismatches
+
+
+def naturality_failures(datum, M, N):
+    """(cases, failures) of sigma X = X sigma for X = E_i and F_i acting on
+    M (x) N and N (x) M through `tensor_module`, on every label pair; a
+    case that leaves a window is skipped."""
+    mn, nm = tensor_module(datum, M, N), tensor_module(datum, N, M)
+
+    def sigma(vec):
+        out = {}
+        for (a, b), c in vec.items():
+            for pair, c2 in braid_pair(datum, M, N, a, b).items():
+                add_term(out, pair, c * c2)
+        return out
+
+    cases = failures = 0
+    for pair in mn.labels:
+        for i in range(datum.rank):
+            for act_mn, act_nm in ((mn.apply_e, nm.apply_e),
+                                   (mn.apply_f, nm.apply_f)):
+                try:
+                    ok = sigma(act_mn(i, {pair: ONE})) == act_nm(i, sigma({pair: ONE}))
+                except CapError:
+                    continue
+                cases += 1
+                failures += not ok
+    return cases, failures
+
+
+def hexagon_failures(datum, M, N, P):
+    """(cases, failures) of sigma_{M, N (x) P} =
+    (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on every label triple, with
+    N (x) P from `tensor_module`; a case that leaves a window is skipped."""
+    np_ = tensor_module(datum, N, P)
+    cases = failures = 0
+    for a in M.labels:
+        for (b, c) in np_.labels:
+            try:
+                lhs = braid_pair(datum, M, np_, a, (b, c))
+                rhs = {}
+                for (b2, a2), c1 in braid_pair(datum, M, N, a, b).items():
+                    for (c2, a3), c3 in braid_pair(datum, M, P, a2, c).items():
+                        add_term(rhs, ((b2, c2), a3), c1 * c3)
+            except CapError:
+                continue
+            cases += 1
+            failures += lhs != rhs
+    return cases, failures
 
 
 def main(argv=None):
@@ -63,6 +124,20 @@ def main(argv=None):
             failures += not ok
             print(f"ybe {name} lam={hw} cap={args.ybe_cap}: "
                   f"{'exact' if ok else 'FAILED'}")
+
+    for name in YBE_DATA:
+        mixed_datum = load_datum(name)
+        lam, lam_p, cap = MIXED[name]
+        M, N = build_verma(mixed_datum, lam, cap), build_verma(mixed_datum, lam_p, cap)
+        for stage, runs in (
+                ("naturality", (naturality_failures(mixed_datum, M, N),
+                                naturality_failures(mixed_datum, N, M))),
+                ("hexagon", (hexagon_failures(mixed_datum, M, N, M),
+                             hexagon_failures(mixed_datum, N, M, N)))):
+            cases, bad = map(sum, zip(*runs))
+            failures += bad
+            print(f"{stage} {name} lam={lam}/{lam_p} cap={cap}: "
+                  f"{cases} cases, {bad} failures")
     print(f"elapsed {time.monotonic() - start:.2f}s")
     return 1 if mismatches or failures else 0
 

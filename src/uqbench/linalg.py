@@ -9,9 +9,8 @@ ordering rows/columns beforehand.
 
 `rref` is the one elimination.  The Nichols radical runs it over Q(q) on
 the Gram matrix of the right-extension candidates, the deformation solvers
-over Q through `solve`, and `invert` is built on it.  `mat_mul` and
-`mat_eq` are the dense reference that the tests check the sparse braid
-actions against.
+over Q through `solve`, and `invert` is built on it.  `mat_mul` is the
+dense reference that the tests check the sparse braid actions against.
 """
 
 from __future__ import annotations
@@ -102,7 +101,3 @@ def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]], zero: S) -> list
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def mat_eq(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]]) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))

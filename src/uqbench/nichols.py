@@ -261,9 +261,6 @@ class NicholsContext:
                 out.add_term(bw, coef * c)
         return out
 
-    def is_in_radical(self, x: TensorElement) -> bool:
-        return self.reduce_mod_radical(x).is_zero()
-
 
 @dataclass(frozen=True)
 class NicholsBasis:

@@ -193,10 +193,6 @@ class ScalarQ:
         return ScalarQ({0: n})
 
     @staticmethod
-    def from_fraction(x: Fraction) -> "ScalarQ":
-        return ScalarQ({0: x})
-
-    @staticmethod
     def q_power(k: int) -> "ScalarQ":
         return _laurent({k: 1})
 
@@ -291,21 +287,7 @@ class ScalarQ:
             k >>= 1
         return out
 
-    # -- evaluation and display ---------------------------------------------
-
-    def at_one(self) -> Fraction:
-        """Evaluate at q = 1 (denominator must not vanish there)."""
-        dv = sum(self._den.values())
-        if dv == 0:
-            raise ScalarError("denominator vanishes at q = 1")
-        return Fraction(sum(self._num.values()), dv)
-
-    def substitute_power(self, d: int) -> "ScalarQ":
-        """The image under q -> q^d (d a nonzero integer)."""
-        if d == 0:
-            raise ScalarError("q -> q^0 is not a field map")
-        return ScalarQ({e * d: c for e, c in self._num.items()},
-                       {e * d: c for e, c in self._den.items()})
+    # -- display ------------------------------------------------------------
 
     @staticmethod
     def _fmt_laurent(d: Mapping[int, Fraction]) -> str:

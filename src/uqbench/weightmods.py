@@ -31,18 +31,21 @@ pair; it is a genuine braiding (Yang-Baxter holds exactly, and mixed-weight
 triples pass as well).  On rank 1 it is the closed form
 `closed_form_braiding_rank1`.
 
-On tensor windows the braiding's F-action uses the bosonized smash coproduct,
-F(b (x) c) = Fb (x) c + q^{(alpha_i, wt b)} b (x) Fc, stored in
-`braid_f_cols`; with it the braiding also satisfies the right hexagon
-sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on rank-1 windows
-(the module tensor action `f_cols` keeps the inverse decoration q^{-(tau, wt)}
-and is what `apply_f` uses).
+`tensor_module` makes M (x) N a module through the bar-coproduct
+    E_i -> E_i (x) t_i^{-1} + 1 (x) E_i,   F_i -> F_i (x) 1 + t_i (x) F_i,
+the coproduct of `uq.UqContext` conjugated by the bar involution (E and F
+fixed, K -> K^{-1}, q -> q^{-1}).  The quasi-R-matrix intertwines the two
+coproducts (Lusztig, Introduction to Quantum Groups, Thm 4.1.2), so sigma
+commutes with every E_i and F_i acting this way, and braiding past a tensor
+window satisfies the right hexagon
+sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1), at every rank;
+`scripts/braiding_audit.py` checks both.
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
 label pair, as a pair table, and apply it to sparse vectors of label tuples
-with `braiding.braid_slot`, the engine the diagonal braidings use too;
-`ybe_check` is `braiding.braid_relation_holds` on its depth-capped triples,
-and `braid_rep` writes the dense matrix out only at the end.
+with `braiding.braid_slot`; `ybe_check` is `braiding.braid_relation_holds`
+on its depth-capped triples, and `braid_rep` writes the dense matrix out
+only at the end.
 """
 
 from __future__ import annotations
@@ -70,13 +73,10 @@ Vec = dict  # label -> ScalarQ
 class WeightModule:
     """A windowed weight module with explicit truncation semantics.
 
-    braid_f_cols, when set, is the F-action braidings use on this module in
-    place of f_cols.  It differs from f_cols only on tensor windows: inside
-    the braiding composite an F-word distributes over a tensor product with
-    the positive Cartan decoration of the graded smash coproduct,
-    F (b (x) c) = (F b) (x) c + q^{(alpha_i, wt b)} b (x) (F c),
-    while the module tensor action itself uses the quantum group coproduct
-    with the inverse decoration.  Leaf modules leave it None.
+    E_i and F_i act by the sparse columns e_cols[i] and f_cols[i], K by q to
+    the pairing with the label's weight; a label without a column is outside
+    the window.  The coaction columns hold (F-word, label, c) terms.  Tensor
+    windows come from `tensor_module` and have no coaction.
     """
 
     datum: RootDatum
@@ -88,7 +88,6 @@ class WeightModule:
     f_cols: dict
     coaction_cols: dict
     window: str
-    braid_f_cols: dict | None = None
 
     def k_scalar(self, lam: Sequence[int], label) -> ScalarQ:
         mu = self.weights[label]
@@ -117,12 +116,10 @@ class WeightModule:
     def apply_f(self, i: int, vec: Vec) -> Vec:
         return self._apply_cols(self.f_cols[i], "F", i, vec)
 
-    def apply_braid_f_word(self, word: Word, vec: Vec) -> Vec:
-        cols = self.braid_f_cols if self.braid_f_cols is not None else self.f_cols
-        out = vec
+    def apply_f_word(self, word: Word, vec: Vec) -> Vec:
         for i in reversed(word):
-            out = self._apply_cols(cols[i], "F", i, out)
-        return out
+            vec = self.apply_f(i, vec)
+        return vec
 
     def coaction(self, label):
         col = self.coaction_cols.get(label)
@@ -328,16 +325,16 @@ def _dual_basis_coaction(ctx: UqContext, labels, depths: dict, e_cols: dict) -> 
 # The lowest-weight-free window module
 # ---------------------------------------------------------------------------
 
-def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
-                  coaction_cap: int | None = None) -> WeightModule:
+def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> WeightModule:
     """Window of the module with basis x_{i,j}, no highest-weight generator.
 
     Actions: K x_{i,j} = q^{lam+2i-2j} x_{i,j}; E x_{i,j} = x_{i+1,j};
     F x_{i,j} = x_{i,j+1} - [i][lam+i-1-2j] x_{i-1,j} (second term absent at
     i = 0).  Norm exponent j - i.  The coaction sends x_{i,j} to
-    sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j},
-    truncated at the cap: the normalisation of the Verma coaction, dual to
-    `uq.double_pairing`.
+    sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j}
+    for k <= i_max, the normalisation of the Verma coaction, dual to
+    `uq.double_pairing`; it lies in the window only at i = 0, so only those
+    labels have a coaction column.
     """
     if datum.rank != 1 or datum.lattice_rank != 1:
         raise ConfigError("the window module is defined over the rank-one datum")
@@ -346,8 +343,6 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
     i_max, j_max = window
     if i_max < 0 or j_max < 0:
         raise ConfigError("window bounds must be nonnegative")
-    if coaction_cap is None:
-        coaction_cap = i_max
     d = datum.d[0]
     alpha = datum.simple_roots[0]
 
@@ -376,10 +371,10 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int],
     qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
     coaction_cols = {}
     for (i, j) in labels:
-        if i + coaction_cap > i_max:
+        if i > 0:
             continue
         terms = []
-        for k in range(coaction_cap + 1):
+        for k in range(i_max + 1):
             sign = ONE if k % 2 == 0 else -ONE
             coeff = (sign * qd ** k / q_factorial(k, d)
                      * ScalarQ.q_power(-d * k * (k - 1) // 2))
@@ -418,7 +413,7 @@ def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
     ref_m = _reference_weight(M, a_label)
     ref_n = _reference_weight(N, b_label)
     for (fw, a2, c) in M.coaction(a_label):
-        moved = N.apply_braid_f_word(fw, {b_label: ONE})
+        moved = N.apply_f_word(fw, {b_label: ONE})
         for b2, c2 in moved.items():
             exp = (_depth_weight_pairing(datum, N.depths[b2], ref_m)
                    + _depth_weight_pairing(datum, M.depths[a2], ref_n)
@@ -463,7 +458,10 @@ def _pair_root_weight(datum: RootDatum, i: int, mu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightModule:
-    """M (x) N as a weight module (no coaction): enough to braid against."""
+    """M (x) N as a weight module (no coaction), acting by the bar-coproduct:
+    E_i (b (x) c) = E_i b (x) q^{-(alpha_i, wt c)} c + b (x) E_i c and
+    F_i (b (x) c) = F_i b (x) c + q^{(alpha_i, wt b)} b (x) F_i c.
+    A pair has a column only where both factors have one."""
     labels = tuple((a, b) for a in M.labels for b in N.labels)
     weights = {}
     depths = {}
@@ -474,19 +472,13 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
         norm_exps[(a, b)] = M.norm_exps[a] + N.norm_exps[b]
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
-    braid_f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
-    m_braid = M.braid_f_cols if M.braid_f_cols is not None else M.f_cols
-    n_braid = N.braid_f_cols if N.braid_f_cols is not None else N.f_cols
     for (a, b) in labels:
         for i in range(datum.rank):
-            tau = datum.t_indices[i]
-            tn = ScalarQ.q_power(sum(x * y for x, y in zip(tau, N.weights[b])))
-            tin = ScalarQ.q_power(-sum(x * y for x, y in zip(tau, M.weights[a])))
-            tpos = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
+            e_twist = ScalarQ.q_power(-_pair_root_weight(datum, i, N.weights[b]))
+            f_twist = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
             for cols, cols_m, cols_n, scale_m, scale_n in (
-                    (e_cols, M.e_cols, N.e_cols, tn, ONE),
-                    (f_cols, M.f_cols, N.f_cols, ONE, tin),
-                    (braid_f_cols, m_braid, n_braid, ONE, tpos)):
+                    (e_cols, M.e_cols, N.e_cols, e_twist, ONE),
+                    (f_cols, M.f_cols, N.f_cols, ONE, f_twist)):
                 ca, cb = cols_m[i].get(a), cols_n[i].get(b)
                 if ca is None or cb is None:
                     continue
@@ -500,8 +492,7 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
         datum=datum, labels=labels, weights=weights, depths=depths,
         norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
         coaction_cols={},
-        window=f"({M.window}) (x) ({N.window})",
-        braid_f_cols=braid_f_cols)
+        window=f"({M.window}) (x) ({N.window})")
 
 
 class _SigmaTable(dict):

@@ -28,14 +28,14 @@ def test_constants():
     assert ONE.is_one() and not ONE.is_zero()
     assert ScalarQ.from_int(0) == ZERO
     assert ScalarQ.from_int(1) == ONE
-    assert ScalarQ.from_fraction(Fraction(2, 2)) == ONE
+    assert ScalarQ({0: Fraction(2, 2)}) == ONE
 
 
 def test_laurent_canonical_strings():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
     assert str(Q(5) + Q(1) + Q(-3)) == "q^5 + q + q^-3"
-    assert str(ScalarQ.from_fraction(Fraction(-3, 2))) == "-3/2"
+    assert str(ScalarQ({0: Fraction(-3, 2)})) == "-3/2"
     assert repr(q_int(2)) == "ScalarQ(q + q^-1)"
 
 
@@ -48,7 +48,7 @@ def test_fraction_string_shows_num_over_den():
 
 def test_field_identities_on_samples():
     samples = [ONE, Q(3), q_int(4), q_int(2) - Q(5),
-               ONE / (Q(1) - Q(-1)), ScalarQ.from_fraction(Fraction(7, 3))]
+               ONE / (Q(1) - Q(-1)), ScalarQ({0: Fraction(7, 3)})]
     for a in samples:
         assert a * a.inverse() == ONE
         assert a + ZERO == a
@@ -100,17 +100,28 @@ def test_q_int_rescaled_variable():
         assert q_int(n, d=2) * den == Q(2 * n) - Q(-2 * n)
 
 
+def _at_one(x):
+    """x evaluated at q = 1: the coefficient sums of numerator and denominator."""
+    return Fraction(sum(x.num.values())) / sum(x.den.values())
+
+
+def _substitute_power(x, d):
+    """The image of x under q -> q^d."""
+    return ScalarQ({e * d: c for e, c in x.num.items()},
+                   {e * d: c for e, c in x.den.items()})
+
+
 def test_at_one_specializes_to_integers():
     for n in range(8):
-        assert q_int(n).at_one() == n
-        assert q_factorial(n).at_one() == math.factorial(n)
-    assert q_binomial(6, 2).at_one() == 15
+        assert _at_one(q_int(n)) == n
+        assert _at_one(q_factorial(n)) == math.factorial(n)
+    assert _at_one(q_binomial(6, 2)) == 15
 
 
 def test_substitute_power_matches_d_parameter():
     for n in range(6):
-        assert q_int(n).substitute_power(3) == q_int(n, d=3)
-        assert q_factorial(n).substitute_power(2) == q_factorial(n, d=2)
+        assert _substitute_power(q_int(n), 3) == q_int(n, d=3)
+        assert _substitute_power(q_factorial(n), 2) == q_factorial(n, d=2)
 
 
 def test_q_factorial_recursion():
@@ -177,7 +188,7 @@ def test_str_matches_the_reference_formatting():
     samples = [ZERO, ONE, -ONE, ScalarQ.from_int(-7), ScalarQ.from_int(12),
                Q(1), Q(-1), -Q(4), Q(5) - Q(2) * ScalarQ.from_int(3) + ONE,
                q_int(4) - Q(-6), q_binomial(5, 2, 2),
-               ScalarQ.from_fraction(Fraction(-3, 2)),
+               ScalarQ({0: Fraction(-3, 2)}),
                ONE / (Q(1) - Q(-1)),
                ScalarQ({2: 3, 0: -1}, {1: 2, 0: 4}),
                ScalarQ({0: -5}, {3: -3, 1: 1, 0: 2}),

@@ -33,6 +33,11 @@ def test_braiding_audit(capsys):
     assert ", 0 mismatches" in out
     assert "FAILED" not in out
     assert "ybe A2 lam=(0, 1) cap=2: exact" in out
+    for stage in ("naturality", "hexagon"):
+        lines = [line for line in out.splitlines() if line.startswith(stage)]
+        assert len(lines) == 5
+        assert all(line.endswith(", 0 failures") for line in lines)
+    assert "naturality A2 lam=(1, 1)/(0, 2) cap=3: 420 cases, 0 failures" in out
 
 
 @pytest.mark.parametrize("argv", [[], ["--cap", "4", "--window", "2",

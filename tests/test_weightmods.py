@@ -4,21 +4,27 @@ The coaction is the Nichols basis against its dual basis at every rank.  It
 is pinned on rank 1 against the closed form term by term, and at every rank
 by contracting it through `uq.double_pairing`, which is built apart from it.
 The braiding is pinned against the rank-1 closed form and through ybe_check
-and matrix braid relations on ranks 1 and 2.
+and matrix braid relations on ranks 1 and 2.  It is a module map for the
+tensor action of `tensor_module` and satisfies the right hexagon at every
+rank, and neither holds for the tensor action by the coproduct of
+`UqContext`.
 """
 
 import dataclasses
+import importlib.util
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from uqbench import weightmods
 from uqbench.errors import CapError, ConfigError
-from uqbench.linalg import invert, mat_eq, mat_mul
+from uqbench.linalg import invert, mat_mul
 from uqbench.nichols import NicholsContext, words_of_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial, q_int
+from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
@@ -218,21 +224,20 @@ def test_mlambda_norm_exponents():
 
 
 def test_mlambda_coaction_displayed_series():
-    # coaction x_{i,j} -> sum_k (-1)^k q^{-k(k-1)/2} ((q-q^-1)^k/[k]!)
-    # F^k (x) x_{i+k,j};
-    # complete columns exist for labels with k-headroom inside the window
+    # coaction x_{0,j} -> sum_k (-1)^k q^{-k(k-1)/2} ((q-q^-1)^k/[k]!)
+    # F^k (x) x_{k,j} for k <= i_max; the other labels have no column
     lam = 2
-    M = build_mlambda(A1, lam, (4, 2), coaction_cap=2)
+    M = build_mlambda(A1, lam, (4, 2))
+    assert sorted(M.coaction_cols) == [(0, j) for j in range(3)]
     qd = Q(1) - Q(-1)
-    for i in range(3):
-        for j in range(3):
-            col = {(len(fw), tgt): c for fw, tgt, c in M.coaction((i, j))}
-            assert len(col) == 3
-            for k in range(3):
-                want = (qd ** k) / q_factorial(k) * Q(-k * (k - 1) // 2)
-                if k % 2:
-                    want = -want
-                assert col[(k, (i + k, j))] == want, (i, j, k)
+    for j in range(3):
+        col = {(len(fw), tgt): c for fw, tgt, c in M.coaction((0, j))}
+        assert len(col) == 5
+        for k in range(5):
+            want = (qd ** k) / q_factorial(k) * Q(-k * (k - 1) // 2)
+            if k % 2:
+                want = -want
+            assert col[(k, (k, j))] == want, (j, k)
 
 
 def test_mlambda_incomplete_coaction_raises():
@@ -287,14 +292,14 @@ def test_braid_rep_satisfies_braid_relation():
     M = build_verma(A1, 2, 3)
     _, lhs = braid_rep(A1, M, 3, (1, 2, 1), 3)
     _, rhs = braid_rep(A1, M, 3, (2, 1, 2), 3)
-    assert mat_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_braid_rep_distant_strands_commute():
     M = build_verma(A1, 1, 2)
     _, lhs = braid_rep(A1, M, 4, (1, 3), 2)
     _, rhs = braid_rep(A1, M, 4, (3, 1), 2)
-    assert mat_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_braid_rep_word_is_product_of_generators():
@@ -302,7 +307,7 @@ def test_braid_rep_word_is_product_of_generators():
     _, s1 = braid_rep(A1, M, 3, (1,), 2)
     _, s2 = braid_rep(A1, M, 3, (2,), 2)
     _, w = braid_rep(A1, M, 3, (1, 2), 2)
-    assert mat_eq(w, mat_mul(s2, s1, ZERO))
+    assert w == mat_mul(s2, s1, ZERO)
 
 
 def test_braid_rep_validation():
@@ -363,7 +368,7 @@ def test_braid_rep_matches_dense_reference(lam, n_strands, cap, word):
     basis, mat = braid_rep(A1, M, n_strands, word, cap)
     ref_basis, ref = _dense_braid_rep(M, n_strands, word, cap)
     assert basis == ref_basis
-    assert mat_eq(mat, ref)
+    assert mat == ref
 
 
 def _counting_braid_pair(monkeypatch):
@@ -447,9 +452,9 @@ def test_coaction_contraction_reproduces_every_e_word(name, hw):
 
 
 def test_mlambda_coaction_contraction_reproduces_e_powers():
-    M = build_mlambda(A1, 2, (4, 2), coaction_cap=2)
+    M = build_mlambda(A1, 2, (4, 2))
     for label in M.coaction_cols:
-        for k in range(3):
+        for k in range(5):
             e = fword(k)
             assert coaction_contract(M, e, label) == _e_word_action(M, e, label)
 
@@ -470,11 +475,11 @@ def test_higher_rank_braidings_are_braidings(name, lam):
     assert ybe_check(datum, M, 2)
     basis, lhs = braid_rep(datum, M, 3, (1, 2, 1), 2)
     _, rhs = braid_rep(datum, M, 3, (2, 1, 2), 2)
-    assert mat_eq(lhs, rhs)
+    assert lhs == rhs
     _, roundtrip = braid_rep(datum, M, 3, (1, -1), 2)
     identity = [[ONE if i == j else ZERO for j in range(len(basis))]
                 for i in range(len(basis))]
-    assert mat_eq(roundtrip, identity)
+    assert roundtrip == identity
 
 
 def test_a1xa1_braiding_is_the_tensor_product_of_a1_braidings():
@@ -520,3 +525,88 @@ def test_tensor_module_weights_add():
     for (a, b) in T.labels:
         assert T.weights[(a, b)][0] == M.weights[a][0] + N.weights[b][0]
         assert T.norm_exps[(a, b)] == M.norm_exps[a] + N.norm_exps[b]
+
+
+# ---------------------------------------------------------------------------
+# The braided category: naturality and the right hexagon
+# ---------------------------------------------------------------------------
+
+def _braiding_audit():
+    """scripts/braiding_audit.py as a module: the naturality and hexagon
+    checks and the weights they run on."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "braiding_audit.py"
+    spec = importlib.util.spec_from_file_location("braiding_audit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+AUDIT = _braiding_audit()
+
+
+def _delta_tensor(datum, M, N):
+    """Negative control: M (x) N acting by the coproduct of UqContext,
+    E_i -> E_i (x) t_i + 1 (x) E_i and F_i -> F_i (x) 1 + t_i^{-1} (x) F_i,
+    in place of the bar-coproduct of `tensor_module`."""
+    e_cols = {i: {} for i in range(datum.rank)}
+    f_cols = {i: {} for i in range(datum.rank)}
+    T = tensor_module(datum, M, N)
+    for a, b in T.labels:
+        for i, tau in enumerate(datum.t_indices):
+            t_a = Q(sum(x * y for x, y in zip(tau, M.weights[a])))
+            t_b = Q(sum(x * y for x, y in zip(tau, N.weights[b])))
+            for cols, cols_m, cols_n, scale_m, scale_n in (
+                    (e_cols, M.e_cols, N.e_cols, t_b, ONE),
+                    (f_cols, M.f_cols, N.f_cols, ONE, t_a.inverse())):
+                ca, cb = cols_m[i].get(a), cols_n[i].get(b)
+                if ca is None or cb is None:
+                    continue
+                col = {}
+                for a2, c in ca:
+                    add_term(col, (a2, b), c * scale_m)
+                for b2, c in cb:
+                    add_term(col, (a, b2), c * scale_n)
+                cols[i][a, b] = sorted(col.items())
+    return dataclasses.replace(T, e_cols=e_cols, f_cols=f_cols)
+
+
+def _mixed_vermas(name):
+    """Vermas of the two weights braiding_audit.py gives the datum."""
+    datum = load_datum(name)
+    lam, lam_p, cap = AUDIT.MIXED[name]
+    return datum, build_verma(datum, lam, cap), build_verma(datum, lam_p, cap)
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_braiding_commutes_with_the_tensor_action(name):
+    datum, M, N = _mixed_vermas(name)
+    for X, Y in ((M, N), (N, M)):
+        cases, failures = AUDIT.naturality_failures(datum, X, Y)
+        assert cases > 0 and failures == 0, (cases, failures)
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_braiding_does_not_commute_with_the_coproduct_action(name, monkeypatch):
+    # negative control: the same check fails for the coproduct of UqContext
+    datum, M, N = _mixed_vermas(name)
+    monkeypatch.setattr(AUDIT, "tensor_module", _delta_tensor)
+    cases, failures = AUDIT.naturality_failures(datum, M, N)
+    assert 0 < failures < cases, (cases, failures)
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_right_hexagon_holds(name):
+    datum, M, N = _mixed_vermas(name)
+    for X, Y in ((M, N), (N, M)):
+        cases, failures = AUDIT.hexagon_failures(datum, X, Y, X)
+        assert cases > 0 and failures == 0, (cases, failures)
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_right_hexagon_fails_with_the_coproduct_f_action(name, monkeypatch):
+    # negative control: sigma_{M, N (x) P} acts with F-words on N (x) P, so
+    # the tensor window's F-action is the one that matters here
+    datum, M, N = _mixed_vermas(name)
+    monkeypatch.setattr(AUDIT, "tensor_module", _delta_tensor)
+    cases, failures = AUDIT.hexagon_failures(datum, M, N, M)
+    assert 0 < failures < cases, (cases, failures)
