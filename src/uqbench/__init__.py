@@ -7,7 +7,9 @@ side.  The main entry points:
 - scalars: ScalarQ Laurent fractions, q-integers, p-adic valuations.
 - sparse: the one sparse-vector core (add at a key, drop zero sums).
 - rootdata: RootDatum presets and validation.
-- nichols: diagonal Nichols algebras via the pairing radical.
+- braiding: tensor words and the braid-word engine.
+- nichols: Nichols algebras of the datum's diagonal braiding via the
+  pairing radical.
 - uq: the double-bosonised quantum group on a truncated PBW window.
 - weightmods: windowed Verma and dense weight modules, braidings,
   braid-group representations.
@@ -20,15 +22,15 @@ side.  The main entry points:
 from .errors import CapError, ConfigError, ObstructionError
 from .scalars import (PadicParams, ScalarQ, ValuationBound, gauss_valuation,
                       q_binomial, q_factorial, q_int, vp, vp_factorial)
-from .rootdata import RootDatum, list_presets, load_datum, validate_datum
+from .rootdata import RootDatum, load_datum, validate_datum
 from .nichols import NicholsContext, serre_element
 from .uq import UqContext
 from .weightmods import (WeightModule, braid_pair, braid_rep, build_mlambda,
                          build_verma, closed_form_braiding_rank1,
                          tensor_module, ybe_check)
-from .norms import (ConvergenceCertificate, NormReport, RadiusParams,
-                    admissible, coaction_convergence, norm_contract_check,
-                    reverify_certificate, rmatrix_condition)
+from .norms import (ConvergenceCertificate, RadiusParams, admissible,
+                    coaction_convergence, reverify_certificate,
+                    rmatrix_condition)
 from .deform import (SeriesElement, SeriesMap, TruncatedUg, conjugate_map,
                      derivation_gauge, identity_map, mult_trivialize,
                      plant_deformation, rigidity_conjugator)
@@ -38,15 +40,15 @@ __all__ = [
     "ScalarQ", "PadicParams", "ValuationBound",
     "q_int", "q_factorial", "q_binomial", "vp", "vp_factorial",
     "gauss_valuation",
-    "RootDatum", "load_datum", "list_presets", "validate_datum",
+    "RootDatum", "load_datum", "validate_datum",
     "NicholsContext", "serre_element",
     "UqContext",
     "WeightModule", "build_verma", "build_mlambda", "tensor_module",
     "braid_pair", "closed_form_braiding_rank1", "braid_rep",
     "ybe_check",
-    "RadiusParams", "ConvergenceCertificate", "NormReport",
+    "RadiusParams", "ConvergenceCertificate",
     "admissible", "rmatrix_condition", "coaction_convergence",
-    "reverify_certificate", "norm_contract_check",
+    "reverify_certificate",
     "TruncatedUg", "SeriesElement", "SeriesMap",
     "identity_map", "conjugate_map", "rigidity_conjugator",
     "derivation_gauge", "plant_deformation", "mult_trivialize",

@@ -1,7 +1,8 @@
-"""Braided vector spaces of diagonal type and the one braid-word engine.
+"""Tensor words and the one braid-word engine.
 
-A diagonal braiding on V with basis (v_i) is c(v_i (x) v_j) = b(i,j) v_j (x) v_i
-for invertible scalars b(i,j); `nichols` builds its Nichols algebras on it.
+`TensorElement` holds combinations of tensor words v_{i1} (x) ... (x) v_{in},
+the elements of the tensor algebra that `nichols` reduces modulo its radical;
+`nichols` reads the diagonal braiding of V from the datum's pairing.
 
 A pair table lists the image of each label pair, table[x, y] =
 ((x2, y2), c), ...; `braid_slot` applies it to tensor slots (slot, slot+1)
@@ -14,7 +15,6 @@ Quantum Groups, Thm 4.1.2; see `weightmods`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapError
@@ -43,39 +43,6 @@ class TensorElement(Sparse):
             return "0"
         bits = [f"({c})*{''.join(f'v{i}' for i in w) or '1'}" for w, c in sorted(self.terms.items())]
         return " + ".join(bits)
-
-
-@dataclass(frozen=True)
-class BraidedSpace:
-    """Diagonal braided vector space: labels 0..dim-1 and the coefficient table.
-
-    `coeff[i][j]` is the scalar b(i,j) in c(v_i (x) v_j) = b(i,j) v_j (x) v_i.
-    `degrees[i]` is the multidegree of v_i in N^I (standard basis by default).
-    """
-
-    dim: int
-    coeff: tuple[tuple[ScalarQ, ...], ...]
-    degrees: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.degrees is None:
-            std = tuple(tuple(1 if k == i else 0 for k in range(self.dim)) for i in range(self.dim))
-            object.__setattr__(self, "degrees", std)
-        for row in self.coeff:
-            for c in row:
-                if c.is_zero():
-                    raise ValueError("braiding coefficients must be invertible")
-
-    def b(self, i: int, j: int) -> ScalarQ:
-        return self.coeff[i][j]
-
-    def word_degree(self, word: Word) -> tuple[int, ...]:
-        n = len(self.degrees[0])
-        out = [0] * n
-        for i in word:
-            for k, d in enumerate(self.degrees[i]):
-                out[k] += d
-        return tuple(out)
 
 
 def braid_slot(table: Mapping, slot: int, vec: Mapping, window) -> dict:

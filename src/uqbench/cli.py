@@ -329,6 +329,8 @@ def cmd_admissible(args):
 
 
 def cmd_rigidity_solve(args):
+    if args.order < 0:
+        raise ConfigError(f"--order must be >= 0, got {args.order}")
     if args.prime and not is_prime(args.prime):
         raise ConfigError(f"--prime must be 0 or a prime, got {args.prime}")
     datum = load_datum(args.datum)
@@ -360,6 +362,8 @@ def cmd_rigidity_solve(args):
 
 
 def cmd_trivialize(args):
+    if args.order < 0:
+        raise ConfigError(f"--order must be >= 0, got {args.order}")
     datum = load_datum(args.datum)
     algebra = TruncatedUg(datum, args.cap, args.window)
     gen_images: dict = {}

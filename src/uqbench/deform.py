@@ -452,10 +452,6 @@ class SeriesElement:
     algebra: TruncatedUg
     coeffs: list
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == self.algebra.one() and all(
-            not c for c in self.coeffs[1:])
-
 
 def series_mul(algebra: TruncatedUg, a: list, b: list, upto: int) -> list:
     """Product of two coefficient lists, truncated at the hbar^upto term."""

@@ -1,8 +1,11 @@
 """Nichols algebras of diagonal type via the radical of the extended bilinear form.
 
-The braided tensor algebra T(V) carries the shuffle-type coproduct determined
-by Delta(v) = 1 (x) v + v (x) 1 extended as an algebra map into the braided
-tensor square.
+V has basis v_i, one letter per simple root, and the diagonal braiding
+c(v_i (x) v_j) = q^{(alpha_i, alpha_j)} v_j (x) v_i that the datum's
+pairing fixes.  The braided tensor algebra T(V) carries the shuffle-type
+coproduct determined by Delta(v) = 1 (x) v + v (x) 1 extended as an algebra
+map into the braided tensor square; `_pair_words` reads its crossing
+weights from `datum.pairing`.
 
 The bilinear form starts from <v_i, v_j> = delta_ij / (q_i - q_i^{-1}) and
 extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braiding import BraidedSpace, TensorElement, Word
+from .braiding import TensorElement, Word
 from .errors import CapError, ConfigError
 from .linalg import rref
 from .rootdata import RootDatum
@@ -50,17 +53,6 @@ ONE = ScalarQ.one()
 _LAURENT_ONE: dict[int, int] = {0: 1}
 
 Degree = tuple[int, ...]
-
-TensorPair = dict[tuple[Word, Word], ScalarQ]
-
-
-def diagonal_space(datum: RootDatum) -> BraidedSpace:
-    """The braided vector space of the datum: b(i, j) = q^{(alpha_i, alpha_j)}."""
-    coeff = tuple(
-        tuple(ScalarQ.q_power(datum.pairing[i][j]) for j in range(datum.rank))
-        for i in range(datum.rank)
-    )
-    return BraidedSpace(dim=datum.rank, coeff=coeff)
 
 
 def words_of_degree(deg: Degree) -> list[Word]:
@@ -76,26 +68,9 @@ def _lower(deg: Degree, i: int) -> Degree:
     return deg[:i] + (deg[i] - 1,) + deg[i + 1:]
 
 
-def braided_coproduct(space: BraidedSpace, x: TensorElement) -> TensorPair:
-    """Delta on T(V): for a word w, sum over position subsets S of
-    beta_S * (w|_S (x) w|_{S^c}), where beta_S is the crossing scalar picked up
-    by each chosen letter passing the earlier unchosen ones."""
-    out: TensorPair = {}
-    for w, coef in x.terms.items():
-        n = len(w)
-        for mask in range(1 << n):
-            left, right = [], []
-            beta = ONE
-            for pos in range(n):
-                if (mask >> pos) & 1:
-                    for a in range(pos):
-                        if not (mask >> a) & 1:
-                            beta = beta * space.b(w[a], w[pos])
-                    left.append(w[pos])
-                else:
-                    right.append(w[pos])
-            add_term(out, (tuple(left), tuple(right)), coef * beta)
-    return out
+def word_degree(w: Word, rank: int) -> Degree:
+    """The multidegree of w: how often each letter 0..rank-1 occurs."""
+    return tuple(w.count(i) for i in range(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +86,6 @@ class NicholsContext:
 
     def __init__(self, datum: RootDatum, cap: int = 8):
         self.datum = datum
-        self.space = diagonal_space(datum)
-        # the generator pairings <v_i, v_i> = 1/(q_i - q_i^-1); zero off the diagonal
-        self.generator_pairings = tuple(
-            (ScalarQ.q_power(d) - ScalarQ.q_power(-d)).inverse() for d in datum.d)
         self.cap = cap
         self._pair_memo: dict[tuple[Word, Word], dict[int, int]] = {}
         self._basis_cache: dict[Degree, "NicholsBasis"] = {}
@@ -131,11 +102,11 @@ class NicholsContext:
         for wx, cx in x.terms.items():
             if len(wx) > self.cap:
                 raise CapError(f"word degree {len(wx)} above cap {self.cap}")
-            deg = self.space.word_degree(wx)
+            deg = word_degree(wx, self.datum.rank)
             for wy, cy in y.terms.items():
                 if len(wy) > self.cap:
                     raise CapError(f"word degree {len(wy)} above cap {self.cap}")
-                if self.space.word_degree(wy) != deg:
+                if word_degree(wy, self.datum.rank) != deg:
                     continue
                 v = self._pair_words(wx, wy)
                 if v:
@@ -143,11 +114,12 @@ class NicholsContext:
         return out
 
     def _gram_scale(self, deg: Degree) -> ScalarQ:
-        """prod_i <v_i, v_i>^{deg_i}, the factor every pairing of degree deg carries."""
+        """prod_i <v_i, v_i>^{deg_i}, the factor every pairing of degree deg
+        carries, with <v_i, v_i> = 1/(q_i - q_i^{-1})."""
         out = ONE
-        for d, k in zip(self.generator_pairings, deg):
-            out = out * d ** k
-        return out
+        for d, k in zip(self.datum.d, deg):
+            out = out * (ScalarQ.q_power(d) - ScalarQ.q_power(-d)) ** k
+        return out.inverse()
 
     def _pair_words(self, x: Word, y: Word) -> dict[int, int]:
         """<x, y> for two words of one degree, divided by `_gram_scale` of it:
@@ -226,7 +198,7 @@ class NicholsContext:
             return hit
         if len(w) > self.cap:
             raise CapError(f"word degree {len(w)} above cap {self.cap}")
-        self.nichols_basis(self.space.word_degree(w))
+        self.nichols_basis(word_degree(w, self.datum.rank))
         hit = self._reductions.get(w)
         if hit is None:
             # w = w' i is no candidate: (reduce w') i is a combination of

@@ -1,23 +1,12 @@
-"""The norm layer: radii, admissibility, convergence certificates, and
-entry-level operator norm contracts.
+"""The norm layer: radii, admissibility and convergence certificates.
 
-All statements about operator norms on infinite-dimensional spaces are
-verified here at the level of matrix-entry valuations on finite truncations:
-an operator T with op-norm exponent t (so "|T| = p^t") satisfies its contract
-on an entry c from a source of norm exponent e_a to a target of norm exponent
-e_b exactly when
-
-    v(c) >= (e_b - e_a) * r_exp - t
-
-where v is the Gauss valuation at q = exp(hbar) and norm exponents are powers
-of r = p^{r_exp}.  This is the strongest desk-checkable surrogate for a
-"contracting" claim: on a sup-normed orthogonal basis the two are equivalent.
+Statements about norms are checked through exact valuations: v is the Gauss
+valuation at q = exp(hbar) and radii are powers of p.
 
 Conventions fixed here:
   * radii are p-powers, r = p^{r_exp} and s = p^{s_exp}, any rational
     exponents; the admissibility inequality 1 <= |q_i - q_i^{-1}| r s reads
     -v(q_i - q_i^{-1}) + r_exp + s_exp >= 0 in exponent form;
-  * F-type generators have op-norm exponent r_exp, E-type s_exp, Cartan 0;
   * a convergence certificate stores a slope/offset line that bounds term
     valuations from below, plus the prefix length on which the bound was
     re-verified term by term.
@@ -27,16 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
 
-from .braiding import TensorElement
 from .errors import ConfigError
-from .nichols import braided_coproduct, diagonal_space
 from .rootdata import RootDatum
-from .scalars import (PadicParams, ScalarQ, ValuationBound, gauss_valuation,
-                      vp, vp_factorial)
-from .weightmods import WeightModule
+from .scalars import PadicParams, ScalarQ, gauss_valuation, vp, vp_factorial
 
 
 @dataclass(frozen=True)
@@ -186,130 +169,3 @@ def reverify_certificate(cert: ConvergenceCertificate,
         if coaction_term_valuation(k, params) < cert.bound_at(k):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Entry-level norm contracts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormViolation:
-    """One failed entry-level inequality; `where` locates it."""
-
-    part: str
-    where: str
-    needed: Fraction
-    got: Fraction | None
-    certified: bool
-
-    def __str__(self) -> str:
-        got = "uncertified" if not self.certified else str(self.got)
-        return f"[{self.part}] {self.where}: needs valuation >= {self.needed}, got {got}"
-
-
-@dataclass
-class NormReport:
-    """Outcome of norm_contract_check: counts plus the list of violations."""
-
-    checked: int
-    violations: list[NormViolation]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "passed": self.passed,
-            "violations": [str(v) for v in self.violations],
-        }
-
-
-def _entry_value(bound: ValuationBound, needed: Fraction) -> tuple[bool, bool]:
-    """(ok, certified): ok when the certified lower bound meets the need."""
-    if bound.is_infinite():
-        return True, True
-    return bound.lower >= needed, bound.exact or bound.lower >= needed
-
-
-def _check_entry(report_list: list, count: list, part: str, where: str,
-                 coeff: ScalarQ, needed: Fraction, params: PadicParams) -> None:
-    count[0] += 1
-    bound = gauss_valuation(coeff, params)
-    ok, certified = _entry_value(bound, needed)
-    if not ok:
-        report_list.append(NormViolation(
-            part=part, where=where, needed=needed,
-            got=bound.lower, certified=certified))
-
-
-def norm_contract_check(datum: RootDatum, params: PadicParams,
-                        radii: RadiusParams,
-                        modules: Sequence[WeightModule] = (),
-                        degree_cap: int = 4) -> NormReport:
-    """Entry-level verification of the norm-at-most-one contracts.
-
-    Three families of inequalities are checked and every failure is listed:
-
-      * braiding matrix entries b(i, j) = q^{(alpha_i, alpha_j)} must have
-        valuation >= 0 (they are units, so this passes for any datum);
-      * every coefficient of the braided coproduct of every word of length
-        <= degree_cap must have valuation >= 0 (the coproduct is contracting
-        whenever the braiding matrix is);
-      * for each module, each generator action must satisfy its bound: for an
-        entry c from label a to label b the requirement is
-        v(c) >= (e_b - e_a) * r_exp - t with t = s_exp for E_i, r_exp for
-        F_i, and 0 for the Cartan coefficient q^{(tau_i, wt a)}.
-    """
-    violations: list[NormViolation] = []
-    count = [0]
-    space = diagonal_space(datum)
-
-    for i in range(datum.rank):
-        for j in range(datum.rank):
-            _check_entry(violations, count, "braiding", f"b({i},{j})",
-                         space.b(i, j), Fraction(0), params)
-
-    for length in range(degree_cap + 1):
-        for word in product(range(datum.rank), repeat=length):
-            pairs = braided_coproduct(space, TensorElement.basis(word))
-            for (lw, rw), c in pairs.items():
-                _check_entry(violations, count, "coproduct",
-                             f"Delta{word!r} -> {lw!r}(x){rw!r}",
-                             c, Fraction(0), params)
-
-    for M in modules:
-        _check_module(violations, count, M, params, radii)
-
-    return NormReport(checked=count[0], violations=violations)
-
-
-def _check_module(violations: list, count: list, M: WeightModule,
-                  params: PadicParams, radii: RadiusParams) -> None:
-    datum = M.datum
-    name = M.window
-    for i in range(datum.rank):
-        tau = datum.t_indices[i]
-        for a in M.labels:
-            e_a = Fraction(M.norm_exps[a])
-            # Cartan: coefficient q^{(tau_i, wt a)}, op exponent 0, e_b = e_a
-            kc = ScalarQ.q_power(sum(x * y for x, y in zip(tau, M.weights[a])))
-            _check_entry(violations, count, "action",
-                         f"{name}: K_{i} on {a!r}", kc, Fraction(0), params)
-            col = M.e_cols[i].get(a)
-            if col is not None:
-                for b, c in col:
-                    needed = (Fraction(M.norm_exps[b]) - e_a) * radii.r_exp \
-                        - radii.s_exp
-                    _check_entry(violations, count, "action",
-                                 f"{name}: E_{i} {a!r} -> {b!r}", c, needed,
-                                 params)
-            col = M.f_cols[i].get(a)
-            if col is not None:
-                for b, c in col:
-                    needed = (Fraction(M.norm_exps[b]) - e_a) * radii.r_exp \
-                        - radii.r_exp
-                    _check_entry(violations, count, "action",
-                                 f"{name}: F_{i} {a!r} -> {b!r}", c, needed,
-                                 params)

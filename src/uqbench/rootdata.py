@@ -141,15 +141,6 @@ def preset_search_paths() -> list[Path]:
     return paths
 
 
-def list_presets() -> list[str]:
-    names: set[str] = set()
-    for base in preset_search_paths():
-        if base.is_dir():
-            for f in base.glob("*.json"):
-                names.add(f.stem)
-    return sorted(names)
-
-
 def load_datum(name: str) -> RootDatum:
     """Load a datum by preset name or by explicit path to a JSON file."""
     candidate = Path(name)

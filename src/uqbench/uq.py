@@ -65,7 +65,7 @@ from typing import Mapping, Sequence
 
 from .braiding import Word
 from .errors import ConfigError
-from .nichols import NicholsContext
+from .nichols import NicholsContext, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ
 from .sparse import Sparse, add_term
@@ -142,7 +142,7 @@ class UqContext:
         """lam(deg w), the q-exponent of K_lam crossing the word w."""
         if not w or not any(lam):
             return 0
-        beta = self.datum.root_combination(self.nichols.space.word_degree(w))
+        beta = self.datum.root_combination(word_degree(w, self.datum.rank))
         return sum(a * b for a, b in zip(lam, beta))
 
     def _t_index(self, n: Sequence[int]) -> DualVector:
@@ -153,12 +153,9 @@ class UqContext:
                 lam[k] += m * x
         return tuple(lam)
 
-    def reduce_word(self, w: Word) -> list[tuple[Word, ScalarQ]]:
-        return list(self.nichols.reduce_word(w).items())
-
     def is_reduced(self, w: Word) -> bool:
-        red = self.reduce_word(w)
-        return len(red) == 1 and red[0][0] == w and red[0][1].is_one()
+        red = self.nichols.reduce_word(w)
+        return len(red) == 1 and red.get(w, ZERO).is_one()
 
     # -- normal ordering ------------------------------------------------------
 
@@ -176,9 +173,9 @@ class UqContext:
             k = self._cross(l1, fa) + self._cross(l2, ea)
             c = c * ScalarQ.q_power(-k) if k else c
             lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
-            for fw, cf in self.reduce_word(f1 + fa):
+            for fw, cf in self.nichols.reduce_word(f1 + fa).items():
                 cf = _times(c, cf)
-                for ew, ce in self.reduce_word(ea + e2):
+                for ew, ce in self.nichols.reduce_word(ea + e2).items():
                     out.append(((fw, lam, ew), _times(cf, ce)))
         self._term_mul_memo[key] = out
         return out

@@ -57,7 +57,7 @@ from typing import Sequence
 from .braiding import Word, braid_relation_holds, braid_slot
 from .errors import CapError, ConfigError
 from .linalg import invert
-from .nichols import Degree, NicholsContext
+from .nichols import Degree, NicholsContext, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .sparse import add_term
@@ -202,7 +202,6 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         raise ConfigError("cap must be nonnegative")
     hw_vec = _as_weight(datum, hw)
     ctx = UqContext(datum, cap=max(cap, 1))
-    space = ctx.nichols.space
 
     labels = [()]
     for total in range(1, cap + 1):
@@ -217,7 +216,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
     depths = {}
     norm_exps = {}
     for w in labels:
-        deg = space.word_degree(w)
+        deg = word_degree(w, datum.rank)
         beta = datum.root_combination(deg)
         weights[w] = tuple(a - b for a, b in zip(hw_vec, beta))
         depths[w] = deg
@@ -231,7 +230,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         f_w = UqElement({(w, zero, ()): ONE})
         for i in range(datum.rank):
             if len(w) + 1 <= cap:
-                f_cols[i][w] = ctx.reduce_word((i,) + w)
+                f_cols[i][w] = list(ctx.nichols.reduce_word((i,) + w).items())
             ef = ctx.multiply(ctx.e_gen(i), f_w)
             acc: Vec = {}
             for (fw, lam, ew), c in ef.terms.items():
@@ -561,9 +560,7 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
     """
     if n_strands < 2:
         raise ConfigError("need at least two strands")
-    basis = sorted(
-        t for t in _label_tuples(M, n_strands)
-        if sum(_total_depth(M, x) for x in t) <= cap)
+    basis = sorted(_label_tuples(M, n_strands, cap))
     window = set(basis)
     sigma = _SigmaTable(datum, M)
     sigma_inv = None
@@ -581,10 +578,16 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
     return basis, [[cols[t].get(t2, ZERO) for t in basis] for t2 in basis]
 
 
-def _label_tuples(M: WeightModule, n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _label_tuples(M, n - 1):
-        for a in M.labels:
-            yield (a,) + rest
+def _label_tuples(M: WeightModule, n: int, cap: int) -> list:
+    """The label tuples of length n with total depth <= cap.
+
+    A prefix is extended only while its depth plus the smallest depth the
+    strands still to fill can add stays <= cap; labels of `build_mlambda`
+    have negative depths, so that smallest depth may be below zero."""
+    depth = {a: _total_depth(M, a) for a in M.labels}
+    low = min(depth.values())
+    tuples = [((), 0)]
+    for left in range(n - 1, -1, -1):
+        tuples = [(t + (a,), d + depth[a]) for t, d in tuples for a in M.labels
+                  if d + depth[a] + low * left <= cap]
+    return [t for t, _ in tuples]

@@ -1,5 +1,6 @@
-"""Diagonal braided vector spaces, and the braid-word engine `braid_slot`
-on their pair tables and on test pair maps."""
+"""The braid-word engine `braid_slot` on the diagonal pair tables
+c(v_a (x) v_b) = q^{(alpha_a, alpha_b)} v_b (x) v_a of the presets and on
+test pair maps."""
 
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from uqbench.braiding import TensorElement, braid_relation_holds, braid_slot
 from uqbench.errors import CapError, ConfigError
 from uqbench.linalg import mat_mul
-from uqbench.nichols import diagonal_space
+from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.weightmods import braid_rep, build_verma
@@ -20,61 +21,54 @@ ZERO = ScalarQ.zero()
 Q = ScalarQ.q_power
 
 
-def _space(name):
-    return diagonal_space(load_datum(name))
+def _b(datum, a, b):
+    """The diagonal braiding coefficient q^{(alpha_a, alpha_b)}."""
+    return Q(datum.pairing[a][b])
 
 
-def _table(sp, inverse=False):
+def _table(datum, inverse=False):
     """c, or c^{-1}, as a pair table: (a, b) -> v_b (x) v_a times b(a, b),
     or times 1/b(b, a)."""
-    d = range(sp.dim)
+    d = range(datum.rank)
     if inverse:
-        return {(a, b): (((b, a), sp.b(b, a).inverse()),) for a in d for b in d}
-    return {(a, b): (((b, a), sp.b(a, b)),) for a in d for b in d}
+        return {(a, b): (((b, a), _b(datum, b, a).inverse()),) for a in d for b in d}
+    return {(a, b): (((b, a), _b(datum, a, b)),) for a in d for b in d}
 
 
-def _act(sp, n, word, vec):
+def _act(datum, n, word, vec):
     """A braid word of signed 1-based letters (negative = inverse) on
     V^(x)n, leftmost letter first, through `braid_slot`."""
-    window = set(product(range(sp.dim), repeat=n))
+    window = set(product(range(datum.rank), repeat=n))
     for g in word:
-        vec = braid_slot(_table(sp, g < 0), abs(g) - 1, vec, window)
+        vec = braid_slot(_table(datum, g < 0), abs(g) - 1, vec, window)
     return vec
-
-
-def test_diagonal_space_coefficients_match_pairing():
-    datum = load_datum("A2")
-    sp = _space("A2")
-    for i in range(2):
-        for j in range(2):
-            assert sp.b(i, j) == Q(datum.pairing[i][j])
 
 
 def test_hexagon_holds_for_diagonal_braidings():
     for name in ("A1", "A2", "B2", "G2", "A1xA1"):
-        sp = _space(name)
-        triples = set(product(range(sp.dim), repeat=3))
-        assert braid_relation_holds(_table(sp), triples, triples)
+        datum = load_datum(name)
+        triples = set(product(range(datum.rank), repeat=3))
+        assert braid_relation_holds(_table(datum), triples, triples)
 
 
-def _dense_generator(sp, n, i):
+def _dense_generator(datum, n, i):
     """sigma_i as a dense matrix built from the coefficients alone."""
-    words = list(product(range(sp.dim), repeat=n))
+    words = list(product(range(datum.rank), repeat=n))
     index = {w: k for k, w in enumerate(words)}
     m = [[ZERO] * len(words) for _ in words]
     for w in words:
         a, b = w[i - 1], w[i]
-        m[index[w[:i - 1] + (b, a) + w[i + 1:]]][index[w]] = sp.b(a, b)
+        m[index[w[:i - 1] + (b, a) + w[i + 1:]]][index[w]] = _b(datum, a, b)
     return words, m
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1"])
 def test_sparse_actions_match_the_dense_reference(name):
-    sp = _space(name)
-    words, s1 = _dense_generator(sp, 3, 1)
-    _, s2 = _dense_generator(sp, 3, 2)
+    datum = load_datum(name)
+    words, s1 = _dense_generator(datum, 3, 1)
+    _, s2 = _dense_generator(datum, 3, 2)
     for k, w in enumerate(words):
-        assert _act(sp, 3, (1,), {w: ONE}) == \
+        assert _act(datum, 3, (1,), {w: ONE}) == \
             {words[r]: row[k] for r, row in enumerate(s1) if not row[k].is_zero()}
     assert mat_mul(s1, mat_mul(s2, s1, ZERO), ZERO) == \
         mat_mul(s2, mat_mul(s1, s2, ZERO), ZERO)
@@ -85,7 +79,7 @@ def test_sparse_actions_match_the_dense_reference(name):
               for row in zip(*s2)]
     dense = mat_mul(s2_inv, s1, ZERO)
     for k, w in enumerate(words):
-        assert _act(sp, 3, (1, -2), {w: ONE}) == \
+        assert _act(datum, 3, (1, -2), {w: ONE}) == \
             {words[r]: row[k] for r, row in enumerate(dense) if not row[k].is_zero()}
 
 
@@ -121,23 +115,23 @@ def test_braid_slot_window():
 
 
 def test_braid_generator_swaps_with_scalar():
-    sp = _space("A2")
-    assert _act(sp, 2, (1,), {(0, 1): ONE}) == {(1, 0): sp.b(0, 1)}
+    datum = load_datum("A2")
+    assert _act(datum, 2, (1,), {(0, 1): ONE}) == {(1, 0): _b(datum, 0, 1)}
 
 
 def test_braid_generator_inverse_roundtrip():
-    sp = _space("B2")
+    datum = load_datum("B2")
     for w in [(0, 1), (1, 0), (0, 0, 1), (1, 0, 1)]:
         n = len(w)
         for i in range(1, n):
-            assert _act(sp, n, (i, -i), {w: ONE}) == {w: ONE}
+            assert _act(datum, n, (i, -i), {w: ONE}) == {w: ONE}
 
 
 def test_braid_relation_on_three_strands():
     # s1 s2 s1 = s2 s1 s2 on every length-3 word over two letters
-    sp = _space("A2")
+    datum = load_datum("A2")
     for w in product(range(2), repeat=3):
-        assert _act(sp, 3, (1, 2, 1), {w: ONE}) == _act(sp, 3, (2, 1, 2), {w: ONE})
+        assert _act(datum, 3, (1, 2, 1), {w: ONE}) == _act(datum, 3, (2, 1, 2), {w: ONE})
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3])
@@ -150,29 +144,29 @@ def test_word_letter_out_of_range(letter):
 
 def test_word_length_must_match_strands():
     # a word of another length lies outside the window of V^(x)3
-    sp = _space("A2")
+    datum = load_datum("A2")
     with pytest.raises(CapError, match="leaves the depth window"):
-        _act(sp, 3, (1,), {(0, 1): ONE})
+        _act(datum, 3, (1,), {(0, 1): ONE})
 
 
 def test_distant_generators_commute():
-    sp = _space("A2")
+    datum = load_datum("A2")
     for w in [(0, 1, 0, 1), (1, 1, 0, 0)]:
-        assert _act(sp, 4, (1, 3), {w: ONE}) == _act(sp, 4, (3, 1), {w: ONE})
+        assert _act(datum, 4, (1, 3), {w: ONE}) == _act(datum, 4, (3, 1), {w: ONE})
 
 
 def test_braid_generator_matrix_diagonal_datum():
     # A1 has one letter, so sigma_1 on V (x) V is the 1x1 matrix (q^2)
-    sp = _space("A1")
-    assert _act(sp, 2, (1,), {(0, 0): ONE}) == {(0, 0): Q(2)}
+    datum = load_datum("A1")
+    assert _act(datum, 2, (1,), {(0, 0): ONE}) == {(0, 0): Q(2)}
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=4))
 def test_word_degree_counts_letters(letters):
-    sp = _space("A2")
+    datum = load_datum("A2")
     w = tuple(letters)
-    deg = sp.word_degree(w)
+    deg = word_degree(w, datum.rank)
     assert deg == (w.count(0), w.count(1))
     assert sum(deg) == len(w)
 

@@ -69,6 +69,8 @@ def test_reports_are_json_with_config_echo(name):
 def test_exit_zero_on_success():
     assert run_cli(CASES["serre-check"]).returncode == 0
     assert run_cli(CASES["converge-cert"]).returncode == 0
+    for command in ("rigidity-solve", "trivialize"):
+        assert run_cli([command, "--order", "0"]).returncode == 0
 
 
 def test_exit_one_on_mathematical_failure():
@@ -128,6 +130,10 @@ HIGH_DEGREE_PLANT = [
      "--plant", "E=1,1,0"],
 ]
 
+# a negative order checks no order at all; order 0 is a valid request
+NEGATIVE_ORDER = [[command, "--order", "-1"]
+                  for command in ("rigidity-solve", "trivialize")]
+
 # an empty letter between commas or at either end of a braid word
 EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
                 for word in ("1,,2", ",1", "1,", ",")]
@@ -143,6 +149,7 @@ EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
     *NEGATIVE_EXPONENT,
     *HIGH_DEGREE_PLANT,
     ["hopf-check", "--datum", "A1", "--samples", "-1"],
+    *NEGATIVE_ORDER,
     *EMPTY_LETTER,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
@@ -156,6 +163,8 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "negative exponent" in report["result"]["error"]
     if args in HIGH_DEGREE_PLANT:
         assert "degree <= 1" in report["result"]["error"]
+    if args in NEGATIVE_ORDER:
+        assert "--order must be >= 0" in report["result"]["error"]
     if args in EMPTY_LETTER:
         assert "empty letter" in report["result"]["error"]
     if args[0] == "hopf-check":

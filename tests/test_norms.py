@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from uqbench.errors import ConfigError
 from uqbench.norms import (ConvergenceCertificate, RadiusParams, admissible,
                            coaction_convergence, coaction_term_valuation,
-                           norm_contract_check, reverify_certificate,
-                           rmatrix_condition)
+                           reverify_certificate, rmatrix_condition)
 from uqbench.rootdata import load_datum
 from uqbench.scalars import PadicParams, vp_factorial
-from uqbench.weightmods import build_mlambda
 
 A1 = load_datum("A1")
 
@@ -147,20 +145,3 @@ def test_certificate_bound_under_term_valuations(p, vh):
     cert = coaction_convergence(params, R(0, 0))
     for k in range(20):
         assert coaction_term_valuation(k, params) >= cert.bound_at(k)
-
-
-def test_norm_contract_check_passes_on_admissible_window():
-    M = build_mlambda(A1, 3, (3, 3))
-    report = norm_contract_check(A1, P(5, 1), R(1, 1), modules=(M,),
-                                 degree_cap=4)
-    assert report.passed
-
-
-def test_norm_contract_check_reports_violations():
-    M = build_mlambda(A1, 3, (3, 3))
-    report = norm_contract_check(A1, P(5, 1), R(-3, 0), modules=(M,),
-                                 degree_cap=4)
-    assert not report.passed
-    assert len(report.violations) > 0
-    d = report.to_dict()
-    assert d["passed"] is False

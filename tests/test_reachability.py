@@ -6,10 +6,12 @@ A top-level `def` or `class` in `src/uqbench/*.py`, or a `def` directly in
 the body of such a class, is reached when its name is used as an identifier
 (a name, an attribute or an imported name) in `src/` or `scripts/`, outside
 its own body.  Docstrings and comments do not count, and neither does
-recursion.  Dunder methods are exempt: Python calls them.  Tests do not
-reach: a definition that only tests use must be listed in `TEST_ORACLES`
-with the reason it is kept, and an entry that is reached, or names nothing,
-is stale.  Code that nothing reaches is deleted, not kept "just in case".
+recursion, and neither do the re-exports of `src/uqbench/__init__.py`: an
+exported name is reached only where it is used.  Dunder methods are exempt:
+Python calls them.  Tests do not reach: a definition that only tests use
+must be listed in `TEST_ORACLES` with the reason it is kept, and an entry
+that is reached, or names nothing, is stale.  Code that nothing reaches is
+deleted, not kept "just in case".
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uqbench"
 SEARCHED = [ROOT / "src", ROOT / "scripts"]
+EXPORTS = PACKAGE / "__init__.py"
 
 # definitions only tests use, as "module.name" or "module.Class.method"
 TEST_ORACLES = {
@@ -99,11 +102,13 @@ def _unreached_in(name: str, tree: ast.Module, elsewhere: set[str]) -> list[str]
     return out
 
 
-def unreached() -> list[str]:
-    trees = _parsed()
-    everywhere = {p: _names(t) for p, t in trees.items()}
+def unreached(trees: dict[Path, ast.Module] | None = None) -> list[str]:
+    """The unreached definitions of the package modules among `trees`
+    (default: the parsed files of `SEARCHED`)."""
+    trees = _parsed() if trees is None else trees
+    everywhere = {p: _names(t) for p, t in trees.items() if p != EXPORTS}
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(p for p in trees if p.parent == PACKAGE):
         elsewhere = set().union(*(v for p, v in everywhere.items() if p != path))
         out += _unreached_in(path.name, trees[path], elsewhere)
     return out
@@ -145,6 +150,18 @@ def test_guard_sees_an_unreached_definition():
         "    def called_elsewhere(self):\n        return 2\n\n"
         "x = C().used()\n")
     assert _unreached_in("m.py", methods, {"called_elsewhere"}) == ["m.C.lonely"]
+
+
+def test_guard_does_not_count_a_re_export():
+    trees = {
+        EXPORTS: ast.parse("from .m import exported, used\n"
+                           "__all__ = ['exported', 'used']\n"),
+        PACKAGE / "m.py": ast.parse("def exported():\n    return 1\n\n"
+                                    "def used():\n    return 2\n"),
+        ROOT / "scripts" / "s.py": ast.parse("from uqbench.m import used\n"
+                                             "used()\n"),
+    }
+    assert unreached(trees) == ["m.exported"]
 
 
 def test_guard_sees_a_missing_and_a_stale_oracle():

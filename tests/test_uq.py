@@ -5,6 +5,7 @@ import random
 import pytest
 
 from uqbench.cli import _sample_elements as _cli_sample_elements
+from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial
 from uqbench.uq import (UqContext, UqElement, check_antipode,
@@ -228,7 +229,7 @@ def _term_mul_unshortcut(ctx, t1, t2):
     nichols = ctx.nichols
 
     def cross(lam, w):
-        beta = ctx.datum.root_combination(nichols.space.word_degree(w))
+        beta = ctx.datum.root_combination(word_degree(w, ctx.datum.rank))
         return sum(a * b for a, b in zip(lam, beta))
 
     def reduce(w):
@@ -250,7 +251,7 @@ def test_term_mul_shortcuts_match_the_full_product(name, request):
     # products that skip crossings, reductions and factors of 1.  The word
     # (1, 0, 0) is not a Nichols basis word, so a skipped reduction shows.
     ctx = request.getfixturevalue(name)
-    assert ctx.reduce_word((1, 0, 0)) != [((1, 0, 0), ONE)]
+    assert ctx.nichols.reduce_word((1, 0, 0)) != {(1, 0, 0): ONE}
     words = [(), (0,), (1,), (1, 0), (1, 0, 0)]
     lams = [ctx._zero_dual, ctx.datum.t_indices[0],
             tuple(-x for x in ctx.datum.t_indices[1])]

@@ -371,6 +371,33 @@ def test_braid_rep_matches_dense_reference(lam, n_strands, cap, word):
     assert mat == ref
 
 
+def test_braid_rep_many_strands_enumerates_only_the_window():
+    # 6 labels on 12 strands are 6^12 tuples, and 13 of them have total
+    # depth <= 1: the enumeration must prune prefixes, not filter tuples
+    M = build_verma(A1, 1, 5)
+    basis, mat = braid_rep(A1, M, 12, (1, -1), 1)
+    assert len(basis) == 13
+    assert mat == [[ONE if i == j else ZERO for j in range(13)]
+                   for i in range(13)]
+
+
+@pytest.mark.parametrize("build,n,caps", [
+    (lambda: build_verma(A1, 2, 3), 3, range(5)),
+    (lambda: build_verma(load_datum("A2"), (1, 0), 2), 3, range(4)),
+    # depths j - i run from -2 to 1, so a prefix above the cap may still fit
+    (lambda: build_mlambda(A1, 2, (2, 1)), 3, range(-6, 4)),
+    (lambda: build_mlambda(A1, 1, (1, 2)), 4, range(-4, 3)),
+])
+def test_label_tuples_match_the_brute_force_filter(build, n, caps):
+    module = build()
+    depth = {a: sum(module.depths[a]) for a in module.labels}
+    for cap in caps:
+        want = {t for t in product(module.labels, repeat=n)
+                if sum(depth[a] for a in t) <= cap}
+        got = weightmods._label_tuples(module, n, cap)
+        assert len(got) == len(want) and set(got) == want, cap
+
+
 def _counting_braid_pair(monkeypatch):
     calls = Counter()
     real = weightmods.braid_pair
