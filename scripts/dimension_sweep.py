@@ -7,19 +7,11 @@ quantum Serre relation lives.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
-from uqbench.nichols import NicholsContext, words_of_degree
+from uqbench.nichols import NicholsContext, multidegrees, words_of_degree
 from uqbench.rootdata import load_datum
-
-
-def degree_range(rank, max_total):
-    for total in range(max_total + 1):
-        for parts in itertools.product(range(total + 1), repeat=rank):
-            if sum(parts) == total:
-                yield parts
 
 
 def sweep(name, max_total):
@@ -28,11 +20,12 @@ def sweep(name, max_total):
     print(f"== {datum.name} (rank {datum.rank}) ==")
     print(f"{'degree':>12} {'words':>7} {'dim':>5} {'radical':>8}")
     start = time.monotonic()
-    for deg in degree_range(datum.rank, max_total):
-        words = len(words_of_degree(deg))
-        dim = ctx.nichols_dim(deg)
-        rad = len(ctx.radical_basis(deg))
-        print(f"{str(deg):>12} {words:>7} {dim:>5} {rad:>8}")
+    for total in range(max_total + 1):
+        for deg in multidegrees(datum.rank, total):
+            words = len(words_of_degree(deg))
+            dim = ctx.nichols_dim(deg)
+            rad = len(ctx.radical_basis(deg))
+            print(f"{str(deg):>12} {words:>7} {dim:>5} {rad:>8}")
     print(f"elapsed {time.monotonic() - start:.2f}s")
     print()
 

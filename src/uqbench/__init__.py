@@ -5,14 +5,15 @@ generic-parameter side, Fractions and p-adic valuations for the analytic
 side.  The main entry points:
 
 - scalars: ScalarQ Laurent fractions, q-integers, p-adic valuations.
-- sparse: the one sparse-vector core (add at a key, drop zero sums).
+- sparse: the one sparse-vector core (add at a key, drop zero sums); every
+  element of T(V), of U_q, of a module or of the deformation window is a
+  plain {key: coefficient} dict built with it.
 - rootdata: RootDatum presets and validation.
-- braiding: tensor words and the braid-word engine.
-- nichols: Nichols algebras of the datum's diagonal braiding via the
-  pairing radical.
+- nichols: tensor words, and the Nichols algebras of the datum's diagonal
+  braiding via the pairing radical.
 - uq: the double-bosonised quantum group on a truncated PBW window.
-- weightmods: windowed Verma and dense weight modules, braidings,
-  braid-group representations.
+- weightmods: windowed Verma and dense weight modules, braidings, the
+  braid-word engine and braid-group representations.
 - norms: radius admissibility and convergence certificates.
 - deform: truncated enveloping algebra, Chevalley-Eilenberg and gauge
   solvers for rigidity questions.

@@ -5,7 +5,9 @@ c(v_i (x) v_j) = q^{(alpha_i, alpha_j)} v_j (x) v_i that the datum's
 pairing fixes.  The braided tensor algebra T(V) carries the shuffle-type
 coproduct determined by Delta(v) = 1 (x) v + v (x) 1 extended as an algebra
 map into the braided tensor square; `_pair_words` reads its crossing
-weights from `datum.pairing`.
+weights from `datum.pairing`.  An element of T(V) is a plain dict
+{word: ScalarQ} of tensor words v_{i1} (x) ... (x) v_{in}, built with
+`sparse.add_term`.
 
 The bilinear form starts from <v_i, v_j> = delta_ij / (q_i - q_i^{-1}) and
 extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
@@ -41,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braiding import TensorElement, Word
 from .errors import CapError, ConfigError
 from .linalg import rref
 from .rootdata import RootDatum
@@ -52,6 +53,7 @@ ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
 _LAURENT_ONE: dict[int, int] = {0: 1}
 
+Word = tuple[int, ...]
 Degree = tuple[int, ...]
 
 
@@ -71,6 +73,16 @@ def _lower(deg: Degree, i: int) -> Degree:
 def word_degree(w: Word, rank: int) -> Degree:
     """The multidegree of w: how often each letter 0..rank-1 occurs."""
     return tuple(w.count(i) for i in range(rank))
+
+
+def multidegrees(rank: int, total: int):
+    """The multidegrees of `rank` letters with the given total, in lex order."""
+    if rank == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in multidegrees(rank - 1, total - first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +105,18 @@ class NicholsContext:
 
     # -- pairing ------------------------------------------------------------
 
-    def pairing_eval(self, x: TensorElement | Word, y: TensorElement | Word) -> ScalarQ:
+    def pairing_eval(self, x: dict | Word, y: dict | Word) -> ScalarQ:
+        """<x, y> for words or {word: coefficient} elements."""
         if isinstance(x, tuple):
-            x = TensorElement.basis(x)
+            x = {x: ONE}
         if isinstance(y, tuple):
-            y = TensorElement.basis(y)
+            y = {y: ONE}
         out = ZERO
-        for wx, cx in x.terms.items():
+        for wx, cx in x.items():
             if len(wx) > self.cap:
                 raise CapError(f"word degree {len(wx)} above cap {self.cap}")
             deg = word_degree(wx, self.datum.rank)
-            for wy, cy in y.terms.items():
+            for wy, cy in y.items():
                 if len(wy) > self.cap:
                     raise CapError(f"word degree {len(wy)} above cap {self.cap}")
                 if word_degree(wy, self.datum.rank) != deg:
@@ -211,7 +224,7 @@ class NicholsContext:
             hit = self._reductions[w] = {u: acc[u] for u in sorted(acc)}
         return hit
 
-    def radical_basis(self, deg: Degree) -> list[TensorElement]:
+    def radical_basis(self, deg: Degree) -> list[dict[Word, ScalarQ]]:
         """One radical vector per non-pivot word w: w minus its reduction."""
         out = []
         for w in words_of_degree(deg):
@@ -220,17 +233,17 @@ class NicholsContext:
                 continue
             terms = {u: -c for u, c in red.items()}
             terms[w] = ONE
-            out.append(TensorElement({u: terms[u] for u in sorted(terms)}))
+            out.append({u: terms[u] for u in sorted(terms)})
         return out
 
-    def reduce_mod_radical(self, x: TensorElement) -> TensorElement:
+    def reduce_mod_radical(self, x: dict[Word, ScalarQ]) -> dict[Word, ScalarQ]:
         """Canonical representative of x in the span of pivot basis words.
 
         Handles inhomogeneous input degree by degree."""
-        out = TensorElement()
-        for w, coef in x.terms.items():
+        out: dict[Word, ScalarQ] = {}
+        for w, coef in x.items():
             for bw, c in self.reduce_word(w).items():
-                out.add_term(bw, coef * c)
+                add_term(out, bw, coef * c)
         return out
 
 
@@ -242,7 +255,7 @@ class NicholsBasis:
     basis_words: tuple[Word, ...]
 
 
-def serre_element(datum: RootDatum, i: int, j: int) -> TensorElement:
+def serre_element(datum: RootDatum, i: int, j: int) -> dict[Word, ScalarQ]:
     """The quantum Serre element
     sum_k (-1)^k [1-a_ij choose k]_{q_i} v_i^{1-a_ij-k} v_j v_i^k  (i != j)."""
     if i == j:
@@ -250,11 +263,11 @@ def serre_element(datum: RootDatum, i: int, j: int) -> TensorElement:
     a = datum.cartan[i][j]
     n = 1 - a
     di = datum.d[i]
-    out = TensorElement()
+    out: dict[Word, ScalarQ] = {}
     for k in range(n + 1):
         coef = q_binomial(n, k, di)
         if k % 2 == 1:
             coef = -coef
         word = (i,) * (n - k) + (j,) + (i,) * k
-        out.add_term(word, coef)
+        add_term(out, word, coef)
     return out

@@ -44,32 +44,21 @@ class RadiusParams:
 
 
 def admissible(datum: RootDatum, params: PadicParams,
-               radii: RadiusParams) -> bool | None:
+               radii: RadiusParams) -> bool:
     """Whether 1 <= |q_i - q_i^{-1}| r s holds for every i.
 
     Checked in exponent form: -v(q_i - q_i^{-1}) + r_exp + s_exp >= 0 with v
-    the Gauss valuation.  Returns True or False when every comparison is
-    certified.  When some valuation is only a lower bound that straddles the
-    threshold the answer is indeterminate and None is returned; None is
-    deliberately distinct from False.
+    the Gauss valuation, which is exact here.  In u = q - 1,
+    q^d - q^{-d} = q^{-d}((1 + u)^{2d} - 1) has u^k coefficient C(2d, k),
+    and v_p(C(2d, k)) >= v_p(2d) - v_p(k), while for k >= 2
+    v_p(k) <= (k-1)/(p-1) < (k-1) vh once vh > 1/(p-1), which
+    `gauss_valuation` demands.  So the Gauss minimum is attained at k = 1
+    alone and equals v_p(2 d_i) + vh, finite since d_i >= 1.
     """
     bound = radii.product_exp
-    indeterminate = False
-    for i in range(datum.rank):
-        di = datum.d[i]
-        val = gauss_valuation(ScalarQ.q_power(di) - ScalarQ.q_power(-di), params)
-        if val.is_infinite():
-            raise ConfigError(f"q_{i} - q_{i}^{-1} vanished; datum is degenerate")
-        if val.exact:
-            if val.lower > bound:
-                return False
-        else:
-            if val.lower > bound:
-                # the true valuation is at least the bound's right side,
-                # so this i certainly fails
-                return False
-            indeterminate = True
-    return None if indeterminate else True
+    return all(gauss_valuation(ScalarQ.q_power(d) - ScalarQ.q_power(-d),
+                               params).lower <= bound
+               for d in datum.d)
 
 
 def rmatrix_condition(datum: RootDatum, params: PadicParams) -> bool:

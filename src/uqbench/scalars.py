@@ -436,9 +436,6 @@ class ValuationBound:
     lower: Fraction | None
     exact: bool
 
-    def is_infinite(self) -> bool:
-        return self.lower is None
-
 
 def vp(n: int | Fraction, p: int) -> Fraction | None:
     """p-adic valuation of a rational; None encodes +infinity (input 0).

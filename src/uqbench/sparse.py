@@ -1,10 +1,11 @@
 """Sparse vectors: finite linear combinations stored as {basis key: coefficient}.
 
 Tensor words, normal-ordered U_q terms, module vectors and elements of the
-deformation window are all finite k-linear combinations of basis keys.  This
-module is the one place that adds a coefficient at a key and drops the key
-when the sum is zero.  Coefficients are any ring elements whose truth value
-means "nonzero": `int`, `Fraction` and `ScalarQ` all qualify.
+deformation window are all finite k-linear combinations of basis keys, and
+all of them are plain dicts with no zero coefficient.  This module is the
+one place that adds a coefficient at a key and drops the key when the sum is
+zero.  Coefficients are any ring elements whose truth value means "nonzero":
+`int`, `Fraction` and `ScalarQ` all qualify.
 
 Insertion order is kept: a new key goes to the end, a key whose sum cancels
 is removed, and a key added again after a cancel goes to the end again.
@@ -41,32 +42,3 @@ def scale(x: Mapping, c) -> dict:
         return {}
     return {key: v * c for key, v in x.items()}
 
-
-class Sparse:
-    """A finite linear combination {key: nonzero coefficient}.
-
-    Subclasses name the basis (tensor words, U_q terms) and print it;
-    arithmetic returns the subclass of the left operand."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        self.terms: dict = {k: c for k, c in terms.items() if c} if terms else {}
-
-    def add_term(self, key, c) -> None:
-        add_term(self.terms, key, c)
-
-    def __add__(self, other: "Sparse") -> "Sparse":
-        return type(self)(combine(self.terms, other.terms))
-
-    def __sub__(self, other: "Sparse") -> "Sparse":
-        return type(self)(combine(self.terms, other.terms, -1))
-
-    def scale(self, c) -> "Sparse":
-        return type(self)(scale(self.terms, c))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.terms == other.terms

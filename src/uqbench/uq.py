@@ -63,12 +63,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .braiding import Word
 from .errors import ConfigError
-from .nichols import NicholsContext, word_degree
+from .nichols import NicholsContext, Word, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ
-from .sparse import Sparse, add_term
+from .sparse import add_term, scale
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -76,32 +75,12 @@ ONE = ScalarQ.one()
 DualVector = tuple[int, ...]
 Term = tuple[Word, DualVector, Word]  # (f_word, cartan index, e_word)
 CMono = tuple[Word, tuple[int, ...]]  # (f_word, n): F-word . t^n
+Element = dict[Term, ScalarQ]  # a sparse combination of normal-ordered terms
 
 
 def _times(a: ScalarQ, b: ScalarQ) -> ScalarQ:
     """a * b, with no product formed when either factor is one."""
     return a if b.is_one() else b if a.is_one() else a * b
-
-
-class UqElement(Sparse):
-    """Sparse combination of normal-ordered terms."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        def fmt(t):
-            f, lam, e = t
-            bits = []
-            if f:
-                bits.append("F" + "".join(str(i) for i in f))
-            if any(lam):
-                bits.append(f"K{list(lam)}")
-            if e:
-                bits.append("E" + "".join(str(i) for i in e))
-            return ".".join(bits) or "1"
-        return " + ".join(f"({c})*{fmt(t)}" for t, c in sorted(self.terms.items()))
 
 
 class UqContext:
@@ -116,23 +95,23 @@ class UqContext:
         self._pair_memo: dict = {}
         self._term_mul_memo: dict[tuple[Term, Term], list[tuple[Term, ScalarQ]]] = {}
         self._coproduct_memo: dict[Term, dict[tuple[Term, Term], ScalarQ]] = {}
-        self._antipode_memo: dict[Term, UqElement] = {}
+        self._antipode_memo: dict[Term, Element] = {}
 
     # -- constructors --------------------------------------------------------
 
-    def one(self) -> UqElement:
-        return UqElement({((), self._zero_dual, ()): ONE})
+    def one(self) -> Element:
+        return {((), self._zero_dual, ()): ONE}
 
-    def e_gen(self, i: int) -> UqElement:
-        return UqElement({((), self._zero_dual, (i,)): ONE})
+    def e_gen(self, i: int) -> Element:
+        return {((), self._zero_dual, (i,)): ONE}
 
-    def f_gen(self, i: int) -> UqElement:
-        return UqElement({((i,), self._zero_dual, ()): ONE})
+    def f_gen(self, i: int) -> Element:
+        return {((i,), self._zero_dual, ()): ONE}
 
-    def k_elt(self, lam: Sequence[int]) -> UqElement:
-        return UqElement({((), tuple(lam), ()): ONE})
+    def k_elt(self, lam: Sequence[int]) -> Element:
+        return {((), tuple(lam), ()): ONE}
 
-    def t_elt(self, i: int, power: int = 1) -> UqElement:
+    def t_elt(self, i: int, power: int = 1) -> Element:
         tau = self.datum.t_indices[i]
         return self.k_elt(tuple(power * x for x in tau))
 
@@ -211,16 +190,16 @@ class UqContext:
         self._reorder_memo[key] = out
         return out
 
-    def multiply(self, x: UqElement, y: UqElement) -> UqElement:
-        out = UqElement()
-        for t1, c1 in x.terms.items():
-            for t2, c2 in y.terms.items():
+    def multiply(self, x: Element, y: Element) -> Element:
+        out: Element = {}
+        for t1, c1 in x.items():
+            for t2, c2 in y.items():
                 base = c1 * c2
                 for t, c in self._term_mul(t1, t2):
-                    out.add_term(t, base * c)
+                    add_term(out, t, base * c)
         return out
 
-    def multiply_all(self, factors: Sequence[UqElement]) -> UqElement:
+    def multiply_all(self, factors: Sequence[Element]) -> Element:
         out = self.one()
         for f in factors:
             out = self.multiply(out, f)
@@ -228,16 +207,16 @@ class UqContext:
 
     # -- Hopf structure -------------------------------------------------------
 
-    def counit(self, x: UqElement) -> ScalarQ:
+    def counit(self, x: Element) -> ScalarQ:
         out = ZERO
-        for (f, lam, e), c in x.terms.items():
+        for (f, lam, e), c in x.items():
             if not f and not e:
                 out = out + c
         return out
 
-    def coproduct(self, x: UqElement) -> dict[tuple[Term, Term], ScalarQ]:
+    def coproduct(self, x: Element) -> dict[tuple[Term, Term], ScalarQ]:
         out: dict[tuple[Term, Term], ScalarQ] = {}
-        for t, coef in x.terms.items():
+        for t, coef in x.items():
             for key, c in self._coproduct_term(t).items():
                 add_term(out, key, coef * c)
         return out
@@ -278,24 +257,25 @@ class UqContext:
                         add_term(out, (t1, t2), base * c1 * c2)
         return out
 
-    def antipode(self, x: UqElement) -> UqElement:
-        out = UqElement()
-        for t, coef in x.terms.items():
-            out = out + self._antipode_term(t).scale(coef)
+    def antipode(self, x: Element) -> Element:
+        out: Element = {}
+        for t, coef in x.items():
+            for t2, c in self._antipode_term(t).items():
+                add_term(out, t2, coef * c)
         return out
 
-    def _antipode_term(self, t: Term) -> UqElement:
+    def _antipode_term(self, t: Term) -> Element:
         """S of one term: the reversed product of its generators' antipodes."""
         hit = self._antipode_memo.get(t)
         if hit is not None:
             return hit
         f, lam, e = t
-        factors: list[UqElement] = []
+        factors: list[Element] = []
         for i in reversed(e):
-            factors.append(self.multiply(self.e_gen(i), self.t_elt(i, -1)).scale(-ONE))
+            factors.append(scale(self.multiply(self.e_gen(i), self.t_elt(i, -1)), -ONE))
         factors.append(self.k_elt(tuple(-a for a in lam)))
         for i in reversed(f):
-            factors.append(self.multiply(self.t_elt(i), self.f_gen(i)).scale(-ONE))
+            factors.append(scale(self.multiply(self.t_elt(i), self.f_gen(i)), -ONE))
         out = self.multiply_all(factors)
         self._antipode_memo[t] = out
         return out
@@ -375,16 +355,16 @@ class UqContext:
         return self.double_pairing_mono(
             (self._zero_dual, tuple(e_word)), (tuple(f_word), (0,) * self.datum.rank))
 
-    def drinfeld_reorder(self, e_word: Sequence[int], f_word: Sequence[int]) -> UqElement:
+    def drinfeld_reorder(self, e_word: Sequence[int], f_word: Sequence[int]) -> Element:
         """E-word * F-word computed through the double; must agree with multiply."""
         e_word = tuple(e_word)
         f_word = tuple(f_word)
         if not self.is_reduced(e_word) or not self.is_reduced(f_word):
             raise ConfigError("drinfeld_reorder expects Nichols-reduced words")
         c0 = (f_word, (0,) * self.datum.rank)
-        out = UqElement()
+        out: Element = {}
         for (b1, bmid), c_outer in self._coproduct_term(((), self._zero_dual, e_word)).items():
-            s_b1 = self._antipode_term(b1).terms.items()
+            s_b1 = self._antipode_term(b1).items()
             for (b2, b3), c_inner in self._coproduct_term(bmid).items():
                 for (c1, cmid, cc_outer) in self._delta_c(c0):
                     for (c2, c3, cc_inner) in self._delta_c(cmid):
@@ -402,7 +382,7 @@ class UqContext:
                         (fw, n), (_, lam_b, ew) = c2, b2
                         lam = tuple(a + bb for a, bb in zip(self._t_index(n), lam_b))
                         coef = c_outer * c_inner * cc_outer * cc_inner * p1 * p3
-                        out.add_term((fw, lam, ew), coef)
+                        add_term(out, (fw, lam, ew), coef)
         return out
 
 
@@ -410,44 +390,45 @@ class UqContext:
 # Hopf axiom checks (used by tests and the CLI hopf-check subcommand)
 # ---------------------------------------------------------------------------
 
-def check_coproduct_multiplicative(ctx: UqContext, x: UqElement, y: UqElement) -> bool:
+def check_coproduct_multiplicative(ctx: UqContext, x: Element, y: Element) -> bool:
     lhs = ctx.coproduct(ctx.multiply(x, y))
     rhs = ctx.tensor_square_multiply(ctx.coproduct(x), ctx.coproduct(y))
     return lhs == rhs
 
 
-def check_counit(ctx: UqContext, x: UqElement) -> bool:
-    left = UqElement()
-    right = UqElement()
+def check_counit(ctx: UqContext, x: Element) -> bool:
+    left: Element = {}
+    right: Element = {}
     for (t1, t2), c in ctx.coproduct(x).items():
-        e1 = ctx.counit(UqElement({t1: ONE}))
+        e1 = ctx.counit({t1: ONE})
         if not e1.is_zero():
-            right.add_term(t2, c * e1)
-        e2 = ctx.counit(UqElement({t2: ONE}))
+            add_term(right, t2, c * e1)
+        e2 = ctx.counit({t2: ONE})
         if not e2.is_zero():
-            left.add_term(t1, c * e2)
+            add_term(left, t1, c * e2)
     return left == x and right == x
 
 
-def check_coassociativity(ctx: UqContext, x: UqElement) -> bool:
+def check_coassociativity(ctx: UqContext, x: Element) -> bool:
     d = ctx.coproduct(x)
     lhs: dict[tuple[Term, Term, Term], ScalarQ] = {}
     for (t1, t2), c in d.items():
-        for (u1, u2), c2 in ctx.coproduct(UqElement({t1: ONE})).items():
+        for (u1, u2), c2 in ctx.coproduct({t1: ONE}).items():
             add_term(lhs, (u1, u2, t2), c * c2)
     rhs: dict[tuple[Term, Term, Term], ScalarQ] = {}
     for (t1, t2), c in d.items():
-        for (u1, u2), c2 in ctx.coproduct(UqElement({t2: ONE})).items():
+        for (u1, u2), c2 in ctx.coproduct({t2: ONE}).items():
             add_term(rhs, (t1, u1, u2), c * c2)
     return lhs == rhs
 
 
-def check_antipode(ctx: UqContext, x: UqElement) -> bool:
-    eps = ctx.counit(x)
-    want = ctx.one().scale(eps)
-    lhs = UqElement()
-    rhs = UqElement()
+def check_antipode(ctx: UqContext, x: Element) -> bool:
+    want = scale(ctx.one(), ctx.counit(x))
+    lhs: Element = {}
+    rhs: Element = {}
     for (t1, t2), c in ctx.coproduct(x).items():
-        lhs = lhs + ctx.multiply(ctx.antipode(UqElement({t1: ONE})), UqElement({t2: ONE})).scale(c)
-        rhs = rhs + ctx.multiply(UqElement({t1: ONE}), ctx.antipode(UqElement({t2: ONE}))).scale(c)
+        for t, c2 in ctx.multiply(ctx.antipode({t1: ONE}), {t2: ONE}).items():
+            add_term(lhs, t, c * c2)
+        for t, c2 in ctx.multiply({t1: ONE}, ctx.antipode({t2: ONE})).items():
+            add_term(rhs, t, c * c2)
     return lhs == want and rhs == want

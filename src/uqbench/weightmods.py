@@ -2,12 +2,14 @@
 the braiding they generate.
 
 A module here is a finite window of basis vectors, each carrying a weight
-vector (Cartan elements act by q to the pairing with it), a depth vector (its
-offset from the window's reference weight in simple-root coordinates), and a
-norm exponent.  E and F act by sparse columns; a column that would leave the
-window is absent, and using it raises CapError so truncation artifacts are
-never silently dropped.  The coaction sends a basis vector to a finite sum of
-(F-word, basis vector) pairs, truncated at a stated f-degree.
+vector (Cartan elements act by q to the pairing with it) and a depth vector
+(its offset from the window's reference weight in simple-root coordinates;
+its sum is the label's norm exponent).  Module vectors are plain
+{label: ScalarQ} dicts.  E and F act by sparse columns; a column that would
+leave the window is absent, and using it raises CapError so truncation
+artifacts are never silently dropped.  The coaction sends a basis vector to
+a finite sum of (F-word, basis vector) pairs, truncated at a stated
+f-degree.
 
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
@@ -42,26 +44,27 @@ sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1), at every rank;
 `scripts/braiding_audit.py` checks both.
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
-label pair, as a pair table, and apply it to sparse vectors of label tuples
-with `braiding.braid_slot`; `ybe_check` is `braiding.braid_relation_holds`
-on its depth-capped triples, and `braid_rep` writes the dense matrix out
-only at the end.
+label pair, as a pair table: table[x, y] lists the image of the label pair
+as ((x2, y2), c), ....  One braid-word engine applies such a table:
+`_braid_slot` acts on tensor slots (slot, slot+1) of sparse vectors of label
+tuples inside a window, and `braid_relation_holds` checks the braid relation
+of a table on label triples.  `ybe_check` is `braid_relation_holds` on its
+depth-capped triples, and `braid_rep` writes the dense matrix out only at
+the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .braiding import Word, braid_relation_holds, braid_slot
 from .errors import CapError, ConfigError
 from .linalg import invert
-from .nichols import Degree, NicholsContext, word_degree
+from .nichols import Degree, NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .sparse import add_term
-from .uq import UqContext, UqElement
+from .uq import UqContext
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -83,7 +86,6 @@ class WeightModule:
     labels: tuple
     weights: dict
     depths: dict
-    norm_exps: dict
     e_cols: dict
     f_cols: dict
     coaction_cols: dict
@@ -205,7 +207,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
 
     labels = [()]
     for total in range(1, cap + 1):
-        degs = sorted(_multidegrees(datum.rank, total))
+        degs = sorted(multidegrees(datum.rank, total))
         for deg in degs:
             nb = ctx.nichols.nichols_basis(deg)
             labels.extend(sorted(nb.basis_words))
@@ -214,26 +216,24 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
 
     weights = {}
     depths = {}
-    norm_exps = {}
     for w in labels:
         deg = word_degree(w, datum.rank)
         beta = datum.root_combination(deg)
         weights[w] = tuple(a - b for a, b in zip(hw_vec, beta))
         depths[w] = deg
-        norm_exps[w] = Fraction(len(w))
 
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     zero = (0,) * datum.lattice_rank
     for w in labels:
         # w is a Nichols basis word, so F_w is the single term (w, 0, ()).
-        f_w = UqElement({(w, zero, ()): ONE})
+        f_w = {(w, zero, ()): ONE}
         for i in range(datum.rank):
             if len(w) + 1 <= cap:
                 f_cols[i][w] = list(ctx.nichols.reduce_word((i,) + w).items())
             ef = ctx.multiply(ctx.e_gen(i), f_w)
             acc: Vec = {}
-            for (fw, lam, ew), c in ef.terms.items():
+            for (fw, lam, ew), c in ef.items():
                 if ew:
                     continue
                 scalar = ScalarQ.q_power(sum(a * b for a, b in zip(lam, hw_vec)))
@@ -245,18 +245,8 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
-        norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols=coaction_cols,
+        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"f-degree <= {cap}")
-
-
-def _multidegrees(rank: int, total: int):
-    if rank == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multidegrees(rank - 1, total - first):
-            yield (first,) + rest
 
 
 def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...], list]:
@@ -329,7 +319,7 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
 
     Actions: K x_{i,j} = q^{lam+2i-2j} x_{i,j}; E x_{i,j} = x_{i+1,j};
     F x_{i,j} = x_{i,j+1} - [i][lam+i-1-2j] x_{i-1,j} (second term absent at
-    i = 0).  Norm exponent j - i.  The coaction sends x_{i,j} to
+    i = 0).  Depth, and so norm exponent, j - i.  The coaction sends x_{i,j} to
     sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j}
     for k <= i_max, the normalisation of the Verma coaction, dual to
     `uq.double_pairing`; it lies in the window only at i = 0, so only those
@@ -348,11 +338,9 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
     labels = tuple((i, j) for i in range(i_max + 1) for j in range(j_max + 1))
     weights = {}
     depths = {}
-    norm_exps = {}
     for (i, j) in labels:
         weights[(i, j)] = tuple(lamv + (i - j) * a for lamv, a in zip((lam,), alpha))
         depths[(i, j)] = (j - i,)
-        norm_exps[(i, j)] = Fraction(j - i)
 
     e_cols = {0: {}}
     f_cols = {0: {}}
@@ -382,8 +370,7 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
 
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
-        norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols=coaction_cols,
+        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"0<=i<={i_max}, 0<=j<={j_max}")
 
 
@@ -464,11 +451,9 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     labels = tuple((a, b) for a in M.labels for b in N.labels)
     weights = {}
     depths = {}
-    norm_exps = {}
     for (a, b) in labels:
         weights[(a, b)] = tuple(x + y for x, y in zip(M.weights[a], N.weights[b]))
         depths[(a, b)] = tuple(x + y for x, y in zip(M.depths[a], N.depths[b]))
-        norm_exps[(a, b)] = M.norm_exps[a] + N.norm_exps[b]
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     for (a, b) in labels:
@@ -489,9 +474,34 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 cols[i][(a, b)] = sorted(col.items())
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
-        norm_exps=norm_exps, e_cols=e_cols, f_cols=f_cols,
-        coaction_cols={},
+        e_cols=e_cols, f_cols=f_cols, coaction_cols={},
         window=f"({M.window}) (x) ({N.window})")
+
+
+def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:
+    """Apply a pair table on tensor slots (slot, slot+1) of the label tuples
+    of vec.  Every image tuple must lie in `window`, or CapError is raised."""
+    out: Vec = {}
+    for labels, c in vec.items():
+        for (x, y), c2 in table[labels[slot], labels[slot + 1]]:
+            new = labels[:slot] + (x, y) + labels[slot + 2:]
+            if new not in window:
+                raise CapError(f"braid image {new!r} leaves the depth window")
+            add_term(out, new, c * c2)
+    return out
+
+
+def braid_relation_holds(table: Mapping, triples: Iterable, window) -> bool:
+    """(t (x) 1)(1 (x) t)(t (x) 1) = (1 (x) t)(t (x) 1)(1 (x) t) on every
+    label triple of `triples`, for the pair map t of `table`, with every
+    image inside `window`."""
+    def act(vec, slots):
+        for slot in slots:
+            vec = _braid_slot(table, slot, vec, window)
+        return vec
+
+    return all(act({t: ONE}, (0, 1, 0)) == act({t: ONE}, (1, 0, 1))
+               for t in triples)
 
 
 class _SigmaTable(dict):
@@ -573,7 +583,7 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
             if sigma_inv is None:
                 sigma_inv = _inverse_table(sigma, sorted({t[:2] for t in basis}))
             table = sigma_inv
-        cols = {t: braid_slot(table, abs(letter) - 1, col, window)
+        cols = {t: _braid_slot(table, abs(letter) - 1, col, window)
                 for t, col in cols.items()}
     return basis, [[cols[t].get(t2, ZERO) for t in basis] for t2 in basis]
 

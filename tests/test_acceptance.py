@@ -27,7 +27,7 @@ from uqbench.norms import (RadiusParams, admissible, coaction_convergence,
 from uqbench.rootdata import load_datum
 from uqbench.scalars import (PadicParams, ScalarQ, gauss_valuation, q_int,
                              vp, vp_factorial)
-from uqbench.sparse import combine
+from uqbench.sparse import combine, scale
 from uqbench.uq import (UqContext, check_antipode, check_coassociativity,
                         check_coproduct_multiplicative, check_counit)
 from uqbench.weightmods import (braid_pair, build_mlambda, build_verma,
@@ -108,7 +108,7 @@ def test_criterion_2_serre_membership():
             for j in range(datum.rank):
                 if i != j:
                     elt = serre_element(datum, i, j)
-                    assert ctx.reduce_mod_radical(elt).is_zero(), (name, i, j)
+                    assert ctx.reduce_mod_radical(elt) == {}, (name, i, j)
     a2 = load_datum("A2")
     ctx = NicholsContext(a2, cap=6)
     for (i, j) in ((0, 1), (1, 0)):
@@ -133,9 +133,9 @@ def _random_elements(ctx, seed, count):
         n = rng.randint(1, 3)
         elt = ctx.multiply_all([atoms[rng.randrange(len(atoms))]
                                 for _ in range(n)])
-        elt = elt.scale(ScalarQ.from_int(rng.choice([-2, -1, 1, 2])))
+        elt = scale(elt, ScalarQ.from_int(rng.choice([-2, -1, 1, 2])))
         if rng.random() < 0.5:
-            elt = elt + atoms[rng.randrange(len(atoms))]
+            elt = combine(elt, atoms[rng.randrange(len(atoms))])
         out.append(elt)
     return out
 

@@ -1,4 +1,5 @@
-"""The braid-word engine `braid_slot` on the diagonal pair tables
+"""The braid-word engine of `weightmods` (`_braid_slot` and
+`braid_relation_holds`) on the diagonal pair tables
 c(v_a (x) v_b) = q^{(alpha_a, alpha_b)} v_b (x) v_a of the presets and on
 test pair maps."""
 
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench.braiding import TensorElement, braid_relation_holds, braid_slot
 from uqbench.errors import CapError, ConfigError
 from uqbench.linalg import mat_mul
 from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
-from uqbench.weightmods import braid_rep, build_verma
+from uqbench.weightmods import (_braid_slot, braid_relation_holds, braid_rep,
+                                build_verma)
 
 ONE = ScalarQ.one()
 ZERO = ScalarQ.zero()
@@ -37,10 +38,10 @@ def _table(datum, inverse=False):
 
 def _act(datum, n, word, vec):
     """A braid word of signed 1-based letters (negative = inverse) on
-    V^(x)n, leftmost letter first, through `braid_slot`."""
+    V^(x)n, leftmost letter first, through `_braid_slot`."""
     window = set(product(range(datum.rank), repeat=n))
     for g in word:
-        vec = braid_slot(_table(datum, g < 0), abs(g) - 1, vec, window)
+        vec = _braid_slot(_table(datum, g < 0), abs(g) - 1, vec, window)
     return vec
 
 
@@ -94,7 +95,7 @@ def test_braid_relation_check_sees_a_failure():
     cube = set(product((0, 1), repeat=3))
 
     def slot(k, vec):
-        return braid_slot(table, k, vec, cube)
+        return _braid_slot(table, k, vec, cube)
 
     lhs = slot(0, slot(1, slot(0, start)))
     rhs = slot(1, slot(0, slot(1, start)))
@@ -107,9 +108,9 @@ def test_braid_relation_check_sees_a_failure():
 def test_braid_slot_window():
     swap = {(x, y): (((y, x), Q(x + y)),) for x in (0, 1) for y in (0, 1)}
     vec = {(0, 1, 1): ONE}
-    assert braid_slot(swap, 0, vec, {(1, 0, 1)}) == {(1, 0, 1): Q(1)}
+    assert _braid_slot(swap, 0, vec, {(1, 0, 1)}) == {(1, 0, 1): Q(1)}
     with pytest.raises(CapError, match="leaves the depth window"):
-        braid_slot(swap, 0, vec, {(0, 1, 1)})
+        _braid_slot(swap, 0, vec, {(0, 1, 1)})
     with pytest.raises(CapError):
         braid_relation_holds(swap, [(0, 0, 1)], {(0, 0, 1)})
 
@@ -169,12 +170,3 @@ def test_word_degree_counts_letters(letters):
     deg = word_degree(w, datum.rank)
     assert deg == (w.count(0), w.count(1))
     assert sum(deg) == len(w)
-
-
-def test_tensor_element_arithmetic():
-    x = TensorElement.basis((0,))
-    y = TensorElement.basis((1,))
-    z = x + y
-    assert not z.is_zero()
-    assert (z - z).is_zero()
-    assert z.scale(ScalarQ.zero()).is_zero()

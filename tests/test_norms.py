@@ -12,7 +12,7 @@ from uqbench.norms import (ConvergenceCertificate, RadiusParams, admissible,
                            coaction_convergence, coaction_term_valuation,
                            reverify_certificate, rmatrix_condition)
 from uqbench.rootdata import load_datum
-from uqbench.scalars import PadicParams, vp_factorial
+from uqbench.scalars import PadicParams, ScalarQ, gauss_valuation, vp, vp_factorial
 
 A1 = load_datum("A1")
 
@@ -63,6 +63,33 @@ def test_admissible_rank_two_split_thresholds():
     b2 = load_datum("B2")
     assert admissible(b2, P(5, 1), R(1, 0)) is True
     assert admissible(b2, P(5, 1), R("1/2", 0)) is False
+
+
+PRESETS = ("A1", "A2", "B2", "G2", "A1xA1")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_admissible_valuation_is_exact_and_closed_form(name):
+    # v(q_i - q_i^{-1}) is certified exact and equals v_p(2 d_i) + vh at every
+    # (p, vh) with vh > 1/(p-1), so admissible always answers True or False,
+    # switching exactly at the largest of these valuations
+    datum = load_datum(name)
+    for p in (3, 5, 7, 11, 13):
+        for k in range(1, 25):
+            vh = Fraction(k, 12)
+            if vh <= Fraction(1, p - 1):
+                continue
+            params = P(p, vh)
+            vals = []
+            for d in datum.d:
+                val = gauss_valuation(ScalarQ.q_power(d) - ScalarQ.q_power(-d),
+                                      params)
+                assert val.exact, (name, p, vh, d)
+                assert val.lower == vp(2 * d, p) + vh, (name, p, vh, d)
+                vals.append(val.lower)
+            threshold = max(vals)
+            assert admissible(datum, params, R(threshold, 0)) is True
+            assert admissible(datum, params, R(threshold - Fraction(1, 24), 0)) is False
 
 
 def test_rmatrix_condition_worked_cases():

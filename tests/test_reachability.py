@@ -34,7 +34,7 @@ TEST_ORACLES = {
         "applies a gauge series to an element; the tests recompute the "
         "trivialization identity V(mu(x, y)) = V(x) V(y) with it",
     "linalg.mat_mul":
-        "the dense product the tests check braid_rep and braid_slot against",
+        "the dense product the tests check braid_rep and _braid_slot against",
     "nichols.NicholsContext.pairing_eval":
         "the rational Nichols pairing, which the tests check the integer "
         "Gram, the radical and the dual bases against",

@@ -497,8 +497,10 @@ def test_padic_params_validation():
 
 
 def test_valuation_bound_infinite():
-    assert ValuationBound(None, True).is_infinite()
-    assert not ValuationBound(Fraction(1), True).is_infinite()
+    # lower = None encodes +infinity: the valuation of zero, and of no unit
+    params = PadicParams(5, Fraction(1))
+    assert gauss_valuation(ZERO, params) == ValuationBound(None, True)
+    assert gauss_valuation(Q(3), params) == ValuationBound(Fraction(0), True)
 
 
 def test_gauss_valuation_of_q_minus_qinv():
@@ -530,4 +532,4 @@ def test_gauss_valuation_of_balanced_factorials():
 
 def test_gauss_valuation_zero_is_infinite():
     b = gauss_valuation(ZERO, PadicParams(5, Fraction(1)))
-    assert b.is_infinite()
+    assert b.lower is None

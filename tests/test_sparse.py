@@ -3,19 +3,25 @@
 `add_term`, `combine` and `scale` are checked against a reference that sums
 per key first and drops zeros afterwards, with both `Fraction` and `ScalarQ`
 coefficients.  The reference derives the key order on its own: a key sits
-where its running sum last turned from zero to nonzero.
+where its running sum last turned from zero to nonzero.  Elements of U_q and
+of T(V) are plain dicts built with these, and no result of `uq` or `nichols`
+stores a zero coefficient.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench.braiding import TensorElement
+from uqbench.cli import _sample_elements
+from uqbench.nichols import (NicholsContext, multidegrees, serre_element,
+                             words_of_degree)
+from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
-from uqbench.sparse import Sparse, add_term, combine, scale
-from uqbench.uq import UqElement
+from uqbench.sparse import add_term, combine, scale
+from uqbench.uq import UqContext
 
 KEYS = st.sampled_from(["a", "b", "c", (0, 1), (1, 0)])
 # small integers make cancellation, and re-insertion after it, common
@@ -110,14 +116,48 @@ def test_scalar_truth_value_is_nonzero():
     assert bool(ScalarQ.q_power(1) - ScalarQ.q_power(1)) is False
 
 
-def test_sparse_classes_keep_their_type_and_drop_zeros():
-    q = ScalarQ.q_power
-    x = TensorElement({(0,): q(1), (1,): ScalarQ.zero(), (0, 1): q(2)})
-    assert list(x.terms) == [(0,), (0, 1)]
-    y = x - TensorElement.basis((0,)).scale(q(1))
-    assert type(y) is TensorElement and y.terms == {(0, 1): q(2)}
-    assert type(x + y) is TensorElement
-    assert x.scale(ScalarQ.zero()).is_zero()
-    u = UqElement({((), (0,), ()): q(1)})
-    assert type(u + u) is UqElement and (u - u).is_zero()
-    assert u != Sparse(u.terms) and x != u
+def _zero_free(x: dict) -> bool:
+    return all(not c.is_zero() for c in x.values())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_uq_and_nichols_results_store_no_zero(name):
+    datum = load_datum(name)
+    ctx = UqContext(datum, cap=6)
+    one = ScalarQ.one()
+    elements = _sample_elements(ctx, random.Random(5), 4)
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            # (E_i + F_j)(F_j - E_i): for i != j the E_i F_j and F_j E_i
+            # terms cancel, and Delta(E_i F_i) has a cancelling K (x) K term
+            x = combine(ctx.e_gen(i), ctx.f_gen(j))
+            y = combine(ctx.f_gen(j), ctx.e_gen(i), -1)
+            elements += [ctx.multiply(x, y), ctx.multiply(ctx.e_gen(i), ctx.f_gen(j))]
+    for x in elements:
+        for y in elements[:3]:
+            assert _zero_free(ctx.multiply(x, y))
+        assert _zero_free(ctx.antipode(x))
+        assert _zero_free(ctx.coproduct(x))
+    words = [w for total in (1, 2) for deg in multidegrees(datum.rank, total)
+             for w in words_of_degree(deg) if ctx.is_reduced(w)]
+    for e_word in words:
+        for f_word in words:
+            assert _zero_free(ctx.drinfeld_reorder(e_word, f_word))
+    nichols = NicholsContext(datum, cap=6)
+    for total in range(5):
+        for deg in multidegrees(datum.rank, total):
+            for v in nichols.radical_basis(deg):
+                assert _zero_free(v)
+            for w in words_of_degree(deg):
+                # w plus its own reduction, and w minus it: a radical vector
+                red = nichols.reduce_word(w)
+                for sign in (1, -1):
+                    x = combine({w: one}, red, sign)
+                    assert _zero_free(x)
+                    assert _zero_free(nichols.reduce_mod_radical(x))
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            if i != j:
+                elt = serre_element(datum, i, j)
+                assert _zero_free(elt)
+                assert nichols.reduce_mod_radical(elt) == {}
