@@ -17,10 +17,14 @@ so that d leads positive.  `num` and `den` give the same value over the
 monic denominator, as printed.
 
 Every integer Laurent polynomial (denominator 1) stores the one shared
-denominator dict `_ONE_DEN`.  `+` and `*` of two such values skip the
-normalisation: a sum or product of integer Laurent polynomials is again
-one, and has no zero coefficient after `_lp_add`/`_lp_mul`, so it is
-canonical as it stands.
+denominator dict `_ONE_DEN`.  `ScalarQ(num)` with int coefficients, and `+`
+and `*` of two such values, skip the normalisation: a sum or product of
+integer Laurent polynomials is again one, and has no zero coefficient after
+`_lp_add`/`_lp_mul`, so it is canonical as it stands.  Three more routes skip
+only the gcd, since no polynomial factor can cancel, and go through the
+shift, content and sign step `_reduced` that ends the constructor: the
+inverse of a canonical n/d, a Laurent a plus a canonical c/d, which is
+(a d + c)/d, and a monomial c q^k times a canonical n/d.
 
 The valuation side interprets q as exp(hbar) with v_p(hbar) = vh.  Then
 v(q - 1) = vh whenever vh > 1/(p-1) (the convergence disc of exp), and the
@@ -150,6 +154,10 @@ class ScalarQ:
 
     def __init__(self, num: Mapping[int, Fraction | int], den: Mapping[int, Fraction | int] = _ONE_DEN):
         n = {int(e): c for e, c in num.items() if c}
+        if den is _ONE_DEN and all(type(c) is int for c in n.values()):
+            # an integer Laurent polynomial is canonical as it stands
+            self._num, self._den = n, _ONE_DEN
+            return
         d = {int(e): c for e, c in den.items() if c}
         if not d:
             raise ScalarError("zero denominator")
@@ -162,21 +170,17 @@ class ScalarQ:
             m = lcm(*(c.denominator for c in (*n.values(), *d.values())))
             n = {e: (c * m).numerator for e, c in n.items()}
             d = {e: (c * m).numerator for e, c in d.items()}
-        nshift, dshift = min(n), min(d)
-        n = {e - nshift: c for e, c in n.items()}
-        d = {e - dshift: c for e, c in d.items()}
-        if max(d) > 0 and max(n) > 0:
+        if len(n) > 1 and len(d) > 1:
+            nshift, dshift = min(n), min(d)
+            n = {e - nshift: c for e, c in n.items()}
+            d = {e - dshift: c for e, c in d.items()}
             g = _poly_gcd(_primitive(n), _primitive(d))
             if max(g) > 0:
                 n, _ = _pseudo_divmod(n, g)
                 d, _ = _pseudo_divmod(d, g)
-        content = gcd(*n.values(), *d.values())
-        if d[max(d)] < 0:
-            content = -content
-        shift = nshift - dshift
-        self._num = {e + shift: c // content for e, c in n.items()}
-        d = {e: c // content for e, c in d.items()}
-        self._den = _ONE_DEN if d == _ONE_DEN else d
+            n = {e + nshift - dshift: c for e, c in n.items()}
+        out = _reduced(n, d)
+        self._num, self._den = out._num, out._den
 
     # -- constructors ------------------------------------------------------
 
@@ -244,6 +248,10 @@ class ScalarQ:
     def __add__(self, other: "ScalarQ") -> "ScalarQ":
         if self._den is _ONE_DEN and other._den is _ONE_DEN:
             return _laurent(_lp_add(self._num, other._num))
+        if self._den is _ONE_DEN or other._den is _ONE_DEN:
+            # a + c/d = (a d + c)/d: a factor it shared with d would divide c
+            a, x = (self, other) if self._den is _ONE_DEN else (other, self)
+            return _reduced(_lp_add(_lp_mul(a._num, x._den), x._num), x._den)
         if self._den == other._den:
             return ScalarQ(_lp_add(self._num, other._num), self._den)
         return ScalarQ(
@@ -261,8 +269,14 @@ class ScalarQ:
         return self + (-other)
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
-        if self._den is _ONE_DEN and other._den is _ONE_DEN:
-            return _laurent(_lp_mul(self._num, other._num))
+        if self._den is _ONE_DEN:
+            if other._den is _ONE_DEN:
+                return _laurent(_lp_mul(self._num, other._num))
+            # c q^k times n/d: q and n are prime to d, so only content cancels
+            if len(self._num) == 1:
+                return _reduced(_lp_mul(self._num, other._num), other._den)
+        elif other._den is _ONE_DEN and len(other._num) == 1:
+            return _reduced(_lp_mul(self._num, other._num), self._den)
         if self.is_zero() or other.is_zero():
             return ScalarQ.zero()
         return ScalarQ(_lp_mul(self._num, other._num), _lp_mul(self._den, other._den))
@@ -270,7 +284,7 @@ class ScalarQ:
     def inverse(self) -> "ScalarQ":
         if self.is_zero():
             raise ScalarError("inverse of zero")
-        return ScalarQ(self._den, self._num)
+        return _reduced(self._den, self._num)
 
     def __truediv__(self, other: "ScalarQ") -> "ScalarQ":
         return self * other.inverse()
@@ -321,6 +335,23 @@ class ScalarQ:
 
     def __repr__(self) -> str:
         return f"ScalarQ({self})"
+
+
+def _reduced(n: dict[int, int], d: dict[int, int]) -> ScalarQ:
+    """The canonical ScalarQ of n/d, for nonzero integer Laurent polynomials
+    n and d whose only common factors in Z[q, q^-1] are integers: shift d to
+    a polynomial with nonzero constant term, folding q^k into n, divide both
+    by their common integer content, signed so that d leads positive.  The
+    new value owns neither input."""
+    shift = min(d)
+    content = gcd(*n.values(), *d.values())
+    if d[max(d)] < 0:
+        content = -content
+    d = {e - shift: c // content for e, c in d.items()}
+    out = object.__new__(ScalarQ)
+    out._num = {e - shift: c // content for e, c in n.items()}
+    out._den = _ONE_DEN if d == _ONE_DEN else d
+    return out
 
 
 def _laurent(num: dict[int, int]) -> ScalarQ:

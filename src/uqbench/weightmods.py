@@ -11,6 +11,13 @@ artifacts are never silently dropped.  The coaction sends a basis vector to
 a finite sum of (F-word, basis vector) pairs, truncated at a stated
 f-degree.
 
+On a Verma window the basis vectors are F_w v, w a Nichols basis word, and
+F_i acts by Nichols multiplication.  E_i acts by the commutator formula
+    E_i F_w v = sum_{k: w_k = i} [<alpha_i^vee, mu_k>]_{q_i} F_{w - w_k} v,
+    mu_k = hw - sum_{l > k} alpha_{w_l},
+w - w_k being w without its letter k, reduced to basis words; normal
+ordering E_i F_w through `uq.UqContext` is its test oracle.
+
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree beta <= deg a up to the cap, {E_{b*}} the dual basis
@@ -196,21 +203,24 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
 def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
     """Verma window: reduced F-words of degree <= cap on a highest-weight line.
 
-    E acts by normal ordering E_i F_w through the quantum group and evaluating
-    Cartan terms at the highest weight; F acts by Nichols multiplication.  The
-    rank-1 closed forms are not special-cased, they fall out of this path.
+    F acts by Nichols multiplication.  E_i commutes with F_j for j != i, and
+    E_i F_i - F_i E_i acts on weight mu by [<alpha_i^vee, mu>]_{q_i}, so for
+    a basis word w = (w_0, ..., w_{n-1}) E acts by the commutator formula
+        E_i F_w v = sum_{k: w_k = i} [<alpha_i^vee, mu_k>]_{q_i} F_{w - w_k} v,
+        mu_k = hw - sum_{l > k} alpha_{w_l},
+    w - w_k being w without its letter k, reduced to basis words.  Normal
+    ordering E_i F_w through `uq.UqContext.multiply` is the test oracle.
+    The rank-1 closed forms fall out of this path.
     """
     if cap < 0:
         raise ConfigError("cap must be nonnegative")
     hw_vec = _as_weight(datum, hw)
-    ctx = UqContext(datum, cap=max(cap, 1))
+    nichols = NicholsContext(datum, cap=max(cap, 1))
 
     labels = [()]
     for total in range(1, cap + 1):
-        degs = sorted(multidegrees(datum.rank, total))
-        for deg in degs:
-            nb = ctx.nichols.nichols_basis(deg)
-            labels.extend(sorted(nb.basis_words))
+        for deg in sorted(multidegrees(datum.rank, total)):
+            labels.extend(sorted(nichols.nichols_basis(deg).basis_words))
     labels = tuple(labels)
     label_set = set(labels)
 
@@ -222,25 +232,25 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         weights[w] = tuple(a - b for a, b in zip(hw_vec, beta))
         depths[w] = deg
 
+    # <alpha_i^vee, hw>, the bracket argument at the rightmost letter
+    top = [sum(a * b for a, b in zip(coroot, hw_vec)) for coroot in datum.coroots]
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
-    zero = (0,) * datum.lattice_rank
     for w in labels:
-        # w is a Nichols basis word, so F_w is the single term (w, 0, ()).
-        f_w = {(w, zero, ()): ONE}
         for i in range(datum.rank):
             if len(w) + 1 <= cap:
-                f_cols[i][w] = list(ctx.nichols.reduce_word((i,) + w).items())
-            ef = ctx.multiply(ctx.e_gen(i), f_w)
+                f_cols[i][w] = list(nichols.reduce_word((i,) + w).items())
             acc: Vec = {}
-            for (fw, lam, ew), c in ef.items():
-                if ew:
-                    continue
-                scalar = ScalarQ.q_power(sum(a * b for a, b in zip(lam, hw_vec)))
-                add_term(acc, fw, c * scalar)
+            n = top[i]
+            for k in range(len(w) - 1, -1, -1):
+                if w[k] == i and n:
+                    bracket = q_int(n, datum.d[i])
+                    for u, c in nichols.reduce_word(w[:k] + w[k + 1:]).items():
+                        add_term(acc, u, bracket * c)
+                n -= datum.cartan[i][w[k]]
             e_cols[i][w] = sorted(acc.items())
 
-    coaction_cols = _dual_basis_coaction(ctx, labels, depths, e_cols)
+    coaction_cols = _dual_basis_coaction(nichols, labels, depths, e_cols)
     for w in labels:
         assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
@@ -266,7 +276,8 @@ def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...]
     return words, [[scale * c for c in row] for row in inv]
 
 
-def _dual_basis_coaction(ctx: UqContext, labels, depths: dict, e_cols: dict) -> dict:
+def _dual_basis_coaction(nichols: NicholsContext, labels, depths: dict,
+                         e_cols: dict) -> dict:
     """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
 
     b runs over the Nichols basis words of each multidegree beta <= deg a,
@@ -274,7 +285,6 @@ def _dual_basis_coaction(ctx: UqContext, labels, depths: dict, e_cols: dict) -> 
     letter by letter, rightmost first; each image E_u a is computed once and
     serves every b.  Zero sums are dropped.
     """
-    nichols = ctx.nichols
     duals = {beta: _dual_basis(nichols, beta)
              for beta in sorted({d for d in depths.values() if any(d)},
                                 key=lambda d: (sum(d), d))}
@@ -546,10 +556,8 @@ def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     """(sigma (x) 1)(1 (x) sigma)(sigma (x) 1) = (1 (x) sigma)(sigma (x) 1)(1 (x) sigma)
     on all triples of total depth <= cap, with sigma computed once per label
     pair."""
-    sigma = _SigmaTable(datum, M)
-    triples = {(a, b, c) for a in M.labels for b in M.labels for c in M.labels
-               if _total_depth(M, a) + _total_depth(M, b) + _total_depth(M, c) <= cap}
-    return braid_relation_holds(sigma, sorted(triples), triples)
+    triples = _label_tuples(M, 3, cap)
+    return braid_relation_holds(_SigmaTable(datum, M), triples, set(triples))
 
 
 def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,

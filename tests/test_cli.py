@@ -530,3 +530,35 @@ def test_deformation_reports_are_byte_identical(argv, code, digest):
     with contextlib.redirect_stdout(out):
         assert main(argv.split()) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# sha256 of braiding, Hopf and Nichols reports.  The first five are the
+# digests the benchmark pool records for these jobs; the last three are rank
+# >= 2 reports as printed while E acted on Verma windows by normal ordering
+# through U_q, before the commutator formula replaced it.
+GOLDEN_BRAIDING_NICHOLS_REPORTS = [
+    ("ybe-check --datum A1 --lam 3 --cap 6",
+     "178f3bb7b4889e58606440c9d3fc443f60ba7bfcebc1a5285afea21a51e491cf"),
+    ("braid-rep --datum A1 --strands 4 --cap 4 --word 1,-1",
+     "ccb343c66e23800fc8c9e155f20a2a59db6cd9fcadbcc16c05f93bedad83e430"),
+    ("hopf-check --datum A2 --cap 4 --seed 1 --samples 8",
+     "605930911ac3e51d99434afb632296ed2a41f68a220a7a7aa938d49b27eeeef5"),
+    ("serre-check --datum G2",
+     "ba12ab9cecf134591798bb9bbd32d4da9b7d68ab39f6a430deb850cc02993568"),
+    ("nichols-dims --datum B2 --max-degree 5",
+     "f3ff33c1c143d3d00360a1368ddd0c9487fe68a68b4943844ca78b9c92dc36b6"),
+    ("ybe-check --datum A2 --lam 1,1 --cap 3",
+     "160f3bad9ff88096047df5bbaeb3b08e527ff5a0712b427a2acaba8bef2a7e35"),
+    ("braid-rep --datum B2 --lam 1,1 --strands 3 --cap 2 --word 1,-1",
+     "ba9d038bb8cb1e3d48b2a057f257f7183bc7b4e95ac730a13ce7500b4a3ad2d9"),
+    ("verma --datum G2 --lam 1,0 --cap 4",
+     "547817ee72bd9f33d45fbd9045630e02c80f7ea2b5062c23664185307a00c65d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_BRAIDING_NICHOLS_REPORTS)
+def test_braiding_and_nichols_reports_are_byte_identical(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

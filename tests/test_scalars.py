@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
                              ValuationBound, _laurent, _lp_add, _lp_mul,
-                             _lp_neg, gauss_valuation, is_prime, q_binomial,
+                             _lp_neg, _poly_gcd, _primitive, _reduced,
+                             gauss_valuation, is_prime, q_binomial,
                              q_factorial, q_int, q_rising, vp, vp_factorial)
 
 try:
@@ -256,12 +257,17 @@ def rational_functions(draw):
 def _assert_canonical(x):
     """Only int coefficients are stored; the denominator is a polynomial with
     nonzero constant term and positive leading coefficient; numerator and
-    denominator share no integer content; and the shared denominator marks
-    exactly the denominator 1."""
+    denominator share no integer content and no polynomial factor; and the
+    shared denominator marks exactly the denominator 1."""
     for c in [*x._num.values(), *x._den.values()]:
         assert type(c) is int, c
     assert min(x._den) == 0 and x._den[max(x._den)] > 0, x._den
     assert math.gcd(*x._num.values(), *x._den.values()) == 1
+    if len(x._num) > 1 and len(x._den) > 1:
+        k = min(x._num)
+        g = _poly_gcd(_primitive({e - k: c for e, c in x._num.items()}),
+                      _primitive(x._den))
+        assert max(g) == 0, (x._num, x._den)
     assert (x._den is _ONE_DEN) == (x._den == {0: 1})
 
 
@@ -320,9 +326,11 @@ def test_field_operations_against_sympy_cancel(a, b, op, k):
 def test_fast_path_equals_general_constructor(a_num, b_num):
     a, b = ScalarQ(a_num), ScalarQ(b_num)
     # each fast-path value next to the value the general constructor builds
-    # from the same data (for + and *, the operands of the general path)
+    # from the same data (for + and *, the operands of the general path);
+    # ScalarQ(num) also next to `_laurent` of the same dict
     cases = [
         (a, ScalarQ(a_num, {0: 1})),
+        (a, _laurent({e: c for e, c in a_num.items() if c})),
         (a + b, ScalarQ(_lp_add(_lp_mul(a.num, b.den), _lp_mul(b.num, a.den)),
                         _lp_mul(a.den, b.den))),
         (a - b, ScalarQ(_lp_add(a.num, _lp_neg(b.num)), {0: 1})),
@@ -365,6 +373,62 @@ def test_every_route_gives_one_dict_key(x_input, y_input):
         _assert_canonical(r)
     assert len({x, *routes}) == 1
     assert hash(x) == x._hash
+
+
+def _general(num, den):
+    """num/den through the general constructor: copies of the dicts, so no
+    fast path applies."""
+    return ScalarQ(dict(num), dict(den))
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(int_laurents,
+       rational_functions().filter(lambda x: x[0]._den is not _ONE_DEN),
+       st.integers(-3, 3), st.integers(-4, 4).filter(bool))
+def test_gcd_free_routes_against_the_general_constructor_and_sympy(
+        a_num, x_input, k, c):
+    # a Laurent, x = n/d with d != 1, and the monomial c q^k: every route
+    # that skips the gcd next to the general constructor and sympy.cancel
+    a, mono = ScalarQ(a_num), ScalarQ({k: c})
+    x, (xn, xd) = x_input
+    ea, ex, em = _sym(a_num), _sym(xn) / _sym(xd), _sym({k: c})
+    plus = _general(_lp_add(_lp_mul(a._num, x._den), x._num), x._den)
+    times = _general(_lp_mul(mono._num, x._num), x._den)
+    cases = [
+        (a + x, plus, ea + ex),
+        (x + a, plus, ex + ea),
+        (x.inverse(), _general(x._den, x._num), 1 / ex),
+        (mono * x, times, em * ex),
+        (x * mono, times, ex * em),
+    ]
+    if a:
+        cases.append((a.inverse(), _general({0: 1}, a._num), 1 / ea))
+    for got, general, expr in cases:
+        assert got._num == general._num and got._den == general._den
+        assert got == general and hash(got) == hash(general)
+        assert (got.num, got.den) == _sym_canonical(expr)
+        _assert_canonical(got)
+
+
+def test_monomial_times_rational_divides_out_the_content():
+    # 2q * 1/(2q + 2) = q/(q + 1): only the integer content can cancel
+    x = ScalarQ({1: 2}) * ScalarQ({0: 1}, {0: 2, 1: 2})
+    assert (x._num, x._den) == ({1: 1}, {0: 1, 1: 1})
+    assert x == ScalarQ({1: 1}, {0: 1, 1: 1}) and str(x) == "(q)/(q + 1)"
+    y = ScalarQ({0: -6}, {0: 1}) * ScalarQ({2: 1}, {0: 3, 1: 3})
+    assert (y._num, y._den) == ({2: -2}, {0: 1, 1: 1})
+    _assert_canonical(x)
+    _assert_canonical(y)
+
+
+def test_assert_canonical_catches_a_common_factor():
+    # _reduced trusts its caller to have no common polynomial factor; a
+    # route that broke that promise would fail every _assert_canonical
+    bad = _reduced({1: 1, 2: 1}, {0: 2, 1: 3, 2: 1})  # q(q+1)/((q+1)(q+2))
+    with pytest.raises(AssertionError):
+        _assert_canonical(bad)
+    _assert_canonical(_reduced({1: 1}, {0: 2, 1: 1}))
 
 
 def test_hash_ignores_dict_insertion_order():

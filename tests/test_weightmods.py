@@ -178,6 +178,36 @@ def test_verma_labels_are_a_basis_per_depth(name, hw):
     assert sum(per_depth.values()) == len(M.labels)
 
 
+def _normal_ordered_e_cols(datum, hw, cap, labels):
+    """The E-columns of a Verma window by normal ordering E_i F_w through
+    `UqContext.multiply`: terms with an E-word kill the highest-weight
+    vector, and K_lam acts on it by q^{lam(hw)}."""
+    ctx = UqContext(datum, cap=max(cap, 1))
+    zero = (0,) * datum.lattice_rank
+    cols = {i: {} for i in range(datum.rank)}
+    for w in labels:
+        for i in range(datum.rank):
+            acc = {}
+            ef = ctx.multiply(ctx.e_gen(i), {(w, zero, ()): ONE})
+            for (fw, lam, ew), c in ef.items():
+                if not ew:
+                    add_term(acc, fw, c * Q(sum(a * b for a, b in zip(lam, hw))))
+            cols[i][w] = sorted(acc.items())
+    return cols
+
+
+@pytest.mark.parametrize("name,hw,cap", [
+    ("A1", (2,), 5), ("A1", (-1,), 5), ("A1", (0,), 5),
+    ("A2", (1, 1), 5), ("A2", (0, 2), 4), ("B2", (1, 1), 4), ("B2", (2, 0), 5),
+    ("G2", (1, 0), 4), ("G2", (0, 1), 3), ("A1xA1", (1, 2), 4)])
+def test_verma_e_action_matches_normal_ordering(name, hw, cap):
+    # the commutator formula of build_verma against U_q normal ordering:
+    # every column, its values and its order
+    datum = load_datum(name)
+    M = build_verma(datum, hw, cap)
+    assert M.e_cols == _normal_ordered_e_cols(datum, hw, cap, M.labels)
+
+
 # ---------------------------------------------------------------------------
 # Dense window modules
 # ---------------------------------------------------------------------------
@@ -396,6 +426,32 @@ def test_label_tuples_match_the_brute_force_filter(build, n, caps):
                 if sum(depth[a] for a in t) <= cap}
         got = weightmods._label_tuples(module, n, cap)
         assert len(got) == len(want) and set(got) == want, cap
+
+
+@pytest.mark.parametrize("build,caps", [
+    (lambda: build_verma(A1, 2, 3), range(5)),
+    (lambda: build_verma(load_datum("B2"), (1, 1), 2), range(4)),
+    (lambda: build_mlambda(A1, 2, (2, 1)), range(-6, 4)),
+])
+def test_ybe_checks_the_triples_of_the_brute_force_filter(build, caps,
+                                                          monkeypatch):
+    module = build()
+    depth = {a: sum(module.depths[a]) for a in module.labels}
+    seen = []
+
+    def record(table, triples, window):
+        seen.append((list(triples), window))
+        return True
+
+    monkeypatch.setattr(weightmods, "braid_relation_holds", record)
+    for cap in caps:
+        want = {t for t in product(module.labels, repeat=3)
+                if sum(depth[a] for a in t) <= cap}
+        seen.clear()
+        assert ybe_check(module.datum, module, cap)
+        (triples, window), = seen
+        assert len(triples) == len(want) and set(triples) == want, cap
+        assert set(window) == want, cap
 
 
 def _counting_braid_pair(monkeypatch):
