@@ -12,10 +12,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from uqbench.deform import (GEN_MONO, SeriesElement, TruncatedUg,
-                            conjugate_map, conjugation_residuals,
-                            derivation_gauge, identity_map, mult_trivialize,
-                            plant_deformation, rigidity_conjugator)
+from uqbench.deform import (GEN_MONO, TruncatedUg, conjugate_map,
+                            conjugation_residuals, derivation_gauge,
+                            identity_map, mult_trivialize, plant_deformation,
+                            rigidity_conjugator)
 from uqbench.rootdata import load_datum
 
 
@@ -44,16 +44,14 @@ def main(argv=None):
           f"order={args.order}")
     print()
     print("-- conjugation round --")
-    d = identity_map(algebra, args.order, gens_only=True)
-    seed = SeriesElement(algebra, [algebra.one(), {E: Fraction(1)}]
-                         + [{}] * (args.order - 1))
-    d_prime = conjugate_map(seed, d, args.order)
-    F, transcript = rigidity_conjugator(d, d_prime, args.order,
-                                        with_transcript=True)
+    d = identity_map(args.order)
+    seed = [algebra.one(), {E: Fraction(1)}] + [{}] * (args.order - 1)
+    d_prime = conjugate_map(algebra, seed, d, args.order)
+    F, transcript = rigidity_conjugator(algebra, d, d_prime, args.order)
     for entry in transcript:
         print(f"order {entry['order']}: defect {entry['defect']}, "
               f"u = {el_str(entry['u'])}")
-    residuals = conjugation_residuals(F, d, d_prime, args.order)
+    residuals = conjugation_residuals(algebra, F, d, d_prime, args.order)
     worst = max((sum(len(r) for r in per) for per in residuals.values()),
                 default=0)
     print(f"residual terms through order {args.order}: {worst}")
@@ -62,11 +60,11 @@ def main(argv=None):
     print("-- trivialization round --")
     gauge = derivation_gauge(algebra, {E: {H: Fraction(1)}})
     mu = plant_deformation(algebra, gauge, 1)
-    V, transcript = mult_trivialize(algebra, mu, 1, with_transcript=True)
+    V, transcript = mult_trivialize(algebra, mu, 1)
     for entry in transcript:
         print(f"order {entry['order']}: defect {entry['defect']}, "
               f"beta(1) = {el_str(entry['beta'].get(GEN_MONO['E'], {}))}")
-    print("gauge recovered" if V.columns else "no gauge produced")
+    print("gauge recovered" if any(V[1:]) else "no gauge produced")
     return 0
 
 

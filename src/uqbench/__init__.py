@@ -32,9 +32,9 @@ from .weightmods import (WeightModule, braid_pair, braid_rep, build_mlambda,
 from .norms import (ConvergenceCertificate, RadiusParams, admissible,
                     coaction_convergence, reverify_certificate,
                     rmatrix_condition)
-from .deform import (SeriesElement, SeriesMap, TruncatedUg, conjugate_map,
-                     derivation_gauge, identity_map, mult_trivialize,
-                     plant_deformation, rigidity_conjugator)
+from .deform import (TruncatedUg, conjugate_map, derivation_gauge,
+                     identity_map, mult_trivialize, plant_deformation,
+                     rigidity_conjugator)
 
 __all__ = [
     "CapError", "ConfigError", "ObstructionError",
@@ -50,8 +50,7 @@ __all__ = [
     "RadiusParams", "ConvergenceCertificate",
     "admissible", "rmatrix_condition", "coaction_convergence",
     "reverify_certificate",
-    "TruncatedUg", "SeriesElement", "SeriesMap",
-    "identity_map", "conjugate_map", "rigidity_conjugator",
+    "TruncatedUg", "identity_map", "conjugate_map", "rigidity_conjugator",
     "derivation_gauge", "plant_deformation", "mult_trivialize",
 ]
 

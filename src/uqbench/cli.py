@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .deform import (GEN_MONO, SeriesElement, TruncatedUg, conjugate_map,
+from .deform import (GEN_MONO, TruncatedUg, conjugate_map,
                      conjugation_residuals, derivation_gauge, identity_map,
                      mult_trivialize, plant_deformation, rigidity_conjugator)
 from .errors import CapError, ConfigError, ObstructionError
@@ -333,13 +333,12 @@ def cmd_rigidity_solve(args):
     datum = load_datum(args.datum)
     algebra = TruncatedUg(datum, args.cap, args.window)
     seed_mono = _parse_mono(args.seed_coeff)
-    d = identity_map(algebra, args.order, gens_only=True)
-    seed = SeriesElement(algebra, [algebra.one(), {seed_mono: 1}]
-                         + [{} for _ in range(max(0, args.order - 1))])
-    d_prime = conjugate_map(seed, d, args.order)
-    F, transcript = rigidity_conjugator(d, d_prime, args.order,
-                                        with_transcript=True)
-    residuals = conjugation_residuals(F, d, d_prime, args.order)
+    d = identity_map(args.order)
+    seed = [algebra.one(), {seed_mono: 1}] \
+        + [{} for _ in range(max(0, args.order - 1))]
+    d_prime = conjugate_map(algebra, seed, d, args.order)
+    F, transcript = rigidity_conjugator(algebra, d, d_prime, args.order)
+    residuals = conjugation_residuals(algebra, F, d, d_prime, args.order)
     residual_zero = all(not r for per in residuals.values() for r in per)
     entries = []
     for entry in transcript:
@@ -351,7 +350,7 @@ def cmd_rigidity_solve(args):
                 for m, c in sorted(entry["u"].items())}
         entries.append(row)
     result = {
-        "conjugator": [_element_str(c) for c in F.coeffs],
+        "conjugator": [_element_str(c) for c in F],
         "transcript": entries,
         "residual_zero_mod_next_order": residual_zero,
     }
@@ -379,16 +378,14 @@ def cmd_trivialize(args):
         gen_images[mono] = image
     gauge = derivation_gauge(algebra, gen_images)
     mu = plant_deformation(algebra, gauge, args.order)
-    V, transcript = mult_trivialize(algebra, mu, args.order,
-                                    with_transcript=True)
+    V, transcript = mult_trivialize(algebra, mu, args.order)
     entries = [{
         "order": entry["order"], "defect": entry["defect"],
         "beta": {str(m): _element_str(col)
                  for m, col in sorted(entry["beta"].items())},
     } for entry in transcript]
-    gauge_cols = {}
-    for m, col in sorted(V.columns.items()):
-        gauge_cols[str(m)] = [_element_str(c) for c in col]
+    gauge_cols = {str(m): [_element_str(v_k.get(m, {})) for v_k in V]
+                  for m in sorted(V[0])}
     result = {
         "planted_order1_terms": len(mu[1]) if len(mu) > 1 else 0,
         "transcript": entries,
@@ -551,6 +548,8 @@ def main(argv=None) -> int:
         args.plant = ["E=H"]
     config = _config_echo(args)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise ConfigError(f"--cap must be >= 0, got {args.cap}")
         result, status = args.func(args)
     except ConfigError as exc:
         _emit(args, config, {"error": str(exc)}, "ERROR")

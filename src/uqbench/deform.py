@@ -26,8 +26,11 @@ Contents:
     solutions).
   * one hbar-series core (_series_mul, _series_inverse): truncated
     products and inverses of coefficient lists for a product passed in,
-    algebra multiplication for element series and composition for map
-    series (one column dict per order).  On it stand the two solvers:
+    algebra multiplication for element series and composition for gauge
+    series.  Every series is plain data: an element series is the list of
+    its coefficients, a generator map {generator monomial: element series},
+    and a gauge the list of its orders, each a {monomial: image} column
+    dict.  On it stand the two solvers:
     rigidity_conjugator finds F = ...(1+u_2 hbar^2)(1+u_1 hbar) conjugating
     one series algebra map into another order by order, and mult_trivialize
     removes a deformed multiplication through the coboundary equation
@@ -54,7 +57,6 @@ filtered in the same sense and are validated up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
@@ -81,7 +83,7 @@ def el_degree(x: El) -> int:
 class TruncatedUg:
     """PBW window of the rank-1 enveloping algebra with exact products."""
 
-    def __init__(self, datum: RootDatum, cap: int, window: int | None = None):
+    def __init__(self, datum: RootDatum, cap: int, window: int):
         if datum.rank != 1:
             raise ConfigError(
                 "the deformation window supports rank-1 data only; higher "
@@ -91,7 +93,7 @@ class TruncatedUg:
         self.datum = datum
         self.kappa = datum.pairing[0][0]
         self.cap = cap
-        self.window = cap // 2 if window is None else window
+        self.window = window
         if self.window < 1 or 2 * self.window > cap:
             raise ConfigError(
                 f"window must satisfy 1 <= window <= cap/2, got {self.window}")
@@ -356,22 +358,19 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
     return [s.numerator if s.denominator == 1 else s for s in sol]
 
 
-def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict | None = None,
+def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
                      order: int | None = None) -> El:
     """Solve [d0(x), u] = f(x) for all generators x, with u in the window.
 
     f is a 1-cochain over generator names; d0 maps generator names to
-    elements and defaults to the tautological embedding.  The cocycle
-    identity for the action x . v = [d0(x), v] is checked on generator
+    elements, {g: algebra.gen(g)} for the tautological embedding.  The
+    cocycle identity for the action x . v = [d0(x), v] is checked on generator
     pairs first; a violation is a ConfigError.  The linear system is then
     solved exactly with lexicographic pivoting and free coordinates set to
     zero, so the returned u is deterministic and of minimal support among
     echelon solutions.  If the window contains no solution,
     ObstructionError (carrying `order` when given).
     """
-    if d0 is None:
-        d0 = {g: algebra.gen(g) for g in GEN_ORDER}
-
     def act(gen: str, v: El) -> El:
         return algebra.commutator(d0[gen], v)
 
@@ -445,14 +444,6 @@ def _compose(x: dict, y: dict, out: dict, sign: int) -> None:
             out.pop(m, None)
 
 
-@dataclass
-class SeriesElement:
-    """u_0 + u_1 hbar + ... + u_N hbar^N with window-algebra coefficients."""
-
-    algebra: TruncatedUg
-    coeffs: list
-
-
 def series_mul(algebra: TruncatedUg, a: list, b: list, upto: int) -> list:
     """Product of two coefficient lists, truncated at the hbar^upto term."""
     return _series_mul(partial(_el_mul, algebra), a, b, upto)
@@ -466,54 +457,32 @@ def series_inverse(algebra: TruncatedUg, a: list, upto: int) -> list:
                            upto)
 
 
-@dataclass
-class SeriesMap:
-    """A series of linear maps d_0 + d_1 hbar + ... stored by columns.
-
-    columns maps each domain monomial to the list of its images per order;
-    algebra maps used by the rigidity solver only need generator columns,
-    while a gauge returned by mult_trivialize carries a column for every
-    window monomial.
-    """
-
-    algebra: TruncatedUg
-    columns: dict
-
-    def gen_image(self, gen: str, n: int) -> El:
-        col = self.columns.get(GEN_MONO[gen])
-        if col is None:
-            raise ConfigError(f"map has no column for generator {gen}")
-        return col[n] if n < len(col) else {}
-
-    def apply(self, x: El, n: int) -> El:
-        out: El = {}
-        for m, c in x.items():
-            col = self.columns.get(m)
-            if col is None:
-                raise CapError(f"map is not defined on monomial {m}")
-            img = col[n] if n < len(col) else {}
-            for m2, c2 in img.items():
-                add_term(out, m2, c * c2)
-        return out
+def _at(series: list, n: int) -> El:
+    """The order-n coefficient; zero past the end of the list."""
+    return series[n] if n < len(series) else {}
 
 
-def identity_map(algebra: TruncatedUg, upto: int,
-                 gens_only: bool = False) -> SeriesMap:
-    monos = [GEN_MONO[g] for g in GEN_ORDER] if gens_only \
-        else algebra.basis(algebra.window)
-    cols = {m: [{m: 1}] + [{} for _ in range(upto)] for m in monos}
-    return SeriesMap(algebra=algebra, columns=cols)
+def identity_map(upto: int) -> dict:
+    """The generator map x |-> x: {generator monomial: element series}."""
+    return {m: [{m: 1}] + [{} for _ in range(upto)]
+            for m in GEN_MONO.values()}
 
 
-def conjugate_map(F: SeriesElement, d: SeriesMap, upto: int) -> SeriesMap:
-    """x |-> F d(x) F^{-1} order by order, on d's column domain."""
-    algebra = F.algebra
-    finv = series_inverse(algebra, F.coeffs, upto)
-    cols = {}
-    for m, col in d.columns.items():
-        fd = series_mul(algebra, F.coeffs, col, upto)
-        cols[m] = series_mul(algebra, fd, finv, upto)
-    return SeriesMap(algebra=algebra, columns=cols)
+def conjugate_map(algebra: TruncatedUg, F: list, d: dict, upto: int) -> dict:
+    """x |-> F d(x) F^{-1} order by order, on d's generator columns."""
+    finv = series_inverse(algebra, F, upto)
+    return {m: series_mul(algebra, series_mul(algebra, F, col, upto), finv,
+                          upto)
+            for m, col in d.items()}
+
+
+def _gen_columns(d: dict) -> dict[str, list]:
+    """{generator name: element series} of a generator map; a missing
+    generator is a ConfigError."""
+    for g in GEN_ORDER:
+        if GEN_MONO[g] not in d:
+            raise ConfigError(f"map has no column for generator {g}")
+    return {g: d[GEN_MONO[g]] for g in GEN_ORDER}
 
 
 def _check_lie_map(algebra: TruncatedUg, d0: dict) -> None:
@@ -525,25 +494,23 @@ def _check_lie_map(algebra: TruncatedUg, d0: dict) -> None:
                     f"order-0 map does not respect the bracket on ({x},{y})")
 
 
-def rigidity_conjugator(d: SeriesMap, d_prime: SeriesMap, upto: int,
-                        with_transcript: bool = False):
+def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
+                        upto: int) -> tuple[list, list]:
     """Find F = ...(1+u_2 hbar^2)(1+u_1 hbar) with F d F^{-1} = d' modulo
     hbar^{upto+1} on the generators.
 
-    Both maps must agree at order 0, where they must respect the bracket.
-    Each order contributes one coboundary solve for the conjugation defect;
-    a window failure raises ObstructionError carrying the order.  The
-    result is re-verified from scratch through the inversion-free identity
-    F d(x) = d'(x) F before being returned.  with_transcript=True also
-    returns the per-order record (chosen u_n, defect status) for reports.
+    d and d' map each generator monomial to its element series.  Both must
+    agree at order 0, where they must respect the bracket.  Each order
+    contributes one coboundary solve for the conjugation defect; a window
+    failure raises ObstructionError carrying the order.  The result is
+    re-verified from scratch through the inversion-free identity
+    F d(x) = d'(x) F before being returned.  Returns F as an element series
+    and the per-order record (chosen u_n, defect status) for reports.
     """
-    algebra = d.algebra
-    if d_prime.algebra is not algebra:
-        raise ConfigError("maps live on different algebras")
-    for g in GEN_ORDER:
-        if d.gen_image(g, 0) != d_prime.gen_image(g, 0):
-            raise ConfigError("maps are not equal mod hbar")
-    d0 = {g: d.gen_image(g, 0) for g in GEN_ORDER}
+    cols, cols_prime = _gen_columns(d), _gen_columns(d_prime)
+    d0 = {g: _at(cols[g], 0) for g in GEN_ORDER}
+    if any(d0[g] != _at(cols_prime[g], 0) for g in GEN_ORDER):
+        raise ConfigError("maps are not equal mod hbar")
     _check_lie_map(algebra, d0)
 
     F: list[El] = [algebra.one()] + [{} for _ in range(upto)]
@@ -552,40 +519,34 @@ def rigidity_conjugator(d: SeriesMap, d_prime: SeriesMap, upto: int,
         finv = series_inverse(algebra, F, n)
         gamma: dict[str, El] = {}
         for g in GEN_ORDER:
-            col = d.columns[GEN_MONO[g]]
-            conj = series_mul(algebra, series_mul(algebra, F, col, n),
+            conj = series_mul(algebra, series_mul(algebra, F, cols[g], n),
                               finv, n)
-            gamma[g] = combine(conj[n], d_prime.gen_image(g, n), -1)
+            gamma[g] = combine(conj[n], _at(cols_prime[g], n), -1)
         if all(not gamma[g] for g in GEN_ORDER):
             transcript.append({"order": n, "u": {}, "defect": "zero"})
             continue
-        u = coboundary_solve(algebra, gamma, d0=d0, order=n)
+        u = coboundary_solve(algebra, gamma, d0, order=n)
         transcript.append({"order": n, "u": u, "defect": "solved"})
         step = [algebra.one()] + [u if k == n else {}
                                   for k in range(1, upto + 1)]
         F = series_mul(algebra, step, F, upto)
 
-    result = SeriesElement(algebra=algebra, coeffs=F)
-    residuals = conjugation_residuals(result, d, d_prime, upto)
+    residuals = conjugation_residuals(algebra, F, d, d_prime, upto)
     if any(r for per_gen in residuals.values() for r in per_gen):
         raise ObstructionError(
             "internal: verification failed after all orders solved")
-    if with_transcript:
-        return result, transcript
-    return result
+    return F, transcript
 
 
-def conjugation_residuals(F: SeriesElement, d: SeriesMap, d_prime: SeriesMap,
-                          upto: int) -> dict:
+def conjugation_residuals(algebra: TruncatedUg, F: list, d: dict,
+                          d_prime: dict, upto: int) -> dict:
     """Residuals of F d(x) - d'(x) F per generator and order: an
     inversion-free restatement of F d F^{-1} = d', recomputed from the
     inputs alone."""
-    algebra = F.algebra
     out: dict[str, list[El]] = {}
     for g in GEN_ORDER:
-        lhs = series_mul(algebra, F.coeffs, d.columns[GEN_MONO[g]], upto)
-        rhs = series_mul(algebra, d_prime.columns[GEN_MONO[g]], F.coeffs,
-                         upto)
+        lhs = series_mul(algebra, F, d[GEN_MONO[g]], upto)
+        rhs = series_mul(algebra, d_prime[GEN_MONO[g]], F, upto)
         out[g] = [combine(a, b, -1) for a, b in zip(lhs, rhs)]
     return out
 
@@ -859,16 +820,15 @@ def plant_deformation(algebra: TruncatedUg, gauge_cols: dict,
     return _transport_table(algebra, [std], vinv, v, upto)
 
 
-def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
-                    with_transcript: bool = False):
+def mult_trivialize(algebra: TruncatedUg, mu: list,
+                    upto: int) -> tuple[list, list]:
     """Remove a deformed multiplication order by order.
 
     mu is the list [mu_0, mu_1, ...] of bilinear order terms on window
     pairs (monomial pairs with total degree <= window); mu_0 must be the
-    standard multiplication (pass None to use it, anything else is checked
-    entry by entry) and the higher terms must be filtered, never raising
-    total degree.  The solver finds a gauge V = Id + sum beta_n hbar^n of
-    filtered window endomorphisms with
+    standard multiplication (checked entry by entry) and the higher terms
+    must be filtered, never raising total degree.  The solver finds a gauge
+    V = Id + sum beta_n hbar^n of filtered window endomorphisms with
 
         V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y)  mod hbar^{upto+1},
 
@@ -877,19 +837,19 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
     At each order the current multiplication must be associative
     (ConfigError otherwise) and the coboundary equation
     f_n(x, y) = x b(y) - b(xy) + b(x) y must be solvable on the window
-    (ObstructionError with the order index otherwise).
-    with_transcript=True also returns the per-order record.
+    (ObstructionError with the order index otherwise).  Returns V as the
+    list of its orders, each a {monomial: image} column dict with absent
+    columns zero, and the per-order record.
     """
     if not mu:
         raise ConfigError("need at least the order-0 multiplication")
     pairs = window_pairs(algebra)
     std = standard_multiplication(algebra)
-    if mu[0] is not None:
-        for key in pairs:
-            if mu[0].get(key, {}) != std[key]:
-                raise ConfigError(
-                    "order-0 term differs from the standard multiplication "
-                    f"on {key}")
+    for key in pairs:
+        if mu[0].get(key, {}) != std[key]:
+            raise ConfigError(
+                "order-0 term differs from the standard multiplication "
+                f"on {key}")
     mu = [std] + [dict(m) for m in mu[1:]]
     _validate_deformation(algebra, mu)
 
@@ -919,33 +879,27 @@ def mult_trivialize(algebra: TruncatedUg, mu: list, upto: int,
                                    _map_series_inverse(algebra, step, upto),
                                    upto)
 
-    result = SeriesMap(algebra=algebra, columns={
-        m: [v_k.get(m, {}) for v_k in v_total] for m in v_total[0]})
-    residuals = trivialization_residuals(algebra, mu, result, upto)
+    residuals = trivialization_residuals(algebra, mu, v_total, upto)
     if residuals:
         n, pair = residuals[0]
         raise ObstructionError(
             f"internal: V(mu(x, y)) != V(x) V(y) at order {n} on {pair}")
-    if with_transcript:
-        return result, transcript
-    return result
+    return v_total, transcript
 
 
-def trivialization_residuals(algebra: TruncatedUg, mu: list, V: SeriesMap,
+def trivialization_residuals(algebra: TruncatedUg, mu: list, V: list,
                              upto: int) -> list:
     """The (order, pair) list where V(mu(x, y)) != V(x) V(y) modulo
     hbar^{upto+1} on window pairs, the right side in the standard product:
     an inversion-free restatement of V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y),
     recomputed from the inputs alone with no transport.  mu is as for
-    mult_trivialize, with mu[0] the order-0 table; a column V lacks is
-    zero."""
-    v = [{m: col[k] for m, col in V.columns.items() if k < len(col)}
-         for k in range(upto + 1)]
-    lhs = _series_mul(_compose, v, mu, upto)
+    mult_trivialize, with mu[0] the order-0 table, and V is a gauge as
+    mult_trivialize returns it; a column V lacks is zero."""
+    lhs = _series_mul(_compose, V, mu, upto)
     out: list = []
     for x, y in window_pairs(algebra):
-        rhs = series_mul(algebra, V.columns.get(x, []), V.columns.get(y, []),
-                         upto)
+        rhs = series_mul(algebra, [v_k.get(x, {}) for v_k in V],
+                         [v_k.get(y, {}) for v_k in V], upto)
         out += [(n, (x, y)) for n in range(upto + 1)
                 if lhs[n].get((x, y), {}) != rhs[n]]
     return out

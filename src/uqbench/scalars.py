@@ -501,14 +501,17 @@ def vp_factorial(n: int, p: int) -> Fraction:
     return Fraction(n - s, p - 1)
 
 
-def _laurent_gauss(poly: Mapping[int, Fraction], params: PadicParams) -> ValuationBound:
+def _laurent_gauss(poly: Mapping[int, Fraction | int],
+                   params: PadicParams) -> ValuationBound:
     """Gauss bound for a nonzero Laurent polynomial under q = exp(hbar).
 
     The monomial unit q^k has valuation 0, so only the polynomial part
-    matters; it is expanded exactly in u = q - 1 by shifted binomials.
+    matters; it is expanded exactly in u = q - 1 by shifted binomials.  The
+    sums start from int 0, so int coefficients stay int; a Fraction appears
+    only where `ScalarQ.num` divides by a non-monic leading coefficient.
     """
     shift = min(poly)
-    coeffs = [Fraction(0)] * (max(poly) - shift + 1)
+    coeffs = [0] * (max(poly) - shift + 1)
     for e, c in poly.items():
         e -= shift
         # q^e = (1+u)^e; binomial row

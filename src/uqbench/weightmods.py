@@ -26,9 +26,8 @@ to a sign, <E_u, F_w> = (-1)^{|beta|} <u, w>, so `build_verma` inverts the
 integer Laurent Gram of the basis words, whose pairings `nichols_basis` has
 already computed, and scales the inverse afterwards by the Laurent
 polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}; no Gram entry
-carries the rational factor of `pairing_eval`.  Contracting the coaction
-through `uq.double_pairing` gives back the E-action (`coaction_contract`);
-on rank 1 it is the closed form `verma_coaction`.
+carries the rational factor of `pairing_eval`.  On rank 1 the coaction is
+the closed form `verma_coaction`.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -71,7 +70,6 @@ from .nichols import Degree, NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
 from .sparse import add_term
-from .uq import UqContext
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -136,18 +134,6 @@ class WeightModule:
             raise CapError(
                 f"coaction of {label!r} is not complete inside the window ({self.window})")
         return col
-
-
-def coaction_contract(module: WeightModule, e_word: Word, label) -> Vec:
-    """Contract the coaction of label against E_{e_word} through
-    `uq.double_pairing`; equals E_{e_word} label when the coaction is the
-    quasi-R-matrix one.  The pairing is built afresh, apart from the module."""
-    ctx = UqContext(module.datum, cap=max(len(e_word), 1))
-    out: Vec = {}
-    for (fw, target, c) in module.coaction(label):
-        if len(fw) == len(e_word):
-            add_term(out, target, c * ctx.double_pairing(e_word, fw))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,19 @@ HIGH_DEGREE_PLANT = [
 NEGATIVE_ORDER = [[command, "--order", "-1"]
                   for command in ("rigidity-solve", "trivialize")]
 
+# a negative cap is outside every subcommand's domain; a nonnegative cap
+# that is too small stays exit 3
+NEGATIVE_CAP = [
+    ["serre-check", "--datum", "A2", "--cap", "-1"],
+    ["serre-check", "--datum", "A1", "--cap", "-1"],
+    ["hopf-check", "--datum", "A1", "--cap", "-1"],
+    ["braid-rep", "--datum", "A1", "--cap", "-1", "--module-cap", "2"],
+    ["ybe-check", "--datum", "A1", "--cap", "-1"],
+    ["verma", "--datum", "A1", "--cap", "-1"],
+    ["rigidity-solve", "--cap", "-1"],
+    ["trivialize", "--cap", "-1"],
+]
+
 # an empty letter between commas or at either end of a braid word
 EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
                 for word in ("1,,2", ",1", "1,", ",")]
@@ -151,6 +164,7 @@ EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
     ["hopf-check", "--datum", "A1", "--samples", "-1"],
     *NEGATIVE_ORDER,
     *EMPTY_LETTER,
+    *NEGATIVE_CAP,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)
@@ -167,7 +181,9 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "--order must be >= 0" in report["result"]["error"]
     if args in EMPTY_LETTER:
         assert "empty letter" in report["result"]["error"]
-    if args[0] == "hopf-check":
+    if args in NEGATIVE_CAP:
+        assert "--cap must be >= 0" in report["result"]["error"]
+    elif args[0] == "hopf-check":
         assert "--samples" in report["result"]["error"]
 
 
@@ -291,6 +307,16 @@ def test_exit_three_on_window_escape():
                     "--module-cap", "1"])
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["status"] == "ERROR"
+
+
+@pytest.mark.parametrize("args", [
+    ["serre-check", "--datum", "A2", "--cap", "2"],
+    ["hopf-check", "--datum", "A1", "--cap", "2"],
+], ids=lambda a: " ".join(a))
+def test_exit_three_on_a_nonnegative_cap_too_small(args):
+    proc = run_cli(args)
+    assert proc.returncode == 3
+    assert "above cap 2" in json.loads(proc.stdout)["result"]["error"]
 
 
 def _in_process(argv):

@@ -30,20 +30,18 @@ TEST_ORACLES = {
     "deform.TruncatedUg.check_associativity":
         "associativity of the truncated multiplication table, checked in "
         "tests/test_deform.py",
-    "deform.SeriesMap.apply":
-        "applies a gauge series to an element; the tests recompute the "
-        "trivialization identity V(mu(x, y)) = V(x) V(y) with it",
     "linalg.mat_mul":
         "the dense product the tests check braid_rep and _braid_slot against",
     "nichols.NicholsContext.pairing_eval":
         "the rational Nichols pairing, which the tests check the integer "
         "Gram, the radical and the dual bases against",
+    "uq.UqContext.double_pairing":
+        "the E-word/F-word pairing of the double, pinned in closed form in "
+        "tests/test_uq.py; tests/test_weightmods.py contracts the Verma "
+        "coaction through it",
     "weightmods.WeightModule.apply_k":
         "the Cartan action, which pins the weights of the Verma and window "
         "modules in the tests",
-    "weightmods.coaction_contract":
-        "contracts the coaction through uq.double_pairing, which the tests "
-        "check against every E-word",
     "weightmods.verma_e_coefficient":
         "rank-1 closed form of the Verma E-action",
     "weightmods.verma_k_exponent":

@@ -567,6 +567,14 @@ def test_valuation_bound_infinite():
     assert gauss_valuation(Q(3), params) == ValuationBound(Fraction(0), True)
 
 
+def test_gauss_valuation_with_a_non_monic_denominator():
+    # q/3 is stored as q over the non-monic 3, so `num` is q/3 in Fractions
+    f = ScalarQ({1: 1}, {0: 3})
+    assert f.num == {1: Fraction(1, 3)}
+    assert gauss_valuation(f, PadicParams(3, Fraction(1))) == \
+        ValuationBound(Fraction(-1), True)
+
+
 def test_gauss_valuation_of_q_minus_qinv():
     # v(q - q^-1) = v(2) + vh: the difference is 2 hbar to leading order.
     f = Q(1) - Q(-1)

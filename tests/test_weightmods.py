@@ -28,7 +28,7 @@ from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
-                                coaction_contract, tensor_module,
+                                tensor_module,
                                 verma_coaction,
                                 verma_e_coefficient, verma_k_exponent,
                                 ybe_check)
@@ -42,6 +42,18 @@ A1 = load_datum("A1")
 
 def fword(n):
     return (0,) * n
+
+
+def coaction_contract(module, e_word, label):
+    """Contract the coaction of label against E_{e_word} through
+    `uq.double_pairing`; equals E_{e_word} label when the coaction is the
+    quasi-R-matrix one.  The pairing is built afresh, apart from the module."""
+    ctx = UqContext(module.datum, cap=max(len(e_word), 1))
+    out = {}
+    for (fw, target, c) in module.coaction(label):
+        if len(fw) == len(e_word):
+            add_term(out, target, c * ctx.double_pairing(e_word, fw))
+    return out
 
 
 # ---------------------------------------------------------------------------
