@@ -24,28 +24,30 @@ Contents:
     deterministic solution selection (lexicographic pivoting over the PBW
     basis, free coordinates zero, hence minimal support among echelon
     solutions).
-  * one hbar-series core (_series_mul, _series_inverse): truncated
-    products and inverses of coefficient lists for a product passed in,
-    algebra multiplication for element series and composition for gauge
-    series.  Every series is plain data: an element series is the list of
-    its coefficients, a generator map {generator monomial: element series},
-    and a gauge the list of its orders, each a {monomial: image} column
-    dict.  On it stand the two solvers:
-    rigidity_conjugator finds F = ...(1+u_2 hbar^2)(1+u_1 hbar) conjugating
-    one series algebra map into another order by order, and mult_trivialize
-    removes a deformed multiplication through the coboundary equation
-    f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz extensions.
-    Each solved order transports the current product by its step alone.
+  * one hbar-series core (_series_mul): truncated products of coefficient
+    lists for a product passed in, algebra multiplication for element
+    series and composition for gauge series; element series also have an
+    inverse, which only conjugate_map uses.  Every series is plain data: an
+    element series is the list of its coefficients, a generator map
+    {generator monomial: element series}, and a gauge the list of its
+    orders, each a {monomial: image} column dict.  On it stand the two
+    solvers: rigidity_conjugator finds F = ...(1+u_2 hbar^2)(1+u_1 hbar)
+    conjugating one series algebra map into another order by order, and
+    mult_trivialize removes a deformed multiplication through the coboundary
+    equation f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz
+    extensions.
 
-Both solvers solve each order in one helper (_window_solve) and re-verify
-their output from the inputs through an identity with no inverse in it:
-F d(x) = d'(x) F for the conjugator (conjugation_residuals), and
-V(mu(x, y)) = V(x) V(y) on every window pair for the trivializer
-(trivialization_residuals), which never transports.  An order whose
-linear system has no solution inside the window raises ObstructionError
-carrying the order index; window solvability is a proxy for the cohomology
-vanishing the full statements assume, and the solvers report obstructions
-without interpreting them.
+Each solver reads the right-hand side of order n from an identity with no
+inverse in it, evaluated on its partial solution: F d(x) = d'(x) F for the
+conjugator (conjugation_residuals), and V(mu(x, y)) = V(x) V(y) on every
+window pair for the trivializer (_residual).  Both solve each order in one
+helper (_window_solve) and re-verify their output from the inputs through
+the same identities over all orders; the trivializer's check
+(trivialization_residuals) goes through the series core and shares no code
+with _residual.  An order whose linear system has no solution inside the
+window raises ObstructionError carrying the order index; window
+solvability is a proxy for the cohomology vanishing the full statements
+assume, and the solvers report obstructions without interpreting them.
 
 The trivializer searches over filtration-preserving gauges: each unknown
 map sends a monomial to a combination of monomials of no larger total
@@ -394,7 +396,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
 
 
 # ---------------------------------------------------------------------------
-# hbar-series: one truncated product and inverse for every kind of series
+# hbar-series: one truncated product for every kind of series
 # ---------------------------------------------------------------------------
 
 # A series is the list of its hbar-coefficients.  `mul(x, y, out, sign)`
@@ -410,17 +412,6 @@ def _series_mul(mul, a: list, b: list, upto: int) -> list:
                 if bj:
                     mul(ai, bj, out[i + j], 1)
     return out
-
-
-def _series_inverse(mul, a: list, one, upto: int) -> list:
-    """The right inverse of a series with a_0 = one:
-    inv_n = -sum_{k>=1} a_k inv_{n-k}."""
-    inv: list = [one] + [{} for _ in range(upto)]
-    for n in range(1, upto + 1):
-        for k in range(1, min(n, len(a) - 1) + 1):
-            if a[k] and inv[n - k]:
-                mul(a[k], inv[n - k], inv[n], -1)
-    return inv
 
 
 def _el_mul(algebra: TruncatedUg, x: El, y: El, out: El, sign: int) -> None:
@@ -450,11 +441,16 @@ def series_mul(algebra: TruncatedUg, a: list, b: list, upto: int) -> list:
 
 
 def series_inverse(algebra: TruncatedUg, a: list, upto: int) -> list:
-    """Inverse of a series with leading coefficient 1."""
+    """The right inverse of a series with leading coefficient 1:
+    inv_n = -sum_{k>=1} a_k inv_{n-k}."""
     if a[0] != algebra.one():
         raise ConfigError("series inverse needs leading coefficient 1")
-    return _series_inverse(partial(_el_mul, algebra), a, algebra.one(),
-                           upto)
+    inv: list = [algebra.one()] + [{} for _ in range(upto)]
+    for n in range(1, upto + 1):
+        for k in range(1, min(n, len(a) - 1) + 1):
+            if a[k] and inv[n - k]:
+                _el_mul(algebra, a[k], inv[n - k], inv[n], -1)
+    return inv
 
 
 def _at(series: list, n: int) -> El:
@@ -501,11 +497,12 @@ def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
 
     d and d' map each generator monomial to its element series.  Both must
     agree at order 0, where they must respect the bracket.  Each order
-    contributes one coboundary solve for the conjugation defect; a window
-    failure raises ObstructionError carrying the order.  The result is
-    re-verified from scratch through the inversion-free identity
-    F d(x) = d'(x) F before being returned.  Returns F as an element series
-    and the per-order record (chosen u_n, defect status) for reports.
+    contributes one coboundary solve for the conjugation defect, read from
+    the inversion-free identity F d(x) = d'(x) F on the F solved so far; a
+    window failure raises ObstructionError carrying the order.  The result
+    is re-verified from scratch through the same identity at every order
+    before being returned.  Returns F as an element series and the
+    per-order record (chosen u_n, defect status) for reports.
     """
     cols, cols_prime = _gen_columns(d), _gen_columns(d_prime)
     d0 = {g: _at(cols[g], 0) for g in GEN_ORDER}
@@ -516,12 +513,9 @@ def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
     F: list[El] = [algebra.one()] + [{} for _ in range(upto)]
     transcript: list[dict] = []
     for n in range(1, upto + 1):
-        finv = series_inverse(algebra, F, n)
-        gamma: dict[str, El] = {}
-        for g in GEN_ORDER:
-            conj = series_mul(algebra, series_mul(algebra, F, cols[g], n),
-                              finv, n)
-            gamma[g] = combine(conj[n], _at(cols_prime[g], n), -1)
+        # F d - d' F = (F d F^-1 - d') F with the first factor O(hbar^n)
+        residuals = conjugation_residuals(algebra, F, d, d_prime, n)
+        gamma = {g: residuals[g][n] for g in GEN_ORDER}
         if all(not gamma[g] for g in GEN_ORDER):
             transcript.append({"order": n, "u": {}, "defect": "zero"})
             continue
@@ -615,12 +609,12 @@ def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:
                     "the window gauge search needs filtered deformations")
 
 
-def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
-    """First nonzero associativity defect at hbar-order n, or None.  Only
-    splits i + j = n with both order terms nonzero can contribute."""
-    splits = [(i, n - i) for i in range(n + 1)
-              if i < len(mu) and n - i < len(mu) and mu[i] and mu[n - i]]
-    if not splits:
+def _cocycle_defect(algebra: TruncatedUg, std: dict, f: dict):
+    """The first window triple (x, y, z) on which the Hochschild coboundary
+    f(x, y) z + f(xy, z) - x f(y, z) - f(x, yz) of f against the standard
+    table is nonzero, or None: where std + hbar^n f fails associativity at
+    order n."""
+    if not f:
         return None
     monos = algebra.basis(algebra.window)
     for m1 in monos:
@@ -632,16 +626,12 @@ def _associativity_defect(algebra: TruncatedUg, mu: list, n: int):
             for m3 in monos:
                 if d12 + sum(m3) > algebra.window:
                     continue
-                acc: El = {}
-                for i, j in splits:
-                    inner = _entry(mu[j], (m1, m2), j == 0)
-                    _mu_term(mu[i], inner, {m3: 1}, strict=(i == 0), out=acc)
-                    inner = _entry(mu[j], (m2, m3), j == 0)
-                    right = _mu_term(mu[i], {m1: 1}, inner, strict=(i == 0))
-                    for m, c in right.items():
-                        add_term(acc, m, -c)
-                if acc:
-                    return (m1, m2, m3, acc)
+                left = _mu_term(std, f.get((m1, m2), {}), {m3: 1}, True)
+                _mu_term(f, std[(m1, m2)], {m3: 1}, False, left)
+                right = _mu_term(std, {m1: 1}, f.get((m2, m3), {}), True)
+                _mu_term(f, {m1: 1}, std[(m2, m3)], False, right)
+                if left != right:
+                    return (m1, m2, m3)
     return None
 
 
@@ -737,61 +727,32 @@ def identity_columns(algebra: TruncatedUg) -> dict:
     return {m: {m: 1} for m in algebra.basis(algebra.window)}
 
 
-def _check_identity_head(algebra: TruncatedUg, v: list, what: str) -> None:
-    """Order 0 of a map series must be the identity on the window: a missing
-    column is a CapError, a column other than the identity a ConfigError."""
-    for m in algebra.basis(algebra.window):
-        col = v[0].get(m)
-        if col is None:
-            raise CapError(f"gauge map is not defined on monomial {m}")
-        if col != {m: 1}:
-            raise ConfigError(f"{what} needs the identity at order 0")
+def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
+    """Order n of V(mu(x, y)) - V(x) V(y) on every window pair, the right
+    side in the order-0 table mu[0], as a table without zero entries.
 
-
-def _map_series_inverse(algebra: TruncatedUg, v: list, upto: int) -> list:
-    """Compositional inverse of a map series with identity order-0 part."""
-    _check_identity_head(algebra, v, "map series inverse")
-    return _series_inverse(_compose, v, identity_columns(algebra), upto)
-
-
-def _transport_table(algebra: TruncatedUg, mu: list, v: list, vinv: list,
-                     upto: int) -> list:
-    """The gauge-transported multiplication v(mu(vinv x, vinv y)) as a list
-    of per-order tables on window pairs.
-
-    By bilinearity the order-n term on (x, y) is sum_i v_i(P_{n-i}) with
-    P_s = sum_{l+j+k=s} mu_l(vinv_j x, vinv_k y), so each product is formed
-    once, not once for every order it feeds.  v and vinv carry every order
-    0..upto (an empty dict for a zero order) and the identity at order 0
-    (`_check_identity_head`), so output order 0 is mu[0] itself (shared, as
-    tables are never mutated) and only orders 1..upto are convolved.
+    Orders past the end of mu or V are zero, and so is a column V lacks;
+    V[0] is the identity on the window for both callers.  If mu' is mu
+    transported through V, the difference is (mu' - mu_0)(V x, V y), so
+    when it vanishes below order n its order-n term is mu'_n(x, y).
     """
-    for series in (v, vinv):
-        _check_identity_head(algebra, series, "gauge transport")
-    out: list[dict] = [mu[0]] + [{} for _ in range(upto)]
-    for (m1, m2) in window_pairs(algebra):
-        xs = [{m1: 1}] + [vinv[j].get(m1, {}) for j in range(1, upto + 1)]
-        ys = [{m2: 1}] + [vinv[k].get(m2, {}) for k in range(1, upto + 1)]
-        prods: list[El] = [_entry(mu[0], (m1, m2), True)]
-        for s in range(1, upto + 1):
-            acc: El = {}
-            for l in range(min(s + 1, len(mu))):
-                if not mu[l]:
-                    continue
-                for j in range(s - l + 1):
-                    if xs[j] and ys[s - l - j]:
-                        _mu_term(mu[l], xs[j], ys[s - l - j],
-                                 strict=(l == 0), out=acc)
-            prods.append(acc)
-        for n in range(1, upto + 1):
-            acc = dict(prods[n])
-            for i in range(1, n + 1):
-                for m, c in prods[n - i].items():
-                    img = v[i].get(m)
-                    if img:
-                        _add_scaled(acc, img, c)
-            if acc:
-                out[n][(m1, m2)] = acc
+    cols = [_at(V, i) for i in range(n + 1)]
+    terms = [_at(mu, n - i) for i in range(n + 1)]
+    out: dict = {}
+    for x, y in window_pairs(algebra):
+        acc: El = {}
+        for v_i, mu_j in zip(cols, terms):
+            for m, c in mu_j.get((x, y), {}).items():
+                img = v_i.get(m)
+                if img:
+                    _add_scaled(acc, img, c)
+        for v_j, v_k in zip(cols, reversed(cols)):
+            vx, vy = v_j.get(x), v_k.get(y)
+            if vx and vy:
+                for m, c in _mu_term(mu[0], vx, vy, True).items():
+                    add_term(acc, m, -c)
+        if acc:
+            out[(x, y)] = acc
     return out
 
 
@@ -811,13 +772,15 @@ def plant_deformation(algebra: TruncatedUg, gauge_cols: dict,
                       upto: int) -> list:
     """The deformed multiplication trivialized by V = Id + hbar * gauge:
     mu(x, y) = V^{-1}(mu_0(V x, V y)) as per-order tables on window pairs.
-    Feeding the result to mult_trivialize recovers a gauge with the same
-    effect (not necessarily the same columns)."""
-    v = [identity_columns(algebra), dict(gauge_cols)] \
-        + [{} for _ in range(max(0, upto - 1))]
-    vinv = _map_series_inverse(algebra, v, upto)
-    std = standard_multiplication(algebra)
-    return _transport_table(algebra, [std], vinv, v, upto)
+    Each order solves V(mu(x, y)) = V(x) V(y): mu_n is minus the residual
+    with mu_n still empty.  Feeding the result to mult_trivialize recovers
+    a gauge with the same effect (not necessarily the same columns)."""
+    v = [identity_columns(algebra), gauge_cols]
+    mu = [standard_multiplication(algebra)]
+    for n in range(1, upto + 1):
+        mu.append({pair: scale(el, -1)
+                   for pair, el in _residual(algebra, mu, v, n).items()})
+    return mu
 
 
 def mult_trivialize(algebra: TruncatedUg, mu: list,
@@ -834,9 +797,10 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
 
     re-verified before returning through the inversion-free identity
     V(mu(x, y)) = V(x) V(y) on every window pair (trivialization_residuals).
-    At each order the current multiplication must be associative
-    (ConfigError otherwise) and the coboundary equation
-    f_n(x, y) = x b(y) - b(xy) + b(x) y must be solvable on the window
+    At each order n, f_n is order n of that identity's residual for the
+    gauge so far (`_residual`); it must be a Hochschild cocycle, that is
+    associative at order n (ConfigError otherwise), and f_n(x, y) =
+    x b(y) - b(xy) + b(x) y must be solvable on the window
     (ObstructionError with the order index otherwise).  Returns V as the
     list of its orders, each a {monomial: image} column dict with absent
     columns zero, and the per-order record.
@@ -853,19 +817,18 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     mu = [std] + [dict(m) for m in mu[1:]]
     _validate_deformation(algebra, mu)
 
-    current = [dict(t) for t in mu] + [{} for _ in range(upto + 1 - len(mu))]
     v_total: list[dict] = [identity_columns(algebra)] \
         + [{} for _ in range(upto)]
     transcript: list[dict] = []
     gauges = None
     for n in range(1, upto + 1):
-        defect = _associativity_defect(algebra, current, n)
+        f_n = _residual(algebra, mu, v_total, n)
+        defect = _cocycle_defect(algebra, std, f_n)
         if defect is not None:
             raise ConfigError(
                 f"deformed multiplication is not associative at order {n} "
-                f"on {defect[:3]}")
-        f_n = current[n]
-        if not any(f_n.get(key) for key in pairs):
+                f"on {defect}")
+        if not f_n:
             transcript.append({"order": n, "beta": {}, "defect": "zero"})
             continue
         if gauges is None:
@@ -875,9 +838,6 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
         step = [identity_columns(algebra)] + [beta if k == n else {}
                                               for k in range(1, upto + 1)]
         v_total = _series_mul(_compose, step, v_total, upto)
-        current = _transport_table(algebra, current, step,
-                                   _map_series_inverse(algebra, step, upto),
-                                   upto)
 
     residuals = trivialization_residuals(algebra, mu, v_total, upto)
     if residuals:
@@ -892,7 +852,8 @@ def trivialization_residuals(algebra: TruncatedUg, mu: list, V: list,
     """The (order, pair) list where V(mu(x, y)) != V(x) V(y) modulo
     hbar^{upto+1} on window pairs, the right side in the standard product:
     an inversion-free restatement of V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y),
-    recomputed from the inputs alone with no transport.  mu is as for
+    recomputed from the inputs alone through the series core, with no code
+    shared with the solver's `_residual`.  mu is as for
     mult_trivialize, with mu[0] the order-0 table, and V is a gauge as
     mult_trivialize returns it; a column V lacks is zero."""
     lhs = _series_mul(_compose, V, mu, upto)

@@ -501,14 +501,12 @@ def vp_factorial(n: int, p: int) -> Fraction:
     return Fraction(n - s, p - 1)
 
 
-def _laurent_gauss(poly: Mapping[int, Fraction | int],
+def _laurent_gauss(poly: Mapping[int, int],
                    params: PadicParams) -> ValuationBound:
     """Gauss bound for a nonzero Laurent polynomial under q = exp(hbar).
 
     The monomial unit q^k has valuation 0, so only the polynomial part
-    matters; it is expanded exactly in u = q - 1 by shifted binomials.  The
-    sums start from int 0, so int coefficients stay int; a Fraction appears
-    only where `ScalarQ.num` divides by a non-monic leading coefficient.
+    matters; it is expanded exactly in u = q - 1 by shifted binomials, on int.
     """
     shift = min(poly)
     coeffs = [0] * (max(poly) - shift + 1)
@@ -531,8 +529,9 @@ def _laurent_gauss(poly: Mapping[int, Fraction | int],
 def gauss_valuation(f: ScalarQ, params: PadicParams) -> ValuationBound:
     """Certified lower bound (exact when flagged) for v(f(exp hbar)).
 
-    For a quotient the valuation is the difference of numerator and
-    denominator valuations; when the denominator's Gauss minimum is tied the
+    For a quotient the valuation is the difference of the valuations of the
+    stored int numerator and denominator, where a common constant factor
+    cancels; when the denominator's Gauss minimum is tied the
     difference cannot be certified and a ValuationError is raised instead of
     returning an uncertified number.
     """
@@ -542,10 +541,10 @@ def gauss_valuation(f: ScalarQ, params: PadicParams) -> ValuationBound:
         )
     if f.is_zero():
         return ValuationBound(lower=None, exact=True)
-    nb = _laurent_gauss(f.num, params)
-    if f.is_laurent():
+    nb = _laurent_gauss(f._num, params)
+    if f._den is _ONE_DEN:
         return nb
-    db = _laurent_gauss(f.den, params)
+    db = _laurent_gauss(f._den, params)
     if not db.exact:
         raise ValuationError("denominator valuation not certified (tied Gauss minimum)")
     return ValuationBound(lower=nb.lower - db.lower, exact=nb.exact)

@@ -528,9 +528,10 @@ def test_preset_env_var_reaches_cli(tmp_path):
     assert json.loads(proc.stdout)["result"]["dims"]["(2,)"] == 1
 
 
-# sha256 of deformation-solver reports as the Fraction-coefficient,
-# full-transport solvers printed them; the integer and step-transport paths
-# must print the same bytes.  The exit-3 report is a rigidity window escape.
+# sha256 of deformation-solver reports as the Fraction-coefficient solvers
+# that transported the deformation through their gauge printed them; the
+# integer solvers that read each order from the identity they verify must
+# print the same bytes.  The exit-3 report is a rigidity window escape.
 GOLDEN_DEFORM_REPORTS = [
     ("trivialize --cap 6 --window 3 --order 3 --plant E=H", 0,
      "03f3614c4cabac582e6038699d6281c284545341050d4c6f3085efd241b54b82"),

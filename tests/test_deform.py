@@ -15,9 +15,8 @@ import pytest
 
 import uqbench.deform as deform
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
-                            TruncatedUg, _compose,
-                            _map_series_inverse, _series_mul,
-                            _transport_table, adjoint_action,
+                            TruncatedUg, _compose, _residual, _series_mul,
+                            adjoint_action,
                             cochain_differential, coboundary_solve,
                             conjugate_map, conjugation_residuals,
                             derivation_gauge, el_degree, identity_columns,
@@ -445,6 +444,19 @@ def test_trivialize_rejects_non_associative_input():
     assert "associative" in str(err.value)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_trivialize_rejects_non_associative_input_at_higher_orders(order):
+    # an associative planted deformation up to `order`, with a term at that
+    # order whose Hochschild coboundary is nonzero on (1, 1, E)
+    a = alg(4, 2)
+    mu = plant_deformation(a, derivation_gauge(a, {E: {H: ONE}}), order)
+    mu[order] = dict(mu[order])
+    mu[order][(UNIT, E)] = combine(mu[order].get((UNIT, E), {}), {E: ONE})
+    with pytest.raises(ConfigError) as err:
+        mult_trivialize(a, mu, order)
+    assert f"not associative at order {order}" in str(err.value)
+
+
 def test_trivialize_obstructed_window_cocycle():
     # mu_1(E, H) = E passes the associativity precheck at this window
     # (no all-positive triple fits), yet lies outside the coboundary image
@@ -475,7 +487,7 @@ def test_trivialize_wrong_order_zero_rejected():
 
 
 # ---------------------------------------------------------------------------
-# gauge transport against the order-by-order quadruple sum
+# the trivializer's residual against the order-by-order quadruple sum
 # ---------------------------------------------------------------------------
 
 def _ref_apply(series, k, x):
@@ -533,7 +545,40 @@ def _ref_transport(a, mu, v, vinv, upto):
 def _planted_gauge_series(a, gen_images, upto):
     gauge = derivation_gauge(a, gen_images)
     v = [identity_columns(a), gauge] + [{} for _ in range(upto - 1)]
-    return v, _map_series_inverse(a, v, upto)
+    return v, _ref_map_series_inverse(a, v, upto)
+
+
+def _ref_residual(a, mu, v, n):
+    """Order n of V(mu(x, y)) - V(x) V(y) on every window pair, term by
+    term, the products taken by TruncatedUg.multiply."""
+    out = {}
+    for (m1, m2) in window_pairs(a):
+        acc: dict = {}
+        for i in range(n + 1):
+            mu_j = mu[n - i].get((m1, m2), {}) if n - i < len(mu) else {}
+            acc = combine(acc, _ref_apply(v, i, mu_j))
+            prod = a.multiply(_ref_apply(v, i, {m1: ONE}),
+                              _ref_apply(v, n - i, {m2: ONE}))
+            acc = combine(acc, prod, -1)
+        if acc:
+            out[(m1, m2)] = acc
+    return out
+
+
+def _ref_moved_residual(a, moved, v, n):
+    """Order n of (mu' - mu_0)(V x, V y) on every window pair, for mu' the
+    transported table `moved` with mu'_0 = mu_0."""
+    out = {}
+    for (m1, m2) in window_pairs(a):
+        acc: dict = {}
+        for l in range(1, n + 1):
+            for j in range(n - l + 1):
+                x = _ref_apply(v, j, {m1: ONE})
+                y = _ref_apply(v, n - l - j, {m2: ONE})
+                acc = combine(acc, _ref_mu(moved[l], x, y, strict=False))
+        if acc:
+            out[(m1, m2)] = acc
+    return out
 
 
 BENCH_PLANTS = [{E: {H: ONE}}, {H: {E: ONE}}, {F: {}},
@@ -546,98 +591,64 @@ def test_transport_matches_quadruple_sum_on_planted_gauges(plant, upto):
     a = alg(6, 3)
     v, vinv = _planted_gauge_series(a, BENCH_PLANTS[plant], upto)
     std = standard_multiplication(a)
-    got = _transport_table(a, [std], vinv, v, upto)
+    got = plant_deformation(a, derivation_gauge(a, BENCH_PLANTS[plant]), upto)
     assert got == _ref_transport(a, [std], vinv, v, upto)
-    assert got == plant_deformation(a, derivation_gauge(
-        a, BENCH_PLANTS[plant]), upto)
 
 
 def test_transport_matches_quadruple_sum_with_higher_orders():
-    # mu has nonzero terms at every order; v is the solver's own gauge (which
-    # removes them) and, separately, an unrelated planted gauge (which does
-    # not), so every order of the result is exercised
+    # _residual against its definition and against the quadruple-sum
+    # transport mu' of mu through V, where it is (mu' - mu_0)(V x, V y).  mu
+    # has nonzero terms at every order and the gauge is unrelated to it, so
+    # every order of the residual is nonzero; the solver's own gauge clears
+    # every order.
     a = alg(6, 3)
     upto = 3
     mu = plant_deformation(a, derivation_gauge(a, {E: {H: ONE}}), upto)
     assert all(mu[n] for n in range(1, upto + 1))
-    v, _ = mult_trivialize(a, mu, upto)
-    vinv = _map_series_inverse(a, v, upto)
-    got = _transport_table(a, mu, v, vinv, upto)
-    assert got == _ref_transport(a, mu, v, vinv, upto)
-    assert got[0] == standard_multiplication(a)
-    assert not any(got[1:])
     v, vinv = _planted_gauge_series(a, {F: {E: Fraction(1, 3)}}, upto)
-    got = _transport_table(a, mu, v, vinv, upto)
-    assert all(got[n] for n in range(upto + 1))
-    assert got == _ref_transport(a, mu, v, vinv, upto)
-
-
-def test_transport_missing_order_zero_entries_raise():
-    a = alg(6, 3)
-    v, vinv = _planted_gauge_series(a, {E: {H: ONE}}, 3)
-    std = standard_multiplication(a)
-    holed = dict(std)
-    del holed[(E, F)]
-    for fn in (_transport_table, _ref_transport):
-        with pytest.raises(CapError):
-            fn(a, [holed], vinv, v, 3)
-    short = [dict(vinv[0]), *vinv[1:]]
-    del short[0][H]
-    for fn in (_transport_table, _ref_transport):
-        with pytest.raises(CapError):
-            fn(a, [std], short, v, 3)
-        with pytest.raises(CapError):
-            fn(a, [std], v, short, 3)
-
-
-def test_transport_needs_the_identity_at_order_zero():
-    # a present but non-identity order-0 column is refused; with identity
-    # heads the output order 0 is the input table itself
-    a = alg(6, 3)
-    v, vinv = _planted_gauge_series(a, {E: {H: ONE}}, 3)
-    std = standard_multiplication(a)
-    assert _transport_table(a, [std], vinv, v, 3)[0] is std
-    scaled = [{**vinv[0], H: {H: 2}}, *vinv[1:]]
-    with pytest.raises(ConfigError):
-        _transport_table(a, [std], scaled, v, 3)
-    with pytest.raises(ConfigError):
-        _transport_table(a, [std], v, scaled, 3)
+    moved = _ref_transport(a, mu, v, vinv, upto)
+    assert moved[0] == standard_multiplication(a)
+    assert _residual(a, mu, v, 0) == {}
+    for n in range(1, upto + 1):
+        got = _residual(a, mu, v, n)
+        assert got
+        assert got == _ref_residual(a, mu, v, n)
+        assert got == _ref_moved_residual(a, moved, v, n)
+    V, _ = mult_trivialize(a, mu, upto)
+    assert not any(_residual(a, mu, V, n) for n in range(upto + 1))
 
 
 @pytest.mark.parametrize("upto", [3, 4, 5])
 @pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
 def test_step_transport_matches_full_transport(plant, upto, monkeypatch):
-    # After every solved order the solver's table, updated by the new step
-    # alone, equals the input transported from scratch through the whole
-    # gauge so far, v(mu(v^-1 x, v^-1 y)).
+    # Before every solved order n the table the solver reads equals order n
+    # of the input transported from scratch through the gauge so far,
+    # v(mu(v^-1 x, v^-1 y)), which vanishes at orders 1..n-1; after the
+    # step, V(mu(x, y)) = V(x) V(y) holds through order n.
     a = alg(6, 3)
     mu = plant_deformation(a, derivation_gauge(a, BENCH_PLANTS[plant]), upto)
-    solve_order, transport = deform._solve_gauge_order, _transport_table
-    betas, tables = [], []
+    solve_order = deform._solve_gauge_order
+    steps = []
 
     def record_solve(algebra, f_n, order, *rest):
         beta = solve_order(algebra, f_n, order, *rest)
-        betas.append((order, beta))
+        steps.append((order, f_n, beta))
         return beta
 
-    def record_transport(*args):
-        tables.append(transport(*args))
-        return tables[-1]
-
     monkeypatch.setattr(deform, "_solve_gauge_order", record_solve)
-    monkeypatch.setattr(deform, "_transport_table", record_transport)
     mult_trivialize(a, mu, upto)
-    assert len(tables) == len(betas)
-    assert betas or not any(mu[1:])
+    assert steps or not any(mu[1:])
     v = [identity_columns(a)] + [{} for _ in range(upto)]
-    for (n, beta), table in zip(betas, tables):
+    for n, f_n, beta in steps:
+        moved = _ref_transport(a, mu, v, _ref_map_series_inverse(a, v, upto),
+                               n)
+        assert moved[0] == standard_multiplication(a)
+        assert not any(moved[1:n])
+        assert moved[n] == f_n
         step = [identity_columns(a)] + [beta if k == n else {}
                                         for k in range(1, upto + 1)]
         v = _series_mul(_compose, step, v, upto)
-        assert table == transport(a, mu, v, _map_series_inverse(a, v, upto),
-                                  upto)
-        assert table[0] == standard_multiplication(a)
-        assert not any(table[1:n + 1])
+        assert trivialization_residuals(a, mu, v, n) == []
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +729,12 @@ def test_window_solve_returns_int_when_integral_else_fraction():
 @pytest.mark.parametrize("plant", range(len(BENCH_PLANTS)))
 def test_trivializer_stays_on_int(plant, upto, monkeypatch):
     # The plants with int coefficients, as the CLI builds them: every solved
-    # step, every transported table and every returned gauge column is int.
+    # step, every residual table and every returned gauge column is int.
     a = alg(6, 3)
     images = {g: {m: int(c) for m, c in img.items()}
               for g, img in BENCH_PLANTS[plant].items()}
     mu = plant_deformation(a, derivation_gauge(a, images), upto)
-    solve_order, transport = deform._solve_gauge_order, _transport_table
+    solve_order = deform._solve_gauge_order
     betas, coeffs = [], []
 
     def record_solve(*args):
@@ -731,14 +742,13 @@ def test_trivializer_stays_on_int(plant, upto, monkeypatch):
         coeffs.extend(c for el in betas[-1].values() for c in el.values())
         return betas[-1]
 
-    def record_transport(*args):
-        table = transport(*args)
-        coeffs.extend(c for t in table for el in t.values()
-                      for c in el.values())
+    def record_residual(*args):
+        table = _residual(*args)
+        coeffs.extend(c for el in table.values() for c in el.values())
         return table
 
     monkeypatch.setattr(deform, "_solve_gauge_order", record_solve)
-    monkeypatch.setattr(deform, "_transport_table", record_transport)
+    monkeypatch.setattr(deform, "_residual", record_residual)
     V, _ = mult_trivialize(a, mu, upto)
     assert betas or not any(mu[1:])
     coeffs.extend(c for v_k in V for el in v_k.values()
@@ -797,8 +807,7 @@ def test_map_series_core_matches_per_order_loops(upto):
     unit = [identity_columns(a)] + [{} for _ in range(upto)]
     assert _series_mul(_compose, v, w, upto) \
         == _ref_compose_map_series(a, v, w, upto)
-    vinv = _map_series_inverse(a, v, upto)
-    assert vinv == _ref_map_series_inverse(a, v, upto)
+    vinv = _ref_map_series_inverse(a, v, upto)
     assert _series_mul(_compose, v, vinv, upto) == unit
     assert _series_mul(_compose, vinv, v, upto) == unit
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqbench.scalars as scalars
 from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
                              ValuationBound, _laurent, _lp_add, _lp_mul,
                              _lp_neg, _poly_gcd, _primitive, _reduced,
@@ -573,6 +574,31 @@ def test_gauss_valuation_with_a_non_monic_denominator():
     assert f.num == {1: Fraction(1, 3)}
     assert gauss_valuation(f, PadicParams(3, Fraction(1))) == \
         ValuationBound(Fraction(-1), True)
+    # (q+1)/3: a constant denominator is Laurent and still carries v_3(3)
+    f = ScalarQ({0: 1, 1: 1}, {0: 3})
+    assert f.is_laurent()
+    assert gauss_valuation(f, PadicParams(3, Fraction(1))) == \
+        ValuationBound(Fraction(-1), True)
+
+
+def test_gauss_valuation_expands_only_int_coefficients(monkeypatch):
+    # the stored numerator and denominator are int, and the valuation reads
+    # them as they are, never the monic Fraction forms `num` and `den`
+    seen = []
+    inner = scalars._laurent_gauss
+
+    def spy(poly, params):
+        seen.extend(poly.values())
+        return inner(poly, params)
+
+    monkeypatch.setattr(scalars, "_laurent_gauss", spy)
+    params = PadicParams(3, Fraction(1))
+    values = [ScalarQ({1: 1}, {0: 3}), ScalarQ({0: 1, 1: 1}, {0: 3}),
+              ScalarQ({0: 2, 2: 5}, {0: 1, 1: 3}), ScalarQ({0: 7}, {0: 6}),
+              ScalarQ({0: 1}, {0: 2, 1: 9}), q_int(4), Q(1) - Q(-1)]
+    for f in values:
+        gauss_valuation(f, params)
+    assert seen and all(type(c) is int for c in seen)
 
 
 def test_gauss_valuation_of_q_minus_qinv():
