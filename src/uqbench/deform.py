@@ -19,11 +19,11 @@ Contents:
     rank-1 preset).  Only rank-1 data are supported; higher rank would need
     a PBW basis over all positive roots, which this window model does not
     carry.
-  * Chevalley-Eilenberg differentials for bounded cochains in degrees 0..2
-    with values in the algebra, and a cocycle-checked coboundary solver with
-    deterministic solution selection (lexicographic pivoting over the PBW
-    basis, free coordinates zero, hence minimal support among echelon
-    solutions).
+  * a coboundary solver with deterministic solution selection
+    (lexicographic pivoting over the PBW basis, free coordinates zero, hence
+    minimal support among echelon solutions), which first checks its input
+    is a cocycle with the Chevalley-Eilenberg differential of bounded
+    1-cochains with values in the algebra.
   * one hbar-series core (_series_mul): truncated products of coefficient
     lists for a product passed in, algebra multiplication for element
     series and composition for gauge series; element series also have an
@@ -180,39 +180,9 @@ class TruncatedUg:
     def commutator(self, x: El, y: El) -> El:
         return combine(self.multiply(x, y), self.multiply(y, x), -1)
 
-    # -- structure checks --------------------------------------------------
-
-    def check_relations(self) -> bool:
-        """[H,E] = kappa E, [H,F] = -kappa F, [E,F] = H inside the window."""
-        e, h, f = self.gen("E"), self.gen("H"), self.gen("F")
-        k = self.kappa
-        return (self.commutator(h, e) == scale(e, k)
-                and self.commutator(h, f) == scale(f, -k)
-                and self.commutator(e, f) == h)
-
-    def check_associativity(self, total_degree: int) -> bool:
-        """(xy)z = x(yz) for all monomial triples whose degrees sum to at
-        most min(total_degree, cap)."""
-        bound = min(total_degree, self.cap)
-        monos = self.basis(bound)
-        for m1 in monos:
-            d1 = sum(m1)
-            for m2 in monos:
-                d12 = d1 + sum(m2)
-                if d12 > bound:
-                    continue
-                for m3 in monos:
-                    if d12 + sum(m3) > bound:
-                        continue
-                    left = self.multiply(self.mono_mul(m1, m2), {m3: 1})
-                    right = self.multiply({m1: 1}, self.mono_mul(m2, m3))
-                    if left != right:
-                        return False
-        return True
-
 
 # ---------------------------------------------------------------------------
-# Lie layer: generator brackets and the adjoint action
+# Lie layer: generator brackets
 # ---------------------------------------------------------------------------
 
 def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, int]:
@@ -230,94 +200,40 @@ def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, int]:
     return {g: -c for g, c in table[(y, x)].items()}
 
 
-def adjoint_action(algebra: TruncatedUg):
-    """The default module action: x . v = [x, v] inside the algebra."""
-
-    def act(gen: str, v: El) -> El:
-        return algebra.commutator(algebra.gen(gen), v)
-
-    return act
-
-
 # ---------------------------------------------------------------------------
-# Chevalley-Eilenberg differentials, degrees 0..2
+# Chevalley-Eilenberg differential in degree 1
 # ---------------------------------------------------------------------------
 
-def _cochain2_lookup(f: dict, x: str, y: str) -> El:
-    """Antisymmetric lookup of a 2-cochain stored on ordered pairs."""
-    if x == y:
-        return {}
-    if (x, y) in f:
-        return f[(x, y)]
-    if (y, x) in f:
-        return scale(f[(y, x)], -1)
-    return {}
-
-
-def _validate_cochain2(f: dict) -> None:
-    for (x, y), v in f.items():
-        if x == y and v:
-            raise ConfigError(
-                f"2-cochain is not antisymmetric: f({x},{x}) != 0")
-        if (y, x) in f and combine(v, f[(y, x)]) != {}:
-            raise ConfigError(f"2-cochain is not antisymmetric on ({x},{y})")
-
-
-def _eval_on_lie(f: dict, lie: dict[str, int], z: str | None = None) -> El:
-    """A 1-cochain f on a combination of generators, or with z given, the
-    2-cochain f on (that combination, z)."""
+def _eval_on_lie(f: dict, lie: dict[str, int]) -> El:
+    """A 1-cochain f on a combination of generators."""
     out: El = {}
     for g, c in lie.items():
-        val = f.get(g, {}) if z is None else _cochain2_lookup(f, g, z)
-        for m, v in val.items():
+        for m, v in f.get(g, {}).items():
             add_term(out, m, c * v)
     return out
 
 
-def cochain_differential(algebra: TruncatedUg, n: int, f, action=None):
-    """Chevalley-Eilenberg differential of a bounded n-cochain, n in 0..2.
+def cochain_differential(algebra: TruncatedUg, f: dict, act) -> dict:
+    """Chevalley-Eilenberg differential of a bounded 1-cochain f, a dict over
+    generator names with values in the windowed algebra, for the module
+    action act(generator name, element):
 
-    Cochains take values in the windowed algebra and are given on the
-    generator basis: degree 0 is a single element, degree 1 a dict over
-    generator names, degree 2 a dict over ordered pairs (validated to be
-    antisymmetric).  The module action defaults to the adjoint one.
+      (df)(x, y) = x . f(y) - y . f(x) - f([x, y])
 
-      n=0:  (df)(x)     = x . f
-      n=1:  (df)(x,y)   = x . f(y) - y . f(x) - f([x,y])
-      n=2:  (df)(x,y,z) = x . f(y,z) - y . f(x,z) + z . f(x,y)
-                          - f([x,y],z) + f([x,z],y) - f([y,z],x)
+    on each generator pair x before y in GEN_ORDER.  An unknown generator
+    name is a ConfigError.
     """
-    act = action if action is not None else adjoint_action(algebra)
-    if n == 0:
-        return {g: act(g, f) for g in GEN_ORDER}
-    if n == 1:
-        extra = set(f) - set(GEN_ORDER)
-        if extra:
-            raise ConfigError(
-                f"unknown generators in cochain: {sorted(extra)}")
-        out = {}
-        for i, x in enumerate(GEN_ORDER):
-            for y in GEN_ORDER[i + 1:]:
-                term = combine(act(x, f.get(y, {})),
-                               act(y, f.get(x, {})), -1)
-                term = combine(
-                    term, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
-                out[(x, y)] = term
-        return out
-    if n == 2:
-        _validate_cochain2(f)
-        x, y, z = GEN_ORDER
-        term = act(x, _cochain2_lookup(f, y, z))
-        term = combine(term, act(y, _cochain2_lookup(f, x, z)), -1)
-        term = combine(term, act(z, _cochain2_lookup(f, x, y)))
-        term = combine(
-            term, _eval_on_lie(f, lie_bracket(algebra, x, y), z), -1)
-        term = combine(
-            term, _eval_on_lie(f, lie_bracket(algebra, x, z), y))
-        term = combine(
-            term, _eval_on_lie(f, lie_bracket(algebra, y, z), x), -1)
-        return {(x, y, z): term}
-    raise ConfigError(f"cochain degree must be 0, 1 or 2, got {n}")
+    extra = set(f) - set(GEN_ORDER)
+    if extra:
+        raise ConfigError(f"unknown generators in cochain: {sorted(extra)}")
+    out = {}
+    for i, x in enumerate(GEN_ORDER):
+        for y in GEN_ORDER[i + 1:]:
+            term = combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
+            term = combine(
+                term, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
+            out[(x, y)] = term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +293,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
         return algebra.commutator(d0[gen], v)
 
     at = f" at order {order}" if order is not None else ""
-    for (x, y), v in cochain_differential(algebra, 1, f, act).items():
+    for (x, y), v in cochain_differential(algebra, f, act).items():
         if v:
             raise ConfigError(
                 f"not a cocycle: identity fails on ({x},{y}){at}")

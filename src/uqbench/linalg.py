@@ -9,8 +9,7 @@ ordering rows/columns beforehand.
 
 `rref` is the one elimination.  The Nichols radical runs it over Q(q) on
 the Gram matrix of the right-extension candidates, the deformation solvers
-over Q through `solve`, and `invert` is built on it.  `mat_mul` is the
-dense reference that the tests check the sparse braid actions against.
+over Q through `solve`, and `invert` is built on it.
 """
 
 from __future__ import annotations
@@ -88,16 +87,3 @@ def invert(rows: Sequence[Sequence[S]], zero: S, one: S) -> list[list[S]]:
         raise ArithmeticError("matrix is singular")
     return [row[n:] for row in red]
 
-
-def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]], zero: S) -> list[list[S]]:
-    out = []
-    for row in a:
-        orow = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k, x in enumerate(row):
-                if x != zero and b[k][j] != zero:
-                    acc = acc + x * b[k][j]
-            orow.append(acc)
-        out.append(orow)
-    return out

@@ -34,8 +34,7 @@ Every Gram entry of multidegree deg is prod_i <v_i, v_i>^{deg_i} times a
 Laurent polynomial in q with integer coefficients (`_pair_words`).  Scaling
 the Gram matrix by that constant changes neither the pivots nor the reduced
 form, so it is left out of the elimination, and `word_gram` hands the
-integer Gram of any words to callers that scale afterwards;
-`pairing_eval` multiplies it back in.
+integer Gram of any words to callers that scale afterwards.
 """
 
 from __future__ import annotations
@@ -105,37 +104,9 @@ class NicholsContext:
 
     # -- pairing ------------------------------------------------------------
 
-    def pairing_eval(self, x: dict | Word, y: dict | Word) -> ScalarQ:
-        """<x, y> for words or {word: coefficient} elements."""
-        if isinstance(x, tuple):
-            x = {x: ONE}
-        if isinstance(y, tuple):
-            y = {y: ONE}
-        out = ZERO
-        for wx, cx in x.items():
-            if len(wx) > self.cap:
-                raise CapError(f"word degree {len(wx)} above cap {self.cap}")
-            deg = word_degree(wx, self.datum.rank)
-            for wy, cy in y.items():
-                if len(wy) > self.cap:
-                    raise CapError(f"word degree {len(wy)} above cap {self.cap}")
-                if word_degree(wy, self.datum.rank) != deg:
-                    continue
-                v = self._pair_words(wx, wy)
-                if v:
-                    out = out + cx * cy * self._gram_scale(deg) * ScalarQ(v)
-        return out
-
-    def _gram_scale(self, deg: Degree) -> ScalarQ:
-        """prod_i <v_i, v_i>^{deg_i}, the factor every pairing of degree deg
-        carries, with <v_i, v_i> = 1/(q_i - q_i^{-1})."""
-        out = ONE
-        for d, k in zip(self.datum.d, deg):
-            out = out * (ScalarQ.q_power(d) - ScalarQ.q_power(-d)) ** k
-        return out.inverse()
-
     def _pair_words(self, x: Word, y: Word) -> dict[int, int]:
-        """<x, y> for two words of one degree, divided by `_gram_scale` of it:
+        """<x, y> for two words of one degree deg, divided by the factor
+        prod_i <v_i, v_i>^{deg_i} every pairing of that degree carries:
         a Laurent polynomial {exponent: int} with integer coefficients.
         Results are shared through the memo and must not be mutated."""
         if not x:
@@ -168,8 +139,8 @@ class NicholsContext:
 
     def graded_gram(self, deg: Degree) -> tuple[list[Word], list[list[dict[int, int]]]]:
         """The candidate words b i of degree deg, b a basis word of
-        deg - alpha_i, lex sorted, and their Gram matrix divided by
-        `_gram_scale`."""
+        deg - alpha_i, lex sorted, and their integer Gram matrix
+        (`_pair_words`)."""
         if sum(deg) > self.cap:
             raise CapError(f"multidegree {deg} has total degree above cap {self.cap}")
         if not any(deg):
@@ -180,8 +151,8 @@ class NicholsContext:
         return words, self.word_gram(words)
 
     def word_gram(self, words: Sequence[Word]) -> list[list[dict[int, int]]]:
-        """The Gram matrix of words of one degree divided by `_gram_scale`:
-        integer Laurent polynomials, shared through the pairing memo and not
+        """The Gram matrix of words of one degree divided by the factor of
+        `_pair_words`: integer Laurent polynomials, shared through the pairing memo and not
         to be mutated."""
         return [[self._pair_words(u, w) for w in words] for u in words]
 

@@ -350,11 +350,6 @@ class UqContext:
         self._pair_memo[key] = val
         return val
 
-    def double_pairing(self, e_word: Word, f_word: Word) -> ScalarQ:
-        """<E-word, F-word> in the skew duality pairing of the double."""
-        return self.double_pairing_mono(
-            (self._zero_dual, tuple(e_word)), (tuple(f_word), (0,) * self.datum.rank))
-
     def drinfeld_reorder(self, e_word: Sequence[int], f_word: Sequence[int]) -> Element:
         """E-word * F-word computed through the double; must agree with multiply."""
         e_word = tuple(e_word)

@@ -26,8 +26,8 @@ to a sign, <E_u, F_w> = (-1)^{|beta|} <u, w>, so `build_verma` inverts the
 integer Laurent Gram of the basis words, whose pairings `nichols_basis` has
 already computed, and scales the inverse afterwards by the Laurent
 polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}; no Gram entry
-carries the rational factor of `pairing_eval`.  On rank 1 the coaction is
-the closed form `verma_coaction`.
+carries the rational factor prod_i <v_i, v_i>^{beta_i} of the pairing.  On
+rank 1 the coaction has a closed form, which the tests compare it with.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -96,16 +96,6 @@ class WeightModule:
     coaction_cols: dict
     window: str
 
-    def k_scalar(self, lam: Sequence[int], label) -> ScalarQ:
-        mu = self.weights[label]
-        return ScalarQ.q_power(sum(a * b for a, b in zip(lam, mu)))
-
-    def apply_k(self, lam: Sequence[int], vec: Vec) -> Vec:
-        out: Vec = {}
-        for label, c in vec.items():
-            add_term(out, label, c * self.k_scalar(lam, label))
-        return out
-
     def _apply_cols(self, cols: dict, which: str, i: int, vec: Vec) -> Vec:
         out: Vec = {}
         for label, c in vec.items():
@@ -150,40 +140,6 @@ def _as_weight(datum: RootDatum, hw) -> tuple[int, ...]:
         raise ConfigError(
             f"weight length {len(hw)} does not match lattice rank {datum.lattice_rank}")
     return hw
-
-
-def verma_e_coefficient(lam: int, n: int, d: int = 1) -> ScalarQ:
-    """[n][lam-(n-1)], the closed-form E-coefficient on x^n."""
-    return q_int(n, d) * q_int(lam - (n - 1), d)
-
-
-def verma_k_exponent(lam: int, n: int) -> int:
-    return lam - 2 * n
-
-
-def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[Word, int, ScalarQ]]:
-    """Closed-form rank-1 Verma coaction of x^n, terms F^k (x) x^{n-k}.
-
-    Coefficient (-1)^k q^{-d k(k-1)/2} (q-q^{-1})^k [n]! [lam-n+k]! /
-    ([k]! [n-k]! [lam-n]!), with the factorial ratio read as a rising product
-    so any integer lam works.  Terms whose coefficient is zero (k >= n - lam
-    when n > lam >= 0) are left out: their F-words would act for nothing and
-    could leave a window.  An oracle for `build_verma`, which does not call it.
-    """
-    if datum.rank != 1:
-        raise ConfigError("closed-form Verma coaction is rank-1 only")
-    if n > cap:
-        raise CapError(f"basis vector x^{n} is outside the f-degree cap {cap}")
-    d = datum.d[0]
-    qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-    out = []
-    for k in range(0, min(n, cap) + 1):
-        sign = ONE if k % 2 == 0 else -ONE
-        coeff = (sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
-                 * ScalarQ.q_power(-d * k * (k - 1) // 2))
-        if not coeff.is_zero():
-            out.append(((0,) * k, n - k, coeff))
-    return out
 
 
 def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
@@ -317,8 +273,8 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
     F x_{i,j} = x_{i,j+1} - [i][lam+i-1-2j] x_{i-1,j} (second term absent at
     i = 0).  Depth, and so norm exponent, j - i.  The coaction sends x_{i,j} to
     sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j}
-    for k <= i_max, the normalisation of the Verma coaction, dual to
-    `uq.double_pairing`; it lies in the window only at i = 0, so only those
+    for k <= i_max, the normalisation of the Verma coaction, dual to the
+    skew pairing of the double (`uq.UqContext.double_pairing_mono`); it lies in the window only at i = 0, so only those
     labels have a coaction column.
     """
     if datum.rank != 1 or datum.lattice_rank != 1:

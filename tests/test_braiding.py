@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench.errors import CapError, ConfigError
-from uqbench.linalg import mat_mul
 from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.weightmods import (_braid_slot, braid_relation_holds, braid_rep,
                                 build_verma)
+
+from oracles import mat_mul
 
 ONE = ScalarQ.one()
 ZERO = ScalarQ.zero()

@@ -147,6 +147,12 @@ NEGATIVE_CAP = [
     ["trivialize", "--cap", "-1"],
 ]
 
+# an --out path that cannot be opened for writing: a missing directory, and
+# a directory; checked before the subcommand runs, so only the ERROR report
+# reaches stdout
+UNWRITABLE_OUT = [["nichols-dims", "--datum", "A1", "--out", path]
+                  for path in ("/nonexistent/r.json", "/")]
+
 # an empty letter between commas or at either end of a braid word
 EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
                 for word in ("1,,2", ",1", "1,", ",")]
@@ -165,6 +171,7 @@ EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
     *NEGATIVE_ORDER,
     *EMPTY_LETTER,
     *NEGATIVE_CAP,
+    *UNWRITABLE_OUT,
 ], ids=lambda a: " ".join(a))
 def test_exit_two_outside_domain_without_traceback(args):
     proc = run_cli(args)
@@ -181,6 +188,8 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "--order must be >= 0" in report["result"]["error"]
     if args in EMPTY_LETTER:
         assert "empty letter" in report["result"]["error"]
+    if args in UNWRITABLE_OUT:
+        assert f"cannot write --out {args[-1]}" in report["result"]["error"]
     if args in NEGATIVE_CAP:
         assert "--cap must be >= 0" in report["result"]["error"]
     elif args[0] == "hopf-check":

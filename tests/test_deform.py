@@ -16,7 +16,6 @@ import pytest
 import uqbench.deform as deform
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             TruncatedUg, _compose, _residual, _series_mul,
-                            adjoint_action,
                             cochain_differential, coboundary_solve,
                             conjugate_map, conjugation_residuals,
                             derivation_gauge, el_degree, identity_columns,
@@ -28,6 +27,8 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
 from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import PRESET_ENV, load_datum
 from uqbench.sparse import add_term, combine
+
+from oracles import check_associativity, check_relations, differential0
 
 A1 = load_datum("A1")
 E, H, F = GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"]
@@ -41,6 +42,11 @@ def alg(cap=6, window=3):
 def gens(a):
     """The tautological embedding x |-> x of the generators."""
     return {g: a.gen(g) for g in GEN_ORDER}
+
+
+def ad(a):
+    """The adjoint action x . v = [x, v] of the generators."""
+    return lambda g, v: a.commutator(a.gen(g), v)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_basis_is_lex_sorted_and_capped():
 
 def test_defining_relations():
     a = alg()
-    assert a.check_relations()
+    assert check_relations(a)
     # [H, E] = 2E, [H, F] = -2F, [E, F] = H
     assert a.commutator(a.gen("H"), a.gen("E")) == {E: Fraction(2)}
     assert a.commutator(a.gen("H"), a.gen("F")) == {F: Fraction(-2)}
@@ -78,7 +84,7 @@ def test_defining_relations():
 def test_associativity_within_cap():
     a = alg()
     for deg in range(2, 6):
-        assert a.check_associativity(deg), deg
+        assert check_associativity(a, deg), deg
 
 
 def test_multiply_past_cap_raises():
@@ -112,7 +118,7 @@ def test_casimir_is_central():
 
 
 def test_el_degree():
-    assert el_degree({}) == -1 or el_degree({}) <= 0
+    assert el_degree({}) == -1
     assert el_degree({E: ONE, (2, 1, 0): ONE}) == 3
 
 
@@ -134,42 +140,15 @@ def test_differential_squares_to_zero_on_elements():
     samples = [a.gen("E"), {H: Fraction(3), F: ONE},
                {(1, 1, 0): ONE, E: Fraction(-2)}, {UNIT: ONE}]
     for u in samples:
-        df = cochain_differential(a, 0, u)
-        ddf = cochain_differential(a, 1, df)
+        df = differential0(a, u)
+        ddf = cochain_differential(a, df, ad(a))
         assert all(v == {} for v in ddf.values()), u
-
-
-def test_differential_squares_to_zero_on_one_cochains():
-    a = alg()
-    samples = [
-        {"E": {H: ONE}, "H": {}, "F": {}},
-        {"E": {E: ONE}, "H": {(1, 0, 1): Fraction(2)}, "F": {F: Fraction(-1)}},
-    ]
-    for b in samples:
-        db = cochain_differential(a, 1, b)
-        ddb = cochain_differential(a, 2, db)
-        assert all(v == {} for v in ddb.values()), b
-
-
-def test_differential_of_central_element_vanishes():
-    a = alg()
-    casimir = {(1, 0, 1): ONE, (0, 2, 0): Fraction(1, 4),
-               (0, 1, 0): Fraction(1, 2)}
-    df = cochain_differential(a, 0, casimir)
-    assert all(v == {} for v in df.values())
-
-
-def test_two_cochain_antisymmetry_validation():
-    a = alg()
-    bad = {("E", "H"): {E: ONE}, ("H", "E"): {E: ONE}}
-    with pytest.raises(ConfigError):
-        cochain_differential(a, 2, bad)
 
 
 def test_unknown_generator_rejected():
     a = alg()
     with pytest.raises(ConfigError):
-        cochain_differential(a, 1, {"X": {E: ONE}})
+        cochain_differential(a, {"X": {E: ONE}}, ad(a))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +158,7 @@ def test_unknown_generator_rejected():
 def test_coboundary_plant_and_recover():
     a = alg()
     planted = a.gen("E")
-    f = cochain_differential(a, 0, planted)
+    f = differential0(a, planted)
     u = coboundary_solve(a, f, gens(a))
     assert u == planted
 
@@ -188,9 +167,9 @@ def test_coboundary_recovers_some_preimage():
     # recovery is only unique up to the center; re-derive, do not compare
     a = alg()
     planted = {(1, 0, 1): ONE, H: Fraction(2)}
-    f = cochain_differential(a, 0, planted)
+    f = differential0(a, planted)
     u = coboundary_solve(a, f, gens(a))
-    assert cochain_differential(a, 0, u) == f
+    assert differential0(a, u) == f
 
 
 def test_coboundary_rejects_non_cocycle():
@@ -689,8 +668,8 @@ def _check_integer_rule(a, kappa):
             got = a._rmul_gen(m, g)
             assert got == _rmul_gen_fraction(m, g, kappa), (m, g)
             assert all(type(c) is int for c in got.values())
-    assert a.check_relations()
-    assert a.check_associativity(a.cap)
+    assert check_relations(a)
+    assert check_associativity(a, a.cap)
 
 
 @pytest.mark.parametrize("kappa", [1, 3])
@@ -882,10 +861,3 @@ def test_window_pairs_degree_bound():
     pairs = window_pairs(a)
     assert all(sum(m1) + sum(m2) <= 3 for m1, m2 in pairs)
     assert (UNIT, UNIT) in pairs
-
-
-def test_adjoint_action_is_bracket():
-    a = alg()
-    act = adjoint_action(a)
-    x = {(1, 0, 1): ONE}
-    assert act("E", x) == a.commutator(a.gen("E"), x)

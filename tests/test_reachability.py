@@ -1,6 +1,6 @@
 """Every top-level function and class of the package, and every method of a
-top-level class, is run by the package or a script, or is a named test
-oracle.
+top-level class, is run by the package or a script; every top-level
+definition of the test oracles is run by a test.
 
 A top-level `def` or `class` in `src/uqbench/*.py`, or a `def` directly in
 the body of such a class, is reached when its name is used as an identifier
@@ -8,9 +8,9 @@ the body of such a class, is reached when its name is used as an identifier
 its own body.  Docstrings and comments do not count, and neither does
 recursion, and neither do the re-exports of `src/uqbench/__init__.py`: an
 exported name is reached only where it is used.  Dunder methods are exempt:
-Python calls them.  Tests do not reach: a definition that only tests use
-must be listed in `TEST_ORACLES` with the reason it is kept, and an entry
-that is reached, or names nothing, is stale.  Code that nothing reaches is
+Python calls them.  Tests do not reach: a reference computation that only
+tests run lives in `tests/oracles.py`, whose definitions are reached in the
+same sense from the other test modules.  Code that nothing reaches is
 deleted, not kept "just in case".
 """
 
@@ -21,34 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uqbench"
 SEARCHED = [ROOT / "src", ROOT / "scripts"]
 EXPORTS = PACKAGE / "__init__.py"
-
-# definitions only tests use, as "module.name" or "module.Class.method"
-TEST_ORACLES = {
-    "deform.TruncatedUg.check_relations":
-        "the defining relations of the truncated algebra, checked on the "
-        "multiplication table in tests/test_deform.py",
-    "deform.TruncatedUg.check_associativity":
-        "associativity of the truncated multiplication table, checked in "
-        "tests/test_deform.py",
-    "linalg.mat_mul":
-        "the dense product the tests check braid_rep and _braid_slot against",
-    "nichols.NicholsContext.pairing_eval":
-        "the rational Nichols pairing, which the tests check the integer "
-        "Gram, the radical and the dual bases against",
-    "uq.UqContext.double_pairing":
-        "the E-word/F-word pairing of the double, pinned in closed form in "
-        "tests/test_uq.py; tests/test_weightmods.py contracts the Verma "
-        "coaction through it",
-    "weightmods.WeightModule.apply_k":
-        "the Cartan action, which pins the weights of the Verma and window "
-        "modules in the tests",
-    "weightmods.verma_e_coefficient":
-        "rank-1 closed form of the Verma E-action",
-    "weightmods.verma_k_exponent":
-        "rank-1 closed form of the Verma weights",
-    "weightmods.verma_coaction":
-        "rank-1 closed form of the Verma coaction",
-}
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def _names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -112,24 +85,15 @@ def unreached(trees: dict[Path, ast.Module] | None = None) -> list[str]:
     return out
 
 
-def oracle_problems(found: list[str], oracles: dict) -> list[str]:
-    """Definitions in `found` (unreached from src/ and scripts/) missing
-    from `oracles`, and entries of `oracles` not in `found`: reached, or
-    naming nothing."""
-    return ([f"not reached from src/ or scripts/: {n}"
-             for n in found if n not in oracles]
-            + [f"stale oracle entry: {n}" for n in oracles if n not in found])
-
-
 def test_every_top_level_definition_is_reached():
-    assert oracle_problems(unreached(), TEST_ORACLES) == []
+    assert unreached() == []
 
 
-def test_every_oracle_is_used_by_a_test():
-    used = set().union(*(_names(ast.parse(p.read_text()))
-                         for p in (ROOT / "tests").rglob("*.py")))
-    assert [n for n in TEST_ORACLES if n.rsplit(".", 1)[-1] not in used] == []
-    assert all(reason for reason in TEST_ORACLES.values())
+def test_every_oracle_is_used_by_another_test_module():
+    others = set().union(*(_names(ast.parse(p.read_text()))
+                           for p in ORACLES.parent.glob("test_*.py")))
+    tree = ast.parse(ORACLES.read_text())
+    assert _unreached_in(ORACLES.name, tree, others) == []
 
 
 def test_guard_sees_an_unreached_definition():
@@ -160,24 +124,3 @@ def test_guard_does_not_count_a_re_export():
                                              "used()\n"),
     }
     assert unreached(trees) == ["m.exported"]
-
-
-def test_guard_sees_a_missing_and_a_stale_oracle():
-    found = ["m.lonely", "m.C.oracle"]
-    assert oracle_problems(found, {"m.lonely": "r", "m.C.oracle": "r"}) == []
-    # a definition only tests use, not listed
-    assert oracle_problems(found, {"m.C.oracle": "r"}) == \
-        ["not reached from src/ or scripts/: m.lonely"]
-    # an entry now reached from src/ or scripts/, and one naming nothing
-    assert oracle_problems(["m.lonely"], {"m.lonely": "r", "m.C.oracle": "r",
-                                          "m.gone": "r"}) == \
-        ["stale oracle entry: m.C.oracle", "stale oracle entry: m.gone"]
-    # the real package: drop an entry and it is reported missing, add a
-    # reached definition and it is reported stale
-    real = unreached()
-    oracles = dict(TEST_ORACLES)
-    oracles.pop("linalg.mat_mul")
-    oracles["linalg.invert"] = "reached from src/"
-    assert oracle_problems(real, oracles) == [
-        "not reached from src/ or scripts/: linalg.mat_mul",
-        "stale oracle entry: linalg.invert"]

@@ -12,6 +12,8 @@ from uqbench.sparse import add_term, combine, scale
 from uqbench.uq import (UqContext, check_antipode, check_coassociativity,
                         check_coproduct_multiplicative, check_counit)
 
+from oracles import double_pairing
+
 ONE = ScalarQ.one()
 Q = ScalarQ.q_power
 
@@ -142,19 +144,21 @@ def test_double_pairing_closed_form(a1):
         want = q_factorial(n) * Q(n * (n - 1) // 2) * (D ** n)
         if n % 2:
             want = -want
-        assert a1.double_pairing(e_word, e_word) == want
+        assert double_pairing(a1, e_word, e_word) == want
 
 
 def test_double_pairing_off_diagonal_vanishes(a1):
-    assert a1.double_pairing((0,), (0, 0)).is_zero()
-    assert a1.double_pairing((0, 0), (0,)).is_zero()
+    assert double_pairing(a1, (0,), (0, 0)).is_zero()
+    assert double_pairing(a1, (0, 0), (0,)).is_zero()
 
 
 def test_double_pairing_mixed_degrees_rank_two(a2):
     # pairing respects multidegree: mismatched letters pair to zero
-    assert a2.double_pairing((0,), (1,)).is_zero()
-    assert not a2.double_pairing((0,), (0,)).is_zero()
-    assert a2.double_pairing((0, 1), (1, 0)) is not None
+    assert double_pairing(a2, (0,), (1,)).is_zero()
+    assert not double_pairing(a2, (0,), (0,)).is_zero()
+    # <E_0 E_1, F_1 F_0> = q / (q^4 - 2 q^2 + 1) = q^-1 / (q - q^-1)^2
+    D = (Q(1) - Q(-1)).inverse()
+    assert double_pairing(a2, (0, 1), (1, 0)) == Q(-1) * D ** 2
 
 
 def test_drinfeld_reorder_matches_multiply_on_generators(a1, a2):
