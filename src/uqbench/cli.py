@@ -28,7 +28,7 @@ from .deform import (GEN_MONO, TruncatedUg, conjugate_map, derivation_gauge,
 from .errors import CapError, ConfigError, ObstructionError
 from .nichols import NicholsContext, multidegrees, serre_element
 from .norms import (RadiusParams, admissible, coaction_convergence,
-                    rmatrix_condition)
+                    reverify_certificate, rmatrix_condition)
 from .rootdata import load_datum
 from .scalars import PadicParams, ScalarQ, ValuationError, is_prime, vp
 from .uq import (UqContext, check_antipode, check_coassociativity,
@@ -303,10 +303,10 @@ def _padic_params(args) -> PadicParams:
 def cmd_converge_cert(args):
     params = _padic_params(args)
     radii = RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
-    result = dict(coaction_convergence(params, radii).to_dict())
-    # coaction_convergence checked it; a failed check exits 2 with ERROR
-    result["reverified"] = True
-    return result, "PASS"
+    cert = coaction_convergence(params, radii)
+    result = dict(cert.to_dict())
+    result["reverified"] = reverify_certificate(cert, params)
+    return result, "PASS" if result["reverified"] else "FAIL"
 
 
 def cmd_admissible(args):

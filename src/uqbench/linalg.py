@@ -1,11 +1,11 @@
 """Small exact linear algebra over any field-like scalar (ScalarQ or Fraction).
 
 Matrices are lists of lists.  Scalars must support +, -, * and /, and their
-truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify);
-zero and one are passed in for the entries the routines create.  Pivoting
-is always "first nonzero column, first usable row", which keeps every
-reduction deterministic; callers encode their preferred pivot preference by
-ordering rows/columns beforehand.
+truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify); one,
+and zero where needed, are passed in for the entries the routines create.
+Pivoting is always "first nonzero column, first usable row", which keeps
+every reduction deterministic; callers encode their preferred pivot
+preference by ordering rows/columns beforehand.
 
 `rref` is the one elimination.  The Nichols radical runs it over Q(q) on
 the Gram matrix of the right-extension candidates, the deformation solvers
@@ -19,7 +19,7 @@ from typing import Sequence, TypeVar
 S = TypeVar("S")
 
 
-def rref(rows: Sequence[Sequence[S]], zero: S, one: S) -> tuple[list[list[S]], list[int]]:
+def rref(rows: Sequence[Sequence[S]], one: S) -> tuple[list[list[S]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices).
 
     Row operations touch only the nonzero columns of the pivot row.  Those
@@ -70,7 +70,7 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
     if len(rhs) != len(rows) or any(len(r) != ncols for r in rows):
         raise ValueError("solve: rows must have ncols entries, one rhs each")
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, zero, one)
+    red, pivots = rref(aug, one)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
     x = [zero] * ncols
@@ -82,7 +82,7 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
 def invert(rows: Sequence[Sequence[S]], zero: S, one: S) -> list[list[S]]:
     n = len(rows)
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug, zero, one)
+    red, pivots = rref(aug, one)
     if pivots != list(range(n)):
         raise ArithmeticError("matrix is singular")
     return [row[n:] for row in red]

@@ -48,7 +48,6 @@ from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial
 from .sparse import add_term
 
-ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
 _LAURENT_ONE: dict[int, int] = {0: 1}
 
@@ -162,7 +161,7 @@ class NicholsContext:
         if hit is not None:
             return hit
         words, gram = self.graded_gram(deg)
-        red, pivots = rref([[ScalarQ(e) for e in row] for row in gram], ZERO, ONE)
+        red, pivots = rref([[ScalarQ(e) for e in row] for row in gram], ONE)
         for c, w in enumerate(words):
             self._reductions[w] = {words[pc]: red[r][c]
                                    for r, pc in enumerate(pivots) if red[r][c]}

@@ -136,19 +136,16 @@ def coaction_convergence(params: PadicParams,
 
     Term valuation: v_k = k*vh - v_p(k!) >= slope*k with
     slope = vh - 1/(p-1), using v_p(k!) = (k - digitsum_p(k))/(p-1).
-    Raises ConfigError when the slope is not positive.
+    Raises ConfigError when the slope is not positive; the line is checked
+    on its prefix by `reverify_certificate`, not here.
     """
     del radii
     slope = params.vh - params.exp_bound
     if slope <= 0:
         raise ConfigError(
             f"slope {slope} <= 0: need vh > 1/(p-1) = {params.exp_bound}")
-    prefix = 30
-    cert = ConvergenceCertificate(slope=slope, offset=Fraction(0),
-                                  verified_prefix=prefix)
-    if not reverify_certificate(cert, params):
-        raise ConfigError("internal: certified line failed its own prefix check")
-    return cert
+    return ConvergenceCertificate(slope=slope, offset=Fraction(0),
+                                  verified_prefix=30)
 
 
 def reverify_certificate(cert: ConvergenceCertificate,

@@ -8,8 +8,7 @@ its sum is the label's norm exponent).  Module vectors are plain
 {label: ScalarQ} dicts.  E and F act by sparse columns; a column that would
 leave the window is absent, and using it raises CapError so truncation
 artifacts are never silently dropped.  The coaction sends a basis vector to
-a finite sum of (F-word, basis vector) pairs, truncated at a stated
-f-degree.
+a finite sum of (F-word, basis vector) pairs, up to a stated f-degree.
 
 On a Verma window the basis vectors are F_w v, w a Nichols basis word, and
 F_i acts by Nichols multiplication.  E_i acts by the commutator formula
@@ -20,14 +19,15 @@ ordering E_i F_w through `uq.UqContext` is its test oracle.
 
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
-of each multidegree beta <= deg a up to the cap, {E_{b*}} the dual basis
-under the skew pairing of the double.  That pairing is the Nichols form up
-to a sign, <E_u, F_w> = (-1)^{|beta|} <u, w>, so `build_verma` inverts the
-integer Laurent Gram of the basis words, whose pairings `nichols_basis` has
-already computed, and scales the inverse afterwards by the Laurent
-polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}; no Gram entry
-carries the rational factor prod_i <v_i, v_i>^{beta_i} of the pairing.  On
-rank 1 the coaction has a closed form, which the tests compare it with.
+of each multidegree, {E_{b*}} the dual basis under the skew pairing of the
+double, which is the Nichols form up to a sign (`_dual_basis`).  Every
+window reads it from its own E-action through the one builder
+`_dual_basis_coaction`, up to a total degree top: the cap of a Verma window,
+i_max of `build_mlambda`, the depth span of a tensor window.  The sum for a
+label stops at the first total degree whose E-words all kill it; a label
+that an E-word takes out of the window gets no column, and asking for its
+coaction raises CapError.  On rank 1 the coaction has a closed form, which
+the tests compare it with.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -44,10 +44,11 @@ triples pass as well).  On rank 1 it is the closed form
 the coproduct of `uq.UqContext` conjugated by the bar involution (E and F
 fixed, K -> K^{-1}, q -> q^{-1}).  The quasi-R-matrix intertwines the two
 coproducts (Lusztig, Introduction to Quantum Groups, Thm 4.1.2), so sigma
-commutes with every E_i and F_i acting this way, and braiding past a tensor
-window satisfies the right hexagon
-sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1), at every rank;
-`scripts/braiding_audit.py` checks both.
+commutes with every E_i and F_i acting this way.  At every rank the
+hexagons sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) and
+sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) hold, the latter
+through the tensor window's own coaction; `scripts/braiding_audit.py` checks
+all three.
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
 label pair, as a pair table: table[x, y] lists the image of the label pair
@@ -68,7 +69,7 @@ from .errors import CapError, ConfigError
 from .linalg import invert
 from .nichols import Degree, NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
-from .scalars import ScalarQ, q_binomial, q_factorial, q_int, q_rising
+from .scalars import ScalarQ, q_binomial, q_int, q_rising
 from .sparse import add_term
 
 ZERO = ScalarQ.zero()
@@ -83,8 +84,9 @@ class WeightModule:
 
     E_i and F_i act by the sparse columns e_cols[i] and f_cols[i], K by q to
     the pairing with the label's weight; a label without a column is outside
-    the window.  The coaction columns hold (F-word, label, c) terms.  Tensor
-    windows come from `tensor_module` and have no coaction.
+    the window.  The coaction columns hold (F-word, label, c) terms, read
+    from e_cols by `_dual_basis_coaction`; a label whose coaction leaves the
+    window has no column.
     """
 
     datum: RootDatum
@@ -192,7 +194,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
                 n -= datum.cartan[i][w[k]]
             e_cols[i][w] = sorted(acc.items())
 
-    coaction_cols = _dual_basis_coaction(nichols, labels, depths, e_cols)
+    coaction_cols = _dual_basis_coaction(nichols, labels, e_cols, cap)
     for w in labels:
         assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
@@ -218,48 +220,59 @@ def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...]
     return words, [[scale * c for c in row] for row in inv]
 
 
-def _dual_basis_coaction(nichols: NicholsContext, labels, depths: dict,
-                         e_cols: dict) -> dict:
+def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict,
+                         top: int) -> dict:
     """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
 
-    b runs over the Nichols basis words of each multidegree beta <= deg a,
-    and E_{b*} = sum_u (G^{-1})[b][u] E_u (`_dual_basis`).  E-words act
-    letter by letter, rightmost first; each image E_u a is computed once and
-    serves every b.  Zero sums are dropped.
+    b runs over the Nichols basis words of total degree 1..top, and
+    E_{b*} = sum_u (G^{-1})[b][u] E_u (`_dual_basis`, once per multidegree).
+    Each image E_u a (rightmost letter first) is computed once and serves
+    every b; zero sums are dropped.  The sum for a stops at the first total
+    degree whose images all vanish, as every longer E-word kills a too; a
+    label with an image that leaves the window gets no column.
     """
-    duals = {beta: _dual_basis(nichols, beta)
-             for beta in sorted({d for d in depths.values() if any(d)},
-                                key=lambda d: (sum(d), d))}
-
+    duals: dict = {}
     images: dict = {((), a): {a: ONE} for a in labels}
 
-    def e_image(u: Word, a) -> Vec:
-        key = (u, a)
-        hit = images.get(key)
-        if hit is None:
-            hit = {}
-            for t, c in e_image(u[1:], a).items():
-                for t2, c2 in e_cols[u[0]][t]:
-                    add_term(hit, t2, c * c2)
-            images[key] = hit
-        return hit
+    def e_image(u: Word, a) -> Vec | None:
+        """E_u a, or None when it leaves the window."""
+        if (u, a) not in images:
+            prev, cols = e_image(u[1:], a), e_cols[u[0]]
+            acc = None
+            if prev is not None and all(t in cols for t in prev):
+                acc = {}
+                for t, c in prev.items():
+                    for t2, c2 in cols[t]:
+                        add_term(acc, t2, c * c2)
+            images[u, a] = acc
+        return images[u, a]
 
-    coaction_cols = {}
-    for a in labels:
+    def column(a):
         terms = [((), a, ONE)]
-        for beta, (words, inv) in duals.items():
-            if not all(x <= y for x, y in zip(beta, depths[a])):
-                continue
-            e_a = [e_image(u, a) for u in words]
-            for row, b in zip(inv, words):
-                acc: Vec = {}
-                for c, image in zip(row, e_a):
-                    if c:
-                        for t, c2 in image.items():
-                            add_term(acc, t, c * c2)
-                terms.extend((b, t, c) for t, c in acc.items())
-        coaction_cols[a] = tuple(terms)
-    return coaction_cols
+        for total in range(1, top + 1):
+            vanish = True
+            for beta in multidegrees(nichols.datum.rank, total):
+                words = nichols.nichols_basis(beta).basis_words
+                e_a = [e_image(u, a) for u in words]
+                if None in e_a:
+                    return None
+                if not any(e_a):
+                    continue
+                vanish = False
+                if beta not in duals:
+                    duals[beta] = _dual_basis(nichols, beta)[1]
+                for row, b in zip(duals[beta], words):
+                    acc: Vec = {}
+                    for c, image in zip(row, e_a):
+                        if c:
+                            for t, c2 in image.items():
+                                add_term(acc, t, c * c2)
+                    terms.extend((b, t, c) for t, c in acc.items())
+            if vanish:
+                break
+        return tuple(terms)
+
+    return {a: col for a in labels if (col := column(a)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +284,11 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
 
     Actions: K x_{i,j} = q^{lam+2i-2j} x_{i,j}; E x_{i,j} = x_{i+1,j};
     F x_{i,j} = x_{i,j+1} - [i][lam+i-1-2j] x_{i-1,j} (second term absent at
-    i = 0).  Depth, and so norm exponent, j - i.  The coaction sends x_{i,j} to
-    sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{i+k,j}
-    for k <= i_max, the normalisation of the Verma coaction, dual to the
-    skew pairing of the double (`uq.UqContext.double_pairing_mono`); it lies in the window only at i = 0, so only those
-    labels have a coaction column.
+    i = 0).  Depth, and so norm exponent, j - i.  The coaction is read from
+    the E-action up to f-degree i_max (`_dual_basis_coaction`).  It sends
+    x_{0,j} to sum_k (-1)^k q^{-d k(k-1)/2} ((q-q^{-1})^k/[k]!) F^k (x) x_{k,j},
+    k <= i_max; at i > 0, E^{i_max - i + 1} leaves the window, so only the
+    labels x_{0,j} have a coaction column.
     """
     if datum.rank != 1 or datum.lattice_rank != 1:
         raise ConfigError("the window module is defined over the rank-one datum")
@@ -307,19 +320,8 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
                     col.append(((i - 1, j), coeff))
             f_cols[0][(i, j)] = col
 
-    qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
-    coaction_cols = {}
-    for (i, j) in labels:
-        if i > 0:
-            continue
-        terms = []
-        for k in range(i_max + 1):
-            sign = ONE if k % 2 == 0 else -ONE
-            coeff = (sign * qd ** k / q_factorial(k, d)
-                     * ScalarQ.q_power(-d * k * (k - 1) // 2))
-            terms.append(((0,) * k, (i + k, j), coeff))
-        coaction_cols[(i, j)] = tuple(terms)
-
+    coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=i_max),
+                                         labels, e_cols, i_max)
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
         e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
@@ -360,26 +362,22 @@ def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
     return out
 
 
-def _total_depth(M: WeightModule, label) -> int:
-    return sum(M.depths[label])
-
-
-def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int, m: int,
-                               d: int = 1) -> list[tuple[tuple[int, int], ScalarQ]]:
+def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int,
+                               m: int) -> list[tuple[tuple[int, int], ScalarQ]]:
     """The rank-1 braiding of x^n (x) x^m, independent of braid_pair.
 
     Output pairs (m+k, n-k) with coefficient
     (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) times
-    q^{d[(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2]}.
+    q^{(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2}.
     """
-    qd = ScalarQ.q_power(d) - ScalarQ.q_power(-d)
+    qd = ScalarQ.q_power(1) - ScalarQ.q_power(-1)
     out = []
     for k in range(n + 1):
         sign = ONE if k % 2 == 0 else -ONE
-        coeff = sign * qd ** k * q_binomial(n, k, d) * q_rising(lam - n, k, d)
+        coeff = sign * qd ** k * q_binomial(n, k) * q_rising(lam - n, k)
         exp = ((m + k) * lam + (n - k) * lam_prime - 2 * (m + k) * (n - k)
                - k * (k - 1) // 2)
-        out.append(((m + k, n - k), coeff * ScalarQ.q_power(d * exp)))
+        out.append(((m + k, n - k), coeff * ScalarQ.q_power(exp)))
     return out
 
 
@@ -396,10 +394,12 @@ def _pair_root_weight(datum: RootDatum, i: int, mu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightModule:
-    """M (x) N as a weight module (no coaction), acting by the bar-coproduct:
+    """M (x) N as a weight module, acting by the bar-coproduct:
     E_i (b (x) c) = E_i b (x) q^{-(alpha_i, wt c)} c + b (x) E_i c and
     F_i (b (x) c) = F_i b (x) c + q^{(alpha_i, wt b)} b (x) F_i c.
-    A pair has a column only where both factors have one."""
+    A pair has a column only where both factors have one.  The coaction is
+    read from this E-action up to the depth span of the labels: E lowers the
+    depth by one per letter, so past it every image is zero or outside."""
     labels = tuple((a, b) for a in M.labels for b in N.labels)
     weights = {}
     depths = {}
@@ -424,9 +424,13 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 for b2, c in cb:
                     add_term(col, (a, b2), c * scale_n)
                 cols[i][(a, b)] = sorted(col.items())
+    total = [sum(d) for d in depths.values()]
+    top = max(total) - min(total)
+    coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=top),
+                                         labels, e_cols, top)
     return WeightModule(
         datum=datum, labels=labels, weights=weights, depths=depths,
-        e_cols=e_cols, f_cols=f_cols, coaction_cols={},
+        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"({M.window}) (x) ({N.window})")
 
 
@@ -544,7 +548,7 @@ def _label_tuples(M: WeightModule, n: int, cap: int) -> list:
     A prefix is extended only while its depth plus the smallest depth the
     strands still to fill can add stays <= cap; labels of `build_mlambda`
     have negative depths, so that smallest depth may be below zero."""
-    depth = {a: _total_depth(M, a) for a in M.labels}
+    depth = {a: sum(M.depths[a]) for a in M.labels}
     low = min(depth.values())
     tuples = [((), 0)]
     for left in range(n - 1, -1, -1):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqbench import norms
 from uqbench.cli import _jsonable, main
 from uqbench.rootdata import PRESET_ENV
 from uqbench.scalars import ScalarQ
@@ -494,6 +495,19 @@ def test_converge_cert_slope_value():
     result = json.loads(proc.stdout)["result"]
     assert result["slope"] == "3/4"
     assert result["reverified"] is True
+
+
+def test_converge_cert_failing_its_prefix_check_exits_one(monkeypatch):
+    # a term below the certified line is a check that returns false: FAIL
+    # and exit 1, not a configuration error
+    monkeypatch.setattr(norms, "coaction_term_valuation",
+                        lambda k, params: Fraction(-1))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(CASES["converge-cert"]) == 1
+    report = json.loads(out.getvalue())
+    assert report["status"] == "FAIL"
+    assert report["result"]["reverified"] is False
 
 
 def test_rigidity_solve_report_shape():

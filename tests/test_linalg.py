@@ -61,7 +61,7 @@ def _sympy_rref(rows, ncols):
 @given(sparse_matrices())
 def test_rref_matches_sympy(rows):
     ncols = len(rows[0]) if rows else 0
-    red, pivots = rref(rows, ZERO, ONE)
+    red, pivots = rref(rows, ONE)
     want_red, want_pivots = _sympy_rref(rows, ncols)
     assert pivots == want_pivots
     assert red == (want_red if rows else [])

@@ -33,7 +33,7 @@ def test_braiding_audit(capsys):
     assert ", 0 mismatches" in out
     assert "FAILED" not in out
     assert "ybe A2 lam=(0, 1) cap=2: exact" in out
-    for stage in ("naturality", "hexagon"):
+    for stage in ("naturality", "hexagon", "left-hexagon"):
         lines = [line for line in out.splitlines() if line.startswith(stage)]
         assert len(lines) == 5
         assert all(line.endswith(", 0 failures") for line in lines)

@@ -5,9 +5,10 @@ is pinned on rank 1 against the closed form term by term, and at every rank
 by contracting it through the pairing of the double, which is built apart from it.
 The braiding is pinned against the rank-1 closed form and through ybe_check
 and matrix braid relations on ranks 1 and 2.  It is a module map for the
-tensor action of `tensor_module` and satisfies the right hexagon at every
-rank, and neither holds for the tensor action by the coproduct of
-`UqContext`.
+tensor action of `tensor_module` and satisfies both hexagons at every rank,
+the left one braiding a tensor window through the coaction read from its
+own E-action, and none of these holds for the tensor action by the
+coproduct of `UqContext`.
 """
 
 import dataclasses
@@ -533,25 +534,56 @@ def _e_word_action(M, e_word, label):
     return vec
 
 
+def _e_words(datum, top):
+    """Every word in the E_i of total degree 1..top."""
+    return [w for total in range(1, top + 1)
+            for deg in multidegrees(datum.rank, total)
+            for w in words_of_degree(deg)]
+
+
 @pytest.mark.parametrize("name,hw", [("A2", (1, 1)), ("B2", (1, 1)),
                                      ("G2", (1, 0)), ("A1xA1", (1, 2))])
 def test_coaction_contraction_reproduces_every_e_word(name, hw):
     datum = load_datum(name)
     M = build_verma(datum, hw, 3)
-    e_words = [w for total in range(1, 4)
-               for deg in multidegrees(datum.rank, total)
-               for w in words_of_degree(deg)]
     for a in M.labels:
-        for e in e_words:
+        for e in _e_words(datum, 3):
             assert coaction_contract(M, e, a) == _e_word_action(M, e, a), (a, e)
 
 
 def test_mlambda_coaction_contraction_reproduces_e_powers():
-    M = build_mlambda(A1, 2, (4, 2))
-    for label in M.coaction_cols:
-        for k in range(5):
-            e = fword(k)
-            assert coaction_contract(M, e, label) == _e_word_action(M, e, label)
+    for i_max, j_max in ((2, 2), (4, 2), (1, 4), (0, 2)):
+        M = build_mlambda(A1, 2, (i_max, j_max))
+        assert sorted(M.coaction_cols) == [(0, j) for j in range(j_max + 1)]
+        for label in M.coaction_cols:
+            for k in range(i_max + 1):
+                e = fword(k)
+                assert coaction_contract(M, e, label) == \
+                    _e_word_action(M, e, label), (i_max, j_max, label, k)
+
+
+@pytest.mark.parametrize("name,hw,hw2", [("A1", 2, 1), ("A2", (1, 1), (0, 2))],
+                         ids=["A1", "A2"])
+def test_tensor_coaction_contraction_reproduces_every_e_word(name, hw, hw2):
+    # the coaction tensor_module reads from its own E-action, on caps 2 (x) 2,
+    # against every E-word up to the depth span 4 of the window
+    datum = load_datum(name)
+    T = tensor_module(datum, build_verma(datum, hw, 2), build_verma(datum, hw2, 2))
+    assert sorted(T.coaction_cols) == sorted(T.labels)
+    for a in T.labels:
+        for e in _e_words(datum, 4):
+            assert coaction_contract(T, e, a) == _e_word_action(T, e, a), (a, e)
+
+
+def test_tensor_coaction_is_never_cut_short():
+    # E raises i on M_lambda without end, so within the depth span of the
+    # tensor window an E-power takes every label out of it: no label has a
+    # column, though M_lambda's own window cuts its coaction at i_max
+    T = tensor_module(A1, build_mlambda(A1, 2, (2, 1)), build_verma(A1, 1, 2))
+    assert T.coaction_cols == {}
+    for a in T.labels:
+        with pytest.raises(CapError, match="not complete"):
+            T.coaction(a)
 
 
 @pytest.mark.parametrize("name,hw,cap", [
@@ -704,4 +736,32 @@ def test_right_hexagon_fails_with_the_coproduct_f_action(name, monkeypatch):
     datum, M, N = _mixed_vermas(name)
     monkeypatch.setattr(AUDIT, "tensor_module", _delta_tensor)
     cases, failures = AUDIT.hexagon_failures(datum, M, N, M)
+    assert 0 < failures < cases, (cases, failures)
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_left_hexagon_holds(name):
+    datum, M, N = _mixed_vermas(name)
+    for X, Y in ((M, N), (N, M)):
+        cases, failures = AUDIT.left_hexagon_failures(datum, X, Y, X)
+        assert cases > 0 and failures == 0, (cases, failures)
+
+
+def _delta_tensor_coacting(datum, M, N):
+    """`_delta_tensor` with its coaction read from its own E-action by the
+    builder every window uses."""
+    T = _delta_tensor(datum, M, N)
+    depth = [sum(d) for d in T.depths.values()]
+    top = max(depth) - min(depth)
+    return dataclasses.replace(T, coaction_cols=weightmods._dual_basis_coaction(
+        NicholsContext(datum, cap=top), T.labels, T.e_cols, top))
+
+
+@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+def test_left_hexagon_fails_with_the_coproduct_coaction(name, monkeypatch):
+    # negative control: sigma_{M (x) N, P} coacts on M (x) N, so the tensor
+    # window's E-action, through its coaction, is the one that matters here
+    datum, M, N = _mixed_vermas(name)
+    monkeypatch.setattr(AUDIT, "tensor_module", _delta_tensor_coacting)
+    cases, failures = AUDIT.left_hexagon_failures(datum, M, N, M)
     assert 0 < failures < cases, (cases, failures)
