@@ -14,6 +14,8 @@ through `tensor_module`) and to satisfy both hexagons,
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) and
 sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}), the second
 braiding the tensor window through the coaction read from its E-action.
+Each stage takes the tensor windows it checks, so the two windows M (x) N
+and N (x) M of a datum are built once and serve all three stages.
 """
 
 import argparse
@@ -37,10 +39,9 @@ ONE = ScalarQ.one()
 
 def audit_pairs(datum, lam_max, cap):
     checked = mismatches = 0
-    for lam in range(lam_max + 1):
-        M = build_verma(datum, lam, cap)
-        for lam_p in range(lam_max + 1):
-            N = build_verma(datum, lam_p, cap)
+    vermas = [build_verma(datum, lam, cap) for lam in range(lam_max + 1)]
+    for lam, M in enumerate(vermas):
+        for lam_p, N in enumerate(vermas):
             for n in range(cap + 1):
                 for m in range(cap + 1 - n):
                     got = braid_pair(datum, M, N, (0,) * n, (0,) * m)
@@ -56,11 +57,10 @@ def audit_pairs(datum, lam_max, cap):
     return checked, mismatches
 
 
-def naturality_failures(datum, M, N):
+def naturality_failures(datum, M, N, mn, nm):
     """(cases, failures) of sigma X = X sigma for X = E_i and F_i acting on
-    M (x) N and N (x) M through `tensor_module`, on every label pair; a
-    case that leaves a window is skipped."""
-    mn, nm = tensor_module(datum, M, N), tensor_module(datum, N, M)
+    the tensor windows mn = M (x) N and nm = N (x) M, on every label pair;
+    a case that leaves a window is skipped."""
 
     def sigma(vec):
         out = {}
@@ -83,11 +83,10 @@ def naturality_failures(datum, M, N):
     return cases, failures
 
 
-def hexagon_failures(datum, M, N, P):
+def hexagon_failures(datum, M, N, P, np_):
     """(cases, failures) of sigma_{M, N (x) P} =
     (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on every label triple, with
-    N (x) P from `tensor_module`; a case that leaves a window is skipped."""
-    np_ = tensor_module(datum, N, P)
+    np_ the tensor window N (x) P; a case that leaves a window is skipped."""
     cases = failures = 0
     for a in M.labels:
         for (b, c) in np_.labels:
@@ -104,12 +103,11 @@ def hexagon_failures(datum, M, N, P):
     return cases, failures
 
 
-def left_hexagon_failures(datum, M, N, P):
+def left_hexagon_failures(datum, M, N, P, mn):
     """(cases, failures) of sigma_{M (x) N, P} =
     (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) on every label triple, with
-    M (x) N from `tensor_module` braided through its own coaction; a case
+    the tensor window mn = M (x) N braided through its own coaction; a case
     that leaves a window is skipped."""
-    mn = tensor_module(datum, M, N)
     cases = failures = 0
     for (a, b) in mn.labels:
         for c in P.labels:
@@ -153,13 +151,14 @@ def main(argv=None):
         mixed_datum = load_datum(name)
         lam, lam_p, cap = MIXED[name]
         M, N = build_verma(mixed_datum, lam, cap), build_verma(mixed_datum, lam_p, cap)
+        mn, nm = tensor_module(mixed_datum, M, N), tensor_module(mixed_datum, N, M)
         for stage, runs in (
-                ("naturality", (naturality_failures(mixed_datum, M, N),
-                                naturality_failures(mixed_datum, N, M))),
-                ("hexagon", (hexagon_failures(mixed_datum, M, N, M),
-                             hexagon_failures(mixed_datum, N, M, N))),
-                ("left-hexagon", (left_hexagon_failures(mixed_datum, M, N, M),
-                                  left_hexagon_failures(mixed_datum, N, M, N)))):
+                ("naturality", (naturality_failures(mixed_datum, M, N, mn, nm),
+                                naturality_failures(mixed_datum, N, M, nm, mn))),
+                ("hexagon", (hexagon_failures(mixed_datum, M, N, M, nm),
+                             hexagon_failures(mixed_datum, N, M, N, mn))),
+                ("left-hexagon", (left_hexagon_failures(mixed_datum, M, N, M, mn),
+                                  left_hexagon_failures(mixed_datum, N, M, N, nm)))):
             cases, bad = map(sum, zip(*runs))
             failures += bad
             print(f"{stage} {name} lam={lam}/{lam_p} cap={cap}: "

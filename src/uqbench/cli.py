@@ -75,7 +75,7 @@ def _module_report(M) -> dict:
     report = {
         "window": M.window,
         "labels": [str(l) for l in labels],
-        "weights": {str(l): list(M.weights[l]) for l in labels},
+        "weights": {str(l): list(M.weight(l)) for l in labels},
         "norm_exponents": {str(l): str(sum(M.depths[l])) for l in labels},
         "e_action": {},
         "f_action": {},

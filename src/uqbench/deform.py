@@ -7,9 +7,9 @@ degree <= window (with 2 * window <= cap) from which unknowns are drawn.
 Products whose degrees sum beyond the cap raise CapError instead of being
 truncated, so no computation silently loses terms.  The structure constants
 are ints, so integer data stay on int: _window_solve gives linalg.solve
-integer rows, an int zero and the one Fraction(1) that makes every pivot
-inverse exact, and returns each solved coefficient as an int when it is
-integral, so both solvers stay on int unless a solution is fractional.
+integer rows and the one Fraction(1) that makes every pivot inverse exact,
+and returns each solved coefficient as an int when it is integral, so both
+solvers stay on int unless a solution is fractional.
 
 Contents:
 
@@ -270,7 +270,7 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
                 rhs.append(vec.get(r, 0))
     # one = Fraction(1) makes each pivot inverse one / p exact; an int one
     # would divide to a float
-    sol = solve(rows, rhs, n, 0, Fraction(1))
+    sol = solve(rows, rhs, n, Fraction(1))
     if sol is None:
         raise ObstructionError(message, order=order)
     return [s.numerator if s.denominator == 1 else s for s in sol]

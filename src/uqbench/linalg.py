@@ -1,8 +1,9 @@
 """Small exact linear algebra over any field-like scalar (ScalarQ or Fraction).
 
 Matrices are lists of lists.  Scalars must support +, -, * and /, and their
-truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify); one,
-and zero where needed, are passed in for the entries the routines create.
+truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify); one
+is passed in, and the routines make every other entry they create from it
+(zero = one - one).
 Pivoting is always "first nonzero column, first usable row", which keeps
 every reduction deterministic; callers encode their preferred pivot
 preference by ordering rows/columns beforehand.
@@ -63,7 +64,7 @@ def rref(rows: Sequence[Sequence[S]], one: S) -> tuple[list[list[S]], list[int]]
 
 
 def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
-          zero: S, one: S) -> list[S] | None:
+          one: S) -> list[S] | None:
     """One solution x (length `ncols`) of A x = b with free coordinates set
     to zero, or None when the system is inconsistent.  An empty system is
     solved by every x, so it returns the zero vector."""
@@ -73,14 +74,14 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
     red, pivots = rref(aug, one)
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x = [zero] * ncols
+    x = [one - one] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
 
 
-def invert(rows: Sequence[Sequence[S]], zero: S, one: S) -> list[list[S]]:
-    n = len(rows)
+def invert(rows: Sequence[Sequence[S]], one: S) -> list[list[S]]:
+    n, zero = len(rows), one - one
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref(aug, one)
     if pivots != list(range(n)):

@@ -72,6 +72,12 @@ class RootDatum:
                     acc += a * b * self.pairing[i][j]
         return acc
 
+    def root_weight_pairing(self, n: Sequence[int], mu: Sequence[int]) -> int:
+        """(sum n_i alpha_i, mu) for a weight mu in coroot-dual coordinates:
+        (alpha_i, mu) = d_i lambda_i(mu), the index of t_i, so that mu =
+        alpha_j reproduces the stored matrix."""
+        return sum(c * _dot(self.t_indices[i], mu) for i, c in enumerate(n) if c)
+
     def cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...] | None:
         """Inverse of the symmetrized matrix A = ((alpha_i, alpha_j)) over Q,
         or None when A is singular."""
@@ -79,7 +85,7 @@ class RootDatum:
 
         rows = [[Fraction(x) for x in r] for r in self.pairing]
         try:
-            inv = invert(rows, Fraction(0), Fraction(1))
+            inv = invert(rows, Fraction(1))
         except ArithmeticError:
             return None
         return tuple(tuple(r) for r in inv)

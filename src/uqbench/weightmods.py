@@ -1,10 +1,11 @@
 """Truncated weight modules: Vermas, a lowest-weight-free window module, and
 the braiding they generate.
 
-A module here is a finite window of basis vectors, each carrying a weight
-vector (Cartan elements act by q to the pairing with it) and a depth vector
-(its offset from the window's reference weight in simple-root coordinates;
-its sum is the label's norm exponent).  Module vectors are plain
+A module here is a finite window of basis vectors around one reference
+weight ref, the weight at depth zero.  Each vector carries a depth vector
+beta, its offset from ref in simple-root coordinates (its sum is the
+label's norm exponent), and so the weight ref - sum_i beta_i alpha_i, by
+q to whose pairing the Cartan elements act.  Module vectors are plain
 {label: ScalarQ} dicts.  E and F act by sparse columns; a column that would
 leave the window is absent, and using it raises CapError so truncation
 artifacts are never silently dropped.  The coaction sends a basis vector to
@@ -32,8 +33,8 @@ the tests compare it with.
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
     (beta_N', ref_M) + (beta_M', ref_N) - (beta_N', beta_M')
-on the output legs, where ref is the module's reference weight (the weight
-at depth zero) and (,) pairs depths with weights through the root form.
+on the output legs, where ref is the module's reference weight and (,) is
+`RootDatum.root_weight_pairing`, depths against weights.
 This is the inverse Cartan weight factor normalized to 1 on the reference
 pair; it is a genuine braiding (Yang-Baxter holds exactly, and mixed-weight
 triples pass as well).  On rank 1 it is the closed form
@@ -83,20 +84,26 @@ class WeightModule:
     """A windowed weight module with explicit truncation semantics.
 
     E_i and F_i act by the sparse columns e_cols[i] and f_cols[i], K by q to
-    the pairing with the label's weight; a label without a column is outside
-    the window.  The coaction columns hold (F-word, label, c) terms, read
+    the pairing with the label's weight, read from the one reference weight
+    ref and the label's depth; a label without a column is outside the
+    window.  The coaction columns hold (F-word, label, c) terms, read
     from e_cols by `_dual_basis_coaction`; a label whose coaction leaves the
     window has no column.
     """
 
     datum: RootDatum
     labels: tuple
-    weights: dict
+    ref: tuple
     depths: dict
     e_cols: dict
     f_cols: dict
     coaction_cols: dict
     window: str
+
+    def weight(self, label) -> tuple[int, ...]:
+        """ref - sum_i depths[label]_i alpha_i."""
+        beta = self.datum.root_combination(self.depths[label])
+        return tuple(r - b for r, b in zip(self.ref, beta))
 
     def _apply_cols(self, cols: dict, which: str, i: int, vec: Vec) -> Vec:
         out: Vec = {}
@@ -163,18 +170,11 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
 
     labels = [()]
     for total in range(1, cap + 1):
-        for deg in sorted(multidegrees(datum.rank, total)):
-            labels.extend(sorted(nichols.nichols_basis(deg).basis_words))
+        for deg in multidegrees(datum.rank, total):
+            labels.extend(nichols.nichols_basis(deg).basis_words)
     labels = tuple(labels)
     label_set = set(labels)
-
-    weights = {}
-    depths = {}
-    for w in labels:
-        deg = word_degree(w, datum.rank)
-        beta = datum.root_combination(deg)
-        weights[w] = tuple(a - b for a, b in zip(hw_vec, beta))
-        depths[w] = deg
+    depths = {w: word_degree(w, datum.rank) for w in labels}
 
     # <alpha_i^vee, hw>, the bracket argument at the rightmost letter
     top = [sum(a * b for a, b in zip(coroot, hw_vec)) for coroot in datum.coroots]
@@ -198,7 +198,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
     for w in labels:
         assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
-        datum=datum, labels=labels, weights=weights, depths=depths,
+        datum=datum, labels=labels, ref=hw_vec, depths=depths,
         e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"f-degree <= {cap}")
 
@@ -212,8 +212,7 @@ def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...]
     by the Laurent polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}.
     """
     words = nichols.nichols_basis(beta).basis_words
-    inv = invert([[ScalarQ(e) for e in row] for row in nichols.word_gram(words)],
-                 ZERO, ONE)
+    inv = invert([[ScalarQ(e) for e in row] for row in nichols.word_gram(words)], ONE)
     scale = ONE if sum(beta) % 2 == 0 else -ONE
     for d, k in zip(nichols.datum.d, beta):
         scale = scale * (ScalarQ.q_power(d) - ScalarQ.q_power(-d)) ** k
@@ -298,14 +297,9 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
     if i_max < 0 or j_max < 0:
         raise ConfigError("window bounds must be nonnegative")
     d = datum.d[0]
-    alpha = datum.simple_roots[0]
 
     labels = tuple((i, j) for i in range(i_max + 1) for j in range(j_max + 1))
-    weights = {}
-    depths = {}
-    for (i, j) in labels:
-        weights[(i, j)] = tuple(lamv + (i - j) * a for lamv, a in zip((lam,), alpha))
-        depths[(i, j)] = (j - i,)
+    depths = {(i, j): (j - i,) for (i, j) in labels}
 
     e_cols = {0: {}}
     f_cols = {0: {}}
@@ -323,7 +317,7 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
     coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=i_max),
                                          labels, e_cols, i_max)
     return WeightModule(
-        datum=datum, labels=labels, weights=weights, depths=depths,
+        datum=datum, labels=labels, ref=(lam,), depths=depths,
         e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"0<=i<={i_max}, 0<=j<={j_max}")
 
@@ -332,31 +326,16 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
 # Braiding
 # ---------------------------------------------------------------------------
 
-def _reference_weight(M: WeightModule, label) -> tuple[int, ...]:
-    """The depth-zero weight of the component containing label."""
-    beta = M.datum.root_combination(M.depths[label])
-    return tuple(w + b for w, b in zip(M.weights[label], beta))
-
-
-def _depth_weight_pairing(datum: RootDatum, beta: Sequence[int],
-                          ref: Sequence[int]) -> int:
-    """(sum_i beta_i alpha_i, ref) through the root form; always an integer."""
-    return sum(b * _pair_root_weight(datum, i, ref)
-               for i, b in enumerate(beta) if b)
-
-
 def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
                a_label, b_label) -> Vec:
     """sigma(a (x) b) as a sparse vector over (N-label, M-label) pairs; see
     the module docstring for the coaction and the twist."""
     out: Vec = {}
-    ref_m = _reference_weight(M, a_label)
-    ref_n = _reference_weight(N, b_label)
     for (fw, a2, c) in M.coaction(a_label):
         moved = N.apply_f_word(fw, {b_label: ONE})
         for b2, c2 in moved.items():
-            exp = (_depth_weight_pairing(datum, N.depths[b2], ref_m)
-                   + _depth_weight_pairing(datum, M.depths[a2], ref_n)
+            exp = (datum.root_weight_pairing(N.depths[b2], M.ref)
+                   + datum.root_weight_pairing(M.depths[a2], N.ref)
                    - datum.root_pairing(N.depths[b2], M.depths[a2]))
             add_term(out, (b2, a2), c * c2 * ScalarQ.q_power(exp))
     return out
@@ -381,14 +360,6 @@ def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int,
     return out
 
 
-def _pair_root_weight(datum: RootDatum, i: int, mu: Sequence[int]) -> int:
-    """(alpha_i, mu) where mu is a weight vector in coroot-dual coordinates:
-    computed as d_i times the coroot pairing so that (alpha_i, alpha_j)
-    reproduces the stored matrix."""
-    coroot = datum.coroots[i]
-    return datum.d[i] * sum(a * b for a, b in zip(coroot, mu))
-
-
 # ---------------------------------------------------------------------------
 # Tensor windows, Yang-Baxter, braid representations
 # ---------------------------------------------------------------------------
@@ -397,21 +368,22 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     """M (x) N as a weight module, acting by the bar-coproduct:
     E_i (b (x) c) = E_i b (x) q^{-(alpha_i, wt c)} c + b (x) E_i c and
     F_i (b (x) c) = F_i b (x) c + q^{(alpha_i, wt b)} b (x) F_i c.
-    A pair has a column only where both factors have one.  The coaction is
-    read from this E-action up to the depth span of the labels: E lowers the
-    depth by one per letter, so past it every image is zero or outside."""
+    A pair has a column only where both factors have one, its reference
+    weight is the sum of theirs and its depth the sum of its labels' depths.
+    The coaction is read from this E-action up to the depth span of the
+    labels: E lowers the depth by one per letter, so past it every image is
+    zero or outside."""
     labels = tuple((a, b) for a in M.labels for b in N.labels)
-    weights = {}
-    depths = {}
-    for (a, b) in labels:
-        weights[(a, b)] = tuple(x + y for x, y in zip(M.weights[a], N.weights[b]))
-        depths[(a, b)] = tuple(x + y for x, y in zip(M.depths[a], N.depths[b]))
+    depths = {(a, b): tuple(x + y for x, y in zip(M.depths[a], N.depths[b]))
+              for (a, b) in labels}
+    simple = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     for (a, b) in labels:
-        for i in range(datum.rank):
-            e_twist = ScalarQ.q_power(-_pair_root_weight(datum, i, N.weights[b]))
-            f_twist = ScalarQ.q_power(_pair_root_weight(datum, i, M.weights[a]))
+        wt_a, wt_b = M.weight(a), N.weight(b)
+        for i, alpha in enumerate(simple):
+            e_twist = ScalarQ.q_power(-datum.root_weight_pairing(alpha, wt_b))
+            f_twist = ScalarQ.q_power(datum.root_weight_pairing(alpha, wt_a))
             for cols, cols_m, cols_n, scale_m, scale_n in (
                     (e_cols, M.e_cols, N.e_cols, e_twist, ONE),
                     (f_cols, M.f_cols, N.f_cols, ONE, f_twist)):
@@ -429,7 +401,8 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=top),
                                          labels, e_cols, top)
     return WeightModule(
-        datum=datum, labels=labels, weights=weights, depths=depths,
+        datum=datum, labels=labels,
+        ref=tuple(x + y for x, y in zip(M.ref, N.ref)), depths=depths,
         e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
         window=f"({M.window}) (x) ({N.window})")
 
@@ -492,7 +465,7 @@ def _inverse_table(sigma: _SigmaTable, pairs: Sequence) -> dict:
             if image not in index:
                 raise CapError(f"braid image {image!r} leaves the depth window")
             mat[index[image]][k] = c
-    inv = invert(mat, ZERO, ONE)
+    inv = invert(mat, ONE)
     return {p: tuple((r, inv[i][k]) for i, r in enumerate(pairs)
                      if not inv[i][k].is_zero())
             for k, p in enumerate(pairs)}

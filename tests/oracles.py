@@ -85,7 +85,7 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
 # ---------------------------------------------------------------------------
 
 def k_scalar(module: WeightModule, lam: Sequence[int], label) -> ScalarQ:
-    mu = module.weights[label]
+    mu = module.weight(label)
     return ScalarQ.q_power(sum(a * b for a, b in zip(lam, mu)))
 
 

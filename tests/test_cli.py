@@ -583,9 +583,10 @@ def test_deformation_reports_are_byte_identical(argv, code, digest):
 
 
 # sha256 of braiding, Hopf and Nichols reports.  The first five are the
-# digests the benchmark pool records for these jobs; the last three are rank
+# digests the benchmark pool records for these jobs; the next three are rank
 # >= 2 reports as printed while E acted on Verma windows by normal ordering
-# through U_q, before the commutator formula replaced it.
+# through U_q, before the commutator formula replaced it; the last two print
+# weights as they were while every window stored one weight per label.
 GOLDEN_BRAIDING_NICHOLS_REPORTS = [
     ("ybe-check --datum A1 --lam 3 --cap 6",
      "178f3bb7b4889e58606440c9d3fc443f60ba7bfcebc1a5285afea21a51e491cf"),
@@ -603,6 +604,10 @@ GOLDEN_BRAIDING_NICHOLS_REPORTS = [
      "ba9d038bb8cb1e3d48b2a057f257f7183bc7b4e95ac730a13ce7500b4a3ad2d9"),
     ("verma --datum G2 --lam 1,0 --cap 4",
      "547817ee72bd9f33d45fbd9045630e02c80f7ea2b5062c23664185307a00c65d"),
+    ("verma --datum B2 --lam 1,1 --cap 3",
+     "bce0f1c8e571b2b5cb609d055c45a424e381afe554385b84a5943123852cd1bb"),
+    ("mlambda --datum A1 --lam 3 --window 3,2",
+     "b596c9b57851dab12d356683dac78597282dc9c79641c54754bb224d1753936d"),
 ]
 
 

@@ -79,7 +79,7 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
                for row in rows]
     aug = [row + [b] for row, b in zip(rows, rhs)]
     _, aug_pivots = _sympy_rref(aug, ncols + 1)
-    x = solve(rows, rhs, ncols, ZERO, ONE)
+    x = solve(rows, rhs, ncols, ONE)
     if ncols in aug_pivots:
         assert x is None
     else:
@@ -91,11 +91,11 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
 @pytest.mark.parametrize("ncols", [0, 1, 3])
 def test_solve_empty_system_returns_zero_vector(ncols):
     # every x solves a system without equations
-    assert solve([], [], ncols, ZERO, ONE) == [ZERO] * ncols
+    assert solve([], [], ncols, ONE) == [ZERO] * ncols
 
 
 def test_solve_refuses_mismatched_shapes():
     with pytest.raises(ValueError):
-        solve([[ONE, ZERO]], [ONE], 3, ZERO, ONE)
+        solve([[ONE, ZERO]], [ONE], 3, ONE)
     with pytest.raises(ValueError):
-        solve([[ONE]], [], 1, ZERO, ONE)
+        solve([[ONE]], [], 1, ONE)

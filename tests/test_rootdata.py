@@ -110,6 +110,15 @@ def test_root_combination_and_pairing():
     assert len(alpha_sum) == d.lattice_rank
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
+def test_root_weight_pairing_agrees_with_the_root_form(name):
+    # on a root combination, the root-weight pairing is the stored matrix
+    d = load_datum(name)
+    for m in ((1,) * d.rank, (2,) + (0,) * (d.rank - 1), (0,) * (d.rank - 1) + (3,)):
+        for n in ((1,) * d.rank, (0,) * (d.rank - 1) + (-2,)):
+            assert d.root_weight_pairing(n, d.root_combination(m)) == d.root_pairing(n, m)
+
+
 def test_cartan_inverse_a2():
     d = load_datum("A2")
     inv = d.cartan_inverse()

@@ -6,14 +6,20 @@ from pathlib import Path
 
 import pytest
 
+from uqbench.weightmods import tensor_module
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _main(name):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _main(name):
+    return _module(name).main
 
 
 def test_dimension_sweep(capsys):
@@ -38,6 +44,20 @@ def test_braiding_audit(capsys):
         assert len(lines) == 5
         assert all(line.endswith(", 0 failures") for line in lines)
     assert "naturality A2 lam=(1, 1)/(0, 2) cap=3: 420 cases, 0 failures" in out
+
+
+def test_braiding_audit_builds_each_tensor_window_once(capsys, monkeypatch):
+    # M (x) N and N (x) M, once per datum, serve naturality and both hexagons
+    audit = _module("braiding_audit")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tensor_module(*args)
+
+    monkeypatch.setattr(audit, "tensor_module", counted)
+    assert audit.main(["--lam-max", "0", "--cap", "0", "--ybe-cap", "0"]) == 0
+    assert len(calls) == 2 * len(audit.YBE_DATA) == 10
 
 
 @pytest.mark.parametrize("argv", [[], ["--cap", "4", "--window", "2",
