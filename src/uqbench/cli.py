@@ -193,14 +193,12 @@ def cmd_serre_check(args):
 
 def _sample_elements(ctx: UqContext, rng: random.Random, count: int):
     """Deterministic pseudo-random elements of generator degree <= 3."""
-    rank = ctx.datum.rank
     atoms = []
-    for i in range(rank):
+    for i in range(ctx.datum.rank):
         atoms.append(ctx.e_gen(i))
         atoms.append(ctx.f_gen(i))
-        unit = [0] * rank
-        unit[i] = 1
-        atoms.append(ctx.k_elt(tuple(unit)))
+        unit = tuple(int(j == i) for j in range(ctx.datum.lattice_rank))
+        atoms.append(ctx.k_elt(unit))
         atoms.append(ctx.k_elt(tuple(-u for u in unit)))
     out = []
     for _ in range(count):

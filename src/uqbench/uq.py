@@ -109,6 +109,9 @@ class UqContext:
         return {((i,), self._zero_dual, ()): ONE}
 
     def k_elt(self, lam: Sequence[int]) -> Element:
+        if len(lam) != self.datum.lattice_rank:
+            raise ConfigError(f"K_lambda needs {self.datum.lattice_rank} "
+                              f"coordinates, got {len(lam)}")
         return {((), tuple(lam), ()): ONE}
 
     def t_elt(self, i: int, power: int = 1) -> Element:

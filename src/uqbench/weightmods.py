@@ -21,35 +21,33 @@ ordering E_i F_w through `uq.UqContext` is its test oracle.
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree, {E_{b*}} the dual basis under the skew pairing of the
-double, which is the Nichols form up to a sign (`_dual_basis`).  Every
-window reads it from its own E-action through the one builder
-`_dual_basis_coaction`, up to a total degree top: the cap of a Verma window,
-i_max of `build_mlambda`, the depth span of a tensor window.  The sum for a
-label stops at the first total degree whose E-words all kill it; a label
-that an E-word takes out of the window gets no column, and asking for its
-coaction raises CapError.  On rank 1 the coaction has a closed form, which
-the tests compare it with.
+double, which is the Nichols form up to a sign (`_dual_basis`).  One builder,
+`_dual_basis_coaction`, reads it from a window's own E-action up to a total
+degree top: the cap of a Verma, i_max of `build_mlambda`, and, through
+`tensor_coaction`, the depth span of a tensor window, which carries none.
+The sum for a label stops at the first total degree whose E-words all kill
+it; a label that an E-word takes out of the window gets no column, and
+asking for its coaction raises CapError.  Tests pin rank 1 to a closed form.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
     (beta_N', ref_M) + (beta_M', ref_N) - (beta_N', beta_M')
 on the output legs, where ref is the module's reference weight and (,) is
-`RootDatum.root_weight_pairing`, depths against weights.
-This is the inverse Cartan weight factor normalized to 1 on the reference
-pair; it is a genuine braiding (Yang-Baxter holds exactly, and mixed-weight
-triples pass as well).  On rank 1 it is the closed form
-`closed_form_braiding_rank1`.
+`RootDatum.root_weight_pairing`, depths against weights.  This is the inverse
+Cartan weight factor normalized to 1 on the reference pair; it is a genuine
+braiding (Yang-Baxter holds exactly, and mixed-weight triples pass as well).
+On rank 1 it is the closed form `closed_form_braiding_rank1`.
 
 `tensor_module` makes M (x) N a module through the bar-coproduct
     E_i -> E_i (x) t_i^{-1} + 1 (x) E_i,   F_i -> F_i (x) 1 + t_i (x) F_i,
 the coproduct of `uq.UqContext` conjugated by the bar involution (E and F
 fixed, K -> K^{-1}, q -> q^{-1}).  The quasi-R-matrix intertwines the two
 coproducts (Lusztig, Introduction to Quantum Groups, Thm 4.1.2), so sigma
-commutes with every E_i and F_i acting this way.  At every rank the
-hexagons sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) and
-sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) hold, the latter
-through the tensor window's own coaction; `scripts/braiding_audit.py` checks
-all three.
+commutes with every E_i and F_i acting this way.  At every rank the hexagon
+sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) holds, and so does
+sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) for every P: the
+`tensor_coaction` of M (x) N is a twisted product of the factors' coactions.
+`scripts/braiding_audit.py` checks naturality and both hexagons.
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
 label pair, as a pair table: table[x, y] lists the image of the label pair
@@ -88,7 +86,7 @@ class WeightModule:
     ref and the label's depth; a label without a column is outside the
     window.  The coaction columns hold (F-word, label, c) terms, read
     from e_cols by `_dual_basis_coaction`; a label whose coaction leaves the
-    window has no column.
+    window has no column, and a `tensor_module` window has none at all.
     """
 
     datum: RootDatum
@@ -370,9 +368,8 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     F_i (b (x) c) = F_i b (x) c + q^{(alpha_i, wt b)} b (x) F_i c.
     A pair has a column only where both factors have one, its reference
     weight is the sum of theirs and its depth the sum of its labels' depths.
-    The coaction is read from this E-action up to the depth span of the
-    labels: E lowers the depth by one per letter, so past it every image is
-    zero or outside."""
+    The window carries no coaction, as no check braids it; `tensor_coaction`
+    reads one from this E-action."""
     labels = tuple((a, b) for a in M.labels for b in N.labels)
     depths = {(a, b): tuple(x + y for x, y in zip(M.depths[a], N.depths[b]))
               for (a, b) in labels}
@@ -396,15 +393,20 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
                 for b2, c in cb:
                     add_term(col, (a, b2), c * scale_n)
                 cols[i][(a, b)] = sorted(col.items())
-    total = [sum(d) for d in depths.values()]
-    top = max(total) - min(total)
-    coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=top),
-                                         labels, e_cols, top)
     return WeightModule(
         datum=datum, labels=labels,
         ref=tuple(x + y for x, y in zip(M.ref, N.ref)), depths=depths,
-        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
+        e_cols=e_cols, f_cols=f_cols, coaction_cols={},
         window=f"({M.window}) (x) ({N.window})")
+
+
+def tensor_coaction(T: WeightModule) -> dict:
+    """T's coaction columns, read from its E-action up to its labels' depth span:
+    E lowers the depth by one per letter, so past it every image is zero or outside."""
+    total = [sum(d) for d in T.depths.values()]
+    top = max(total) - min(total)
+    return _dual_basis_coaction(NicholsContext(T.datum, cap=top), T.labels,
+                                T.e_cols, top)
 
 
 def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:

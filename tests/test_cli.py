@@ -551,6 +551,31 @@ def test_preset_env_var_reaches_cli(tmp_path):
     assert json.loads(proc.stdout)["result"]["dims"]["(2,)"] == 1
 
 
+# A rank-1 datum on a rank-2 lattice, and A2 with a third zero coordinate:
+# Cartan elements and weights carry lattice-rank coordinates, not rank ones.
+_WIDE_LATTICE = {
+    "A1L2": ({"name": "A1L2", "rank": 1, "pairing": [[2]],
+              "simple_roots": [[2, 0]], "coroots": [[1, 0]]}, "1,0"),
+    "A2L3": ({"name": "A2L3", "rank": 2, "pairing": [[2, -1], [-1, 2]],
+              "simple_roots": [[2, -1, 0], [-1, 2, 0]],
+              "coroots": [[1, 0, 0], [0, 1, 0]]}, "1,1,0"),
+}
+
+
+def test_wider_lattice_presets_claim_no_false_failure(tmp_path, monkeypatch):
+    for name, (payload, _) in _WIDE_LATTICE.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    monkeypatch.setenv(PRESET_ENV, str(tmp_path))
+    for name, (_, lam) in _WIDE_LATTICE.items():
+        for argv in (["hopf-check", "--datum", name, "--cap", "4", "--seed", "0"],
+                     ["hopf-check", "--datum", name, "--cap", "4", "--seed", "1"],
+                     ["ybe-check", "--datum", name, "--lam", lam, "--cap", "3"],
+                     ["verma", "--datum", name, "--lam", lam, "--cap", "2"],
+                     ["nichols-dims", "--datum", name, "--max-degree", "4"]):
+            code, report = _in_process(argv)
+            assert (code, report["status"]) in ((0, "PASS"), (0, "OK")), argv
+
+
 # sha256 of deformation-solver reports as the Fraction-coefficient solvers
 # that transported the deformation through their gauge printed them; the
 # integer solvers that read each order from the identity they verify must

@@ -1,7 +1,9 @@
 """Smoke runs of the scripts under scripts/ through their main(argv), at
 small sizes: each exits 0 and prints what it promises."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -32,10 +34,27 @@ def test_dimension_sweep(capsys):
     assert "      (1, 2)       3     2        1" in out.splitlines()
 
 
-def test_braiding_audit(capsys):
-    assert _main("braiding_audit")(["--lam-max", "1", "--cap", "2",
-                                    "--ybe-cap", "2"]) == 0
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def braiding_audit_run():
+    """One small run of braiding_audit.py, counting its tensor_module calls:
+    (module, exit code, stdout, calls)."""
+    audit = _module("braiding_audit")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tensor_module(*args)
+
+    audit.tensor_module = counted
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = audit.main(["--lam-max", "1", "--cap", "2", "--ybe-cap", "2"])
+    return audit, code, out.getvalue(), calls
+
+
+def test_braiding_audit(braiding_audit_run):
+    _, code, out, _ = braiding_audit_run
+    assert code == 0
     assert ", 0 mismatches" in out
     assert "FAILED" not in out
     assert "ybe A2 lam=(0, 1) cap=2: exact" in out
@@ -44,19 +63,12 @@ def test_braiding_audit(capsys):
         assert len(lines) == 5
         assert all(line.endswith(", 0 failures") for line in lines)
     assert "naturality A2 lam=(1, 1)/(0, 2) cap=3: 420 cases, 0 failures" in out
+    assert "left-hexagon A2 lam=(1, 1)/(0, 2) cap=3: 338 cases, 0 failures" in out
 
 
-def test_braiding_audit_builds_each_tensor_window_once(capsys, monkeypatch):
+def test_braiding_audit_builds_each_tensor_window_once(braiding_audit_run):
     # M (x) N and N (x) M, once per datum, serve naturality and both hexagons
-    audit = _module("braiding_audit")
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return tensor_module(*args)
-
-    monkeypatch.setattr(audit, "tensor_module", counted)
-    assert audit.main(["--lam-max", "0", "--cap", "0", "--ybe-cap", "0"]) == 0
+    audit, _, _, calls = braiding_audit_run
     assert len(calls) == 2 * len(audit.YBE_DATA) == 10
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from uqbench.cli import _sample_elements as _cli_sample_elements
+from uqbench.errors import ConfigError
 from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ, q_factorial
@@ -127,6 +128,13 @@ def test_hopf_axioms_on_random_elements_rank_two(a2):
     for k in range(len(elts)):
         assert check_coproduct_multiplicative(
             a2, elts[k], elts[(k + 1) % len(elts)])
+
+
+def test_k_elt_rejects_a_weight_of_the_wrong_length(a2):
+    # K_lambda carries one coordinate per lattice direction; a short lambda
+    # is a configuration error (exit 2), not a Cartan element
+    with pytest.raises(ConfigError, match="2 coordinates, got 1"):
+        a2.k_elt((1,))
 
 
 def test_counit_values(a1):

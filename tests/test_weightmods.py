@@ -5,10 +5,13 @@ is pinned on rank 1 against the closed form term by term, and at every rank
 by contracting it through the pairing of the double, which is built apart from it.
 The braiding is pinned against the rank-1 closed form and through ybe_check
 and matrix braid relations on ranks 1 and 2.  It is a module map for the
-tensor action of `tensor_module` and satisfies both hexagons at every rank,
-the left one braiding a tensor window through the coaction read from its
-own E-action, and none of these holds for the tensor action by the
-coproduct of `UqContext`.
+tensor action of `tensor_module` and satisfies both hexagons at every rank.
+The left hexagon is checked for every P at once as a coaction identity: the
+coaction `tensor_coaction` reads from a tensor window's own E-action is the
+twisted product of the factor coactions.  One test braids the tensor window
+through that coaction past P = M, to pin that the identity carries the
+hexagon.  None of these holds for the tensor action by the coproduct of
+`UqContext`.
 """
 
 import dataclasses
@@ -30,7 +33,7 @@ from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
-                                tensor_module, ybe_check)
+                                tensor_coaction, tensor_module, ybe_check)
 
 from oracles import (apply_k, double_pairing, mat_mul, pairing_eval,
                      verma_coaction, verma_e_coefficient, verma_k_exponent)
@@ -566,10 +569,11 @@ def test_mlambda_coaction_contraction_reproduces_e_powers():
 @pytest.mark.parametrize("name,hw,hw2", [("A1", 2, 1), ("A2", (1, 1), (0, 2))],
                          ids=["A1", "A2"])
 def test_tensor_coaction_contraction_reproduces_every_e_word(name, hw, hw2):
-    # the coaction tensor_module reads from its own E-action, on caps 2 (x) 2,
-    # against every E-word up to the depth span 4 of the window
+    # the coaction tensor_coaction reads from the window's own E-action, on
+    # caps 2 (x) 2, against every E-word up to the depth span 4 of the window
     datum = load_datum(name)
     T = tensor_module(datum, build_verma(datum, hw, 2), build_verma(datum, hw2, 2))
+    T = dataclasses.replace(T, coaction_cols=tensor_coaction(T))
     assert sorted(T.coaction_cols) == sorted(T.labels)
     for a in T.labels:
         for e in _e_words(datum, 4):
@@ -581,6 +585,19 @@ def test_tensor_coaction_is_never_cut_short():
     # tensor window an E-power takes every label out of it: no label has a
     # column, though M_lambda's own window cuts its coaction at i_max
     T = tensor_module(A1, build_mlambda(A1, 2, (2, 1)), build_verma(A1, 1, 2))
+    T = dataclasses.replace(T, coaction_cols=tensor_coaction(T))
+    assert T.coaction_cols == {}
+    for a in T.labels:
+        with pytest.raises(CapError, match="not complete"):
+            T.coaction(a)
+
+
+def test_tensor_window_carries_no_coaction():
+    # naturality and the right hexagon never braid a tensor window, so
+    # tensor_module builds no coaction; the left hexagon reads tensor_coaction
+    datum = load_datum("A2")
+    T = tensor_module(datum, build_verma(datum, (1, 1), 2),
+                      build_verma(datum, (0, 2), 2))
     assert T.coaction_cols == {}
     for a in T.labels:
         with pytest.raises(CapError, match="not complete"):
@@ -661,7 +678,7 @@ def test_tensor_module_weights_add():
 
 
 # ---------------------------------------------------------------------------
-# The braided category: naturality and the right hexagon
+# The braided category: naturality and both hexagons
 # ---------------------------------------------------------------------------
 
 def _braiding_audit():
@@ -751,25 +768,39 @@ def test_right_hexagon_fails_with_the_coproduct_f_action(name):
 def test_left_hexagon_holds(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy in ((M, N, mn), (N, M, nm)):
-        cases, failures = AUDIT.left_hexagon_failures(datum, X, Y, X, xy)
+        cases, failures = AUDIT.left_hexagon_failures(datum, X, Y, xy)
         assert cases > 0 and failures == 0, (cases, failures)
-
-
-def _delta_tensor_coacting(datum, M, N, T):
-    """`_delta_tensor` with its coaction read from its own E-action by the
-    builder every window uses."""
-    T = _delta_tensor(datum, M, N, T)
-    depth = [sum(d) for d in T.depths.values()]
-    top = max(depth) - min(depth)
-    return dataclasses.replace(T, coaction_cols=weightmods._dual_basis_coaction(
-        NicholsContext(datum, cap=top), T.labels, T.e_cols, top))
 
 
 @pytest.mark.parametrize("name", AUDIT.YBE_DATA)
 def test_left_hexagon_fails_with_the_coproduct_coaction(name):
-    # negative control: sigma_{M (x) N, P} coacts on M (x) N, so the tensor
-    # window's E-action, through its coaction, is the one that matters here
+    # negative control: the coaction of M (x) N is read from the tensor
+    # window's E-action, so that is the action that matters here
     datum, M, N, mn, _ = _mixed_windows(name)
     cases, failures = AUDIT.left_hexagon_failures(
-        datum, M, N, M, _delta_tensor_coacting(datum, M, N, mn))
+        datum, M, N, _delta_tensor(datum, M, N, mn))
     assert 0 < failures < cases, (cases, failures)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2"])
+def test_coaction_identity_carries_the_left_hexagon_past_one_module(name):
+    # sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) at P = M,
+    # braiding the tensor window through its tensor_coaction: the one-P
+    # instance of the identity left_hexagon_failures checks
+    datum, M, N, mn, nm = _mixed_windows(name)
+    for X, Y, xy in ((M, N, mn), (N, M, nm)):
+        xy = dataclasses.replace(xy, coaction_cols=tensor_coaction(xy))
+        cases = 0
+        for (a, b) in xy.labels:
+            for c in X.labels:
+                try:
+                    lhs = braid_pair(datum, xy, X, (a, b), c)
+                    rhs = {}
+                    for (c1, b2), k1 in braid_pair(datum, Y, X, b, c).items():
+                        for (c2, a2), k2 in braid_pair(datum, X, X, a, c1).items():
+                            add_term(rhs, (c2, (a2, b2)), k1 * k2)
+                except CapError:
+                    continue
+                cases += 1
+                assert lhs == rhs, (a, b, c)
+        assert cases > 0
