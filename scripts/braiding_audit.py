@@ -30,8 +30,8 @@ from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.sparse import add_term
 from uqbench.weightmods import (braid_pair, build_verma,
-                                closed_form_braiding_rank1, tensor_coaction,
-                                tensor_module, ybe_check)
+                                closed_form_braiding_rank1, tensor_module,
+                                ybe_check)
 
 YBE_DATA = ("A1", "A2", "B2", "G2", "A1xA1")
 # two highest weights and a cap per datum for the naturality and hexagon stages
@@ -112,14 +112,14 @@ def left_hexagon_failures(datum, M, N, mn):
         delta_{M (x) N}(a (x) b) = sum_{(v, b', c1) in delta_N(b)}
             sum_{(u, a', c2) in delta_M(a)} c1 c2 q^{-(deg u, wt b')}
             F_{u v} (x) (a', b'),
-    the left side read from the E-action of the tensor window mn = M (x) N
-    by `tensor_coaction`, term for term, on every label pair that has a
-    column there and whose factors have one in M and N."""
+    the left side the coaction the tensor window mn = M (x) N reads from its
+    own E-action, term for term, on every label pair that has a column there
+    and whose factors have one in M and N."""
     longest = [max(len(w) for col in X.coaction_cols.values() for w, _, _ in col)
                for X in (M, N)]
     nichols = NicholsContext(datum, cap=sum(longest))
     cases = failures = 0
-    for (a, b), col in tensor_coaction(mn).items():
+    for (a, b), col in mn.coaction_cols.items():
         if a not in M.coaction_cols or b not in N.coaction_cols:
             continue
         got, want = {}, {}

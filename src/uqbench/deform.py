@@ -186,18 +186,11 @@ class TruncatedUg:
 # ---------------------------------------------------------------------------
 
 def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, int]:
-    """[x, y] for generator names, as a combination of generator names."""
-    k = algebra.kappa
-    table = {
-        ("H", "E"): {"E": k},
-        ("H", "F"): {"F": -k},
-        ("E", "F"): {"H": 1},
-    }
-    if x == y:
-        return {}
-    if (x, y) in table:
-        return dict(table[(x, y)])
-    return {g: -c for g, c in table[(y, x)].items()}
+    """[x, y] for generator names, as a combination of generator names, read
+    from the algebra's commutator of the two generators."""
+    name = {m: g for g, m in GEN_MONO.items()}
+    return {name[m]: c for m, c in
+            algebra.commutator(algebra.gen(x), algebra.gen(y)).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,21 @@ def load_datum(name: str) -> RootDatum:
                 break
         if path is None:
             raise ConfigError(f"unknown preset {name!r}; searched {[str(p) for p in preset_search_paths()]}")
+
+    def integer(x) -> int:
+        """x itself if it is a JSON integer; a float, bool or string is refused."""
+        if type(x) is not int:
+            raise ConfigError(f"malformed preset file {path}: {x!r} is not an integer")
+        return x
+
     try:
         raw = json.loads(path.read_text())
         return RootDatum(
             name=raw["name"],
-            rank=int(raw["rank"]),
-            pairing=tuple(tuple(int(x) for x in row) for row in raw["pairing"]),
-            simple_roots=tuple(tuple(int(x) for x in v) for v in raw["simple_roots"]),
-            coroots=tuple(tuple(int(x) for x in v) for v in raw["coroots"]),
+            rank=integer(raw["rank"]),
+            pairing=tuple(tuple(integer(x) for x in row) for row in raw["pairing"]),
+            simple_roots=tuple(tuple(integer(x) for x in v) for v in raw["simple_roots"]),
+            coroots=tuple(tuple(integer(x) for x in v) for v in raw["coroots"]),
             comments=raw.get("comments", ""),
         )
     except ConfigError:

@@ -30,10 +30,12 @@ identify the double's two Cartan copies,
   b * c = sum <S(b_(1)), c_(1)> <b_(3), c_(3)>  c_(2) b_(2).
 
 This route never touches the E-F cross relation, so agreement with `multiply`
-is a real consistency check, not a tautology.  It shares `_term_mul` only on
-terms without an F-word (the double's B side, K_lam E-word) or without an
-E-word (its C side, F-word t^n): such products call `_reorder` with an empty
-side, which returns the pair as it stands.
+is a real consistency check, not a tautology.  It shares `_coproduct_term`
+and `_term_mul` only on terms without an F-word (the double's B side, K_lam
+E-word) or without an E-word (its C side, F-word t^n): such products call
+`_reorder` with an empty side, which returns the pair as it stands.  So
+Delta(F_i) is written once, in `_coproduct_term`, and the C side reads it
+there too.
 
 Each `UqContext` computes a value once and keeps it for its own lifetime:
 `_reorder` per (E-word, F-word), `_term_mul` per term pair, `_coproduct_term`
@@ -289,31 +291,16 @@ class UqContext:
     # (lam, e_word); C-monomials are (f_word, n) = F-word . t^n with n over
     # the index set I.
 
-    def _cmono_mul(self, a: CMono, b: CMono) -> list[tuple[CMono, ScalarQ]]:
-        (w1, n1), (w2, n2) = a, b
-        n = tuple(x + y for x, y in zip(n1, n2))
-        return [((t[0], n), c) for t, c in self._term_mul(
-            (w1, self._t_index(n1), ()), (w2, self._t_index(n2), ()))]
-
     def _delta_c(self, mono: CMono) -> list[tuple[CMono, CMono, ScalarQ]]:
-        # Coproduct of the double's C factor: Delta(F_i) = F_i (x) 1 + t_i^{-1} (x) F_i
+        """Delta of a C-monomial, read from `_coproduct_term` of its term:
+        the second leg keeps n, the first carries n - deg f2, one t_i^{-1}
+        for each letter i that the second leg's F-word f2 took."""
         f, n = mono
-        zero_n = (0,) * self.datum.rank
-        acc: list[tuple[CMono, CMono, ScalarQ]] = [(((), n), ((), n), ONE)]
-        for i in reversed(f):
-            ti_inv = tuple(-1 if k == i else 0 for k in range(self.datum.rank))
-            parts = [
-                (((i,), zero_n), ((), zero_n)),
-                (((), ti_inv), ((i,), zero_n)),
-            ]
-            nxt = []
-            for (c1m, c2m, c) in acc:
-                for (d1, d2) in parts:
-                    for (m1, cc1) in self._cmono_mul(d1, c1m):
-                        for (m2, cc2) in self._cmono_mul(d2, c2m):
-                            nxt.append((m1, m2, c * cc1 * cc2))
-            acc = nxt
-        return acc
+        rank = self.datum.rank
+        return [((f1, tuple(a - b for a, b in zip(n, word_degree(f2, rank)))),
+                 (f2, n), c)
+                for ((f1, _, _), (f2, _, _)), c
+                in self._coproduct_term((f, self._t_index(n), ())).items()]
 
     def double_pairing_mono(self, b: tuple[DualVector, Word], c: CMono) -> ScalarQ:
         """Skew pairing of a K_lam E-word monomial with an F-word t^n monomial.

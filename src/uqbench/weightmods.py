@@ -9,7 +9,7 @@ q to whose pairing the Cartan elements act.  Module vectors are plain
 {label: ScalarQ} dicts.  E and F act by sparse columns; a column that would
 leave the window is absent, and using it raises CapError so truncation
 artifacts are never silently dropped.  The coaction sends a basis vector to
-a finite sum of (F-word, basis vector) pairs, up to a stated f-degree.
+a finite sum of (F-word, basis vector) pairs, up to the window's f-degree top.
 
 On a Verma window the basis vectors are F_w v, w a Nichols basis word, and
 F_i acts by Nichols multiplication.  E_i acts by the commutator formula
@@ -21,13 +21,13 @@ ordering E_i F_w through `uq.UqContext` is its test oracle.
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree, {E_{b*}} the dual basis under the skew pairing of the
-double, which is the Nichols form up to a sign (`_dual_basis`).  One builder,
-`_dual_basis_coaction`, reads it from a window's own E-action up to a total
-degree top: the cap of a Verma, i_max of `build_mlambda`, and, through
-`tensor_coaction`, the depth span of a tensor window, which carries none.
-The sum for a label stops at the first total degree whose E-words all kill
-it; a label that an E-word takes out of the window gets no column, and
-asking for its coaction raises CapError.  Tests pin rank 1 to a closed form.
+double, which is the Nichols form up to a sign (`_dual_basis`).  Every window
+reads it from its own E-action by `_dual_basis_coaction`, up to its total
+degree top (the cap of a Verma, i_max of `build_mlambda`, the depth span of a
+tensor window), the first time any label's coaction is asked for.  The sum
+for a label stops at the first total degree whose E-words all kill it; a
+label that an E-word takes out of the window gets no column, and asking for
+its coaction raises CapError.  Tests pin rank 1 to a closed form.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -46,7 +46,7 @@ coproducts (Lusztig, Introduction to Quantum Groups, Thm 4.1.2), so sigma
 commutes with every E_i and F_i acting this way.  At every rank the hexagon
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) holds, and so does
 sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) for every P: the
-`tensor_coaction` of M (x) N is a twisted product of the factors' coactions.
+coaction of M (x) N is a twisted product of the factors' coactions.
 `scripts/braiding_audit.py` checks naturality and both hexagons.
 
 `ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
@@ -62,6 +62,7 @@ the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapError, ConfigError
@@ -84,9 +85,10 @@ class WeightModule:
     E_i and F_i act by the sparse columns e_cols[i] and f_cols[i], K by q to
     the pairing with the label's weight, read from the one reference weight
     ref and the label's depth; a label without a column is outside the
-    window.  The coaction columns hold (F-word, label, c) terms, read
-    from e_cols by `_dual_basis_coaction`; a label whose coaction leaves the
-    window has no column, and a `tensor_module` window has none at all.
+    window.  The coaction columns hold (F-word, label, c) terms of f-degree
+    <= top, read from e_cols by `_dual_basis_coaction` the first time any
+    label is asked for; a label whose coaction leaves the window has no
+    column.  A copy made by `dataclasses.replace` reads its own.
     """
 
     datum: RootDatum
@@ -95,7 +97,7 @@ class WeightModule:
     depths: dict
     e_cols: dict
     f_cols: dict
-    coaction_cols: dict
+    top: int
     window: str
 
     def weight(self, label) -> tuple[int, ...]:
@@ -124,6 +126,13 @@ class WeightModule:
         for i in reversed(word):
             vec = self.apply_f(i, vec)
         return vec
+
+    @cached_property
+    def coaction_cols(self) -> dict:
+        cols = _dual_basis_coaction(NicholsContext(self.datum, cap=max(self.top, 1)),
+                                    self.labels, self.e_cols, self.top)
+        assert all(t in self.depths for col in cols.values() for _, t, _ in col)
+        return cols
 
     def coaction(self, label):
         col = self.coaction_cols.get(label)
@@ -171,7 +180,6 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         for deg in multidegrees(datum.rank, total):
             labels.extend(nichols.nichols_basis(deg).basis_words)
     labels = tuple(labels)
-    label_set = set(labels)
     depths = {w: word_degree(w, datum.rank) for w in labels}
 
     # <alpha_i^vee, hw>, the bracket argument at the rightmost letter
@@ -192,13 +200,9 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
                 n -= datum.cartan[i][w[k]]
             e_cols[i][w] = sorted(acc.items())
 
-    coaction_cols = _dual_basis_coaction(nichols, labels, e_cols, cap)
-    for w in labels:
-        assert all(t in label_set for _, t, _ in coaction_cols[w])
     return WeightModule(
         datum=datum, labels=labels, ref=hw_vec, depths=depths,
-        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
-        window=f"f-degree <= {cap}")
+        e_cols=e_cols, f_cols=f_cols, top=cap, window=f"f-degree <= {cap}")
 
 
 def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...], list]:
@@ -312,12 +316,9 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
                     col.append(((i - 1, j), coeff))
             f_cols[0][(i, j)] = col
 
-    coaction_cols = _dual_basis_coaction(NicholsContext(datum, cap=i_max),
-                                         labels, e_cols, i_max)
     return WeightModule(
         datum=datum, labels=labels, ref=(lam,), depths=depths,
-        e_cols=e_cols, f_cols=f_cols, coaction_cols=coaction_cols,
-        window=f"0<=i<={i_max}, 0<=j<={j_max}")
+        e_cols=e_cols, f_cols=f_cols, top=i_max, window=f"0<=i<={i_max}, 0<=j<={j_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +369,12 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     F_i (b (x) c) = F_i b (x) c + q^{(alpha_i, wt b)} b (x) F_i c.
     A pair has a column only where both factors have one, its reference
     weight is the sum of theirs and its depth the sum of its labels' depths.
-    The window carries no coaction, as no check braids it; `tensor_coaction`
-    reads one from this E-action."""
+    Its coaction is read up to the depth span of its labels: E lowers the
+    depth by one per letter, so past it every image is zero or outside."""
     labels = tuple((a, b) for a in M.labels for b in N.labels)
     depths = {(a, b): tuple(x + y for x, y in zip(M.depths[a], N.depths[b]))
               for (a, b) in labels}
+    total = [sum(d) for d in depths.values()]
     simple = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
     e_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
     f_cols: dict[int, dict] = {i: {} for i in range(datum.rank)}
@@ -396,17 +398,8 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     return WeightModule(
         datum=datum, labels=labels,
         ref=tuple(x + y for x, y in zip(M.ref, N.ref)), depths=depths,
-        e_cols=e_cols, f_cols=f_cols, coaction_cols={},
+        e_cols=e_cols, f_cols=f_cols, top=max(total) - min(total),
         window=f"({M.window}) (x) ({N.window})")
-
-
-def tensor_coaction(T: WeightModule) -> dict:
-    """T's coaction columns, read from its E-action up to its labels' depth span:
-    E lowers the depth by one per letter, so past it every image is zero or outside."""
-    total = [sum(d) for d in T.depths.values()]
-    top = max(total) - min(total)
-    return _dual_basis_coaction(NicholsContext(T.datum, cap=top), T.labels,
-                                T.e_cols, top)
 
 
 def _braid_slot(table: Mapping, slot: int, vec: Vec, window) -> Vec:

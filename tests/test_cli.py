@@ -355,8 +355,8 @@ def test_zero_coaction_terms_stay_inside_the_window():
                for i in set(range(len(full["basis"]))) - set(kept))
 
 
-# Presets read through UQBENCH_PRESET_PATH that no run may trace back on;
-# BadDir.json is a directory.
+# Presets read through UQBENCH_PRESET_PATH that no run may trace back on or
+# load; BadDir.json is a directory.
 _MALFORMED = {
     "BadJson": "{not json",
     "BadKeys": json.dumps({"name": "BadKeys", "rank": 1}),
@@ -370,6 +370,10 @@ _MALFORMED = {
     "BadShape": json.dumps({"name": "BadShape", "rank": 2,
                             "pairing": [[2, -1]], "simple_roots": [[2]],
                             "coroots": [[1]]}),
+    "BadFloat": json.dumps({"name": "BadFloat", "rank": 1, "pairing": [[2.7]],
+                            "simple_roots": [[2.2]], "coroots": [[1.9]]}),
+    "BadBool": json.dumps({"name": "BadBool", "rank": True, "pairing": [[2]],
+                           "simple_roots": [[2]], "coroots": [[True]]}),
 }
 
 
@@ -446,6 +450,8 @@ def test_module_commands_always_report(malformed_presets, argv):
         else:
             os.environ[PRESET_ENV] = saved
     assert code in (0, 1, 2, 3)
+    if argv[2] in _MALFORMED:
+        assert code == 2, argv
     report = json.loads(out.getvalue())
     assert report["command"] == argv[0] and "status" in report
     assert "Traceback" not in err.getvalue()

@@ -135,6 +135,16 @@ def test_lie_bracket_antisymmetry():
             assert fwd == {g: -c for g, c in bwd.items()}
 
 
+def test_lie_bracket_values_and_unknown_names():
+    a = alg()
+    k = a.kappa
+    assert lie_bracket(a, "H", "E") == {"E": k}
+    assert lie_bracket(a, "H", "F") == {"F": -k}
+    assert lie_bracket(a, "E", "F") == {"H": 1}
+    with pytest.raises(ConfigError, match="unknown generator"):
+        lie_bracket(a, "X", "E")
+
+
 def test_differential_squares_to_zero_on_elements():
     a = alg()
     samples = [a.gen("E"), {H: Fraction(3), F: ONE},

@@ -101,6 +101,23 @@ def test_env_var_prepends_search_path(tmp_path, monkeypatch):
     assert load_datum("X1").rank == 1
 
 
+@pytest.mark.parametrize("fields", [
+    {"pairing": [[2.7]], "simple_roots": [[2.2]], "coroots": [[1.9]]},
+    {"pairing": [[2.0]]},
+    {"rank": True},
+    {"pairing": [["2"]]},
+    {"coroots": [[True]]},
+], ids=["floats", "integral-float", "bool-rank", "string", "bool-coroot"])
+def test_preset_numbers_must_be_json_integers(tmp_path, fields):
+    # each of these once loaded as A1, its numbers coerced by int()
+    payload = {"name": "Bad", "rank": 1, "pairing": [[2]],
+               "simple_roots": [[2]], "coroots": [[1]], **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="is not an integer"):
+        load_datum(str(path))
+
+
 def test_root_combination_and_pairing():
     d = load_datum("A2")
     alpha_sum = d.root_combination((1, 1))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from uqbench import weightmods
 from uqbench.weightmods import tensor_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -36,24 +37,31 @@ def test_dimension_sweep(capsys):
 
 @pytest.fixture(scope="module")
 def braiding_audit_run():
-    """One small run of braiding_audit.py, counting its tensor_module calls:
-    (module, exit code, stdout, calls)."""
+    """One small run of braiding_audit.py, recording its tensor_module calls
+    and the E-actions its windows read coactions from:
+    (module, exit code, stdout, calls, reads)."""
     audit = _module("braiding_audit")
-    calls = []
+    calls, reads = [], []
 
     def counted(*args):
         calls.append(args)
         return tensor_module(*args)
 
+    def read(nichols, labels, e_cols, top):
+        reads.append(e_cols)
+        return reader(nichols, labels, e_cols, top)
+
+    reader = weightmods._dual_basis_coaction
     audit.tensor_module = counted
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(weightmods, "_dual_basis_coaction", read)
         code = audit.main(["--lam-max", "1", "--cap", "2", "--ybe-cap", "2"])
-    return audit, code, out.getvalue(), calls
+    return audit, code, out.getvalue(), calls, reads
 
 
 def test_braiding_audit(braiding_audit_run):
-    _, code, out, _ = braiding_audit_run
+    _, code, out, _, _ = braiding_audit_run
     assert code == 0
     assert ", 0 mismatches" in out
     assert "FAILED" not in out
@@ -68,8 +76,16 @@ def test_braiding_audit(braiding_audit_run):
 
 def test_braiding_audit_builds_each_tensor_window_once(braiding_audit_run):
     # M (x) N and N (x) M, once per datum, serve naturality and both hexagons
-    audit, _, _, calls = braiding_audit_run
+    audit, _, _, calls, _ = braiding_audit_run
     assert len(calls) == 2 * len(audit.YBE_DATA) == 10
+
+
+def test_braiding_audit_reads_each_coaction_once(braiding_audit_run):
+    # every window, Verma or tensor, reads its coaction at most once; the
+    # recorded E-actions stay alive, so equal ids mean the same window
+    _, _, _, _, reads = braiding_audit_run
+    assert reads
+    assert len({id(e_cols) for e_cols in reads}) == len(reads)
 
 
 @pytest.mark.parametrize("argv", [[], ["--cap", "4", "--window", "2",

@@ -7,11 +7,11 @@ The braiding is pinned against the rank-1 closed form and through ybe_check
 and matrix braid relations on ranks 1 and 2.  It is a module map for the
 tensor action of `tensor_module` and satisfies both hexagons at every rank.
 The left hexagon is checked for every P at once as a coaction identity: the
-coaction `tensor_coaction` reads from a tensor window's own E-action is the
-twisted product of the factor coactions.  One test braids the tensor window
-through that coaction past P = M, to pin that the identity carries the
-hexagon.  None of these holds for the tensor action by the coproduct of
-`UqContext`.
+coaction a tensor window reads from its own E-action is the twisted product
+of the factor coactions.  One test braids the tensor window through that
+coaction past P = M, to pin that the identity carries the hexagon.  None of
+these holds for the tensor action by the coproduct of `UqContext`.  Every
+window reads its coaction once, on first use.
 """
 
 import dataclasses
@@ -33,7 +33,7 @@ from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
-                                tensor_coaction, tensor_module, ybe_check)
+                                tensor_module, ybe_check)
 
 from oracles import (apply_k, double_pairing, mat_mul, pairing_eval,
                      verma_coaction, verma_e_coefficient, verma_k_exponent)
@@ -569,11 +569,11 @@ def test_mlambda_coaction_contraction_reproduces_e_powers():
 @pytest.mark.parametrize("name,hw,hw2", [("A1", 2, 1), ("A2", (1, 1), (0, 2))],
                          ids=["A1", "A2"])
 def test_tensor_coaction_contraction_reproduces_every_e_word(name, hw, hw2):
-    # the coaction tensor_coaction reads from the window's own E-action, on
-    # caps 2 (x) 2, against every E-word up to the depth span 4 of the window
+    # the coaction the window reads from its own E-action, on caps 2 (x) 2,
+    # against every E-word up to the depth span 4 of the window
     datum = load_datum(name)
     T = tensor_module(datum, build_verma(datum, hw, 2), build_verma(datum, hw2, 2))
-    T = dataclasses.replace(T, coaction_cols=tensor_coaction(T))
+    assert T.top == 4
     assert sorted(T.coaction_cols) == sorted(T.labels)
     for a in T.labels:
         for e in _e_words(datum, 4):
@@ -585,23 +585,31 @@ def test_tensor_coaction_is_never_cut_short():
     # tensor window an E-power takes every label out of it: no label has a
     # column, though M_lambda's own window cuts its coaction at i_max
     T = tensor_module(A1, build_mlambda(A1, 2, (2, 1)), build_verma(A1, 1, 2))
-    T = dataclasses.replace(T, coaction_cols=tensor_coaction(T))
     assert T.coaction_cols == {}
     for a in T.labels:
         with pytest.raises(CapError, match="not complete"):
             T.coaction(a)
 
 
-def test_tensor_window_carries_no_coaction():
-    # naturality and the right hexagon never braid a tensor window, so
-    # tensor_module builds no coaction; the left hexagon reads tensor_coaction
+def test_windows_read_their_coaction_once_on_first_use(monkeypatch):
+    # building a window reads no coaction; the first label asked for reads
+    # the whole window's, and every later label reuses it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reader(*args)
+
+    reader = weightmods._dual_basis_coaction
+    monkeypatch.setattr(weightmods, "_dual_basis_coaction", counted)
     datum = load_datum("A2")
-    T = tensor_module(datum, build_verma(datum, (1, 1), 2),
-                      build_verma(datum, (0, 2), 2))
-    assert T.coaction_cols == {}
+    M, N = build_verma(datum, (1, 1), 2), build_verma(datum, (0, 2), 2)
+    T = tensor_module(datum, M, N)
+    assert calls == []
     for a in T.labels:
-        with pytest.raises(CapError, match="not complete"):
-            T.coaction(a)
+        assert T.coaction(a)[0] == ((), a, ONE)
+    assert len(calls) == 1
+    assert calls[0][1:] == (T.labels, T.e_cols, T.top)
 
 
 @pytest.mark.parametrize("name,hw,cap", [
@@ -657,10 +665,8 @@ def test_first_order_coaction_fails_ybe(name):
     # negative control: the higher-order terms are what make it a braiding
     datum = load_datum(name)
     M = build_verma(datum, (1, 1), 3)
-    first_order = {a: tuple(t for t in col if len(t[0]) <= 1)
-                   for a, col in M.coaction_cols.items()}
-    assert not ybe_check(datum, dataclasses.replace(
-        M, coaction_cols=first_order), 3)
+    assert ybe_check(datum, M, 3)
+    assert not ybe_check(datum, dataclasses.replace(M, top=1), 3)
 
 
 def test_tensor_module_weights_add():
@@ -697,7 +703,8 @@ AUDIT = _braiding_audit()
 def _delta_tensor(datum, M, N, T):
     """Negative control: M (x) N acting by the coproduct of UqContext,
     E_i -> E_i (x) t_i + 1 (x) E_i and F_i -> F_i (x) 1 + t_i^{-1} (x) F_i,
-    in place of the bar-coproduct of T = `tensor_module(datum, M, N)`."""
+    in place of the bar-coproduct of T = `tensor_module(datum, M, N)`.  The
+    copy reads its coaction from this E-action, not T's."""
     e_cols = {i: {} for i in range(datum.rank)}
     f_cols = {i: {} for i in range(datum.rank)}
     for a, b in T.labels:
@@ -785,11 +792,10 @@ def test_left_hexagon_fails_with_the_coproduct_coaction(name):
 @pytest.mark.parametrize("name", ["A1", "A2"])
 def test_coaction_identity_carries_the_left_hexagon_past_one_module(name):
     # sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) at P = M,
-    # braiding the tensor window through its tensor_coaction: the one-P
+    # braiding the tensor window through its own coaction: the one-P
     # instance of the identity left_hexagon_failures checks
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy in ((M, N, mn), (N, M, nm)):
-        xy = dataclasses.replace(xy, coaction_cols=tensor_coaction(xy))
         cases = 0
         for (a, b) in xy.labels:
             for c in X.labels:
