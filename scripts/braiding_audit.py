@@ -25,7 +25,7 @@ import sys
 import time
 
 from uqbench.errors import CapError
-from uqbench.nichols import NicholsContext, word_degree
+from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.sparse import add_term
@@ -114,10 +114,7 @@ def left_hexagon_failures(datum, M, N, mn):
             F_{u v} (x) (a', b'),
     the left side the coaction the tensor window mn = M (x) N reads from its
     own E-action, term for term, on every label pair that has a column there
-    and whose factors have one in M and N."""
-    longest = [max(len(w) for col in X.coaction_cols.values() for w, _, _ in col)
-               for X in (M, N)]
-    nichols = NicholsContext(datum, cap=sum(longest))
+    and whose factors have one in M and N; u v is reduced in mn.nichols."""
     cases = failures = 0
     for (a, b), col in mn.coaction_cols.items():
         if a not in M.coaction_cols or b not in N.coaction_cols:
@@ -129,7 +126,7 @@ def left_hexagon_failures(datum, M, N, mn):
             for u, a2, c2 in M.coaction(a):
                 twist = ScalarQ.q_power(-datum.root_weight_pairing(
                     word_degree(u, datum.rank), N.weight(b2)))
-                for w, c3 in nichols.reduce_word(u + v).items():
+                for w, c3 in mn.nichols.reduce_word(u + v).items():
                     add_term(want, (w, (a2, b2)), c1 * c2 * twist * c3)
         cases += 1
         failures += got != want

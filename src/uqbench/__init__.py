@@ -32,7 +32,7 @@ from .weightmods import (WeightModule, braid_pair, braid_rep, build_mlambda,
 from .norms import (ConvergenceCertificate, RadiusParams, admissible,
                     coaction_convergence, reverify_certificate,
                     rmatrix_condition)
-from .deform import (TruncatedUg, conjugate_map, derivation_gauge,
+from .deform import (GEN_MONO, TruncatedUg, conjugate_map, derivation_gauge,
                      identity_map, mult_trivialize, plant_deformation,
                      rigidity_conjugator)
 
@@ -50,7 +50,7 @@ __all__ = [
     "RadiusParams", "ConvergenceCertificate",
     "admissible", "rmatrix_condition", "coaction_convergence",
     "reverify_certificate",
-    "TruncatedUg", "identity_map", "conjugate_map", "rigidity_conjugator",
+    "TruncatedUg", "GEN_MONO", "identity_map", "conjugate_map", "rigidity_conjugator",
     "derivation_gauge", "plant_deformation", "mult_trivialize",
 ]
 

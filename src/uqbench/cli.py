@@ -372,6 +372,8 @@ def cmd_trivialize(args):
         # a higher-degree image leaves every window: no cap decides it
         if any(sum(m) > 1 for m in image):
             raise ConfigError(f"plant image must have degree <= 1: {plant!r}")
+        if mono in gen_images:
+            raise ConfigError(f"plant source {src.strip()!r} given twice")
         gen_images[mono] = image
     gauge = derivation_gauge(algebra, gen_images)
     mu = plant_deformation(algebra, gauge, args.order)

@@ -18,12 +18,14 @@ Contents:
     where kappa is the self-pairing of the simple root (2 for the standard
     rank-1 preset).  Only rank-1 data are supported; higher rank would need
     a PBW basis over all positive roots, which this window model does not
-    carry.
+    carry.  It owns the solve window: its basis `monos`, its window pairs
+    `pairs`, and the order-0 product `multiply` that both solvers read.
   * a coboundary solver with deterministic solution selection
     (lexicographic pivoting over the PBW basis, free coordinates zero, hence
     minimal support among echelon solutions), which first checks its input
     is a cocycle with the Chevalley-Eilenberg differential of bounded
-    1-cochains with values in the algebra.
+    1-cochains with values in the algebra.  Generator maps and 1-cochains
+    are keyed by generator monomials, in GEN_ORDER.
   * one hbar-series core (_series_mul): truncated products of coefficient
     lists for a product passed in, algebra multiplication for element
     series and composition for gauge series; element series also have an
@@ -43,11 +45,12 @@ conjugator (conjugation_residuals), and V(mu(x, y)) = V(x) V(y) on every
 window pair for the trivializer (_residual).  Both solve each order in one
 helper (_window_solve) and re-verify their output from the inputs through
 the same identities over all orders; the trivializer's check
-(trivialization_residuals) goes through the series core and shares no code
-with _residual.  An order whose linear system has no solution inside the
-window raises ObstructionError carrying the order index; window
-solvability is a proxy for the cohomology vanishing the full statements
-assume, and the solvers report obstructions without interpreting them.
+(trivialization_residuals) goes through the series core and shares only the
+algebra's product with _residual.  An order whose linear system has no
+solution inside the window raises ObstructionError carrying the order
+index; window solvability is a proxy for the cohomology vanishing the full
+statements assume, and the solvers report obstructions without
+interpreting them.
 
 The trivializer searches over filtration-preserving gauges: each unknown
 map sends a monomial to a combination of monomials of no larger total
@@ -60,7 +63,7 @@ filtered in the same sense and are validated up front.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 from math import comb
 
@@ -72,8 +75,8 @@ from .sparse import add_term, combine, scale
 Mono = tuple[int, int, int]  # exponents of F, H, E in normal order
 El = dict  # Mono -> int | Fraction
 
-GEN_ORDER = ("E", "H", "F")
 GEN_MONO: dict[str, Mono] = {"F": (1, 0, 0), "H": (0, 1, 0), "E": (0, 0, 1)}
+GEN_ORDER: tuple[Mono, ...] = (GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"])
 UNIT: Mono = (0, 0, 0)
 
 
@@ -83,7 +86,11 @@ def el_degree(x: El) -> int:
 
 
 class TruncatedUg:
-    """PBW window of the rank-1 enveloping algebra with exact products."""
+    """PBW window of the rank-1 enveloping algebra with exact products.
+
+    `monos` is the solve window's basis and `pairs` its window pairs, the
+    monomial pairs of total degree <= window; `multiply` and `mono_mul` are
+    the order-0 product every solver reads."""
 
     def __init__(self, datum: RootDatum, cap: int, window: int):
         if datum.rank != 1:
@@ -100,16 +107,18 @@ class TruncatedUg:
             raise ConfigError(
                 f"window must satisfy 1 <= window <= cap/2, got {self.window}")
         self._mono_cache: dict[tuple[Mono, Mono], El] = {}
+        self.monos = self.basis(window)
+
+    @cached_property
+    def pairs(self) -> list[tuple[Mono, Mono]]:
+        """The window pairs, (m1, m2) in lexicographic order."""
+        return [(m1, m2) for m1 in self.monos for m2 in self.monos
+                if sum(m1) + sum(m2) <= self.window]
 
     # -- constructors ------------------------------------------------------
 
     def one(self) -> El:
         return {UNIT: 1}
-
-    def gen(self, name: str) -> El:
-        if name not in GEN_MONO:
-            raise ConfigError(f"unknown generator {name!r}")
-        return {GEN_MONO[name]: 1}
 
     def basis(self, max_degree: int | None = None) -> list[Mono]:
         """All monomials of total degree <= max_degree (default: the solve
@@ -122,19 +131,20 @@ class TruncatedUg:
 
     # -- multiplication ----------------------------------------------------
 
-    def _rmul_gen(self, m: Mono, g: str) -> El:
-        """Normal-ordered expansion of (F^a H^b E^c) * g."""
+    def _rmul_gen(self, m: Mono, g: Mono) -> El:
+        """Normal-ordered expansion of (F^a H^b E^c) * g, g a generator
+        monomial."""
         a, b, c = m
         k = self.kappa
         out: El = {}
-        if g == "E":
+        if g == GEN_MONO["E"]:
             add_term(out, (a, b, c + 1), 1)
-        elif g == "H":
+        elif g == GEN_MONO["H"]:
             # E^c H = (H - c kappa) E^c
             add_term(out, (a, b + 1, c), 1)
             if c:
                 add_term(out, (a, b, c), -c * k)
-        elif g == "F":
+        elif g == GEN_MONO["F"]:
             # E^c F = F E^c + c H E^{c-1} - (kappa/2) c (c-1) E^{c-1},
             # then H^b F = F (H - kappa)^b
             for j in range(b + 1):
@@ -154,8 +164,7 @@ class TruncatedUg:
         if hit is not None:
             return hit
         acc: El = {m1: 1}
-        a, b, c = m2
-        for g, reps in (("F", a), ("H", b), ("E", c)):
+        for g, reps in zip((GEN_MONO["F"], GEN_MONO["H"], GEN_MONO["E"]), m2):
             for _ in range(reps):
                 nxt: El = {}
                 for m, coef in acc.items():
@@ -182,23 +191,11 @@ class TruncatedUg:
 
 
 # ---------------------------------------------------------------------------
-# Lie layer: generator brackets
-# ---------------------------------------------------------------------------
-
-def lie_bracket(algebra: TruncatedUg, x: str, y: str) -> dict[str, int]:
-    """[x, y] for generator names, as a combination of generator names, read
-    from the algebra's commutator of the two generators."""
-    name = {m: g for g, m in GEN_MONO.items()}
-    return {name[m]: c for m, c in
-            algebra.commutator(algebra.gen(x), algebra.gen(y)).items()}
-
-
-# ---------------------------------------------------------------------------
 # Chevalley-Eilenberg differential in degree 1
 # ---------------------------------------------------------------------------
 
-def _eval_on_lie(f: dict, lie: dict[str, int]) -> El:
-    """A 1-cochain f on a combination of generators."""
+def _eval_on_lie(f: dict, lie: El) -> El:
+    """A 1-cochain f on a combination of generator monomials."""
     out: El = {}
     for g, c in lie.items():
         for m, v in f.get(g, {}).items():
@@ -208,23 +205,24 @@ def _eval_on_lie(f: dict, lie: dict[str, int]) -> El:
 
 def cochain_differential(algebra: TruncatedUg, f: dict, act) -> dict:
     """Chevalley-Eilenberg differential of a bounded 1-cochain f, a dict over
-    generator names with values in the windowed algebra, for the module
-    action act(generator name, element):
+    generator monomials with values in the windowed algebra, for the module
+    action act(generator monomial, element):
 
       (df)(x, y) = x . f(y) - y . f(x) - f([x, y])
 
-    on each generator pair x before y in GEN_ORDER.  An unknown generator
-    name is a ConfigError.
+    on each generator pair x before y in GEN_ORDER, [x, y] the algebra's
+    commutator.  A key that is no generator monomial is a ConfigError.
     """
     extra = set(f) - set(GEN_ORDER)
     if extra:
-        raise ConfigError(f"unknown generators in cochain: {sorted(extra)}")
+        raise ConfigError(
+            f"unknown generators in cochain: {sorted(extra, key=str)}")
     out = {}
     for i, x in enumerate(GEN_ORDER):
         for y in GEN_ORDER[i + 1:]:
             term = combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
             term = combine(
-                term, _eval_on_lie(f, lie_bracket(algebra, x, y)), -1)
+                term, _eval_on_lie(f, algebra.commutator({x: 1}, {y: 1})), -1)
             out[(x, y)] = term
     return out
 
@@ -273,8 +271,8 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
                      order: int | None = None) -> El:
     """Solve [d0(x), u] = f(x) for all generators x, with u in the window.
 
-    f is a 1-cochain over generator names; d0 maps generator names to
-    elements, {g: algebra.gen(g)} for the tautological embedding.  The
+    f is a 1-cochain over generator monomials; d0 maps generator monomials
+    to elements, {g: {g: 1}} for the tautological embedding.  The
     cocycle identity for the action x . v = [d0(x), v] is checked on generator
     pairs first; a violation is a ConfigError.  The linear system is then
     solved exactly with lexicographic pivoting and free coordinates set to
@@ -282,8 +280,8 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
     echelon solutions.  If the window contains no solution,
     ObstructionError (carrying `order` when given).
     """
-    def act(gen: str, v: El) -> El:
-        return algebra.commutator(d0[gen], v)
+    def act(g: Mono, v: El) -> El:
+        return algebra.commutator(d0[g], v)
 
     at = f" at order {order}" if order is not None else ""
     for (x, y), v in cochain_differential(algebra, f, act).items():
@@ -291,7 +289,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
             raise ConfigError(
                 f"not a cocycle: identity fails on ({x},{y}){at}")
 
-    unknowns = algebra.basis(algebra.window)
+    unknowns = algebra.monos
     deg_f = max((el_degree(v) for v in f.values()), default=-1)
     deg_d0 = max(el_degree(d0[g]) for g in GEN_ORDER)
     t_deg = min(algebra.cap,
@@ -381,20 +379,11 @@ def conjugate_map(algebra: TruncatedUg, F: list, d: dict, upto: int) -> dict:
             for m, col in d.items()}
 
 
-def _gen_columns(d: dict) -> dict[str, list]:
-    """{generator name: element series} of a generator map; a missing
-    generator is a ConfigError."""
-    for g in GEN_ORDER:
-        if GEN_MONO[g] not in d:
-            raise ConfigError(f"map has no column for generator {g}")
-    return {g: d[GEN_MONO[g]] for g in GEN_ORDER}
-
-
 def _check_lie_map(algebra: TruncatedUg, d0: dict) -> None:
     for i, x in enumerate(GEN_ORDER):
         for y in GEN_ORDER[i + 1:]:
             if algebra.commutator(d0[x], d0[y]) != _eval_on_lie(
-                    d0, lie_bracket(algebra, x, y)):
+                    d0, algebra.commutator({x: 1}, {y: 1})):
                 raise ConfigError(
                     f"order-0 map does not respect the bracket on ({x},{y})")
 
@@ -404,18 +393,21 @@ def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
     """Find F = ...(1+u_2 hbar^2)(1+u_1 hbar) with F d F^{-1} = d' modulo
     hbar^{upto+1} on the generators.
 
-    d and d' map each generator monomial to its element series.  Both must
-    agree at order 0, where they must respect the bracket.  Each order
-    contributes one coboundary solve for the conjugation defect, read from
-    the inversion-free identity F d(x) = d'(x) F on the F solved so far; a
-    window failure raises ObstructionError carrying the order.  The result
-    is re-verified from scratch through the same identity at every order
-    before being returned.  Returns F as an element series and the
-    per-order record (chosen u_n, defect status) for reports.
+    d and d' map each generator monomial to its element series; a missing
+    generator is a ConfigError.  Both must agree at order 0, where they must
+    respect the bracket.  Each order contributes one coboundary solve for
+    the conjugation defect, read from the inversion-free identity
+    F d(x) = d'(x) F on the F solved so far; a window failure raises
+    ObstructionError carrying the order.  The result is re-verified from
+    scratch through the same identity at every order before being returned.
+    Returns F as an element series and the per-order record (chosen u_n,
+    defect status) for reports.
     """
-    cols, cols_prime = _gen_columns(d), _gen_columns(d_prime)
-    d0 = {g: _at(cols[g], 0) for g in GEN_ORDER}
-    if any(d0[g] != _at(cols_prime[g], 0) for g in GEN_ORDER):
+    for g in GEN_ORDER:
+        if g not in d or g not in d_prime:
+            raise ConfigError(f"map has no column for generator {g}")
+    d0 = {g: _at(d[g], 0) for g in GEN_ORDER}
+    if any(d0[g] != _at(d_prime[g], 0) for g in GEN_ORDER):
         raise ConfigError("maps are not equal mod hbar")
     _check_lie_map(algebra, d0)
 
@@ -443,13 +435,13 @@ def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
 
 def conjugation_residuals(algebra: TruncatedUg, F: list, d: dict,
                           d_prime: dict, upto: int) -> dict:
-    """Residuals of F d(x) - d'(x) F per generator and order: an
+    """Residuals of F d(x) - d'(x) F per generator monomial and order: an
     inversion-free restatement of F d F^{-1} = d', recomputed from the
     inputs alone."""
-    out: dict[str, list[El]] = {}
+    out: dict[Mono, list[El]] = {}
     for g in GEN_ORDER:
-        lhs = series_mul(algebra, F, d[GEN_MONO[g]], upto)
-        rhs = series_mul(algebra, d_prime[GEN_MONO[g]], F, upto)
+        lhs = series_mul(algebra, F, d[g], upto)
+        rhs = series_mul(algebra, d_prime[g], F, upto)
         out[g] = [combine(a, b, -1) for a, b in zip(lhs, rhs)]
     return out
 
@@ -458,16 +450,9 @@ def conjugation_residuals(algebra: TruncatedUg, F: list, d: dict,
 # Multiplication trivialization
 # ---------------------------------------------------------------------------
 
-def window_pairs(algebra: TruncatedUg) -> list[tuple[Mono, Mono]]:
-    monos = algebra.basis(algebra.window)
-    return [(m1, m2) for m1 in monos for m2 in monos
-            if sum(m1) + sum(m2) <= algebra.window]
-
-
 def standard_multiplication(algebra: TruncatedUg) -> dict:
     """The undeformed order-0 table on window pairs."""
-    return {(m1, m2): algebra.mono_mul(m1, m2)
-            for m1, m2 in window_pairs(algebra)}
+    return {(m1, m2): algebra.mono_mul(m1, m2) for m1, m2 in algebra.pairs}
 
 
 def _add_scaled(acc: El, x: El, c) -> None:
@@ -481,31 +466,18 @@ def _add_scaled(acc: El, x: El, c) -> None:
             add_term(acc, m, c if cm == 1 else c * cm)
 
 
-def _entry(table: dict, key, strict: bool) -> El:
-    """The entry of a multiplication table on a monomial pair, read in place
-    (callers never mutate tables).  A missing pair is zero in sparse
-    higher-order terms and, where strict (order 0), a CapError."""
-    entry = table.get(key)
-    if entry is None and strict:
-        raise CapError(f"multiplication table has no entry for {key}")
-    return {} if entry is None else entry
-
-
-def _mu_term(mu_n: dict, x: El, y: El, strict: bool,
-             out: El | None = None) -> El:
-    """Add a bilinear order term evaluated on two elements to `out` (a new
-    dict by default) and return it; missing pairs as in `_entry`."""
-    out = {} if out is None else out
+def _mu_term(mu_n: dict, x: El, y: El, out: El) -> None:
+    """Add a deformation order term evaluated on two elements to `out`; a
+    pair the table lacks is zero, and tables are read in place."""
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
             if c:
-                _add_scaled(out, _entry(mu_n, (m1, m2), strict), c)
-    return out
+                _add_scaled(out, mu_n.get((m1, m2), {}), c)
 
 
 def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:
-    pairs = set(window_pairs(algebra))
+    pairs = set(algebra.pairs)
     for n, mu_n in enumerate(mu[1:], start=1):
         for (m1, m2), val in mu_n.items():
             if (m1, m2) not in pairs:
@@ -518,29 +490,24 @@ def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:
                     "the window gauge search needs filtered deformations")
 
 
-def _cocycle_defect(algebra: TruncatedUg, std: dict, f: dict):
+def _cocycle_defect(algebra: TruncatedUg, f: dict):
     """The first window triple (x, y, z) on which the Hochschild coboundary
-    f(x, y) z + f(xy, z) - x f(y, z) - f(x, yz) of f against the standard
-    table is nonzero, or None: where std + hbar^n f fails associativity at
-    order n."""
+    f(x, y) z + f(xy, z) - x f(y, z) - f(x, yz) of f against the algebra's
+    product is nonzero, or None: where mu_0 + hbar^n f fails associativity
+    at order n."""
     if not f:
         return None
-    monos = algebra.basis(algebra.window)
-    for m1 in monos:
-        d1 = sum(m1)
-        for m2 in monos:
-            d12 = d1 + sum(m2)
-            if d12 > algebra.window:
+    for m1, m2 in algebra.pairs:
+        d12 = sum(m1) + sum(m2)
+        for m3 in algebra.monos:
+            if d12 + sum(m3) > algebra.window:
                 continue
-            for m3 in monos:
-                if d12 + sum(m3) > algebra.window:
-                    continue
-                left = _mu_term(std, f.get((m1, m2), {}), {m3: 1}, True)
-                _mu_term(f, std[(m1, m2)], {m3: 1}, False, left)
-                right = _mu_term(std, {m1: 1}, f.get((m2, m3), {}), True)
-                _mu_term(f, {m1: 1}, std[(m2, m3)], False, right)
-                if left != right:
-                    return (m1, m2, m3)
+            left = algebra.multiply(f.get((m1, m2), {}), {m3: 1})
+            _mu_term(f, algebra.mono_mul(m1, m2), {m3: 1}, left)
+            right = algebra.multiply({m1: 1}, f.get((m2, m3), {}))
+            _mu_term(f, {m1: 1}, algebra.mono_mul(m2, m3), right)
+            if left != right:
+                return (m1, m2, m3)
     return None
 
 
@@ -550,7 +517,7 @@ def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
     generator of the monomial g w.  f is a table on monomial pairs; columns
     are sparse, an absent monomial maps to zero."""
     cols: dict = {}
-    for m in algebra.basis(algebra.window):
+    for m in algebra.monos:
         a, b, c = m
         if a + b + c <= 1:
             if images.get(m):
@@ -568,21 +535,19 @@ def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
     return cols
 
 
-def _gauge_defect(std: dict, b: dict, x: Mono, y: Mono) -> El:
-    """x b(y) - b(xy) + b(x) y on a window pair, through the standard table
-    and the sparse columns of b."""
-    out: El = {}
-    if y in b:
-        _mu_term(std, {x: 1}, b[y], True, out)
-    for m, c in std[(x, y)].items():
+def _gauge_defect(algebra: TruncatedUg, b: dict, x: Mono, y: Mono) -> El:
+    """x b(y) - b(xy) + b(x) y on a window pair, through the algebra's
+    product and the sparse columns of b."""
+    out: El = algebra.multiply({x: 1}, b[y]) if y in b else {}
+    for m, c in algebra.mono_mul(x, y).items():
         if m in b:
             _add_scaled(out, b[m], -c)
     if x in b:
-        _mu_term(std, b[x], {y: 1}, True, out)
+        _add_scaled(out, algebra.multiply(b[x], {y: 1}), 1)
     return out
 
 
-def _homogeneous_gauges(algebra: TruncatedUg, std: dict) -> tuple[list, list]:
+def _homogeneous_gauges(algebra: TruncatedUg) -> tuple[list, list]:
     """The thirteen homogeneous Leibniz extensions of the gauge solve, one
     per unknown coefficient (the value on 1, and on each generator one basis
     monomial of degree at most one), and their defects on every window pair
@@ -592,13 +557,13 @@ def _homogeneous_gauges(algebra: TruncatedUg, std: dict) -> tuple[list, list]:
                                  for im in algebra.basis(1)]
     homogeneous = [_leibniz(algebra, {m: {im: 1}}, {})
                    for m, im in unknowns]
-    return homogeneous, [((x, y), [_gauge_defect(std, b, x, y)
+    return homogeneous, [((x, y), [_gauge_defect(algebra, b, x, y)
                                    for b in homogeneous])
-                         for x, y in window_pairs(algebra)]
+                         for x, y in algebra.pairs]
 
 
 def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
-                       std: dict, gauges: tuple[list, list]) -> dict:
+                       gauges: tuple[list, list]) -> dict:
     """Solve f_n(x, y) = x b(y) - b(xy) + b(x) y for a filtered window
     endomorphism b.
 
@@ -607,22 +572,22 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
     determined by its values on 1 (a scalar) and on the three generators
     (degree at most one each).  b is one particular Leibniz extension (zero
     on 1 and the generators) plus a combination of the thirteen homogeneous
-    ones of `gauges` (from `_homogeneous_gauges` on the standard table
-    `std`); the coefficients are solved from the window-pair equations with
-    lexicographic pivoting and free coordinates zero, and inconsistency
-    raises ObstructionError carrying the order.
+    ones of `gauges` (from `_homogeneous_gauges`); the coefficients are
+    solved from the window-pair equations with lexicographic pivoting and
+    free coordinates zero, and inconsistency raises ObstructionError
+    carrying the order.
     """
     homogeneous, defects = gauges
     particular = _leibniz(algebra, {}, f_n)
     sol = _window_solve(
-        ((lin, combine(f_n.get(pair, {}), _gauge_defect(std, particular, *pair),
-                       -1))
+        ((lin, combine(f_n.get(pair, {}),
+                       _gauge_defect(algebra, particular, *pair), -1))
          for pair, lin in defects),
-        len(homogeneous), algebra.basis(algebra.window),
+        len(homogeneous), algebra.monos,
         f"gauge coboundary equation has no window solution at order {order}",
         order)
     out: dict[Mono, El] = {}
-    for m in algebra.basis(algebra.window):
+    for m in algebra.monos:
         el = dict(particular.get(m, {}))
         for s, b in zip(sol, homogeneous):
             if s and m in b:
@@ -633,12 +598,12 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
 
 
 def identity_columns(algebra: TruncatedUg) -> dict:
-    return {m: {m: 1} for m in algebra.basis(algebra.window)}
+    return {m: {m: 1} for m in algebra.monos}
 
 
 def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
     """Order n of V(mu(x, y)) - V(x) V(y) on every window pair, the right
-    side in the order-0 table mu[0], as a table without zero entries.
+    side in the algebra's product, as a table without zero entries.
 
     Orders past the end of mu or V are zero, and so is a column V lacks;
     V[0] is the identity on the window for both callers.  If mu' is mu
@@ -648,7 +613,7 @@ def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
     cols = [_at(V, i) for i in range(n + 1)]
     terms = [_at(mu, n - i) for i in range(n + 1)]
     out: dict = {}
-    for x, y in window_pairs(algebra):
+    for x, y in algebra.pairs:
         acc: El = {}
         for v_i, mu_j in zip(cols, terms):
             for m, c in mu_j.get((x, y), {}).items():
@@ -658,7 +623,7 @@ def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
         for v_j, v_k in zip(cols, reversed(cols)):
             vx, vy = v_j.get(x), v_k.get(y)
             if vx and vy:
-                for m, c in _mu_term(mu[0], vx, vy, True).items():
+                for m, c in algebra.multiply(vx, vy).items():
                     add_term(acc, m, -c)
         if acc:
             out[(x, y)] = acc
@@ -716,9 +681,8 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     """
     if not mu:
         raise ConfigError("need at least the order-0 multiplication")
-    pairs = window_pairs(algebra)
     std = standard_multiplication(algebra)
-    for key in pairs:
+    for key in algebra.pairs:
         if mu[0].get(key, {}) != std[key]:
             raise ConfigError(
                 "order-0 term differs from the standard multiplication "
@@ -732,7 +696,7 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     gauges = None
     for n in range(1, upto + 1):
         f_n = _residual(algebra, mu, v_total, n)
-        defect = _cocycle_defect(algebra, std, f_n)
+        defect = _cocycle_defect(algebra, f_n)
         if defect is not None:
             raise ConfigError(
                 f"deformed multiplication is not associative at order {n} "
@@ -741,8 +705,8 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
             transcript.append({"order": n, "beta": {}, "defect": "zero"})
             continue
         if gauges is None:
-            gauges = _homogeneous_gauges(algebra, std)
-        beta = _solve_gauge_order(algebra, f_n, n, std, gauges)
+            gauges = _homogeneous_gauges(algebra)
+        beta = _solve_gauge_order(algebra, f_n, n, gauges)
         transcript.append({"order": n, "beta": beta, "defect": "solved"})
         step = [identity_columns(algebra)] + [beta if k == n else {}
                                               for k in range(1, upto + 1)]
@@ -759,15 +723,16 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
 def trivialization_residuals(algebra: TruncatedUg, mu: list, V: list,
                              upto: int) -> list:
     """The (order, pair) list where V(mu(x, y)) != V(x) V(y) modulo
-    hbar^{upto+1} on window pairs, the right side in the standard product:
+    hbar^{upto+1} on window pairs, the right side in the algebra's product:
     an inversion-free restatement of V(mu(V^{-1} x, V^{-1} y)) = mu_0(x, y),
-    recomputed from the inputs alone through the series core, with no code
-    shared with the solver's `_residual`.  mu is as for
-    mult_trivialize, with mu[0] the order-0 table, and V is a gauge as
-    mult_trivialize returns it; a column V lacks is zero."""
+    recomputed from the inputs alone through the series core.  It shares
+    `TruncatedUg.multiply` with the solver's `_residual`, but none of its
+    series bookkeeping.  mu is as for mult_trivialize, with mu[0] the
+    order-0 table, and V is a gauge as mult_trivialize returns it; a column
+    V lacks is zero."""
     lhs = _series_mul(_compose, V, mu, upto)
     out: list = []
-    for x, y in window_pairs(algebra):
+    for x, y in algebra.pairs:
         rhs = series_mul(algebra, [v_k.get(x, {}) for v_k in V],
                          [v_k.get(y, {}) for v_k in V], upto)
         out += [(n, (x, y)) for n in range(upto + 1)

@@ -9,7 +9,8 @@ q to whose pairing the Cartan elements act.  Module vectors are plain
 {label: ScalarQ} dicts.  E and F act by sparse columns; a column that would
 leave the window is absent, and using it raises CapError so truncation
 artifacts are never silently dropped.  The coaction sends a basis vector to
-a finite sum of (F-word, basis vector) pairs, up to the window's f-degree top.
+a finite sum of (F-word, basis vector) pairs, up to the f-degree of the
+window's Nichols context, the cap of its `nichols`.
 
 On a Verma window the basis vectors are F_w v, w a Nichols basis word, and
 F_i acts by Nichols multiplication.  E_i acts by the commutator formula
@@ -22,12 +23,13 @@ The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree, {E_{b*}} the dual basis under the skew pairing of the
 double, which is the Nichols form up to a sign (`_dual_basis`).  Every window
-reads it from its own E-action by `_dual_basis_coaction`, up to its total
-degree top (the cap of a Verma, i_max of `build_mlambda`, the depth span of a
-tensor window), the first time any label's coaction is asked for.  The sum
-for a label stops at the first total degree whose E-words all kill it; a
-label that an E-word takes out of the window gets no column, and asking for
-its coaction raises CapError.  Tests pin rank 1 to a closed form.
+reads it from its own E-action by `_dual_basis_coaction`, up to the cap of
+its Nichols context (the cap of a Verma, whose builder's context it keeps,
+i_max of `build_mlambda`, the depth span of a tensor window), the first time
+any label's coaction is asked for.  The sum for a label stops at the first
+total degree whose E-words all kill it; a label that an E-word takes out of
+the window gets no column, and asking for its coaction raises CapError.
+Tests pin rank 1 to a closed form.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -86,9 +88,10 @@ class WeightModule:
     the pairing with the label's weight, read from the one reference weight
     ref and the label's depth; a label without a column is outside the
     window.  The coaction columns hold (F-word, label, c) terms of f-degree
-    <= top, read from e_cols by `_dual_basis_coaction` the first time any
-    label is asked for; a label whose coaction leaves the window has no
-    column.  A copy made by `dataclasses.replace` reads its own.
+    <= nichols.cap, read from e_cols in the Nichols context `nichols` by
+    `_dual_basis_coaction` the first time any label is asked for; a label
+    whose coaction leaves the window has no column.  A copy made by
+    `dataclasses.replace` reads its own.
     """
 
     datum: RootDatum
@@ -97,7 +100,7 @@ class WeightModule:
     depths: dict
     e_cols: dict
     f_cols: dict
-    top: int
+    nichols: NicholsContext
     window: str
 
     def weight(self, label) -> tuple[int, ...]:
@@ -129,8 +132,7 @@ class WeightModule:
 
     @cached_property
     def coaction_cols(self) -> dict:
-        cols = _dual_basis_coaction(NicholsContext(self.datum, cap=max(self.top, 1)),
-                                    self.labels, self.e_cols, self.top)
+        cols = _dual_basis_coaction(self.nichols, self.labels, self.e_cols)
         assert all(t in self.depths for col in cols.values() for _, t, _ in col)
         return cols
 
@@ -173,7 +175,7 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
     if cap < 0:
         raise ConfigError("cap must be nonnegative")
     hw_vec = _as_weight(datum, hw)
-    nichols = NicholsContext(datum, cap=max(cap, 1))
+    nichols = NicholsContext(datum, cap=cap)
 
     labels = [()]
     for total in range(1, cap + 1):
@@ -202,7 +204,8 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
 
     return WeightModule(
         datum=datum, labels=labels, ref=hw_vec, depths=depths,
-        e_cols=e_cols, f_cols=f_cols, top=cap, window=f"f-degree <= {cap}")
+        e_cols=e_cols, f_cols=f_cols, nichols=nichols,
+        window=f"f-degree <= {cap}")
 
 
 def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...], list]:
@@ -221,11 +224,10 @@ def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...]
     return words, [[scale * c for c in row] for row in inv]
 
 
-def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict,
-                         top: int) -> dict:
+def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict) -> dict:
     """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
 
-    b runs over the Nichols basis words of total degree 1..top, and
+    b runs over the Nichols basis words of total degree 1..nichols.cap, and
     E_{b*} = sum_u (G^{-1})[b][u] E_u (`_dual_basis`, once per multidegree).
     Each image E_u a (rightmost letter first) is computed once and serves
     every b; zero sums are dropped.  The sum for a stops at the first total
@@ -250,7 +252,7 @@ def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict,
 
     def column(a):
         terms = [((), a, ONE)]
-        for total in range(1, top + 1):
+        for total in range(1, nichols.cap + 1):
             vanish = True
             for beta in multidegrees(nichols.datum.rank, total):
                 words = nichols.nichols_basis(beta).basis_words
@@ -318,7 +320,8 @@ def build_mlambda(datum: RootDatum, lam: int, window: tuple[int, int]) -> Weight
 
     return WeightModule(
         datum=datum, labels=labels, ref=(lam,), depths=depths,
-        e_cols=e_cols, f_cols=f_cols, top=i_max, window=f"0<=i<={i_max}, 0<=j<={j_max}")
+        e_cols=e_cols, f_cols=f_cols, nichols=NicholsContext(datum, cap=i_max),
+        window=f"0<=i<={i_max}, 0<=j<={j_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +401,8 @@ def tensor_module(datum: RootDatum, M: WeightModule, N: WeightModule) -> WeightM
     return WeightModule(
         datum=datum, labels=labels,
         ref=tuple(x + y for x, y in zip(M.ref, N.ref)), depths=depths,
-        e_cols=e_cols, f_cols=f_cols, top=max(total) - min(total),
+        e_cols=e_cols, f_cols=f_cols,
+        nichols=NicholsContext(datum, cap=max(total) - min(total)),
         window=f"({M.window}) (x) ({N.window})")
 
 

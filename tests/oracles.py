@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from uqbench.deform import GEN_ORDER, El, TruncatedUg
+from uqbench.deform import GEN_MONO, GEN_ORDER, El, TruncatedUg
 from uqbench.errors import CapError, ConfigError
 from uqbench.nichols import Degree, NicholsContext, Word, word_degree
 from uqbench.rootdata import RootDatum
@@ -165,7 +165,7 @@ def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]], zero: S) -> list
 
 def check_relations(algebra: TruncatedUg) -> bool:
     """[H,E] = kappa E, [H,F] = -kappa F, [E,F] = H inside the window."""
-    e, h, f = algebra.gen("E"), algebra.gen("H"), algebra.gen("F")
+    e, h, f = ({GEN_MONO[g]: 1} for g in "EHF")
     k = algebra.kappa
     return (algebra.commutator(h, e) == scale(e, k)
             and algebra.commutator(h, f) == scale(f, -k)
@@ -195,5 +195,5 @@ def check_associativity(algebra: TruncatedUg, total_degree: int) -> bool:
 
 def differential0(algebra: TruncatedUg, u: El) -> dict:
     """Chevalley-Eilenberg differential of the 0-cochain u for the adjoint
-    action: x |-> [x, u] on each generator name x."""
-    return {g: algebra.commutator(algebra.gen(g), u) for g in GEN_ORDER}
+    action: x |-> [x, u] on each generator monomial x."""
+    return {g: algebra.commutator({g: 1}, u) for g in GEN_ORDER}

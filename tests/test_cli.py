@@ -131,6 +131,14 @@ HIGH_DEGREE_PLANT = [
      "--plant", "E=1,1,0"],
 ]
 
+# one generator planted twice, by letter or by exponents: the second plant
+# would overwrite the first
+REPEATED_PLANT = [
+    ["trivialize", "--plant", "E=H", "--plant", "E=F"],
+    ["trivialize", "--plant", "E=H", "--plant", "0,0,1=F"],
+    ["trivialize", "--plant", "F=0", "--plant", "F=0"],
+]
+
 # a negative order checks no order at all; order 0 is a valid request
 NEGATIVE_ORDER = [[command, "--order", "-1"]
                   for command in ("rigidity-solve", "trivialize")]
@@ -168,6 +176,7 @@ EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
     ["rigidity-solve", "--order", "2", "--prime", "4"],
     *NEGATIVE_EXPONENT,
     *HIGH_DEGREE_PLANT,
+    *REPEATED_PLANT,
     ["hopf-check", "--datum", "A1", "--samples", "-1"],
     *NEGATIVE_ORDER,
     *EMPTY_LETTER,
@@ -185,6 +194,8 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "negative exponent" in report["result"]["error"]
     if args in HIGH_DEGREE_PLANT:
         assert "degree <= 1" in report["result"]["error"]
+    if args in REPEATED_PLANT:
+        assert "given twice" in report["result"]["error"]
     if args in NEGATIVE_ORDER:
         assert "--order must be >= 0" in report["result"]["error"]
     if args in EMPTY_LETTER:

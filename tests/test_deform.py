@@ -9,6 +9,7 @@ Obstructed inputs are pinned as errors with the failing order attached.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -19,11 +20,10 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             cochain_differential, coboundary_solve,
                             conjugate_map, conjugation_residuals,
                             derivation_gauge, el_degree, identity_columns,
-                            identity_map, lie_bracket, mult_trivialize,
+                            identity_map, mult_trivialize,
                             plant_deformation, series_inverse, series_mul,
                             standard_multiplication,
-                            trivialization_residuals, window_pairs,
-                            rigidity_conjugator)
+                            trivialization_residuals, rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import PRESET_ENV, load_datum
 from uqbench.sparse import add_term, combine
@@ -41,12 +41,12 @@ def alg(cap=6, window=3):
 
 def gens(a):
     """The tautological embedding x |-> x of the generators."""
-    return {g: a.gen(g) for g in GEN_ORDER}
+    return {g: {g: 1} for g in GEN_ORDER}
 
 
 def ad(a):
     """The adjoint action x . v = [x, v] of the generators."""
-    return lambda g, v: a.commutator(a.gen(g), v)
+    return lambda g, v: a.commutator({g: 1}, v)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +76,9 @@ def test_defining_relations():
     a = alg()
     assert check_relations(a)
     # [H, E] = 2E, [H, F] = -2F, [E, F] = H
-    assert a.commutator(a.gen("H"), a.gen("E")) == {E: Fraction(2)}
-    assert a.commutator(a.gen("H"), a.gen("F")) == {F: Fraction(-2)}
-    assert a.commutator(a.gen("E"), a.gen("F")) == {H: ONE}
+    assert a.commutator({H: 1}, {E: 1}) == {E: Fraction(2)}
+    assert a.commutator({H: 1}, {F: 1}) == {F: Fraction(-2)}
+    assert a.commutator({E: 1}, {F: 1}) == {H: ONE}
 
 
 def test_associativity_within_cap():
@@ -98,14 +98,14 @@ def test_multiply_past_cap_raises():
 def test_normal_ordering_eh_identity():
     # E H = (H - 2) E
     a = alg()
-    lhs = a.multiply(a.gen("E"), a.gen("H"))
+    lhs = a.multiply({E: 1}, {H: 1})
     assert lhs == {(0, 1, 1): ONE, (0, 0, 1): Fraction(-2)}
 
 
 def test_normal_ordering_ef_identity():
     # E F = F E + H
     a = alg()
-    lhs = a.multiply(a.gen("E"), a.gen("F"))
+    lhs = a.multiply({E: 1}, {F: 1})
     assert lhs == {(1, 0, 1): ONE, (0, 1, 0): ONE}
 
 
@@ -114,7 +114,7 @@ def test_casimir_is_central():
     casimir = {(1, 0, 1): ONE, (0, 2, 0): Fraction(1, 4),
                (0, 1, 0): Fraction(1, 2)}
     for g in GEN_ORDER:
-        assert a.commutator(a.gen(g), casimir) == {}
+        assert a.commutator({g: 1}, casimir) == {}
 
 
 def test_el_degree():
@@ -126,28 +126,19 @@ def test_el_degree():
 # cochain calculus
 # ---------------------------------------------------------------------------
 
-def test_lie_bracket_antisymmetry():
+def test_generator_commutator_antisymmetry():
     a = alg()
     for x in GEN_ORDER:
         for y in GEN_ORDER:
-            fwd = lie_bracket(a, x, y)
-            bwd = lie_bracket(a, y, x)
+            fwd = a.commutator({x: 1}, {y: 1})
+            bwd = a.commutator({y: 1}, {x: 1})
             assert fwd == {g: -c for g, c in bwd.items()}
-
-
-def test_lie_bracket_values_and_unknown_names():
-    a = alg()
-    k = a.kappa
-    assert lie_bracket(a, "H", "E") == {"E": k}
-    assert lie_bracket(a, "H", "F") == {"F": -k}
-    assert lie_bracket(a, "E", "F") == {"H": 1}
-    with pytest.raises(ConfigError, match="unknown generator"):
-        lie_bracket(a, "X", "E")
+            assert all(g in GEN_ORDER for g in fwd)
 
 
 def test_differential_squares_to_zero_on_elements():
     a = alg()
-    samples = [a.gen("E"), {H: Fraction(3), F: ONE},
+    samples = [{E: 1}, {H: Fraction(3), F: ONE},
                {(1, 1, 0): ONE, E: Fraction(-2)}, {UNIT: ONE}]
     for u in samples:
         df = differential0(a, u)
@@ -156,9 +147,11 @@ def test_differential_squares_to_zero_on_elements():
 
 
 def test_unknown_generator_rejected():
+    # cochains are keyed by generator monomials: a name is no key
     a = alg()
-    with pytest.raises(ConfigError):
-        cochain_differential(a, {"X": {E: ONE}}, ad(a))
+    for keys in ([(1, 1, 0)], ["E"], ["E", (1, 1, 0)]):
+        with pytest.raises(ConfigError, match="unknown generators"):
+            cochain_differential(a, {k: {E: ONE} for k in keys}, ad(a))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +160,7 @@ def test_unknown_generator_rejected():
 
 def test_coboundary_plant_and_recover():
     a = alg()
-    planted = a.gen("E")
+    planted = {E: 1}
     f = differential0(a, planted)
     u = coboundary_solve(a, f, gens(a))
     assert u == planted
@@ -184,9 +177,9 @@ def test_coboundary_recovers_some_preimage():
 
 def test_coboundary_rejects_non_cocycle():
     a = alg()
-    f = {"E": {UNIT: ONE}, "H": {}, "F": {}}
+    f = {E: {UNIT: ONE}, H: {}, F: {}}
     # [x,y]-compatibility fails: d of this f is nonzero
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="not a cocycle"):
         coboundary_solve(a, f, gens(a))
 
 
@@ -195,7 +188,7 @@ def test_coboundary_obstruction_outside_window():
     # preimage exists: F^4 has degree 4 > window and the center cannot help
     a = alg(8, 3)
     f4 = {(4, 0, 0): ONE}
-    f = {g: a.commutator(a.gen(g), f4) for g in GEN_ORDER}
+    f = {g: a.commutator({g: 1}, f4) for g in GEN_ORDER}
     with pytest.raises(ObstructionError) as err:
         coboundary_solve(a, f, gens(a), order=1)
     assert err.value.order == 1
@@ -236,8 +229,8 @@ def test_identity_map_columns():
     d = identity_map(2)
     assert set(d) == {E, H, F}
     for g in GEN_ORDER:
-        assert d[GEN_MONO[g]][0] == a.gen(g)
-        assert d[GEN_MONO[g]][1] == {}
+        assert d[g][0] == {g: 1}
+        assert d[g][1] == {}
 
 
 def test_conjugate_map_first_order_is_bracket():
@@ -246,8 +239,8 @@ def test_conjugate_map_first_order_is_bracket():
     seed = [a.one(), {E: ONE}, {}]
     dp = conjugate_map(a, seed, d, 2)
     for g in GEN_ORDER:
-        want = a.commutator({E: ONE}, a.gen(g))
-        assert dp[GEN_MONO[g]][1] == want, g
+        want = a.commutator({E: ONE}, {g: 1})
+        assert dp[g][1] == want, g
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +295,13 @@ def test_rigidity_composite_seed():
 def test_rigidity_order_zero_mismatch_rejected():
     a = alg()
     d = identity_map(2)
-    dp = {m: [a.gen(g)] + [{}] * 2
-          for g, m in GEN_MONO.items()}
+    dp = {m: [{m: 1}] + [{}] * 2 for m in GEN_ORDER}
     dp[E][0] = {E: Fraction(2)}  # not the identity at order 0
     with pytest.raises(ConfigError):
         rigidity_conjugator(a, d, dp, 2)
 
 
-@pytest.mark.parametrize("g", GEN_ORDER)
+@pytest.mark.parametrize("g", "EHF")
 def test_rigidity_map_without_a_generator_column_rejected(g):
     a = alg()
     short = identity_map(2)
@@ -317,7 +309,7 @@ def test_rigidity_map_without_a_generator_column_rejected(g):
     for d, dp in ((short, identity_map(2)), (identity_map(2), short)):
         with pytest.raises(ConfigError) as err:
             rigidity_conjugator(a, d, dp, 2)
-        assert f"no column for generator {g}" in str(err.value)
+        assert f"no column for generator {GEN_MONO[g]}" in str(err.value)
 
 
 def test_rigidity_obstructed_deformation():
@@ -328,8 +320,8 @@ def test_rigidity_obstructed_deformation():
     n = 1
     f4 = {(4, 0, 0): ONE}
     dp = {}
-    for g, m in GEN_MONO.items():
-        dp[m] = [a.gen(g), a.commutator(f4, a.gen(g))]
+    for m in GEN_ORDER:
+        dp[m] = [{m: 1}, a.commutator(f4, {m: 1})]
     d = identity_map(n)
     with pytest.raises(ObstructionError) as err:
         rigidity_conjugator(a, d, dp, n)
@@ -357,7 +349,7 @@ def test_rigidity_order_stability():
 def _transport_identity_holds(a, mu, V, upto):
     """V(mu(x, y)) == V(x) V(y) on all window pairs, order by order,
     using only public pieces of the interface."""
-    for (m1, m2) in window_pairs(a):
+    for (m1, m2) in a.pairs:
         for n in range(upto + 1):
             lhs: dict = {}
             rhs: dict = {}
@@ -446,6 +438,64 @@ def test_trivialize_rejects_non_associative_input_at_higher_orders(order):
     assert f"not associative at order {order}" in str(err.value)
 
 
+def _first_hochschild_failure(a, f):
+    """The first window triple, in lex order, on which the Hochschild
+    coboundary x f(y, z) - f(xy, z) + f(x, yz) - f(x, y) z is nonzero, each
+    term recomputed from TruncatedUg.multiply; None if there is none."""
+    monos = a.basis(a.window)
+    for x, y, z in product(monos, repeat=3):
+        if sum(x) + sum(y) + sum(z) > a.window:
+            continue
+        terms = [a.multiply({x: ONE}, f.get((y, z), {})),
+                 _ref_mu(f, a.mono_mul(x, y), {z: ONE}, strict=False),
+                 _ref_mu(f, {x: ONE}, a.mono_mul(y, z), strict=False),
+                 a.multiply(f.get((x, y), {}), {z: ONE})]
+        if combine(combine(terms[0], terms[1], -1),
+                   combine(terms[2], terms[3], -1)):
+            return (x, y, z)
+    return None
+
+
+def _perturbed_plant(a, order, pair, extra):
+    mu = plant_deformation(a, derivation_gauge(a, {E: {H: ONE}}), order)
+    mu[order] = dict(mu[order])
+    mu[order][pair] = combine(mu[order].get(pair, {}), extra)
+    return mu
+
+
+@pytest.mark.parametrize("case", ["unit", "e-square", "h-square",
+                                  "plant-order-2", "plant-order-3"])
+def test_trivialize_names_the_first_failing_triple(case, monkeypatch):
+    # the triple in the error is the first window triple, in lex order, on
+    # which a brute-force Hochschild coboundary of the order-n residual is
+    # nonzero; the residual is recorded as the solver reads it
+    a = alg(4, 2) if case == "unit" else alg(6, 3)
+    std = standard_multiplication(a)
+    mu, order, first = {
+        "unit": ([std, {(UNIT, E): {E: ONE}}], 1, (UNIT, UNIT, E)),
+        "e-square": ([std, {(E, E): {H: ONE}}], 1, (E, E, E)),
+        "h-square": ([std, {(H, H): {E: ONE}}], 1, (E, H, H)),
+        "plant-order-2": (_perturbed_plant(a, 2, (F, H), {F: ONE}), 2,
+                          (E, F, H)),
+        "plant-order-3": (_perturbed_plant(a, 3, (H, E), {UNIT: ONE}), 3,
+                          (E, H, E)),
+    }[case]
+    tables = []
+
+    def record_residual(*args):
+        tables.append(_residual(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(deform, "_residual", record_residual)
+    with pytest.raises(ConfigError) as err:
+        mult_trivialize(a, mu, order)
+    want = _first_hochschild_failure(a, tables[-1])
+    assert want == first
+    assert str(err.value) == (
+        f"deformed multiplication is not associative at order {order} "
+        f"on {want}")
+
+
 def test_trivialize_obstructed_window_cocycle():
     # mu_1(E, H) = E passes the associativity precheck at this window
     # (no all-positive triple fits), yet lies outside the coboundary image
@@ -511,7 +561,7 @@ def _ref_transport(a, mu, v, vinv, upto):
     """v(mu(vinv x, vinv y)) summed over every split i+j+k+l = n of every
     order n, each product recomputed: the definition, term by term."""
     out = [{} for _ in range(upto + 1)]
-    for (m1, m2) in window_pairs(a):
+    for (m1, m2) in a.pairs:
         for order in range(upto + 1):
             acc: dict = {}
             for i in range(order + 1):
@@ -541,7 +591,7 @@ def _ref_residual(a, mu, v, n):
     """Order n of V(mu(x, y)) - V(x) V(y) on every window pair, term by
     term, the products taken by TruncatedUg.multiply."""
     out = {}
-    for (m1, m2) in window_pairs(a):
+    for (m1, m2) in a.pairs:
         acc: dict = {}
         for i in range(n + 1):
             mu_j = mu[n - i].get((m1, m2), {}) if n - i < len(mu) else {}
@@ -558,7 +608,7 @@ def _ref_moved_residual(a, moved, v, n):
     """Order n of (mu' - mu_0)(V x, V y) on every window pair, for mu' the
     transported table `moved` with mu'_0 = mu_0."""
     out = {}
-    for (m1, m2) in window_pairs(a):
+    for (m1, m2) in a.pairs:
         acc: dict = {}
         for l in range(1, n + 1):
             for j in range(n - l + 1):
@@ -658,10 +708,10 @@ def _rmul_gen_fraction(m, g, kappa):
     (kappa/2) c (c-1) taken by division."""
     a, b, c = m
     k = Fraction(kappa)
-    if g == "E":
+    if g == E:
         return {(a, b, c + 1): Fraction(1)}
     out: dict = {}
-    if g == "H":
+    if g == H:
         add_term(out, (a, b + 1, c), Fraction(1))
         add_term(out, (a, b, c), -c * k)
         return out
@@ -804,7 +854,7 @@ def test_map_series_core_matches_per_order_loops(upto):
 def _gauge_identity_holds(a, f_n, b):
     """f_n(x, y) == x b(y) - b(xy) + b(x) y on every window pair, with the
     products taken by TruncatedUg.multiply."""
-    for x, y in window_pairs(a):
+    for x, y in a.pairs:
         rhs = a.multiply({x: ONE}, b.get(y, {}))
         for m, c in a.mono_mul(x, y).items():
             rhs = combine(rhs, {mm: c * cc for mm, cc in b.get(m, {}).items()},
@@ -868,6 +918,10 @@ def test_derivation_gauge_leibniz_extension():
 
 def test_window_pairs_degree_bound():
     a = alg(6, 3)
-    pairs = window_pairs(a)
-    assert all(sum(m1) + sum(m2) <= 3 for m1, m2 in pairs)
+    assert a.monos == a.basis(3)
+    assert "pairs" not in vars(a)  # built on first use only
+    pairs = a.pairs
+    assert pairs is a.pairs
+    assert pairs == [(m1, m2) for m1 in a.monos for m2 in a.monos
+                     if sum(m1) + sum(m2) <= 3]
     assert (UNIT, UNIT) in pairs

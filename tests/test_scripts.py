@@ -47,9 +47,9 @@ def braiding_audit_run():
         calls.append(args)
         return tensor_module(*args)
 
-    def read(nichols, labels, e_cols, top):
+    def read(nichols, labels, e_cols):
         reads.append(e_cols)
-        return reader(nichols, labels, e_cols, top)
+        return reader(nichols, labels, e_cols)
 
     reader = weightmods._dual_basis_coaction
     audit.tensor_module = counted

@@ -573,7 +573,7 @@ def test_tensor_coaction_contraction_reproduces_every_e_word(name, hw, hw2):
     # against every E-word up to the depth span 4 of the window
     datum = load_datum(name)
     T = tensor_module(datum, build_verma(datum, hw, 2), build_verma(datum, hw2, 2))
-    assert T.top == 4
+    assert T.nichols.cap == 4
     assert sorted(T.coaction_cols) == sorted(T.labels)
     for a in T.labels:
         for e in _e_words(datum, 4):
@@ -609,7 +609,28 @@ def test_windows_read_their_coaction_once_on_first_use(monkeypatch):
     for a in T.labels:
         assert T.coaction(a)[0] == ((), a, ONE)
     assert len(calls) == 1
-    assert calls[0][1:] == (T.labels, T.e_cols, T.top)
+    assert calls[0] == (T.nichols, T.labels, T.e_cols)
+
+
+@pytest.mark.parametrize("name,hw", [("A1", 3), ("B2", (1, 1)), ("G2", (1, 0))])
+def test_verma_coaction_reuses_the_builders_nichols_bases(name, hw, monkeypatch):
+    # the window keeps the context build_verma made, so building the window
+    # and reading every coaction computes each multidegree's Gram once
+    calls = []
+    gram = NicholsContext.graded_gram
+
+    def counted(self, deg):
+        calls.append(deg)
+        return gram(self, deg)
+
+    monkeypatch.setattr(NicholsContext, "graded_gram", counted)
+    datum = load_datum(name)
+    M = build_verma(datum, hw, 4)
+    for a in M.labels:
+        M.coaction(a)
+    assert M.nichols.cap == 4
+    assert Counter(calls) == Counter(
+        deg for total in range(5) for deg in multidegrees(datum.rank, total))
 
 
 @pytest.mark.parametrize("name,hw,cap", [
@@ -666,7 +687,8 @@ def test_first_order_coaction_fails_ybe(name):
     datum = load_datum(name)
     M = build_verma(datum, (1, 1), 3)
     assert ybe_check(datum, M, 3)
-    assert not ybe_check(datum, dataclasses.replace(M, top=1), 3)
+    first_order = NicholsContext(datum, cap=1)
+    assert not ybe_check(datum, dataclasses.replace(M, nichols=first_order), 3)
 
 
 def test_tensor_module_weights_add():
