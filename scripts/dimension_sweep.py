@@ -24,8 +24,7 @@ def sweep(name, max_total):
         for deg in multidegrees(datum.rank, total):
             words = len(words_of_degree(deg))
             dim = ctx.nichols_dim(deg)
-            rad = len(ctx.radical_basis(deg))
-            print(f"{str(deg):>12} {words:>7} {dim:>5} {rad:>8}")
+            print(f"{str(deg):>12} {words:>7} {dim:>5} {words - dim:>8}")
     print(f"elapsed {time.monotonic() - start:.2f}s")
     print()
 

@@ -16,7 +16,6 @@ stdout), 3 truncation window error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
@@ -26,7 +25,8 @@ from .deform import (GEN_MONO, TruncatedUg, conjugate_map, derivation_gauge,
                      identity_map, mult_trivialize, plant_deformation,
                      rigidity_conjugator)
 from .errors import CapError, ConfigError, ObstructionError
-from .nichols import NicholsContext, multidegrees, serre_element
+from .nichols import (NicholsContext, multidegrees, serre_element,
+                      words_of_degree)
 from .norms import (RadiusParams, admissible, coaction_convergence,
                     reverify_certificate, rmatrix_condition)
 from .rootdata import load_datum
@@ -44,21 +44,6 @@ EXIT_CAP = 3
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
-
-def _jsonable(value):
-    """Convert report values to canonical JSON-safe forms."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (bool, int)) or value is None:
-        return value
-    return str(value)
-
 
 def _element_str(el: dict) -> dict:
     """A deform-algebra element as {monomial string: coefficient string}."""
@@ -91,17 +76,16 @@ def _module_report(M) -> dict:
 
 
 def _emit(command, config: dict, result: dict, status: str, out=None) -> None:
-    """Print the report, and write it to the open file `out` if given."""
-    report = {
-        "command": command,
-        "config": _jsonable(config),
-        "result": _jsonable(result),
-        "status": status,
-    }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    """Print the report, after writing it to the path `out` if given, so a
+    failed write raises OSError before anything reaches stdout."""
+    report = {"command": command, "config": config, "result": result,
+              "status": status}
+    # every key is a str already; default=str writes Fraction and ScalarQ
+    text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if out is not None:
-        out.write(text)
+        with open(out, "w") as f:
+            f.write(text)
+    sys.stdout.write(text)
 
 
 def _config_echo(args) -> dict:
@@ -153,10 +137,8 @@ def _parse_weight(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_nichols_dims(args):
-    if args.max_degree < 0:
-        raise ConfigError(f"--max-degree must be >= 0, got {args.max_degree}")
     datum = load_datum(args.datum)
-    ctx = NicholsContext(datum, cap=max(args.max_degree, 2))
+    ctx = NicholsContext(datum, cap=args.max_degree)
     dims = {}
     for total in range(args.max_degree + 1):
         for deg in multidegrees(datum.rank, total):
@@ -174,16 +156,15 @@ def cmd_serre_check(args):
             if i == j:
                 continue
             elt = serre_element(datum, i, j)
-            deg = [0] * datum.rank
-            deg[i] = 1 - datum.cartan[i][j]
-            deg[j] = 1
+            deg = tuple(1 - datum.cartan[i][j] if k == i else int(k == j)
+                        for k in range(datum.rank))
             in_rad = not ctx.reduce_mod_radical(elt)
             all_ok = all_ok and in_rad
             pairs.append({
                 "pair": str((i, j)),
-                "degree": str(tuple(deg)),
+                "degree": str(deg),
                 "in_radical": in_rad,
-                "radical_dim": len(ctx.radical_basis(tuple(deg))),
+                "radical_dim": len(words_of_degree(deg)) - ctx.nichols_dim(deg),
             })
     summary = (f"PASS: {len(pairs)} Serre elements in radical" if all_ok
                else "FAIL: some Serre elements escape the radical")
@@ -213,8 +194,6 @@ def _sample_elements(ctx: UqContext, rng: random.Random, count: int):
 
 
 def cmd_hopf_check(args):
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be nonnegative, got {args.samples}")
     datum = load_datum(args.datum)
     ctx = UqContext(datum, cap=args.cap)
     rng = random.Random(args.seed)
@@ -289,18 +268,18 @@ def cmd_mlambda(args):
     return _module_report(M), "OK"
 
 
-def _padic_params(args) -> PadicParams:
-    """(p, vh) from the command line; outside the domain is a ConfigError."""
+def _padic_params(args) -> tuple[PadicParams, RadiusParams]:
+    """(p, vh) and the radii; outside their domain is a ConfigError."""
     vh = _fraction(args.vh)
     try:
-        return PadicParams(args.p, vh)
+        params = PadicParams(args.p, vh)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return params, RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
 
 
 def cmd_converge_cert(args):
-    params = _padic_params(args)
-    radii = RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
+    params, radii = _padic_params(args)
     cert = coaction_convergence(params, radii)
     result = dict(cert.to_dict())
     result["reverified"] = reverify_certificate(cert, params)
@@ -309,8 +288,7 @@ def cmd_converge_cert(args):
 
 def cmd_admissible(args):
     datum = load_datum(args.datum)
-    params = _padic_params(args)
-    radii = RadiusParams(_fraction(args.r_exp), _fraction(args.s_exp))
+    params, radii = _padic_params(args)
     try:
         verdict = admissible(datum, params, radii)
     except ValuationError as exc:
@@ -324,8 +302,6 @@ def cmd_admissible(args):
 
 
 def cmd_rigidity_solve(args):
-    if args.order < 0:
-        raise ConfigError(f"--order must be >= 0, got {args.order}")
     if args.prime and not is_prime(args.prime):
         raise ConfigError(f"--prime must be 0 or a prime, got {args.prime}")
     datum = load_datum(args.datum)
@@ -355,8 +331,6 @@ def cmd_rigidity_solve(args):
 
 
 def cmd_trivialize(args):
-    if args.order < 0:
-        raise ConfigError(f"--order must be >= 0, got {args.order}")
     datum = load_datum(args.datum)
     algebra = TruncatedUg(datum, args.cap, args.window)
     gen_images: dict = {}
@@ -545,19 +519,17 @@ def main(argv=None) -> int:
     if args.command == "trivialize" and args.plant is None:
         args.plant = ["E=H"]
     config = _config_echo(args)
-    with contextlib.ExitStack() as stack:
-        out = None
+    out = args.out or None
+    try:
+        if out:
+            # opened before any work, so an unwritable path costs no run
+            open(out, "w").close()
         try:
-            # opened before any work, so an unwritable path exits 2 with one
-            # report and not a traceback after the report
-            if args.out:
-                try:
-                    out = stack.enter_context(open(args.out, "w"))
-                except OSError as exc:
-                    raise ConfigError(f"cannot write --out {args.out}: "
-                                      f"{exc.strerror}") from exc
-            if getattr(args, "cap", 0) < 0:
-                raise ConfigError(f"--cap must be >= 0, got {args.cap}")
+            for name in ("cap", "max_degree", "samples", "order"):
+                value = getattr(args, name, 0)
+                if value < 0:
+                    flag = name.replace("_", "-")
+                    raise ConfigError(f"--{flag} must be >= 0, got {value}")
             result, status = args.func(args)
             code = EXIT_MATH if status == "FAIL" else 0
         except ConfigError as exc:
@@ -568,6 +540,12 @@ def main(argv=None) -> int:
             result = {"error": str(exc), "obstructed_order": exc.order}
             status, code = "FAIL", EXIT_MATH
         _emit(args.command, config, result, status, out)
+    except OSError as exc:
+        if out is None:  # not from --out: load_datum maps its own
+            raise
+        _emit(args.command, config,
+              {"error": f"cannot write --out {out}: {exc.strerror}"}, "ERROR")
+        return EXIT_CONFIG
     return code
 
 

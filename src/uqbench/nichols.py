@@ -106,8 +106,9 @@ class NicholsContext:
     def _pair_words(self, x: Word, y: Word) -> dict[int, int]:
         """<x, y> for two words of one degree deg, divided by the factor
         prod_i <v_i, v_i>^{deg_i} every pairing of that degree carries:
-        a Laurent polynomial {exponent: int} with integer coefficients.
-        Results are shared through the memo and must not be mutated."""
+        a Laurent polynomial {exponent: int} with positive integer
+        coefficients.  Results are shared through the memo and must not be
+        mutated."""
         if not x:
             return _LAURENT_ONE
         key = (x, y)
@@ -123,13 +124,10 @@ class NicholsContext:
         shift = 0
         for pos, letter in enumerate(y):
             if letter == i:
+                # every coefficient is positive: no sum cancels to zero
                 for e, c in self._pair_words(rest, y[:pos] + y[pos + 1:]).items():
                     e += shift
-                    s = acc.get(e, 0) + c
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
+                    acc[e] = acc.get(e, 0) + c
             shift += pairing[letter][i]
         self._pair_memo[key] = acc
         return acc
@@ -165,7 +163,7 @@ class NicholsContext:
         for c, w in enumerate(words):
             self._reductions[w] = {words[pc]: red[r][c]
                                    for r, pc in enumerate(pivots) if red[r][c]}
-        nb = NicholsBasis(degree=deg, basis_words=tuple(words[c] for c in pivots))
+        nb = NicholsBasis(basis_words=tuple(words[c] for c in pivots))
         self._basis_cache[deg] = nb
         return nb
 
@@ -194,18 +192,6 @@ class NicholsContext:
             hit = self._reductions[w] = {u: acc[u] for u in sorted(acc)}
         return hit
 
-    def radical_basis(self, deg: Degree) -> list[dict[Word, ScalarQ]]:
-        """One radical vector per non-pivot word w: w minus its reduction."""
-        out = []
-        for w in words_of_degree(deg):
-            red = self.reduce_word(w)
-            if w in red:
-                continue
-            terms = {u: -c for u, c in red.items()}
-            terms[w] = ONE
-            out.append({u: terms[u] for u in sorted(terms)})
-        return out
-
     def reduce_mod_radical(self, x: dict[Word, ScalarQ]) -> dict[Word, ScalarQ]:
         """Canonical representative of x in the span of pivot basis words.
 
@@ -221,7 +207,6 @@ class NicholsContext:
 class NicholsBasis:
     """The pivot words of one multidegree, lex sorted."""
 
-    degree: Degree
     basis_words: tuple[Word, ...]
 
 

@@ -148,15 +148,16 @@ def preset_search_paths() -> list[Path]:
 
 
 def load_datum(name: str) -> RootDatum:
-    """Load a datum by preset name or by explicit path to a JSON file."""
+    """Load a datum by preset name or by explicit path to a JSON file; a
+    name the OS refuses (too long, a NUL byte) is an unknown preset."""
     candidate = Path(name)
-    if candidate.suffix == ".json" and candidate.exists():
+    if candidate.suffix == ".json" and os.path.exists(candidate):
         path = candidate
     else:
         path = None
         for base in preset_search_paths():
             p = base / f"{name}.json"
-            if p.exists():
+            if os.path.exists(p):
                 path = p
                 break
         if path is None:
@@ -180,5 +181,5 @@ def load_datum(name: str) -> RootDatum:
         )
     except ConfigError:
         raise
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed preset file {path}: {exc}") from exc

@@ -37,8 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Mapping
+
+from .errors import ConfigError
 
 
 class ScalarError(ArithmeticError):
@@ -425,9 +427,28 @@ def q_rising(a: int, k: int, d: int = 1) -> ScalarQ:
 # p-adic layer
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the primes up to 41 as bases decides every n below
+# _MR_BOUND (Sorenson and Webster 2015), and certifies nothing from there on.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; False for every n < 2."""
-    return n >= 2 and all(n % r for r in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin; False for every n < 2.  Raises
+    ConfigError for n >= _MR_BOUND, whose primality it cannot certify."""
+    if n >= _MR_BOUND:
+        raise ConfigError(f"primality of {n} is not certified: the "
+                          f"Miller-Rabin test decides only n < {_MR_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 2 ** r, n) != n - 1 for r in range(s)):
+            return False  # b witnesses that n is composite
+    return True
 
 
 @dataclass(frozen=True)

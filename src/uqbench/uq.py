@@ -91,7 +91,6 @@ class UqContext:
     def __init__(self, datum: RootDatum, cap: int = 8):
         self.datum = datum
         self.nichols = NicholsContext(datum, cap=cap)
-        self.cap = cap
         self._zero_dual: DualVector = (0,) * datum.lattice_rank
         self._reorder_memo: dict[tuple[Word, Word], list[tuple[Term, ScalarQ]]] = {}
         self._pair_memo: dict = {}

@@ -10,6 +10,9 @@ Each is an independent route to a value the package computes another way:
 - the rational Nichols pairing, the integer Gram of `NicholsContext` times
   the constant prod_i <v_i, v_i>^{deg_i} it leaves out, against which the
   tests check the radical and the dual bases;
+- one radical vector per non-basis word of a multidegree, read from
+  `NicholsContext.reduce_word`, whose count the `serre-check` report and
+  `scripts/dimension_sweep.py` take as words minus Nichols dimension;
 - the E-word/F-word pairing of the double, read from
   `uq.UqContext.double_pairing_mono`, which is built apart from the
   coaction it contracts;
@@ -29,7 +32,8 @@ from typing import Sequence, TypeVar
 
 from uqbench.deform import GEN_MONO, GEN_ORDER, El, TruncatedUg
 from uqbench.errors import CapError, ConfigError
-from uqbench.nichols import Degree, NicholsContext, Word, word_degree
+from uqbench.nichols import (Degree, NicholsContext, Word, word_degree,
+                             words_of_degree)
 from uqbench.rootdata import RootDatum
 from uqbench.scalars import ScalarQ, q_binomial, q_int, q_rising
 from uqbench.sparse import add_term, scale
@@ -119,6 +123,19 @@ def pairing_eval(ctx: NicholsContext, x: dict | Word, y: dict | Word) -> ScalarQ
             v = ctx._pair_words(wx, wy)
             if v:
                 out = out + cx * cy * gram_scale(ctx, deg) * ScalarQ(v)
+    return out
+
+
+def radical_basis(ctx: NicholsContext, deg: Degree) -> list[dict[Word, ScalarQ]]:
+    """One radical vector per non-pivot word w: w minus its reduction."""
+    out = []
+    for w in words_of_degree(deg):
+        red = ctx.reduce_word(w)
+        if w in red:
+            continue
+        terms = {u: -c for u, c in red.items()}
+        terms[w] = ONE
+        out.append({u: terms[u] for u in sorted(terms)})
     return out
 
 

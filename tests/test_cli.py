@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqbench import norms
-from uqbench.cli import _jsonable, main
+from uqbench.cli import _emit, main
 from uqbench.rootdata import PRESET_ENV
 from uqbench.scalars import ScalarQ
 
@@ -96,6 +97,15 @@ def test_exit_two_on_unknown_preset():
     proc = run_cli(["serre-check", "--datum", "NOPE"])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "ERROR"
+
+
+@pytest.mark.parametrize("name", ["a\0b", "a\0.json", "x" * 5000,
+                                  "x" * 5000 + ".json"],
+                         ids=["nul", "nul-json", "long", "long-json"])
+def test_exit_two_on_a_datum_name_the_os_refuses(name):
+    code, report = _in_process(["nichols-dims", "--datum", name])
+    assert code == 2
+    assert report["result"]["error"].startswith("unknown preset")
 
 
 def test_exit_two_on_convergence_boundary():
@@ -206,6 +216,75 @@ def test_exit_two_outside_domain_without_traceback(args):
         assert "--cap must be >= 0" in report["result"]["error"]
     elif args[0] == "hopf-check":
         assert "--samples" in report["result"]["error"]
+
+
+# every integer option that must be >= 0, on each subcommand that has it;
+# `main` checks them all before any subcommand runs
+COUNT_OPTIONS = [
+    *[[command, "--cap"] for command in (
+        "serre-check", "hopf-check", "ybe-check", "braid-rep", "verma",
+        "rigidity-solve", "trivialize")],
+    ["nichols-dims", "--max-degree"],
+    ["hopf-check", "--samples"],
+    ["rigidity-solve", "--order"],
+    ["trivialize", "--order"],
+]
+
+
+@pytest.mark.parametrize("command,flag", COUNT_OPTIONS)
+def test_every_count_option_is_checked_once(command, flag):
+    proc = run_cli([command, "--datum", "A1", flag, "-1"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "ERROR"
+    assert report["result"]["error"] == f"{flag} must be >= 0, got -1"
+
+
+def test_deeply_nested_preset_file_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    proc = run_cli(["nichols-dims", "--datum", str(path)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "ERROR"
+    assert report["result"]["error"].startswith(f"malformed preset file {path}")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_gives_one_error_report():
+    proc = run_cli(["converge-cert", "--p", "5", "--vh", "1",
+                    "--out", "/dev/full"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)  # one report, not PASS then ERROR
+    assert report["status"] == "ERROR"
+    assert report["result"]["error"] == \
+        "cannot write --out /dev/full: No space left on device"
+
+
+def test_large_prime_is_decided_fast():
+    start = time.perf_counter()
+    code, report = _in_process(["converge-cert", "--p", str(10 ** 18 + 3),
+                                "--vh", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and report["status"] == "PASS"
+
+
+@pytest.mark.parametrize("args", [
+    ["converge-cert", "--vh", "1", "--p"],
+    ["admissible", "--datum", "A1", "--vh", "1", "--p"],
+    ["rigidity-solve", "--order", "1", "--prime"],
+], ids=lambda a: a[0])
+def test_uncertified_prime_exits_two(args):
+    p = 3317044064679887385961981  # the first n Miller-Rabin cannot decide
+    proc = run_cli(args + [str(p)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["result"]["error"]
+    assert f"primality of {p} is not certified" in error
+    assert "not a prime" not in error
 
 
 def test_empty_braid_word_is_the_identity():
@@ -468,21 +547,33 @@ def test_module_commands_always_report(malformed_presets, argv):
     assert "Traceback" not in err.getvalue()
 
 
-def test_jsonable_keeps_strings_and_converts_the_rest():
-    text = "q + q^-1"
-    assert _jsonable(text) is text
-    assert _jsonable("") == ""
-    for value in (True, False, None, 0, -3, 10 ** 30):
-        assert _jsonable(value) is value
-    assert _jsonable(Fraction(-3, 4)) == "-3/4"
-    assert _jsonable(Fraction(6, 3)) == "2"
-    assert _jsonable(ScalarQ.q_power(-2) + ScalarQ.one()) == "1 + q^-2"
-    assert _jsonable(ScalarQ.one() / (ScalarQ.q_power(1) + ScalarQ.one())) \
-        == "(1)/(q + 1)"
-    nested = {1: [Fraction(1, 2), ("a", None)], "k": {(0, 1): True},
-              "s": [ScalarQ.zero(), 7]}
-    assert _jsonable(nested) == {"1": ["1/2", ["a", None]],
-                                 "k": {"(0, 1)": True}, "s": ["0", 7]}
+def test_emit_passes_strings_and_writes_str_of_the_rest():
+    # the text of every report: json's own forms for str, bool, None and
+    # int, str() for Fraction and ScalarQ, lists for tuples
+    result = {
+        "text": "q + q^-1", "empty": "", "flags": [True, False, None],
+        "ints": [0, -3, 10 ** 30],
+        "fractions": [Fraction(-3, 4), Fraction(6, 3)],
+        "scalars": [ScalarQ.q_power(-2) + ScalarQ.one(),
+                    ScalarQ.one() / (ScalarQ.q_power(1) + ScalarQ.one()),
+                    ScalarQ.zero()],
+        "nested": (Fraction(1, 2), ("a", None), {"k": (True, 7)}),
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit("verma", {"cap": 2}, result, "OK")
+    expected = {
+        "command": "verma", "config": {"cap": 2}, "status": "OK",
+        "result": {
+            "text": "q + q^-1", "empty": "", "flags": [True, False, None],
+            "ints": [0, -3, 10 ** 30], "fractions": ["-3/4", "2"],
+            "scalars": ["1 + q^-2", "(1)/(q + 1)", "0"],
+            "nested": ["1/2", ["a", None], {"k": [True, 7]}],
+        },
+    }
+    assert out.getvalue() == json.dumps(expected, sort_keys=True,
+                                        indent=2) + "\n"
+    assert "\n      1000000000000000000000000000000\n" in out.getvalue()
 
 
 def test_nichols_dims_worked_entries():

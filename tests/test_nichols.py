@@ -12,13 +12,13 @@ from functools import lru_cache
 import pytest
 
 from uqbench.linalg import rref
-from uqbench.nichols import (NicholsContext, serre_element, word_degree,
-                             words_of_degree)
+from uqbench.nichols import (NicholsContext, multidegrees, serre_element,
+                             word_degree, words_of_degree)
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.sparse import combine
 
-from oracles import gram_scale, pairing_eval
+from oracles import gram_scale, pairing_eval, radical_basis
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -137,7 +137,7 @@ def test_a2_serre_degree_radical_is_one_dimensional():
     datum = load_datum("A2")
     ctx = NicholsContext(datum, cap=6)
     for (i, j), deg in (((0, 1), (2, 1)), ((1, 0), (1, 2))):
-        rad = ctx.radical_basis(deg)
+        rad = radical_basis(ctx, deg)
         assert len(rad) == 1
         # the Serre element spans it: reducing it mod the radical gives zero
         assert ctx.reduce_mod_radical(serre_element(datum, i, j)) == {}
@@ -156,7 +156,7 @@ def test_radical_orthogonality():
     datum = load_datum("A2")
     ctx = NicholsContext(datum, cap=5)
     for deg in ((2, 1), (1, 2), (2, 2)):
-        for v in ctx.radical_basis(deg):
+        for v in radical_basis(ctx, deg):
             for w in words_of_degree(deg):
                 assert pairing_eval(ctx, v, w).is_zero()
 
@@ -176,7 +176,7 @@ def test_nichols_basis_spans_gram_rank():
     ctx = NicholsContext(datum, cap=4)
     for deg in ((1, 1), (2, 1), (2, 2)):
         words = words_of_degree(deg)
-        assert ctx.nichols_dim(deg) + len(ctx.radical_basis(deg)) == len(words)
+        assert ctx.nichols_dim(deg) + len(radical_basis(ctx, deg)) == len(words)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,20 @@ def _pair_words_q(datum, x, y, memo):
             beta = beta * ScalarQ.q_power(datum.pairing[letter][i])
         memo[key] = acc
     return memo[key]
+
+
+@pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "G2"])
+def test_pair_words_coefficients_are_positive_integers(name):
+    # each memoized pairing is a sum of shifted copies of {0: 1}, so no sum
+    # in `_pair_words` cancels to zero
+    datum = load_datum(name)
+    ctx = NicholsContext(datum, cap=5)
+    for total in range(6):
+        for deg in multidegrees(datum.rank, total):
+            ctx.nichols_dim(deg)
+    assert ctx._pair_memo
+    for poly in ctx._pair_memo.values():
+        assert all(type(c) is int and c > 0 for c in poly.values()), poly
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A1xA1"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqbench.scalars as scalars
+from uqbench.errors import ConfigError
 from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
                              ValuationBound, _laurent, _lp_add, _lp_mul,
                              _lp_neg, _poly_gcd, _primitive, _reduced,
@@ -533,6 +534,26 @@ def test_is_prime_against_divisor_count():
     for n in range(-5, 200):
         divisors = [d for d in range(1, n + 1) if n % d == 0] if n > 0 else []
         assert is_prime(n) == (divisors == [1, n] and n > 1), n
+
+
+@needs_sympy
+def test_is_prime_against_sympy():
+    for n in range(-5, 50_001):
+        assert is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the first bases, a Mersenne prime, and the
+    # largest numbers the bases still decide
+    for n in (3215031751, 3825123056546413051, 2 ** 61 - 1,
+              *range(scalars._MR_BOUND - 100, scalars._MR_BOUND)):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [scalars._MR_BOUND, scalars._MR_BOUND + 2,
+                               2 ** 89 - 1])
+def test_is_prime_refuses_what_it_cannot_certify(n):
+    with pytest.raises(ConfigError, match="not certified"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="not certified"):
+        PadicParams(n, Fraction(1))
 
 
 def test_vp_factorial_legendre():
