@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from uqbench.deform import (GEN_MONO, TruncatedUg, conjugate_map,
                             conjugation_residuals, derivation_gauge,
-                            identity_map, mult_trivialize, plant_deformation,
+                            mult_trivialize, plant_deformation,
                             rigidity_conjugator)
 from uqbench.rootdata import load_datum
 
@@ -44,14 +44,13 @@ def main(argv=None):
           f"order={args.order}")
     print()
     print("-- conjugation round --")
-    d = identity_map(args.order)
-    seed = [algebra.one(), {E: Fraction(1)}] + [{}] * (args.order - 1)
-    d_prime = conjugate_map(algebra, seed, d, args.order)
-    F, transcript = rigidity_conjugator(algebra, d, d_prime, args.order)
+    d_prime = conjugate_map(algebra, [algebra.one(), {E: Fraction(1)}],
+                            args.order)
+    F, transcript = rigidity_conjugator(algebra, d_prime, args.order)
     for entry in transcript:
         print(f"order {entry['order']}: defect {entry['defect']}, "
               f"u = {el_str(entry['u'])}")
-    residuals = conjugation_residuals(algebra, F, d, d_prime, args.order)
+    residuals = conjugation_residuals(algebra, F, d_prime, args.order)
     worst = max((sum(len(r) for r in per) for per in residuals.values()),
                 default=0)
     print(f"residual terms through order {args.order}: {worst}")

@@ -33,8 +33,7 @@ from .norms import (ConvergenceCertificate, RadiusParams, admissible,
                     coaction_convergence, reverify_certificate,
                     rmatrix_condition)
 from .deform import (GEN_MONO, TruncatedUg, conjugate_map, derivation_gauge,
-                     identity_map, mult_trivialize, plant_deformation,
-                     rigidity_conjugator)
+                     mult_trivialize, plant_deformation, rigidity_conjugator)
 
 __all__ = [
     "CapError", "ConfigError", "ObstructionError",
@@ -50,7 +49,7 @@ __all__ = [
     "RadiusParams", "ConvergenceCertificate",
     "admissible", "rmatrix_condition", "coaction_convergence",
     "reverify_certificate",
-    "TruncatedUg", "GEN_MONO", "identity_map", "conjugate_map", "rigidity_conjugator",
+    "TruncatedUg", "GEN_MONO", "conjugate_map", "rigidity_conjugator",
     "derivation_gauge", "plant_deformation", "mult_trivialize",
 ]
 

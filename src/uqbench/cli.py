@@ -10,20 +10,21 @@ The fully resolved configuration is echoed into each report.
 Exit codes: 0 success, 1 mathematical failure (a check returned false or a
 solver hit a window obstruction), 2 configuration error (a command line the
 parser rejects included: its usage line goes to stderr, the JSON report to
-stdout), 3 truncation window error.
+stdout; a stdout that cannot be written gets one line on stderr instead), 3
+truncation window error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from .deform import (GEN_MONO, TruncatedUg, conjugate_map, derivation_gauge,
-                     identity_map, mult_trivialize, plant_deformation,
-                     rigidity_conjugator)
+                     mult_trivialize, plant_deformation, rigidity_conjugator)
 from .errors import CapError, ConfigError, ObstructionError
 from .nichols import (NicholsContext, multidegrees, serre_element,
                       words_of_degree)
@@ -75,16 +76,24 @@ def _module_report(M) -> dict:
     return report
 
 
+def _write_out(out: str, text: str) -> None:
+    """Write `text` to the --out path; a failure is a ConfigError."""
+    try:
+        with open(out, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror}") from exc
+
+
 def _emit(command, config: dict, result: dict, status: str, out=None) -> None:
     """Print the report, after writing it to the path `out` if given, so a
-    failed write raises OSError before anything reaches stdout."""
+    failed write raises ConfigError before anything reaches stdout."""
     report = {"command": command, "config": config, "result": result,
               "status": status}
     # every key is a str already; default=str writes Fraction and ScalarQ
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if out is not None:
-        with open(out, "w") as f:
-            f.write(text)
+        _write_out(out, text)
     sys.stdout.write(text)
 
 
@@ -307,11 +316,9 @@ def cmd_rigidity_solve(args):
     datum = load_datum(args.datum)
     algebra = TruncatedUg(datum, args.cap, args.window)
     seed_mono = _parse_mono(args.seed_coeff)
-    d = identity_map(args.order)
-    seed = [algebra.one(), {seed_mono: 1}] \
-        + [{} for _ in range(max(0, args.order - 1))]
-    d_prime = conjugate_map(algebra, seed, d, args.order)
-    F, transcript = rigidity_conjugator(algebra, d, d_prime, args.order)
+    d_prime = conjugate_map(algebra, [algebra.one(), {seed_mono: 1}],
+                            args.order)
+    F, transcript = rigidity_conjugator(algebra, d_prime, args.order)
     entries = []
     for entry in transcript:
         row = {"order": entry["order"], "defect": entry["defect"],
@@ -509,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv: list) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -519,11 +525,11 @@ def main(argv=None) -> int:
     if args.command == "trivialize" and args.plant is None:
         args.plant = ["E=H"]
     config = _config_echo(args)
-    out = args.out or None
+    out = args.out
     try:
-        if out:
-            # opened before any work, so an unwritable path costs no run
-            open(out, "w").close()
+        if out is not None:
+            # written before any work, so an unwritable path costs no run
+            _write_out(out, "")
         try:
             for name in ("cap", "max_degree", "samples", "order"):
                 value = getattr(args, name, 0)
@@ -540,11 +546,23 @@ def main(argv=None) -> int:
             result = {"error": str(exc), "obstructed_order": exc.order}
             status, code = "FAIL", EXIT_MATH
         _emit(args.command, config, result, status, out)
+    except ConfigError as exc:  # from --out: the run's own are caught above
+        _emit(args.command, config, {"error": str(exc)}, "ERROR")
+        return EXIT_CONFIG
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
     except OSError as exc:
-        if out is None:  # not from --out: load_datum maps its own
-            raise
-        _emit(args.command, config,
-              {"error": f"cannot write --out {out}: {exc.strerror}"}, "ERROR")
+        # --out and preset reads map their own OSErrors, so stdout failed:
+        # no report can be printed, and the interpreter's own flush of
+        # stdout at exit must not fail a second time
+        print(f"uqbench: cannot write the report to stdout: {exc.strerror}",
+              file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
     return code
 

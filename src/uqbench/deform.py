@@ -24,8 +24,9 @@ Contents:
     (lexicographic pivoting over the PBW basis, free coordinates zero, hence
     minimal support among echelon solutions), which first checks its input
     is a cocycle with the Chevalley-Eilenberg differential of bounded
-    1-cochains with values in the algebra.  Generator maps and 1-cochains
-    are keyed by generator monomials, in GEN_ORDER.
+    1-cochains with values in the algebra under the adjoint action
+    x . v = [x, v].  Generator maps and 1-cochains are keyed by generator
+    monomials, in GEN_ORDER.
   * one hbar-series core (_series_mul): truncated products of coefficient
     lists for a product passed in, algebra multiplication for element
     series and composition for gauge series; element series also have an
@@ -34,13 +35,13 @@ Contents:
     {generator monomial: element series}, and a gauge the list of its
     orders, each a {monomial: image} column dict.  On it stand the two
     solvers: rigidity_conjugator finds F = ...(1+u_2 hbar^2)(1+u_1 hbar)
-    conjugating one series algebra map into another order by order, and
+    with F x F^{-1} = d'(x) on the generators order by order, and
     mult_trivialize removes a deformed multiplication through the coboundary
     equation f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz
     extensions.
 
 Each solver reads the right-hand side of order n from an identity with no
-inverse in it, evaluated on its partial solution: F d(x) = d'(x) F for the
+inverse in it, evaluated on its partial solution: F x = d'(x) F for the
 conjugator (conjugation_residuals), and V(mu(x, y)) = V(x) V(y) on every
 window pair for the trivializer (_residual).  Both solve each order in one
 helper (_window_solve) and re-verify their output from the inputs through
@@ -120,10 +121,9 @@ class TruncatedUg:
     def one(self) -> El:
         return {UNIT: 1}
 
-    def basis(self, max_degree: int | None = None) -> list[Mono]:
-        """All monomials of total degree <= max_degree (default: the solve
-        window), in lexicographic order; this order fixes solver pivoting."""
-        d = self.window if max_degree is None else max_degree
+    def basis(self, d: int) -> list[Mono]:
+        """All monomials of total degree <= d, in lexicographic order; this
+        order fixes solver pivoting."""
         if d > self.cap:
             raise CapError(f"degree {d} exceeds the cap {self.cap}")
         return sorted(m for m in iproduct(range(d + 1), repeat=3)
@@ -194,23 +194,14 @@ class TruncatedUg:
 # Chevalley-Eilenberg differential in degree 1
 # ---------------------------------------------------------------------------
 
-def _eval_on_lie(f: dict, lie: El) -> El:
-    """A 1-cochain f on a combination of generator monomials."""
-    out: El = {}
-    for g, c in lie.items():
-        for m, v in f.get(g, {}).items():
-            add_term(out, m, c * v)
-    return out
-
-
-def cochain_differential(algebra: TruncatedUg, f: dict, act) -> dict:
+def cochain_differential(algebra: TruncatedUg, f: dict) -> dict:
     """Chevalley-Eilenberg differential of a bounded 1-cochain f, a dict over
-    generator monomials with values in the windowed algebra, for the module
-    action act(generator monomial, element):
+    generator monomials with values in the windowed algebra, for the adjoint
+    action x . v = [x, v]:
 
-      (df)(x, y) = x . f(y) - y . f(x) - f([x, y])
+      (df)(x, y) = [x, f(y)] - [y, f(x)] - f([x, y])
 
-    on each generator pair x before y in GEN_ORDER, [x, y] the algebra's
+    on each generator pair x before y in GEN_ORDER, [., .] the algebra's
     commutator.  A key that is no generator monomial is a ConfigError.
     """
     extra = set(f) - set(GEN_ORDER)
@@ -220,9 +211,11 @@ def cochain_differential(algebra: TruncatedUg, f: dict, act) -> dict:
     out = {}
     for i, x in enumerate(GEN_ORDER):
         for y in GEN_ORDER[i + 1:]:
-            term = combine(act(x, f.get(y, {})), act(y, f.get(x, {})), -1)
-            term = combine(
-                term, _eval_on_lie(f, algebra.commutator({x: 1}, {y: 1})), -1)
+            term = combine(algebra.commutator({x: 1}, f.get(y, {})),
+                           algebra.commutator({y: 1}, f.get(x, {})), -1)
+            for g, c in algebra.commutator({x: 1}, {y: 1}).items():
+                for m, v in f.get(g, {}).items():
+                    add_term(term, m, -c * v)
             out[(x, y)] = term
     return out
 
@@ -267,35 +260,29 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
     return [s.numerator if s.denominator == 1 else s for s in sol]
 
 
-def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
+def coboundary_solve(algebra: TruncatedUg, f: dict,
                      order: int | None = None) -> El:
-    """Solve [d0(x), u] = f(x) for all generators x, with u in the window.
+    """Solve [x, u] = f(x) for all generators x, with u in the window.
 
-    f is a 1-cochain over generator monomials; d0 maps generator monomials
-    to elements, {g: {g: 1}} for the tautological embedding.  The
-    cocycle identity for the action x . v = [d0(x), v] is checked on generator
-    pairs first; a violation is a ConfigError.  The linear system is then
-    solved exactly with lexicographic pivoting and free coordinates set to
-    zero, so the returned u is deterministic and of minimal support among
-    echelon solutions.  If the window contains no solution,
-    ObstructionError (carrying `order` when given).
+    f is a 1-cochain over generator monomials.  The cocycle identity for the
+    adjoint action x . v = [x, v] is checked on generator pairs first; a
+    violation is a ConfigError.  The linear system is then solved exactly
+    with lexicographic pivoting and free coordinates set to zero, so the
+    returned u is deterministic and of minimal support among echelon
+    solutions.  If the window contains no solution, ObstructionError
+    (carrying `order` when given).
     """
-    def act(g: Mono, v: El) -> El:
-        return algebra.commutator(d0[g], v)
-
     at = f" at order {order}" if order is not None else ""
-    for (x, y), v in cochain_differential(algebra, f, act).items():
+    for (x, y), v in cochain_differential(algebra, f).items():
         if v:
             raise ConfigError(
                 f"not a cocycle: identity fails on ({x},{y}){at}")
 
     unknowns = algebra.monos
     deg_f = max((el_degree(v) for v in f.values()), default=-1)
-    deg_d0 = max(el_degree(d0[g]) for g in GEN_ORDER)
-    t_deg = min(algebra.cap,
-                max(algebra.window + max(deg_d0, 0), deg_f, algebra.window))
+    t_deg = min(algebra.cap, max(algebra.window + 1, deg_f))
     sol = _window_solve(
-        (((act(g, {m: 1}) for m in unknowns), f.get(g, {}))
+        (([algebra.commutator({g: 1}, {m: 1}) for m in unknowns], f.get(g, {}))
          for g in GEN_ORDER),
         len(unknowns), algebra.basis(t_deg),
         f"coboundary equation has no solution within the window{at}", order)
@@ -306,9 +293,9 @@ def coboundary_solve(algebra: TruncatedUg, f: dict, d0: dict,
 # hbar-series: one truncated product for every kind of series
 # ---------------------------------------------------------------------------
 
-# A series is the list of its hbar-coefficients.  `mul(x, y, out, sign)`
-# adds sign * x y to `out`: algebra multiplication for element series,
-# composition for map series (one column dict per order).
+# A series is the list of its hbar-coefficients.  `mul(x, y, out)` adds
+# x y to `out`: algebra multiplication for element series, composition for
+# map series (one column dict per order).
 
 def _series_mul(mul, a: list, b: list, upto: int) -> list:
     """sum_{i+j=n} a_i b_j for n = 0..upto."""
@@ -317,25 +304,25 @@ def _series_mul(mul, a: list, b: list, upto: int) -> list:
         if ai:
             for j, bj in enumerate(b[:upto + 1 - i]):
                 if bj:
-                    mul(ai, bj, out[i + j], 1)
+                    mul(ai, bj, out[i + j])
     return out
 
 
-def _el_mul(algebra: TruncatedUg, x: El, y: El, out: El, sign: int) -> None:
-    """`mul` for element series, bound to an algebra: out += sign * x y."""
+def _el_mul(algebra: TruncatedUg, x: El, y: El, out: El) -> None:
+    """`mul` for element series, bound to an algebra: out += x y."""
     for m, c in algebra.multiply(x, y).items():
-        add_term(out, m, c if sign == 1 else -c)
+        add_term(out, m, c)
 
 
-def _compose(x: dict, y: dict, out: dict, sign: int) -> None:
-    """`mul` for map series: out += sign * (x after y) column by column; a
-    column absent from x maps to zero."""
+def _compose(x: dict, y: dict, out: dict) -> None:
+    """`mul` for map series: out += x after y, column by column; a column
+    absent from x maps to zero."""
     for m, col in y.items():
         acc = out.get(m, {})
         for mm, c in col.items():
             img = x.get(mm)
             if img:
-                _add_scaled(acc, img, c if sign == 1 else -c)
+                _add_scaled(acc, img, c)
         if acc:
             out[m] = acc
         else:
@@ -352,11 +339,13 @@ def series_inverse(algebra: TruncatedUg, a: list, upto: int) -> list:
     inv_n = -sum_{k>=1} a_k inv_{n-k}."""
     if a[0] != algebra.one():
         raise ConfigError("series inverse needs leading coefficient 1")
-    inv: list = [algebra.one()] + [{} for _ in range(upto)]
+    inv: list = [algebra.one()]
     for n in range(1, upto + 1):
+        acc: El = {}
         for k in range(1, min(n, len(a) - 1) + 1):
             if a[k] and inv[n - k]:
-                _el_mul(algebra, a[k], inv[n - k], inv[n], -1)
+                _el_mul(algebra, a[k], inv[n - k], acc)
+        inv.append(scale(acc, -1))
     return inv
 
 
@@ -365,82 +354,64 @@ def _at(series: list, n: int) -> El:
     return series[n] if n < len(series) else {}
 
 
-def identity_map(upto: int) -> dict:
-    """The generator map x |-> x: {generator monomial: element series}."""
-    return {m: [{m: 1}] + [{} for _ in range(upto)]
-            for m in GEN_MONO.values()}
-
-
-def conjugate_map(algebra: TruncatedUg, F: list, d: dict, upto: int) -> dict:
-    """x |-> F d(x) F^{-1} order by order, on d's generator columns."""
+def conjugate_map(algebra: TruncatedUg, F: list, upto: int) -> dict:
+    """The generator map x |-> F x F^{-1}, order by order."""
     finv = series_inverse(algebra, F, upto)
-    return {m: series_mul(algebra, series_mul(algebra, F, col, upto), finv,
-                          upto)
-            for m, col in d.items()}
+    return {g: series_mul(algebra, series_mul(algebra, F, [{g: 1}], upto),
+                          finv, upto)
+            for g in GEN_ORDER}
 
 
-def _check_lie_map(algebra: TruncatedUg, d0: dict) -> None:
-    for i, x in enumerate(GEN_ORDER):
-        for y in GEN_ORDER[i + 1:]:
-            if algebra.commutator(d0[x], d0[y]) != _eval_on_lie(
-                    d0, algebra.commutator({x: 1}, {y: 1})):
-                raise ConfigError(
-                    f"order-0 map does not respect the bracket on ({x},{y})")
-
-
-def rigidity_conjugator(algebra: TruncatedUg, d: dict, d_prime: dict,
+def rigidity_conjugator(algebra: TruncatedUg, d_prime: dict,
                         upto: int) -> tuple[list, list]:
-    """Find F = ...(1+u_2 hbar^2)(1+u_1 hbar) with F d F^{-1} = d' modulo
-    hbar^{upto+1} on the generators.
+    """Find F = ...(1+u_2 hbar^2)(1+u_1 hbar) with F x F^{-1} = d'(x)
+    modulo hbar^{upto+1} on the generators x.
 
-    d and d' map each generator monomial to its element series; a missing
-    generator is a ConfigError.  Both must agree at order 0, where they must
-    respect the bracket.  Each order contributes one coboundary solve for
-    the conjugation defect, read from the inversion-free identity
-    F d(x) = d'(x) F on the F solved so far; a window failure raises
-    ObstructionError carrying the order.  The result is re-verified from
-    scratch through the same identity at every order before being returned.
-    Returns F as an element series and the per-order record (chosen u_n,
-    defect status) for reports.
+    d' maps each generator monomial to its element series; a missing
+    generator or an order-0 term other than the generator is a ConfigError.
+    Each order contributes one coboundary solve for the conjugation defect,
+    read from the inversion-free identity F x = d'(x) F on the F solved so
+    far; a window failure raises ObstructionError carrying the order.  The
+    result is re-verified from scratch through the same identity at every
+    order.  Returns F as an element series and the per-order record
+    (chosen u_n, defect status) for reports.
     """
     for g in GEN_ORDER:
-        if g not in d or g not in d_prime:
+        if g not in d_prime:
             raise ConfigError(f"map has no column for generator {g}")
-    d0 = {g: _at(d[g], 0) for g in GEN_ORDER}
-    if any(d0[g] != _at(d_prime[g], 0) for g in GEN_ORDER):
+    if any(_at(d_prime[g], 0) != {g: 1} for g in GEN_ORDER):
         raise ConfigError("maps are not equal mod hbar")
-    _check_lie_map(algebra, d0)
 
     F: list[El] = [algebra.one()] + [{} for _ in range(upto)]
     transcript: list[dict] = []
     for n in range(1, upto + 1):
-        # F d - d' F = (F d F^-1 - d') F with the first factor O(hbar^n)
-        residuals = conjugation_residuals(algebra, F, d, d_prime, n)
+        # F x - d'(x) F = (F x F^-1 - d'(x)) F with the first factor O(hbar^n)
+        residuals = conjugation_residuals(algebra, F, d_prime, n)
         gamma = {g: residuals[g][n] for g in GEN_ORDER}
         if all(not gamma[g] for g in GEN_ORDER):
             transcript.append({"order": n, "u": {}, "defect": "zero"})
             continue
-        u = coboundary_solve(algebra, gamma, d0, order=n)
+        u = coboundary_solve(algebra, gamma, order=n)
         transcript.append({"order": n, "u": u, "defect": "solved"})
         step = [algebra.one()] + [u if k == n else {}
                                   for k in range(1, upto + 1)]
         F = series_mul(algebra, step, F, upto)
 
-    residuals = conjugation_residuals(algebra, F, d, d_prime, upto)
+    residuals = conjugation_residuals(algebra, F, d_prime, upto)
     if any(r for per_gen in residuals.values() for r in per_gen):
         raise ObstructionError(
             "internal: verification failed after all orders solved")
     return F, transcript
 
 
-def conjugation_residuals(algebra: TruncatedUg, F: list, d: dict,
-                          d_prime: dict, upto: int) -> dict:
-    """Residuals of F d(x) - d'(x) F per generator monomial and order: an
-    inversion-free restatement of F d F^{-1} = d', recomputed from the
+def conjugation_residuals(algebra: TruncatedUg, F: list, d_prime: dict,
+                          upto: int) -> dict:
+    """Residuals of F x - d'(x) F per generator monomial x and order: an
+    inversion-free restatement of F x F^{-1} = d'(x), recomputed from the
     inputs alone."""
     out: dict[Mono, list[El]] = {}
     for g in GEN_ORDER:
-        lhs = series_mul(algebra, F, d[g], upto)
+        lhs = series_mul(algebra, F, [{g: 1}], upto)
         rhs = series_mul(algebra, d_prime[g], F, upto)
         out[g] = [combine(a, b, -1) for a, b in zip(lhs, rhs)]
     return out
@@ -456,14 +427,9 @@ def standard_multiplication(algebra: TruncatedUg) -> dict:
 
 
 def _add_scaled(acc: El, x: El, c) -> None:
-    """acc += c * x, multiplying only where neither factor is 1: basis
-    monomials and identity columns carry coefficient 1."""
-    if c == 1:
-        for m, cm in x.items():
-            add_term(acc, m, cm)
-    else:
-        for m, cm in x.items():
-            add_term(acc, m, c if cm == 1 else c * cm)
+    """acc += c * x."""
+    for m, cm in x.items():
+        add_term(acc, m, c * cm)
 
 
 def _mu_term(mu_n: dict, x: El, y: El, out: El) -> None:
@@ -471,9 +437,7 @@ def _mu_term(mu_n: dict, x: El, y: El, out: El) -> None:
     pair the table lacks is zero, and tables are read in place."""
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
-            if c:
-                _add_scaled(out, mu_n.get((m1, m2), {}), c)
+            _add_scaled(out, mu_n.get((m1, m2), {}), c1 * c2)
 
 
 def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:

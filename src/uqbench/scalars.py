@@ -383,10 +383,7 @@ def q_int(n: int, d: int = 1) -> ScalarQ:
 def q_factorial(n: int, d: int = 1) -> ScalarQ:
     if n < 0:
         raise ScalarError("q-factorial of a negative integer")
-    out = ScalarQ.one()
-    for m in range(2, n + 1):
-        out = out * q_int(m, d)
-    return out
+    return q_rising(0, n, d)
 
 
 def q_binomial(n: int, k: int, d: int = 1) -> ScalarQ:

@@ -15,8 +15,8 @@ import pytest
 from uqbench.deform import (GEN_MONO, GEN_ORDER, ObstructionError,
                             TruncatedUg,
                             conjugate_map, conjugation_residuals,
-                            derivation_gauge, identity_map,
-                            mult_trivialize, plant_deformation,
+                            derivation_gauge, mult_trivialize,
+                            plant_deformation,
                             rigidity_conjugator, standard_multiplication)
 from uqbench.errors import ConfigError
 from uqbench.nichols import NicholsContext, serre_element
@@ -265,11 +265,10 @@ def test_criterion_8_rigidity_plant_and_recover():
     E = GEN_MONO["E"]
     n = 4
 
-    d = identity_map(n)
     seed = [algebra.one(), {E: Fraction(1)}] + [{}] * (n - 1)
-    d_prime = conjugate_map(algebra, seed, d, n)
-    Fser, _ = rigidity_conjugator(algebra, d, d_prime, n)
-    residuals = conjugation_residuals(algebra, Fser, d, d_prime, n)
+    d_prime = conjugate_map(algebra, seed, n)
+    Fser, _ = rigidity_conjugator(algebra, d_prime, n)
+    residuals = conjugation_residuals(algebra, Fser, d_prime, n)
     # exactly zero through order 4, i.e. zero mod hbar^5
     for g, per_order in residuals.items():
         assert len(per_order) == n + 1
@@ -310,7 +309,7 @@ def test_criterion_8_rigidity_plant_and_recover():
     f4 = {(4, 0, 0): Fraction(1)}
     cols = {m: [{m: 1}, wide.commutator(f4, {m: 1})] for m in GEN_ORDER}
     with pytest.raises(ObstructionError) as err:
-        rigidity_conjugator(wide, identity_map(1), cols, 1)
+        rigidity_conjugator(wide, cols, 1)
     assert err.value.order == 1
 
     small = TruncatedUg(A1, 4, 2)

@@ -166,11 +166,11 @@ NEGATIVE_CAP = [
     ["trivialize", "--cap", "-1"],
 ]
 
-# an --out path that cannot be opened for writing: a missing directory, and
-# a directory; checked before the subcommand runs, so only the ERROR report
-# reaches stdout
+# an --out path that cannot be opened for writing: a missing directory, a
+# directory and the empty path; checked before the subcommand runs, so only
+# the ERROR report reaches stdout
 UNWRITABLE_OUT = [["nichols-dims", "--datum", "A1", "--out", path]
-                  for path in ("/nonexistent/r.json", "/")]
+                  for path in ("/nonexistent/r.json", "/", "")]
 
 # an empty letter between commas or at either end of a braid word
 EMPTY_LETTER = [["braid-rep", "--datum", "A1", f"--word={word}"]
@@ -262,6 +262,31 @@ def test_failed_out_write_gives_one_error_report():
     assert report["status"] == "ERROR"
     assert report["result"]["error"] == \
         "cannot write --out /dev/full: No space left on device"
+
+
+# a report that fits the stdout buffer fails at main's flush, a larger one
+# (9,002 bytes) in _emit's write; with --out the file still gets the report
+FULL_STDOUT = [
+    ["nichols-dims", "--datum", "A1", "--max-degree", "2"],
+    ["verma", "--datum", "A2", "--lam", "1,1", "--cap", "4"],
+    ["verma", "--datum", "A2", "--lam", "1,1", "--cap", "4", "--out", None],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", FULL_STDOUT,
+                         ids=lambda a: " ".join(str(x) for x in a))
+def test_full_stdout_exits_two_with_one_stderr_line(args, tmp_path):
+    target = tmp_path / "report.json"
+    argv = [str(target) if x is None else x for x in args]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "uqbench", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("uqbench: cannot write the report to stdout: "
+                           "No space left on device\n")
+    if None in args:
+        assert json.loads(target.read_text())["status"] == "OK"
 
 
 def test_large_prime_is_decided_fast():
@@ -687,7 +712,9 @@ def test_wider_lattice_presets_claim_no_false_failure(tmp_path, monkeypatch):
 # sha256 of deformation-solver reports as the Fraction-coefficient solvers
 # that transported the deformation through their gauge printed them; the
 # integer solvers that read each order from the identity they verify must
-# print the same bytes.  The exit-3 report is a rigidity window escape.
+# print the same bytes.  The exit-3 report is a rigidity window escape, and
+# the exit-1 report an obstruction: the coboundary equation has no solution
+# within the window at order 2.
 GOLDEN_DEFORM_REPORTS = [
     ("trivialize --cap 6 --window 3 --order 3 --plant E=H", 0,
      "03f3614c4cabac582e6038699d6281c284545341050d4c6f3085efd241b54b82"),
@@ -704,6 +731,8 @@ GOLDEN_DEFORM_REPORTS = [
      0, "b1129c9136e0417f01e8d3f36e7b3c8c967e5ada5cca906aff960708a8963271"),
     ("rigidity-solve --cap 8 --window 4 --order 6 --seed-coeff 1,0,1", 3,
      "011c0c5eeca2cbf354091ce0607a64ebbce49bbbf160750576d4f9a0a2a209f5"),
+    ("rigidity-solve --cap 6 --window 3 --order 2 --seed-coeff 1,0,1", 1,
+     "bc56418035370b817cb26a001a3ea1cc1323ecc472c160612d91fe796933b37d"),
 ]
 
 

@@ -20,8 +20,8 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             cochain_differential, coboundary_solve,
                             conjugate_map, conjugation_residuals,
                             derivation_gauge, el_degree, identity_columns,
-                            identity_map, mult_trivialize,
-                            plant_deformation, series_inverse, series_mul,
+                            mult_trivialize, plant_deformation,
+                            series_inverse, series_mul,
                             standard_multiplication,
                             trivialization_residuals, rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
@@ -37,16 +37,6 @@ ONE = Fraction(1)
 
 def alg(cap=6, window=3):
     return TruncatedUg(A1, cap, window)
-
-
-def gens(a):
-    """The tautological embedding x |-> x of the generators."""
-    return {g: {g: 1} for g in GEN_ORDER}
-
-
-def ad(a):
-    """The adjoint action x . v = [x, v] of the generators."""
-    return lambda g, v: a.commutator({g: 1}, v)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +57,7 @@ def test_basis_is_lex_sorted_and_capped():
     b1 = a.basis(1)
     assert b1 == sorted(b1)
     assert set(b1) == {UNIT, E, H, F}
-    assert all(sum(m) <= 2 for m in a.basis())
+    assert all(sum(m) <= 2 for m in a.basis(a.window))
     with pytest.raises(CapError):
         a.basis(5)
 
@@ -142,7 +132,7 @@ def test_differential_squares_to_zero_on_elements():
                {(1, 1, 0): ONE, E: Fraction(-2)}, {UNIT: ONE}]
     for u in samples:
         df = differential0(a, u)
-        ddf = cochain_differential(a, df, ad(a))
+        ddf = cochain_differential(a, df)
         assert all(v == {} for v in ddf.values()), u
 
 
@@ -151,7 +141,7 @@ def test_unknown_generator_rejected():
     a = alg()
     for keys in ([(1, 1, 0)], ["E"], ["E", (1, 1, 0)]):
         with pytest.raises(ConfigError, match="unknown generators"):
-            cochain_differential(a, {k: {E: ONE} for k in keys}, ad(a))
+            cochain_differential(a, {k: {E: ONE} for k in keys})
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +152,7 @@ def test_coboundary_plant_and_recover():
     a = alg()
     planted = {E: 1}
     f = differential0(a, planted)
-    u = coboundary_solve(a, f, gens(a))
+    u = coboundary_solve(a, f)
     assert u == planted
 
 
@@ -171,7 +161,7 @@ def test_coboundary_recovers_some_preimage():
     a = alg()
     planted = {(1, 0, 1): ONE, H: Fraction(2)}
     f = differential0(a, planted)
-    u = coboundary_solve(a, f, gens(a))
+    u = coboundary_solve(a, f)
     assert differential0(a, u) == f
 
 
@@ -180,7 +170,7 @@ def test_coboundary_rejects_non_cocycle():
     f = {E: {UNIT: ONE}, H: {}, F: {}}
     # [x,y]-compatibility fails: d of this f is nonzero
     with pytest.raises(ConfigError, match="not a cocycle"):
-        coboundary_solve(a, f, gens(a))
+        coboundary_solve(a, f)
 
 
 def test_coboundary_obstruction_outside_window():
@@ -190,7 +180,7 @@ def test_coboundary_obstruction_outside_window():
     f4 = {(4, 0, 0): ONE}
     f = {g: a.commutator({g: 1}, f4) for g in GEN_ORDER}
     with pytest.raises(ObstructionError) as err:
-        coboundary_solve(a, f, gens(a), order=1)
+        coboundary_solve(a, f, order=1)
     assert err.value.order == 1
 
 
@@ -225,8 +215,9 @@ def test_element_series_inverse_both_sides(upto):
 
 
 def test_identity_map_columns():
+    # conjugating by the unit series is the identity map x |-> x
     a = alg()
-    d = identity_map(2)
+    d = conjugate_map(a, [a.one()], 2)
     assert set(d) == {E, H, F}
     for g in GEN_ORDER:
         assert d[g][0] == {g: 1}
@@ -235,9 +226,8 @@ def test_identity_map_columns():
 
 def test_conjugate_map_first_order_is_bracket():
     a = alg()
-    d = identity_map(2)
     seed = [a.one(), {E: ONE}, {}]
-    dp = conjugate_map(a, seed, d, 2)
+    dp = conjugate_map(a, seed, 2)
     for g in GEN_ORDER:
         want = a.commutator({E: ONE}, {g: 1})
         assert dp[g][1] == want, g
@@ -250,18 +240,17 @@ def test_conjugate_map_first_order_is_bracket():
 def test_rigidity_plant_and_recover_depth_four():
     a = alg(6, 3)
     n = 4
-    d = identity_map(n)
     seed = [a.one(), {E: ONE}] + [{}] * (n - 1)
-    dp = conjugate_map(a, seed, d, n)
-    Fser, transcript = rigidity_conjugator(a, d, dp, n)
+    dp = conjugate_map(a, seed, n)
+    Fser, transcript = rigidity_conjugator(a, dp, n)
 
     # the planted conjugator comes back exactly
     assert Fser[0] == a.one()
     assert Fser[1] == {E: ONE}
     assert all(c == {} for c in Fser[2:])
 
-    # independent residual: F d(x) - d'(x) F recomputed from scratch
-    residuals = conjugation_residuals(a, Fser, d, dp, n)
+    # independent residual: F x - d'(x) F recomputed from scratch
+    residuals = conjugation_residuals(a, Fser, dp, n)
     for g, per_order in residuals.items():
         for k, r in enumerate(per_order):
             assert r == {}, (g, k)
@@ -273,8 +262,8 @@ def test_rigidity_plant_and_recover_depth_four():
 
 def test_rigidity_identity_input_gives_unit_conjugator():
     a = alg()
-    d = identity_map(3)
-    Fser, transcript = rigidity_conjugator(a, d, d, 3)
+    d = {g: [{g: 1}, {}, {}, {}] for g in GEN_ORDER}
+    Fser, transcript = rigidity_conjugator(a, d, 3)
     assert Fser[0] == a.one()
     assert all(not c for c in Fser[1:])
     assert all(t["defect"] == "zero" for t in transcript)
@@ -284,32 +273,36 @@ def test_rigidity_composite_seed():
     # seed with terms at two orders; recovery must still conjugate exactly
     a = alg(6, 3)
     n = 3
-    d = identity_map(n)
     seed = [a.one(), {F: ONE}, {(0, 1, 0): Fraction(1, 2)}, {}]
-    dp = conjugate_map(a, seed, d, n)
-    Fser, _ = rigidity_conjugator(a, d, dp, n)
-    residuals = conjugation_residuals(a, Fser, d, dp, n)
+    dp = conjugate_map(a, seed, n)
+    Fser, _ = rigidity_conjugator(a, dp, n)
+    residuals = conjugation_residuals(a, Fser, dp, n)
     assert all(r == {} for per in residuals.values() for r in per)
 
 
 def test_rigidity_order_zero_mismatch_rejected():
     a = alg()
-    d = identity_map(2)
     dp = {m: [{m: 1}] + [{}] * 2 for m in GEN_ORDER}
     dp[E][0] = {E: Fraction(2)}  # not the identity at order 0
     with pytest.raises(ConfigError):
-        rigidity_conjugator(a, d, dp, 2)
+        rigidity_conjugator(a, dp, 2)
+    # on every generator, a scaled, a wrong and an empty order-0 term
+    for g in GEN_ORDER:
+        for head in ({g: 2}, {UNIT: 1}, {}):
+            dp = {m: [{m: 1}] + [{}] * 2 for m in GEN_ORDER}
+            dp[g][0] = head
+            with pytest.raises(ConfigError, match="not equal mod hbar"):
+                rigidity_conjugator(a, dp, 2)
 
 
 @pytest.mark.parametrize("g", "EHF")
 def test_rigidity_map_without_a_generator_column_rejected(g):
     a = alg()
-    short = identity_map(2)
+    short = conjugate_map(a, [a.one()], 2)
     del short[GEN_MONO[g]]
-    for d, dp in ((short, identity_map(2)), (identity_map(2), short)):
-        with pytest.raises(ConfigError) as err:
-            rigidity_conjugator(a, d, dp, 2)
-        assert f"no column for generator {GEN_MONO[g]}" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        rigidity_conjugator(a, short, 2)
+    assert f"no column for generator {GEN_MONO[g]}" in str(err.value)
 
 
 def test_rigidity_obstructed_deformation():
@@ -322,23 +315,20 @@ def test_rigidity_obstructed_deformation():
     dp = {}
     for m in GEN_ORDER:
         dp[m] = [{m: 1}, a.commutator(f4, {m: 1})]
-    d = identity_map(n)
     with pytest.raises(ObstructionError) as err:
-        rigidity_conjugator(a, d, dp, n)
+        rigidity_conjugator(a, dp, n)
     assert err.value.order == 1
 
 
 def test_rigidity_order_stability():
     # solving to depth 2 must be a prefix of solving to depth 4
     a = alg(6, 3)
-    d4 = identity_map(4)
     seed = [a.one(), {E: ONE}, {}, {}, {}]
-    dp4 = conjugate_map(a, seed, d4, 4)
-    full, _ = rigidity_conjugator(a, d4, dp4, 4)
+    dp4 = conjugate_map(a, seed, 4)
+    full, _ = rigidity_conjugator(a, dp4, 4)
 
-    d2 = identity_map(2)
     dp2 = {m: col[:3] for m, col in dp4.items()}
-    short, _ = rigidity_conjugator(a, d2, dp2, 2)
+    short, _ = rigidity_conjugator(a, dp2, 2)
     assert short == full[:3]
 
 
