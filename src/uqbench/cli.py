@@ -389,12 +389,28 @@ class _UsageError(ConfigError):
         self.command = command
 
 
+class _Help(argparse.Action):
+    """`-h/--help` as argparse's own, except that an OSError of the write
+    reaches `main`, which exits 2: argparse's own drops it and exits 0."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(parser.format_help())
+        sys.stdout.flush()
+        parser.exit()
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that prints its usage line to stderr as usual but
     raises _UsageError instead of exiting, so `main` can print the JSON
-    report; `--help` still exits 0."""
+    report; `--help` still exits 0 when its text is written."""
 
     command: str | None = None  # set on each subcommand's parser
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action=_Help, nargs=0,
+                          default=argparse.SUPPRESS,
+                          help="show this help message and exit")
 
     def error(self, message, command=None):
         self.print_usage(sys.stderr)

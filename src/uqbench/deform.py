@@ -158,32 +158,41 @@ class TruncatedUg:
         return out
 
     def mono_mul(self, m1: Mono, m2: Mono) -> El:
-        """Normal-ordered product of two PBW monomials."""
+        """Normal-ordered product of two PBW monomials, memoised by prefix:
+        m1 m2 = (m1 m2') g for g the last PBW letter of m2 = m2' g.  A pair
+        past the cap raises CapError and is never stored, so every stored
+        product is within the cap."""
         key = (m1, m2)
         hit = self._mono_cache.get(key)
         if hit is not None:
             return hit
-        acc: El = {m1: 1}
-        for g, reps in zip((GEN_MONO["F"], GEN_MONO["H"], GEN_MONO["E"]), m2):
-            for _ in range(reps):
-                nxt: El = {}
-                for m, coef in acc.items():
-                    for m3, c3 in self._rmul_gen(m, g).items():
-                        add_term(nxt, m3, coef * c3)
-                acc = nxt
-        self._mono_cache[key] = acc
-        return acc
+        if sum(m1) + sum(m2) > self.cap:
+            raise CapError(
+                f"product degree {sum(m1)} + {sum(m2)} exceeds the "
+                f"cap {self.cap}")
+        if m2 == UNIT:
+            out: El = {m1: 1}
+        else:
+            a, b, c = m2
+            g = GEN_MONO["E"] if c else GEN_MONO["H"] if b else GEN_MONO["F"]
+            out = {}
+            prefix = (a - g[0], b - g[1], c - g[2])
+            for m, coef in self.mono_mul(m1, prefix).items():
+                for m3, c3 in self._rmul_gen(m, g).items():
+                    add_term(out, m3, coef * c3)
+        self._mono_cache[key] = out
+        return out
 
     def multiply(self, x: El, y: El) -> El:
+        """x y; a monomial pair past the cap raises CapError."""
+        cache = self._mono_cache
         out: El = {}
         for m1, c1 in x.items():
             for m2, c2 in y.items():
-                if sum(m1) + sum(m2) > self.cap:
-                    raise CapError(
-                        f"product degree {sum(m1)} + {sum(m2)} exceeds the "
-                        f"cap {self.cap}")
-                for m3, c3 in self.mono_mul(m1, m2).items():
-                    add_term(out, m3, c1 * c2 * c3)
+                prod = cache.get((m1, m2)) or self.mono_mul(m1, m2)
+                c = c1 * c2
+                for m3, c3 in prod.items():
+                    add_term(out, m3, c * c3)
         return out
 
     def commutator(self, x: El, y: El) -> El:
@@ -228,9 +237,13 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
                   order: int | None) -> list:
     """The linalg.solve solution s of sum_i s_i lin[i] = rhs for every
     (lin, rhs) in `equations`, one row per target monomial either side
-    reaches, in target order, each s_i an int when it is integral and an
-    exact Fraction otherwise.  A monomial outside the targets raises
-    CapError, an inconsistent system ObstructionError(message, order)."""
+    reaches, each s_i an int when it is integral and an exact Fraction
+    otherwise.  Row order and repeated rows leave the reduced row echelon
+    form, and so the solution, unchanged, so each distinct row is solved
+    once, the sparsest first: the elimination picks the first usable row of
+    a column as its pivot row, and a short pivot row touches few columns.
+    A monomial outside the targets raises CapError, an inconsistent system
+    ObstructionError(message, order)."""
     t_index = {m: r for r, m in enumerate(targets)}
 
     def row_of(m: Mono) -> int:
@@ -239,8 +252,7 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
             raise CapError(f"element reaches monomial {m} outside the window")
         return r
 
-    rows: list[list] = []
-    rhs: list = []
+    distinct: dict[tuple, None] = {}  # (row, rhs), in first-seen order
     for lin, want in equations:
         block: dict[int, list] = {}
         for i, el in enumerate(lin):
@@ -248,13 +260,13 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
                 block.setdefault(row_of(m), [0] * n)[i] = c
         vec = {row_of(m): c for m, c in want.items()}
         for r in sorted(block.keys() | vec.keys()):
-            row = block.get(r) or [0] * n
-            if any(row) or vec.get(r):
-                rows.append(row)
-                rhs.append(vec.get(r, 0))
+            row, b = tuple(block.get(r, [0] * n)), vec.get(r, 0)
+            if any(row) or b:
+                distinct[(row, b)] = None
+    aug = sorted(distinct, key=lambda eq: sum(map(bool, eq[0])) + bool(eq[1]))
     # one = Fraction(1) makes each pivot inverse one / p exact; an int one
     # would divide to a float
-    sol = solve(rows, rhs, n, Fraction(1))
+    sol = solve([row for row, _ in aug], [b for _, b in aug], n, Fraction(1))
     if sol is None:
         raise ObstructionError(message, order=order)
     return [s.numerator if s.denominator == 1 else s for s in sol]
@@ -280,7 +292,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict,
 
     unknowns = algebra.monos
     deg_f = max((el_degree(v) for v in f.values()), default=-1)
-    t_deg = min(algebra.cap, max(algebra.window + 1, deg_f))
+    t_deg = min(algebra.cap, max(algebra.window, deg_f))
     sol = _window_solve(
         (([algebra.commutator({g: 1}, {m: 1}) for m in unknowns], f.get(g, {}))
          for g in GEN_ORDER),
@@ -475,6 +487,12 @@ def _cocycle_defect(algebra: TruncatedUg, f: dict):
     return None
 
 
+def _lead(m: Mono) -> Mono:
+    """The leading PBW letter g of a monomial m of degree >= 1: m = g w
+    exactly, with no lower terms, for w = m - g."""
+    return (1, 0, 0) if m[0] else (0, 1, 0) if m[1] else (0, 0, 1)
+
+
 def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
     """The window map b with b(m) = images[m] on 1 and on the generators,
     and b(g w) = g b(w) + b(g) w - f(g, w) above them, g the leading PBW
@@ -487,7 +505,7 @@ def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
             if images.get(m):
                 cols[m] = dict(images[m])
             continue
-        g = (1, 0, 0) if a else (0, 1, 0) if b else (0, 0, 1)
+        g = _lead(m)
         w = (a - g[0], b - g[1], c - g[2])
         acc = algebra.multiply({g: 1}, cols[w]) if w in cols else {}
         if g in cols:
@@ -511,35 +529,55 @@ def _gauge_defect(algebra: TruncatedUg, b: dict, x: Mono, y: Mono) -> El:
     return out
 
 
+def _gauge_rows(algebra: TruncatedUg) -> list[tuple[Mono, Mono]]:
+    """The window pairs the gauge equation is solved on: (1, 1), and each
+    (g, y) with g a generator that is not the leading PBW letter of g y.
+
+    For a Hochschild cocycle f these rows imply every other window pair.
+    The difference D = f - (x b(y) - b(xy) + b(x) y) is again a cocycle on
+    the window triples.  A pair (g, w) with w != 1 and g the leading letter
+    of g w is the Leibniz recursion that builds b, so D(g, w) = 0 there for
+    every extension.  The cocycle identity gives D(g, 1) = g D(1, 1) on
+    (g, 1, 1), D(1, z) = D(1, 1) z on (1, 1, z), and on (g, w, z), for
+    x = g w with g its leading letter,
+        D(x, z) = g D(w, z) + D(g, wz) - D(g, w) z,
+    so D vanishes on every window pair by induction on the degree of x."""
+    return [(x, y) for x, y in algebra.pairs
+            if x == y == UNIT
+            or sum(x) == 1 and _lead(tuple(map(sum, zip(x, y)))) != x]
+
+
 def _homogeneous_gauges(algebra: TruncatedUg) -> tuple[list, list]:
     """The thirteen homogeneous Leibniz extensions of the gauge solve, one
     per unknown coefficient (the value on 1, and on each generator one basis
-    monomial of degree at most one), and their defects on every window pair
-    as ((x, y), [x b(y) - b(xy) + b(x) y for each b]).  Both depend only on
-    the algebra, so `mult_trivialize` builds them once for all orders."""
+    monomial of degree at most one), and their defects on the rows of
+    `_gauge_rows` as ((x, y), [x b(y) - b(xy) + b(x) y for each b]).  Both
+    depend only on the algebra, so `mult_trivialize` builds them once for
+    all orders."""
     unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
                                  for im in algebra.basis(1)]
     homogeneous = [_leibniz(algebra, {m: {im: 1}}, {})
                    for m, im in unknowns]
     return homogeneous, [((x, y), [_gauge_defect(algebra, b, x, y)
                                    for b in homogeneous])
-                         for x, y in algebra.pairs]
+                         for x, y in _gauge_rows(algebra)]
 
 
 def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
                        gauges: tuple[list, list]) -> dict:
     """Solve f_n(x, y) = x b(y) - b(xy) + b(x) y for a filtered window
-    endomorphism b.
+    endomorphism b, f_n a Hochschild cocycle on the window triples.
 
     On a monomial x = g w (g the leading PBW generator) the pair (g, w)
     forces b(g w) = g b(w) + b(g) w - f_n(g, w), so a filtered solution is
     determined by its values on 1 (a scalar) and on the three generators
     (degree at most one each).  b is one particular Leibniz extension (zero
     on 1 and the generators) plus a combination of the thirteen homogeneous
-    ones of `gauges` (from `_homogeneous_gauges`); the coefficients are
-    solved from the window-pair equations with lexicographic pivoting and
-    free coordinates zero, and inconsistency raises ObstructionError
-    carrying the order.
+    ones of `gauges` (from `_homogeneous_gauges`).  The coefficients are
+    solved from the equation on the rows of `_gauge_rows`, which for a
+    cocycle f_n has the solutions of the equation on every window pair, with
+    lexicographic pivoting and free coordinates zero; inconsistency raises
+    ObstructionError carrying the order.
     """
     homogeneous, defects = gauges
     particular = _leibniz(algebra, {}, f_n)
@@ -575,16 +613,20 @@ def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
     when it vanishes below order n its order-n term is mu'_n(x, y).
     """
     cols = [_at(V, i) for i in range(n + 1)]
-    terms = [_at(mu, n - i) for i in range(n + 1)]
+    # the nonzero terms of order n, listed once for all window pairs
+    terms = [(cols[i], _at(mu, n - i)) for i in range(n + 1)
+             if cols[i] and _at(mu, n - i)]
+    products = [(v_j, v_k) for v_j, v_k in zip(cols, reversed(cols))
+                if v_j and v_k]
     out: dict = {}
     for x, y in algebra.pairs:
         acc: El = {}
-        for v_i, mu_j in zip(cols, terms):
+        for v_i, mu_j in terms:
             for m, c in mu_j.get((x, y), {}).items():
                 img = v_i.get(m)
                 if img:
                     _add_scaled(acc, img, c)
-        for v_j, v_k in zip(cols, reversed(cols)):
+        for v_j, v_k in products:
             vx, vy = v_j.get(x), v_k.get(y)
             if vx and vy:
                 for m, c in algebra.multiply(vx, vy).items():

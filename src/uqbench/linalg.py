@@ -5,8 +5,11 @@ truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify); one
 is passed in, and the routines make every other entry they create from it
 (zero = one - one).
 Pivoting is always "first nonzero column, first usable row", which keeps
-every reduction deterministic; callers encode their preferred pivot
-preference by ordering rows/columns beforehand.
+every reduction deterministic.  The reduced row echelon form depends only
+on the row space, so only the column order sets the pivots, and so the
+solution `solve` picks; row order and repeated rows change neither, only
+the work (a sparse pivot row touches few columns).  Callers encode their
+pivot preference by ordering the columns.
 
 `rref` is the one elimination.  The Nichols radical runs it over Q(q) on
 the Gram matrix of the right-extension candidates, the deformation solvers

@@ -18,7 +18,11 @@ Each is an independent route to a value the package computes another way:
   coaction it contracts;
 - the dense matrix product, against the sparse braid actions;
 - the defining relations and associativity of the truncated enveloping
-  algebra `deform.TruncatedUg`, checked on its multiplication table;
+  algebra `deform.TruncatedUg`, checked on its multiplication table, and
+  that table replayed one PBW letter at a time with no memo, against the
+  prefix-memoised `TruncatedUg.mono_mul`;
+- the gauge step of `deform.mult_trivialize` solved on every window pair,
+  against the defining rows `deform._gauge_rows` it is solved on;
 - the degree-0 Chevalley-Eilenberg differential for the adjoint action,
   which plants coboundaries for `deform.coboundary_solve`.
 
@@ -28,15 +32,18 @@ definition here.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from uqbench.deform import GEN_MONO, GEN_ORDER, El, TruncatedUg
+from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, El, Mono, TruncatedUg,
+                            _gauge_defect, _leibniz)
 from uqbench.errors import CapError, ConfigError
+from uqbench.linalg import solve
 from uqbench.nichols import (Degree, NicholsContext, Word, word_degree,
                              words_of_degree)
 from uqbench.rootdata import RootDatum
 from uqbench.scalars import ScalarQ, q_binomial, q_int, q_rising
-from uqbench.sparse import add_term, scale
+from uqbench.sparse import add_term, combine, scale
 from uqbench.uq import UqContext
 from uqbench.weightmods import Vec, WeightModule
 
@@ -214,3 +221,51 @@ def differential0(algebra: TruncatedUg, u: El) -> dict:
     """Chevalley-Eilenberg differential of the 0-cochain u for the adjoint
     action: x |-> [x, u] on each generator monomial x."""
     return {g: algebra.commutator({g: 1}, u) for g in GEN_ORDER}
+
+
+def chain_mono_mul(algebra: TruncatedUg, m1: Mono, m2: Mono) -> El:
+    """m1 m2 with every PBW letter of m2, F^a then H^b then E^c, applied to
+    m1 in turn by `TruncatedUg._rmul_gen`, sharing nothing between pairs."""
+    acc: El = {m1: 1}
+    for g, reps in zip((GEN_MONO["F"], GEN_MONO["H"], GEN_MONO["E"]), m2):
+        for _ in range(reps):
+            nxt: El = {}
+            for m, coef in acc.items():
+                for m3, c3 in algebra._rmul_gen(m, g).items():
+                    add_term(nxt, m3, coef * c3)
+            acc = nxt
+    return acc
+
+
+def all_pairs_gauge_solve(algebra: TruncatedUg, f_n: dict) -> dict | None:
+    """A solution b of f_n(x, y) = x b(y) - b(xy) + b(x) y on every window
+    pair, or None: b is the particular Leibniz extension of f_n plus the
+    thirteen homogeneous ones, their coefficients solved by `linalg.solve`
+    from one row per pair and window monomial, in pair order and with
+    repeated rows kept, so pivoting is lexicographic over the unknowns and
+    free coordinates are zero."""
+    unknowns = [(UNIT, UNIT)] + [(g, im) for g in sorted(GEN_MONO.values())
+                                 for im in algebra.basis(1)]
+    homogeneous = [_leibniz(algebra, {m: {im: 1}}, {}) for m, im in unknowns]
+    particular = _leibniz(algebra, {}, f_n)
+    index = {m: r for r, m in enumerate(algebra.monos)}
+    rows, rhs = [], []
+    for x, y in algebra.pairs:
+        lin = [_gauge_defect(algebra, b, x, y) for b in homogeneous]
+        want = combine(f_n.get((x, y), {}),
+                       _gauge_defect(algebra, particular, x, y), -1)
+        for m in sorted(set(want).union(*lin), key=index.__getitem__):
+            rows.append([el.get(m, 0) for el in lin])
+            rhs.append(want.get(m, 0))
+    sol = solve(rows, rhs, len(homogeneous), Fraction(1))
+    if sol is None:
+        return None
+    out = {}
+    for m in algebra.monos:
+        el = dict(particular.get(m, {}))
+        for s, b in zip(sol, homogeneous):
+            for mm, c in b.get(m, {}).items():
+                add_term(el, mm, s * c)
+        if el:
+            out[m] = el
+    return out

@@ -265,11 +265,14 @@ def test_failed_out_write_gives_one_error_report():
 
 
 # a report that fits the stdout buffer fails at main's flush, a larger one
-# (9,002 bytes) in _emit's write; with --out the file still gets the report
+# (9,002 bytes) in _emit's write; with --out the file still gets the report;
+# --help text fails at the parser's own flush, before it exits
 FULL_STDOUT = [
     ["nichols-dims", "--datum", "A1", "--max-degree", "2"],
     ["verma", "--datum", "A2", "--lam", "1,1", "--cap", "4"],
     ["verma", "--datum", "A2", "--lam", "1,1", "--cap", "4", "--out", None],
+    ["--help"],
+    ["trivialize", "--help"],
 ]
 
 

@@ -8,6 +8,9 @@ recomputation that shares no code path with the solver's own bookkeeping.
 Obstructed inputs are pinned as errors with the failing order attached.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -15,6 +18,7 @@ from math import comb
 import pytest
 
 import uqbench.deform as deform
+from uqbench.cli import main
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             TruncatedUg, _compose, _residual, _series_mul,
                             cochain_differential, coboundary_solve,
@@ -28,7 +32,8 @@ from uqbench.errors import CapError, ConfigError
 from uqbench.rootdata import PRESET_ENV, load_datum
 from uqbench.sparse import add_term, combine
 
-from oracles import check_associativity, check_relations, differential0
+from oracles import (all_pairs_gauge_solve, chain_mono_mul,
+                     check_associativity, check_relations, differential0)
 
 A1 = load_datum("A1")
 E, H, F = GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"]
@@ -171,6 +176,22 @@ def test_coboundary_rejects_non_cocycle():
     # [x,y]-compatibility fails: d of this f is nonzero
     with pytest.raises(ConfigError, match="not a cocycle"):
         coboundary_solve(a, f)
+
+
+@pytest.mark.parametrize("shape", ["E", "F", "FE"])
+@pytest.mark.parametrize("window", [2, 3, 4])
+def test_coboundary_of_degree_window_plus_one_is_an_obstruction(window, shape):
+    # ad(u) for u of degree window + 1 is a cocycle of that degree: its
+    # rows lie in the targets, with no unknown reaching them, so the window
+    # holds no solution; it is not a monomial outside the targets
+    a = alg(2 * window, window)
+    d = window + 1
+    u = {{"E": (0, 0, d), "F": (d, 0, 0), "FE": (1, 0, d - 1)}[shape]: ONE}
+    f = differential0(a, u)
+    assert max(el_degree(v) for v in f.values()) == window + 1
+    with pytest.raises(ObstructionError) as err:
+        coboundary_solve(a, f, order=2)
+    assert err.value.order == 2
 
 
 def test_coboundary_obstruction_outside_window():
@@ -915,3 +936,124 @@ def test_window_pairs_degree_bound():
     assert pairs == [(m1, m2) for m1 in a.monos for m2 in a.monos
                      if sum(m1) + sum(m2) <= 3]
     assert (UNIT, UNIT) in pairs
+
+
+# ---------------------------------------------------------------------------
+# the gauge solve on its defining rows, and the prefix-memoised product
+# ---------------------------------------------------------------------------
+
+# the plants of the benchmark's trivialize jobs
+TRIVIALIZE_PLANTS = [["--plant", "E=H"], ["--plant", "H=E"], ["--plant", "F=0"],
+                     ["--plant", "E=H", "--plant", "F=H"]]
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("plant", TRIVIALIZE_PLANTS, ids=" ".join)
+@pytest.mark.parametrize("window", [2, 3, 4])
+def test_gauge_solve_matches_the_all_pairs_system(window, plant, order,
+                                                  monkeypatch):
+    # the benchmark's trivialize jobs (window 3) and the same jobs at
+    # windows 2 and 4: at every solved order the defining rows give the
+    # beta that the equation on every window pair gives
+    steps = []
+    solve_order = deform._solve_gauge_order
+
+    def record(algebra, f_n, n, gauges):
+        beta = solve_order(algebra, f_n, n, gauges)
+        steps.append((algebra, f_n, beta))
+        return beta
+
+    monkeypatch.setattr(deform, "_solve_gauge_order", record)
+    argv = ["trivialize", "--cap", str(2 * window), "--window", str(window),
+            "--order", str(order), *plant]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    transcript = json.loads(out.getvalue())["result"]["transcript"]
+    assert len(steps) == sum(t["defect"] == "solved" for t in transcript)
+    assert steps or plant == ["--plant", "F=0"]
+    for algebra, f_n, beta in steps:
+        assert beta == all_pairs_gauge_solve(algebra, f_n)
+
+
+def test_gauge_solve_matches_the_all_pairs_system_on_unit_cocycles():
+    # every order-1 table with one entry, a monomial of at most the pair's
+    # degree on one window pair, that is a cocycle at window 2: solved on
+    # the defining rows exactly when on every window pair, to the same beta
+    a = alg(4, 2)
+    gauges = deform._homogeneous_gauges(a)
+    seen = {"solved": 0, "obstructed": 0}
+    for x, y in a.pairs:
+        for m in a.basis(sum(x) + sum(y)):
+            f = {(x, y): {m: 1}}
+            if deform._cocycle_defect(a, f) is not None:
+                continue
+            want = all_pairs_gauge_solve(a, f)
+            if want is None:
+                with pytest.raises(ObstructionError):
+                    deform._solve_gauge_order(a, f, 1, gauges)
+                seen["obstructed"] += 1
+            else:
+                assert deform._solve_gauge_order(a, f, 1, gauges) == want
+                seen["solved"] += 1
+    assert seen == {"solved": 42, "obstructed": 48}
+
+
+def test_gauge_rows_are_the_generator_pairs_off_the_pbw_basis():
+    # (1, 1), and each (g, y) whose product g y is not the PBW monomial
+    # with the exponents of g and y added
+    a = alg(6, 3)
+    assert deform._gauge_rows(a) == [(UNIT, UNIT)] + [
+        (x, y) for x, y in a.pairs if x in GEN_ORDER
+        and a.mono_mul(x, y) != {tuple(map(sum, zip(x, y))): 1}]
+    assert len(deform._gauge_rows(a)) == 12 and len(a.pairs) == 84
+
+
+@pytest.mark.parametrize("window", [3, 4])
+@pytest.mark.parametrize("pair, extra, first", [
+    ((F, E), {UNIT: ONE}, (E, F, E)),
+    ((E, E), {H: ONE}, (E, E, E)),
+    (((0, 1, 1), F), {H: ONE}, (E, H, F)),
+], ids=["F-E", "E-E", "HE-F"])
+def test_non_cocycle_off_the_gauge_rows_still_names_its_triple(
+        window, pair, extra, first):
+    # perturbations on pairs the gauge solve reads no row of: the cocycle
+    # check scans every window triple, so the input is refused with its
+    # first failing triple all the same
+    a = alg(2 * window, window)
+    assert pair not in deform._gauge_rows(a)
+    for order in (1, 2):
+        mu = _perturbed_plant(a, order, pair, extra)
+        with pytest.raises(ConfigError) as err:
+            mult_trivialize(a, mu, order)
+        assert str(err.value) == (
+            f"deformed multiplication is not associative at order {order} "
+            f"on {first}")
+
+
+@pytest.mark.parametrize("cap", range(2, 9))
+@pytest.mark.parametrize("longest_first", [False, True])
+def test_prefix_memoised_mono_mul_matches_the_letter_chain(cap, longest_first):
+    # every monomial pair within the cap, on a cold algebra, filled from
+    # the shortest products up or from the longest down; equal as dicts and
+    # in key order, which the reports print
+    a = TruncatedUg(A1, cap, 1)
+    monos = a.basis(cap)
+    pairs = [(m1, m2) for m1 in monos for m2 in monos
+             if sum(m1) + sum(m2) <= cap]
+    for m1, m2 in reversed(pairs) if longest_first else pairs:
+        want = chain_mono_mul(a, m1, m2)
+        assert list(a.mono_mul(m1, m2).items()) == list(want.items())
+
+
+def test_multiply_past_cap_raises_with_a_warm_cache():
+    a = alg(6, 3)
+    e4, e3 = (0, 0, 4), (0, 0, 3)
+    # warm every product within the cap, the prefixes of E^4 E^3 among them
+    assert check_associativity(a, a.cap)
+    assert a.mono_mul(e4, (0, 0, 2)) == {(0, 0, 6): 1}
+    for x, y in [({e4: 1}, {e3: 1}), ({e3: 1, UNIT: 1}, {UNIT: 2, e4: 1}),
+                 ({(2, 2, 0): 1}, {(1, 1, 1): 1, (0, 2, 1): 1})]:
+        with pytest.raises(CapError, match="exceeds the cap 6"):
+            a.multiply(x, y)
+    assert all(sum(m1) + sum(m2) <= a.cap for m1, m2 in a._mono_cache)

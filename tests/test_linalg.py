@@ -2,9 +2,11 @@
 form: `rref` touches only the pivot row's nonzero columns, so random sparse
 matrices with zero rows, repeated rows and rank deficiency check that it
 still returns the dense result, pivots and all; `solve` is checked on the
-same matrices, 0-row systems included.
+same matrices, 0-row systems included.  Seeded integer systems check that
+`solve` does not depend on row order or repeated rows.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,3 +101,36 @@ def test_solve_refuses_mismatched_shapes():
         solve([[ONE, ZERO]], [ONE], 3, ONE)
     with pytest.raises(ValueError):
         solve([[ONE]], [], 1, ONE)
+
+
+def _int_system(rng: random.Random) -> tuple[list, list, int]:
+    """Up to 10 integer rows over 1-8 columns, each an integer combination
+    of a few sparse base rows, with a consistent or a random right-hand
+    side."""
+    ncols = rng.randint(1, 8)
+    base = [[rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 4))]
+    rows = [[sum(rng.randint(-2, 2) * b[j] for b in base)
+             for j in range(ncols)] for _ in range(rng.randint(1, 10))]
+    if rng.random() < 0.5:
+        x = [rng.randint(-3, 3) for _ in range(ncols)]
+        rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    else:
+        rhs = [rng.randint(-3, 3) for _ in rows]
+    return rows, rhs, ncols
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_solve_ignores_row_order_and_repeated_rows(seed):
+    # the reduced row echelon form depends only on the row space, so
+    # shuffling rows and repeating some gives the same solution, or None
+    rng = random.Random(seed)
+    rows, rhs, ncols = _int_system(rng)
+    want = solve(rows, rhs, ncols, ONE)
+    for _ in range(4):
+        order = list(range(len(rows)))
+        order += [rng.randrange(len(rows)) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(order)
+        got = solve([rows[i] for i in order], [rhs[i] for i in order], ncols,
+                    ONE)
+        assert got == want
