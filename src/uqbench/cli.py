@@ -12,6 +12,12 @@ solver hit a window obstruction), 2 configuration error (a command line the
 parser rejects included: its usage line goes to stderr, the JSON report to
 stdout; a stdout that cannot be written gets one line on stderr instead), 3
 truncation window error.
+
+Each `main` call builds its own parser, from one `_COMMANDS` entry per
+subcommand: the top-level parser plus only the subparser that argv[0]
+names.  Without a subcommand name there (no arguments, `--help`, an unknown
+command, a leading option) it builds all of them, so top-level help and
+errors are those of the full tree.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -426,115 +432,113 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
-def build_parser() -> argparse.ArgumentParser:
+_LAM_HELP = "highest weight: integer or comma list"
+_DATUM = ("--datum", {"required": True})
+_PADIC = [("--p", {"type": int, "required": True}),
+          ("--vh", {"required": True}),
+          ("--r-exp", {"default": "0"}), ("--s-exp", {"default": "0"})]
+
+
+def _int(default, **kwargs) -> dict:
+    return {"type": int, "default": default, **kwargs}
+
+
+# name -> (handler, help text, options as (flag, add_argument kwargs)); every
+# subcommand also takes --out, and its parser is built from this entry alone
+_COMMANDS = {
+    "nichols-dims": (
+        cmd_nichols_dims,
+        "table of multidegree -> Nichols algebra dimension",
+        [_DATUM, ("--max-degree", _int(4))]),
+    "serre-check": (
+        cmd_serre_check,
+        "Serre elements lie in the pairing radical",
+        [_DATUM, ("--cap", _int(8))]),
+    "hopf-check": (
+        cmd_hopf_check,
+        "Hopf axioms and the reordering identity",
+        [_DATUM, ("--cap", _int(8)), ("--seed", _int(0)),
+         ("--samples", _int(4))]),
+    "ybe-check": (
+        cmd_ybe_check,
+        "braid relation on a Verma window",
+        [_DATUM, ("--lam", {"default": "2", "help": _LAM_HELP}),
+         ("--cap", _int(3))]),
+    "braid-rep": (
+        cmd_braid_rep,
+        "matrix of a braid word on a tensor power window",
+        [_DATUM, ("--lam", {"default": "1", "help": _LAM_HELP}),
+         ("--strands", _int(3)), ("--word", {"default": "1"}),
+         ("--cap", _int(2, help="total depth cap for the tensor basis")),
+         ("--module-cap", _int(None, help="f-degree cap of each tensor "
+                               "factor (default: same as --cap)"))]),
+    "verma": (
+        cmd_verma,
+        "windowed Verma module tables",
+        [_DATUM, ("--lam", {"default": "3", "help": _LAM_HELP}),
+         ("--cap", _int(4))]),
+    "mlambda": (
+        cmd_mlambda,
+        "windowed dense weight module tables",
+        [_DATUM, ("--lam", _int(3)), ("--window", {"default": "3,3"})]),
+    "converge-cert": (
+        cmd_converge_cert,
+        "valuation slope certificate for coaction series",
+        _PADIC),
+    "admissible": (
+        cmd_admissible,
+        "radius admissibility and the R-matrix valuation bound",
+        [_DATUM, *_PADIC]),
+    "rigidity-solve": (
+        cmd_rigidity_solve,
+        "conjugate a planted deformation of the enveloping algebra",
+        [("--datum", {"default": "A1"}), ("--cap", _int(6)),
+         ("--window", _int(3)), ("--order", _int(4)),
+         ("--seed-coeff", {"default": "E", "help": "order-1 coefficient of "
+                           "the planted conjugator (E, H, F or 'a,b,c')"}),
+         ("--prime", _int(0, help="if set, annotate the chosen u_n with "
+                          "p-adic coefficient valuations"))]),
+    "trivialize": (
+        cmd_trivialize,
+        "remove a planted multiplication deformation",
+        [("--datum", {"default": "A1"}), ("--cap", _int(4)),
+         ("--window", _int(2)), ("--order", _int(1)),
+         ("--plant", {"action": "append", "default": None,
+                      "help": "generator image of the planted gauge, like "
+                      "E=H, of degree <= 1 (repeatable; default E=H)"})]),
+}
+
+
+def build_parser(names=None) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of `names`, or for every
+    subcommand when `names` is None."""
     parser = _Parser(
         prog="uqbench",
         description="Exact workbench for root-datum quantum groups: Nichols "
                     "algebra dimensions, Hopf and braiding checks, windowed "
                     "weight modules, convergence certificates, and truncated "
                     "deformation solvers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    # a subset keeps the usage line that names every subcommand; the full
+    # tree leaves metavar unset, as its errors name the argument `command`
+    metavar = None if names is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if names is None else names:
+        handler, help_text, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.command = name
-        p.set_defaults(func=func)
+        p.set_defaults(func=handler)
         p.add_argument("--out", help="also write the report to this file")
-        return p
-
-    p = add("nichols-dims", cmd_nichols_dims,
-            "table of multidegree -> Nichols algebra dimension")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--max-degree", type=int, default=4)
-
-    p = add("serre-check", cmd_serre_check,
-            "Serre elements lie in the pairing radical")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--cap", type=int, default=8)
-
-    p = add("hopf-check", cmd_hopf_check,
-            "Hopf axioms and the reordering identity")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--cap", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=4)
-
-    p = add("ybe-check", cmd_ybe_check,
-            "braid relation on a Verma window")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--lam", default="2",
-                   help="highest weight: integer or comma list")
-    p.add_argument("--cap", type=int, default=3)
-
-    p = add("braid-rep", cmd_braid_rep,
-            "matrix of a braid word on a tensor power window")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--lam", default="1",
-                   help="highest weight: integer or comma list")
-    p.add_argument("--strands", type=int, default=3)
-    p.add_argument("--word", default="1")
-    p.add_argument("--cap", type=int, default=2,
-                   help="total depth cap for the tensor basis")
-    p.add_argument("--module-cap", type=int, default=None,
-                   help="f-degree cap of each tensor factor "
-                        "(default: same as --cap)")
-
-    p = add("verma", cmd_verma, "windowed Verma module tables")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--lam", default="3",
-                   help="highest weight: integer or comma list")
-    p.add_argument("--cap", type=int, default=4)
-
-    p = add("mlambda", cmd_mlambda,
-            "windowed dense weight module tables")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--lam", type=int, default=3)
-    p.add_argument("--window", default="3,3")
-
-    p = add("converge-cert", cmd_converge_cert,
-            "valuation slope certificate for coaction series")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vh", required=True)
-    p.add_argument("--r-exp", default="0")
-    p.add_argument("--s-exp", default="0")
-
-    p = add("admissible", cmd_admissible,
-            "radius admissibility and the R-matrix valuation bound")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vh", required=True)
-    p.add_argument("--r-exp", default="0")
-    p.add_argument("--s-exp", default="0")
-
-    p = add("rigidity-solve", cmd_rigidity_solve,
-            "conjugate a planted deformation of the enveloping algebra")
-    p.add_argument("--datum", default="A1")
-    p.add_argument("--cap", type=int, default=6)
-    p.add_argument("--window", type=int, default=3)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--seed-coeff", default="E",
-                   help="order-1 coefficient of the planted conjugator "
-                        "(E, H, F or 'a,b,c')")
-    p.add_argument("--prime", type=int, default=0,
-                   help="if set, annotate the chosen u_n with p-adic "
-                        "coefficient valuations")
-
-    p = add("trivialize", cmd_trivialize,
-            "remove a planted multiplication deformation")
-    p.add_argument("--datum", default="A1")
-    p.add_argument("--cap", type=int, default=4)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--plant", action="append", default=None,
-                   help="generator image of the planted gauge, like E=H, "
-                        "of degree <= 1 (repeatable; default E=H)")
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _run(argv: list) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # only the subparser that argv[0] names; help and errors that
+        # list the subcommands get the full tree
+        names = argv[:1] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(names).parse_args(argv)
     except _UsageError as exc:
         _emit(exc.command, {"argv": argv}, {"error": str(exc)}, "ERROR")
         return EXIT_CONFIG

@@ -5,6 +5,7 @@ compared byte for byte; hash randomization is varied between the runs so
 accidental dict-order dependence cannot hide.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench import norms
+from uqbench import cli, norms
 from uqbench.cli import _emit, main
 from uqbench.rootdata import PRESET_ENV
 from uqbench.scalars import ScalarQ
@@ -360,6 +361,12 @@ def test_argparse_errors_print_a_json_report(args):
     assert report["config"] == {"argv": args}
     assert report["command"] == (args[0] if args and args[0] in CASES
                                  else None)
+    # the full tree names the subcommand argument `command` in its errors
+    if args == ["no-such-command"]:
+        assert report["result"]["error"].startswith(
+            "argument command: invalid choice: 'no-such-command'")
+    if not args:
+        assert report["result"]["error"].endswith("required: command")
 
 
 @pytest.mark.parametrize("args", [["--help"], ["trivialize", "--help"]])
@@ -367,6 +374,70 @@ def test_help_exits_zero(args):
     proc = run_cli(args)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage:")
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _parse(parser, argv):
+    """What one parse gives: the parsed options, the usage error or the
+    exit code, with everything it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except cli._UsageError as exc:
+            result = ("usage error", str(exc), exc.command)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_one_subparser_parses_as_the_full_tree(name):
+    assert list(cli._COMMANDS) == list(CASES)
+    one, full = cli.build_parser([name]), cli.build_parser()
+    assert one.format_usage() == full.format_usage()
+    assert (_subparser(one, name).format_help()
+            == _subparser(full, name).format_help())
+    options = cli._COMMANDS[name][2]
+    int_flag = next(flag for flag, kwargs in options
+                    if kwargs.get("type") is int)
+    other = next(n for n in CASES if n != name)
+    grid = [
+        CASES[name], [name, "--help"], [name, "--out", "x", "-h"],
+        [*CASES[name], "-h"], [name], [name, "--datum"],
+        [name, int_flag, "x"], [*CASES[name], "stray"],
+        [*CASES[name], other], [name, other, "--help"], [name, "--"],
+        [*CASES[name], "--", "stray"],
+    ]
+    for argv in grid:
+        assert _parse(one, argv) == _parse(full, argv), argv
+
+
+def test_main_builds_only_the_parser_it_runs(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argv = ["nichols-dims", "--datum", "A1", "--max-degree", "1"]
+    assert main(argv) == 0
+    assert built == ["uqbench", "uqbench nichols-dims"]
+    # nothing is kept for the next call
+    assert main(argv) == 0
+    assert len(built) == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert len(built) == 4 + 1 + len(CASES)
+    assert capsys.readouterr().out.count("usage: uqbench") == 1
 
 
 @settings(max_examples=60, deadline=None)
