@@ -28,7 +28,7 @@ from uqbench.errors import CapError
 from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
-from uqbench.sparse import add_term
+from uqbench.sparse import add_scaled, add_term
 from uqbench.weightmods import (braid_pair, build_verma,
                                 closed_form_braiding_rank1, tensor_module,
                                 ybe_check)
@@ -68,8 +68,7 @@ def naturality_failures(datum, M, N, mn, nm):
     def sigma(vec):
         out = {}
         for (a, b), c in vec.items():
-            for pair, c2 in braid_pair(datum, M, N, a, b).items():
-                add_term(out, pair, c * c2)
+            add_scaled(out, braid_pair(datum, M, N, a, b).items(), c)
         return out
 
     cases = failures = 0

@@ -5,9 +5,10 @@ generic-parameter side, Fractions and p-adic valuations for the analytic
 side.  The main entry points:
 
 - scalars: ScalarQ Laurent fractions, q-integers, p-adic valuations.
-- sparse: the one sparse-vector core (add at a key, drop zero sums); every
-  element of T(V), of U_q, of a module or of the deformation window is a
-  plain {key: coefficient} dict built with it.
+- sparse: the one sparse-vector core (`add_term` adds at a key and drops
+  zero sums, `add_scaled` adds a scaled combination); every element of
+  T(V), of U_q, of a module or of the deformation window is a plain
+  {key: coefficient} dict built with it.
 - rootdata: RootDatum presets and validation.
 - nichols: tensor words, and the Nichols algebras of the datum's diagonal
   braiding via the pairing radical.

@@ -71,7 +71,7 @@ from math import comb
 from .errors import CapError, ConfigError, ObstructionError
 from .linalg import solve
 from .rootdata import RootDatum
-from .sparse import add_term, combine, scale
+from .sparse import add_scaled, add_term, combine, scale
 
 Mono = tuple[int, int, int]  # exponents of F, H, E in normal order
 El = dict  # Mono -> int | Fraction
@@ -178,8 +178,7 @@ class TruncatedUg:
             out = {}
             prefix = (a - g[0], b - g[1], c - g[2])
             for m, coef in self.mono_mul(m1, prefix).items():
-                for m3, c3 in self._rmul_gen(m, g).items():
-                    add_term(out, m3, coef * c3)
+                add_scaled(out, self._rmul_gen(m, g).items(), coef)
         self._mono_cache[key] = out
         return out
 
@@ -190,9 +189,7 @@ class TruncatedUg:
         for m1, c1 in x.items():
             for m2, c2 in y.items():
                 prod = cache.get((m1, m2)) or self.mono_mul(m1, m2)
-                c = c1 * c2
-                for m3, c3 in prod.items():
-                    add_term(out, m3, c * c3)
+                add_scaled(out, prod.items(), c1 * c2)
         return out
 
     def commutator(self, x: El, y: El) -> El:
@@ -223,8 +220,7 @@ def cochain_differential(algebra: TruncatedUg, f: dict) -> dict:
             term = combine(algebra.commutator({x: 1}, f.get(y, {})),
                            algebra.commutator({y: 1}, f.get(x, {})), -1)
             for g, c in algebra.commutator({x: 1}, {y: 1}).items():
-                for m, v in f.get(g, {}).items():
-                    add_term(term, m, -c * v)
+                add_scaled(term, f.get(g, {}).items(), -c)
             out[(x, y)] = term
     return out
 
@@ -322,8 +318,7 @@ def _series_mul(mul, a: list, b: list, upto: int) -> list:
 
 def _el_mul(algebra: TruncatedUg, x: El, y: El, out: El) -> None:
     """`mul` for element series, bound to an algebra: out += x y."""
-    for m, c in algebra.multiply(x, y).items():
-        add_term(out, m, c)
+    add_scaled(out, algebra.multiply(x, y).items(), 1)
 
 
 def _compose(x: dict, y: dict, out: dict) -> None:
@@ -334,7 +329,7 @@ def _compose(x: dict, y: dict, out: dict) -> None:
         for mm, c in col.items():
             img = x.get(mm)
             if img:
-                _add_scaled(acc, img, c)
+                add_scaled(acc, img.items(), c)
         if acc:
             out[m] = acc
         else:
@@ -438,18 +433,12 @@ def standard_multiplication(algebra: TruncatedUg) -> dict:
     return {(m1, m2): algebra.mono_mul(m1, m2) for m1, m2 in algebra.pairs}
 
 
-def _add_scaled(acc: El, x: El, c) -> None:
-    """acc += c * x."""
-    for m, cm in x.items():
-        add_term(acc, m, c * cm)
-
-
 def _mu_term(mu_n: dict, x: El, y: El, out: El) -> None:
     """Add a deformation order term evaluated on two elements to `out`; a
     pair the table lacks is zero, and tables are read in place."""
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            _add_scaled(out, mu_n.get((m1, m2), {}), c1 * c2)
+            add_scaled(out, mu_n.get((m1, m2), {}).items(), c1 * c2)
 
 
 def _validate_deformation(algebra: TruncatedUg, mu: list) -> None:
@@ -523,9 +512,9 @@ def _gauge_defect(algebra: TruncatedUg, b: dict, x: Mono, y: Mono) -> El:
     out: El = algebra.multiply({x: 1}, b[y]) if y in b else {}
     for m, c in algebra.mono_mul(x, y).items():
         if m in b:
-            _add_scaled(out, b[m], -c)
+            add_scaled(out, b[m].items(), -c)
     if x in b:
-        _add_scaled(out, algebra.multiply(b[x], {y: 1}), 1)
+        add_scaled(out, algebra.multiply(b[x], {y: 1}).items(), 1)
     return out
 
 
@@ -593,7 +582,7 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
         el = dict(particular.get(m, {}))
         for s, b in zip(sol, homogeneous):
             if s and m in b:
-                _add_scaled(el, b[m], s)
+                add_scaled(el, b[m].items(), s)
         if el:
             out[m] = el
     return out
@@ -625,12 +614,11 @@ def _residual(algebra: TruncatedUg, mu: list, V: list, n: int) -> dict:
             for m, c in mu_j.get((x, y), {}).items():
                 img = v_i.get(m)
                 if img:
-                    _add_scaled(acc, img, c)
+                    add_scaled(acc, img.items(), c)
         for v_j, v_k in products:
             vx, vy = v_j.get(x), v_k.get(y)
             if vx and vy:
-                for m, c in algebra.multiply(vx, vy).items():
-                    add_term(acc, m, -c)
+                add_scaled(acc, algebra.multiply(vx, vy).items(), -1)
         if acc:
             out[(x, y)] = acc
     return out

@@ -7,7 +7,7 @@ coproduct determined by Delta(v) = 1 (x) v + v (x) 1 extended as an algebra
 map into the braided tensor square; `_pair_words` reads its crossing
 weights from `datum.pairing`.  An element of T(V) is a plain dict
 {word: ScalarQ} of tensor words v_{i1} (x) ... (x) v_{in}, built with
-`sparse.add_term`.
+`sparse.add_term` and `sparse.add_scaled`.
 
 The bilinear form starts from <v_i, v_j> = delta_ij / (q_i - q_i^{-1}) and
 extends by <x y, z> = <x (x) y, Delta z> with <x (x) y, a (x) b> =
@@ -46,7 +46,7 @@ from .errors import CapError, ConfigError
 from .linalg import rref
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial
-from .sparse import add_term
+from .sparse import add_scaled, add_term
 
 ONE = ScalarQ.one()
 _LAURENT_ONE: dict[int, int] = {0: 1}
@@ -187,8 +187,7 @@ class NicholsContext:
             tail = w[-1:]
             acc: dict[Word, ScalarQ] = {}
             for b, a in self.reduce_word(w[:-1]).items():
-                for u, c in self._reductions[b + tail].items():
-                    add_term(acc, u, a * c)
+                add_scaled(acc, self._reductions[b + tail].items(), a)
             hit = self._reductions[w] = {u: acc[u] for u in sorted(acc)}
         return hit
 
@@ -198,8 +197,7 @@ class NicholsContext:
         Handles inhomogeneous input degree by degree."""
         out: dict[Word, ScalarQ] = {}
         for w, coef in x.items():
-            for bw, c in self.reduce_word(w).items():
-                add_term(out, bw, coef * c)
+            add_scaled(out, self.reduce_word(w).items(), coef)
         return out
 
 

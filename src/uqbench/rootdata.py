@@ -32,10 +32,10 @@ class RootDatum:
     simple_roots: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
     comments: str = ""
-    # derived, filled by __post_init__
-    d: tuple[int, ...] = field(default=(), compare=False)
-    cartan: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
-    t_indices: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    # derived, filled by __post_init__; the constructor does not take them
+    d: tuple[int, ...] = field(init=False, compare=False)
+    cartan: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    t_indices: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         validate_datum(self)

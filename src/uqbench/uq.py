@@ -69,7 +69,7 @@ from .errors import ConfigError
 from .nichols import NicholsContext, Word, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ
-from .sparse import add_term, scale
+from .sparse import add_scaled, add_term, scale
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -178,8 +178,7 @@ class UqContext:
         # E_i F_j = F_j E_i + delta_ij X_i; first prefix . (F_j . (E_i f_rest))
         for t, c in self._reorder((i,), f[1:]):
             for t2, c2 in self._term_mul(((j,), zero, ()), t):
-                for t3, c3 in self._term_mul(prefix, t2):
-                    add_term(acc, t3, c * c2 * c3)
+                add_scaled(acc, self._term_mul(prefix, t2), c * c2)
         if i == j:
             # prefix . (K_{+-tau_i} . f_rest), X_i = (t_i - t_i^-1)/(q_i - q_i^-1)
             d = self.datum.d[i]
@@ -188,8 +187,7 @@ class UqContext:
             for sign, coef in ((1, inv), (-1, -inv)):
                 k = ((), tuple(sign * x for x in tau), ())
                 for t, c in self._term_mul(k, f_rest):
-                    for t2, c2 in self._term_mul(prefix, t):
-                        add_term(acc, t2, coef * c * c2)
+                    add_scaled(acc, self._term_mul(prefix, t), coef * c)
         out = list(acc.items())
         self._reorder_memo[key] = out
         return out
@@ -198,9 +196,7 @@ class UqContext:
         out: Element = {}
         for t1, c1 in x.items():
             for t2, c2 in y.items():
-                base = c1 * c2
-                for t, c in self._term_mul(t1, t2):
-                    add_term(out, t, base * c)
+                add_scaled(out, self._term_mul(t1, t2), c1 * c2)
         return out
 
     def multiply_all(self, factors: Sequence[Element]) -> Element:
@@ -221,8 +217,7 @@ class UqContext:
     def coproduct(self, x: Element) -> dict[tuple[Term, Term], ScalarQ]:
         out: dict[tuple[Term, Term], ScalarQ] = {}
         for t, coef in x.items():
-            for key, c in self._coproduct_term(t).items():
-                add_term(out, key, coef * c)
+            add_scaled(out, self._coproduct_term(t).items(), coef)
         return out
 
     def _coproduct_term(self, t: Term) -> dict[tuple[Term, Term], ScalarQ]:
@@ -264,8 +259,7 @@ class UqContext:
     def antipode(self, x: Element) -> Element:
         out: Element = {}
         for t, coef in x.items():
-            for t2, c in self._antipode_term(t).items():
-                add_term(out, t2, coef * c)
+            add_scaled(out, self._antipode_term(t).items(), coef)
         return out
 
     def _antipode_term(self, t: Term) -> Element:
@@ -411,8 +405,6 @@ def check_antipode(ctx: UqContext, x: Element) -> bool:
     lhs: Element = {}
     rhs: Element = {}
     for (t1, t2), c in ctx.coproduct(x).items():
-        for t, c2 in ctx.multiply(ctx.antipode({t1: ONE}), {t2: ONE}).items():
-            add_term(lhs, t, c * c2)
-        for t, c2 in ctx.multiply({t1: ONE}, ctx.antipode({t2: ONE})).items():
-            add_term(rhs, t, c * c2)
+        add_scaled(lhs, ctx.multiply(ctx.antipode({t1: ONE}), {t2: ONE}).items(), c)
+        add_scaled(rhs, ctx.multiply({t1: ONE}, ctx.antipode({t2: ONE})).items(), c)
     return lhs == want and rhs == want

@@ -72,7 +72,7 @@ from .linalg import invert
 from .nichols import Degree, NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
 from .scalars import ScalarQ, q_binomial, q_int, q_rising
-from .sparse import add_term
+from .sparse import add_scaled, add_term
 
 ZERO = ScalarQ.zero()
 ONE = ScalarQ.one()
@@ -115,8 +115,7 @@ class WeightModule:
             if col is None:
                 raise CapError(
                     f"{which}_{i} on {label!r} leaves the window ({self.window})")
-            for target, c2 in col:
-                add_term(out, target, c * c2)
+            add_scaled(out, col, c)
         return out
 
     def apply_e(self, i: int, vec: Vec) -> Vec:
@@ -196,9 +195,8 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
             n = top[i]
             for k in range(len(w) - 1, -1, -1):
                 if w[k] == i and n:
-                    bracket = q_int(n, datum.d[i])
-                    for u, c in nichols.reduce_word(w[:k] + w[k + 1:]).items():
-                        add_term(acc, u, bracket * c)
+                    add_scaled(acc, nichols.reduce_word(w[:k] + w[k + 1:]).items(),
+                               q_int(n, datum.d[i]))
                 n -= datum.cartan[i][w[k]]
             e_cols[i][w] = sorted(acc.items())
 
@@ -245,8 +243,7 @@ def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict) -> dict:
             if prev is not None and all(t in cols for t in prev):
                 acc = {}
                 for t, c in prev.items():
-                    for t2, c2 in cols[t]:
-                        add_term(acc, t2, c * c2)
+                    add_scaled(acc, cols[t], c)
             images[u, a] = acc
         return images[u, a]
 
@@ -268,8 +265,7 @@ def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict) -> dict:
                     acc: Vec = {}
                     for c, image in zip(row, e_a):
                         if c:
-                            for t, c2 in image.items():
-                                add_term(acc, t, c * c2)
+                            add_scaled(acc, image.items(), c)
                     terms.extend((b, t, c) for t, c in acc.items())
             if vanish:
                 break

@@ -156,3 +156,15 @@ def test_asymmetric_pairing_rejected_at_construction():
                   pairing=((2, -1), (0, 2)),
                   simple_roots=d.simple_roots, coroots=d.coroots,
                   comments="")
+
+
+@pytest.mark.parametrize("derived", [{"d": (99,)}, {"cartan": ((7,),)},
+                                     {"t_indices": ((5,),)}])
+def test_derived_fields_are_not_constructor_arguments(derived):
+    # d, cartan and t_indices are computed from the pairing and the roots;
+    # the constructor refuses them instead of overwriting them silently
+    a1 = load_datum("A1")
+    with pytest.raises(TypeError):
+        RootDatum(name="A1", rank=1, pairing=a1.pairing,
+                  simple_roots=a1.simple_roots, coroots=a1.coroots,
+                  **derived)

@@ -86,11 +86,3 @@ def test_braiding_audit_reads_each_coaction_once(braiding_audit_run):
     _, _, _, _, reads = braiding_audit_run
     assert reads
     assert len({id(e_cols) for e_cols in reads}) == len(reads)
-
-
-@pytest.mark.parametrize("argv", [[], ["--cap", "4", "--window", "2",
-                                       "--order", "2"]])
-def test_rigidity_demo(capsys, argv):
-    assert _main("rigidity_demo")(argv) == 0
-    out = capsys.readouterr().out
-    assert "gauge recovered" in out

@@ -1,6 +1,6 @@
 """The sparse-vector core: add at a key, drop the key when the sum is zero.
 
-`add_term`, `combine` and `scale` are checked against a reference that sums
+`add_term`, `add_scaled`, `combine` and `scale` are checked against a reference that sums
 per key first and drops zeros afterwards, with both `Fraction` and `ScalarQ`
 coefficients.  The reference derives the key order on its own: a key sits
 where its running sum last turned from zero to nonzero.  Elements of U_q and
@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqbench.cli import _sample_elements
@@ -20,7 +20,7 @@ from uqbench.nichols import (NicholsContext, multidegrees, serre_element,
                              words_of_degree)
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
-from uqbench.sparse import add_term, combine, scale
+from uqbench.sparse import add_scaled, add_term, combine, scale
 from uqbench.uq import UqContext
 
 from oracles import radical_basis
@@ -96,6 +96,30 @@ def test_scale_matches_reference(kind, x_ops, n, e):
     c = make(n, e)
     got = scale(x, c)
     want = {k: v * c for k, v in x.items() if v * c != zero}
+    assert got == want
+    assert list(got) == list(want)
+
+
+@pytest.mark.parametrize("kind", sorted(COEFF_TYPES))
+@settings(max_examples=100, deadline=None)
+@given(acc_ops=OPS, x_ops=OPS, pairs=OPS, n=SMALL, e=st.integers(-1, 1))
+# c = -2 cancels "a", and the repeated key puts "a" back, at the end
+@example(acc_ops=[("a", 2, 1), ("b", 1, 0)], x_ops=[],
+         pairs=[("a", 1, 1), ("c", 1, 0), ("a", 1, 0)], n=-2, e=0)
+def test_add_scaled_matches_reference(kind, acc_ops, x_ops, pairs, n, e):
+    make, zero = COEFF_TYPES[kind]
+    c = make(n, e)
+    acc = _reference(acc_ops, make, zero)
+    x = _reference(x_ops, make, zero)
+    # a dict's items, then a list of pairs with repeated keys, as `_term_mul`
+    # returns them
+    terms = [(k, make(m, f)) for k, m, f in pairs]
+    got = dict(acc)
+    add_scaled(got, x.items(), c)
+    add_scaled(got, terms, c)
+    ops = ([(k, 1, v) for k, v in acc.items()]
+           + [(k, 1, c * v) for k, v in [*x.items(), *terms]])
+    want = _reference(ops, lambda s, v: v, zero)
     assert got == want
     assert list(got) == list(want)
 
