@@ -33,19 +33,19 @@ followed by the candidate reductions.  Dimensions never build one.
 Every Gram entry of multidegree deg is prod_i <v_i, v_i>^{deg_i} times a
 Laurent polynomial in q with integer coefficients (`_pair_words`).  Scaling
 the Gram matrix by that constant changes neither the pivots nor the reduced
-form, so it is left out of the elimination, and `word_gram` hands the
-integer Gram of any words to callers that scale afterwards.
+form, so it is left out of the elimination.  `dual_basis` puts it back when
+it inverts the Gram of the basis words of deg for the coefficients of the
+quasi-R-matrix; no other module reads the integer Gram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapError, ConfigError
-from .linalg import rref
+from .linalg import invert, rref
 from .rootdata import RootDatum
-from .scalars import ScalarQ, q_binomial
+from .scalars import ScalarQ, q_binomial, q_diff
 from .sparse import add_scaled, add_term
 
 ONE = ScalarQ.one()
@@ -100,6 +100,7 @@ class NicholsContext:
         self._pair_memo: dict[tuple[Word, Word], dict[int, int]] = {}
         self._basis_cache: dict[Degree, "NicholsBasis"] = {}
         self._reductions: dict[Word, dict[Word, ScalarQ]] = {}
+        self._dual_memo: dict[Degree, list[list[ScalarQ]]] = {}
 
     # -- pairing ------------------------------------------------------------
 
@@ -137,7 +138,7 @@ class NicholsContext:
     def graded_gram(self, deg: Degree) -> tuple[list[Word], list[list[dict[int, int]]]]:
         """The candidate words b i of degree deg, b a basis word of
         deg - alpha_i, lex sorted, and their integer Gram matrix
-        (`_pair_words`)."""
+        (`_pair_words`; its entries are shared and must not be mutated)."""
         if sum(deg) > self.cap:
             raise CapError(f"multidegree {deg} has total degree above cap {self.cap}")
         if not any(deg):
@@ -145,13 +146,7 @@ class NicholsContext:
         else:
             words = sorted(b + (i,) for i, k in enumerate(deg) if k > 0
                            for b in self.nichols_basis(_lower(deg, i)).basis_words)
-        return words, self.word_gram(words)
-
-    def word_gram(self, words: Sequence[Word]) -> list[list[dict[int, int]]]:
-        """The Gram matrix of words of one degree divided by the factor of
-        `_pair_words`: integer Laurent polynomials, shared through the pairing memo and not
-        to be mutated."""
-        return [[self._pair_words(u, w) for w in words] for u in words]
+        return words, [[self._pair_words(u, w) for w in words] for u in words]
 
     def nichols_basis(self, deg: Degree) -> "NicholsBasis":
         """The basis words of degree deg; reduces the candidates on the way."""
@@ -169,6 +164,24 @@ class NicholsContext:
 
     def nichols_dim(self, deg: Degree) -> int:
         return len(self.nichols_basis(deg).basis_words)
+
+    def dual_basis(self, beta: Degree) -> list[list[ScalarQ]]:
+        """G^{-1} for G[u][b] = <E_u, F_b> = (-1)^{|beta|} <u, b> on the basis
+        words of beta, in order, so E_{b*} = sum_u (G^{-1})[b][u] E_u.  G is
+        (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{-beta_i} times the integer Gram
+        of `_pair_words`, which is what gets inverted.  Shared through the
+        memo; must not be mutated."""
+        hit = self._dual_memo.get(beta)
+        if hit is not None:
+            return hit
+        words = self.nichols_basis(beta).basis_words
+        inv = invert([[ScalarQ(self._pair_words(u, b)) for b in words]
+                      for u in words], ONE)
+        scale = ONE if sum(beta) % 2 == 0 else -ONE
+        for d, k in zip(self.datum.d, beta):
+            scale = scale * q_diff(d) ** k
+        hit = self._dual_memo[beta] = [[scale * c for c in row] for row in inv]
+        return hit
 
     def reduce_word(self, w: Word) -> dict[Word, ScalarQ]:
         """{basis word: coefficient}, basis words in lex order: the

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .rootdata import RootDatum
-from .scalars import PadicParams, ScalarQ, gauss_valuation, vp, vp_factorial
+from .scalars import PadicParams, gauss_valuation, q_diff, vp, vp_factorial
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def admissible(datum: RootDatum, params: PadicParams,
     alone and equals v_p(2 d_i) + vh, finite since d_i >= 1.
     """
     bound = radii.product_exp
-    return all(gauss_valuation(ScalarQ.q_power(d) - ScalarQ.q_power(-d),
-                               params).lower <= bound
+    return all(gauss_valuation(q_diff(d), params).lower <= bound
                for d in datum.d)
 
 

@@ -380,6 +380,11 @@ def q_int(n: int, d: int = 1) -> ScalarQ:
     return _laurent({d * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
+def q_diff(d: int) -> ScalarQ:
+    """q^d - q^(-d) for d >= 1: q_i - q_i^{-1} of a root of length d."""
+    return _laurent({d: 1, -d: -1})
+
+
 def q_factorial(n: int, d: int = 1) -> ScalarQ:
     if n < 0:
         raise ScalarError("q-factorial of a negative integer")

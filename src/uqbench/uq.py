@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 from .errors import ConfigError
 from .nichols import NicholsContext, Word, word_degree
 from .rootdata import RootDatum
-from .scalars import ScalarQ
+from .scalars import ScalarQ, q_diff
 from .sparse import add_scaled, add_term, scale
 
 ZERO = ScalarQ.zero()
@@ -181,8 +181,7 @@ class UqContext:
                 add_scaled(acc, self._term_mul(prefix, t2), c * c2)
         if i == j:
             # prefix . (K_{+-tau_i} . f_rest), X_i = (t_i - t_i^-1)/(q_i - q_i^-1)
-            d = self.datum.d[i]
-            inv = (ScalarQ.q_power(d) - ScalarQ.q_power(-d)).inverse()
+            inv = q_diff(self.datum.d[i]).inverse()
             tau = self.datum.t_indices[i]
             for sign, coef in ((1, inv), (-1, -inv)):
                 k = ((), tuple(sign * x for x in tau), ())
@@ -320,8 +319,7 @@ class UqContext:
             val = ZERO
         else:
             i, prefix = e[-1], e[:-1]
-            d = self.datum.d[i]
-            leaf = -(ScalarQ.q_power(d) - ScalarQ.q_power(-d)).inverse()
+            leaf = -q_diff(self.datum.d[i]).inverse()
             val = ZERO
             for (c1, c2, coef) in self._delta_c((f, n)):
                 f2, _n2 = c2
@@ -343,18 +341,18 @@ class UqContext:
         out: Element = {}
         for (b1, bmid), c_outer in self._coproduct_term(((), self._zero_dual, e_word)).items():
             s_b1 = self._antipode_term(b1).items()
-            for (b2, b3), c_inner in self._coproduct_term(bmid).items():
-                for (c1, cmid, cc_outer) in self._delta_c(c0):
+            for (c1, cmid, cc_outer) in self._delta_c(c0):
+                p1 = ZERO
+                for bs, cs in s_b1:
+                    contrib = self.double_pairing_mono(bs[1:], c1)
+                    if not contrib.is_zero():
+                        p1 = p1 + cs * contrib
+                if p1.is_zero():
+                    continue
+                for (b2, b3), c_inner in self._coproduct_term(bmid).items():
                     for (c2, c3, cc_inner) in self._delta_c(cmid):
                         p3 = self.double_pairing_mono(b3[1:], c3)
                         if p3.is_zero():
-                            continue
-                        p1 = ZERO
-                        for bs, cs in s_b1:
-                            contrib = self.double_pairing_mono(bs[1:], c1)
-                            if not contrib.is_zero():
-                                p1 = p1 + cs * contrib
-                        if p1.is_zero():
                             continue
                         # middle legs, already normal ordered: c2 . b2
                         (fw, n), (_, lam_b, ew) = c2, b2

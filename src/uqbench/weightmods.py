@@ -22,14 +22,14 @@ ordering E_i F_w through `uq.UqContext` is its test oracle.
 The coaction is the quasi-R-matrix (Majid's double bosonisation; Lusztig,
 ch. 4): a |-> sum_b F_b (x) E_{b*} a, b running over the Nichols basis words
 of each multidegree, {E_{b*}} the dual basis under the skew pairing of the
-double, which is the Nichols form up to a sign (`_dual_basis`).  Every window
-reads it from its own E-action by `_dual_basis_coaction`, up to the cap of
-its Nichols context (the cap of a Verma, whose builder's context it keeps,
-i_max of `build_mlambda`, the depth span of a tensor window), the first time
-any label's coaction is asked for.  The sum for a label stops at the first
-total degree whose E-words all kill it; a label that an E-word takes out of
-the window gets no column, and asking for its coaction raises CapError.
-Tests pin rank 1 to a closed form.
+double, which is the Nichols form up to a sign; its coefficients are
+`NicholsContext.dual_basis`.  Every window reads it from its own E-action by
+`_dual_basis_coaction`, up to the cap of its Nichols context (the cap of a
+Verma, whose builder's context it keeps, i_max of `build_mlambda`, the depth
+span of a tensor window), the first time any label's coaction is asked for.
+The sum for a label stops at the first total degree whose E-words all kill
+it; a label that an E-word takes out of the window gets no column, and
+asking for its coaction raises CapError.  Tests pin rank 1 to a closed form.
 
 The braiding sigma: M (x) N -> N (x) M swaps, coacts on the M side, acts with
 the resulting F-words on the N side, and twists by q to the exponent
@@ -69,9 +69,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import CapError, ConfigError
 from .linalg import invert
-from .nichols import Degree, NicholsContext, Word, multidegrees, word_degree
+from .nichols import NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
-from .scalars import ScalarQ, q_binomial, q_int, q_rising
+from .scalars import ScalarQ, q_binomial, q_diff, q_int, q_rising
 from .sparse import add_scaled, add_term
 
 ZERO = ScalarQ.zero()
@@ -206,33 +206,16 @@ def build_verma(datum: RootDatum, hw, cap: int) -> WeightModule:
         window=f"f-degree <= {cap}")
 
 
-def _dual_basis(nichols: NicholsContext, beta: Degree) -> tuple[tuple[Word, ...], list]:
-    """(words, G^{-1}): the Nichols basis words of beta and the inverse of
-    their Gram G[u][b] = <E_u, F_b> = (-1)^{|beta|} <u, b>.
-
-    G is (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{-beta_i} times the integer
-    Laurent Gram `word_gram`, so that is inverted and the inverse multiplied
-    by the Laurent polynomial (-1)^{|beta|} prod_i (q_i - q_i^{-1})^{beta_i}.
-    """
-    words = nichols.nichols_basis(beta).basis_words
-    inv = invert([[ScalarQ(e) for e in row] for row in nichols.word_gram(words)], ONE)
-    scale = ONE if sum(beta) % 2 == 0 else -ONE
-    for d, k in zip(nichols.datum.d, beta):
-        scale = scale * (ScalarQ.q_power(d) - ScalarQ.q_power(-d)) ** k
-    return words, [[scale * c for c in row] for row in inv]
-
-
 def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict) -> dict:
     """label a -> ((F-word, target, c), ...): sum_b F_b (x) E_{b*} a.
 
     b runs over the Nichols basis words of total degree 1..nichols.cap, and
-    E_{b*} = sum_u (G^{-1})[b][u] E_u (`_dual_basis`, once per multidegree).
+    E_{b*} = sum_u (G^{-1})[b][u] E_u (`NicholsContext.dual_basis`).
     Each image E_u a (rightmost letter first) is computed once and serves
     every b; zero sums are dropped.  The sum for a stops at the first total
     degree whose images all vanish, as every longer E-word kills a too; a
     label with an image that leaves the window gets no column.
     """
-    duals: dict = {}
     images: dict = {((), a): {a: ONE} for a in labels}
 
     def e_image(u: Word, a) -> Vec | None:
@@ -259,9 +242,7 @@ def _dual_basis_coaction(nichols: NicholsContext, labels, e_cols: dict) -> dict:
                 if not any(e_a):
                     continue
                 vanish = False
-                if beta not in duals:
-                    duals[beta] = _dual_basis(nichols, beta)[1]
-                for row, b in zip(duals[beta], words):
+                for row, b in zip(nichols.dual_basis(beta), words):
                     acc: Vec = {}
                     for c, image in zip(row, e_a):
                         if c:
@@ -347,7 +328,7 @@ def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int,
     (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) times
     q^{(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2}.
     """
-    qd = ScalarQ.q_power(1) - ScalarQ.q_power(-1)
+    qd = q_diff(1)
     out = []
     for k in range(n + 1):
         sign = ONE if k % 2 == 0 else -ONE

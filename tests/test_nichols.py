@@ -11,12 +11,14 @@ from functools import lru_cache
 
 import pytest
 
-from uqbench.linalg import rref
+import uqbench.nichols as nichols_module
+from uqbench.linalg import invert, rref
 from uqbench.nichols import (NicholsContext, multidegrees, serre_element,
                              word_degree, words_of_degree)
 from uqbench.rootdata import load_datum
 from uqbench.scalars import ScalarQ
 from uqbench.sparse import combine
+from uqbench.weightmods import build_verma
 
 from oracles import gram_scale, pairing_eval, radical_basis
 
@@ -248,3 +250,48 @@ def test_nichols_basis_matches_rational_rref(name):
                 got = ctx.reduce_word(w)
                 assert got == want, (deg, w)
                 assert list(got) == list(want), (deg, w)
+
+
+# ---------------------------------------------------------------------------
+# the dual basis of the Nichols form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,cap", [("A1", 6), ("A2", 4), ("B2", 4),
+                                      ("G2", 3), ("A1xA1", 4)])
+def test_dual_basis_from_the_integer_gram_matches_the_rational_gram(name, cap):
+    # dual_basis inverts the integer Laurent Gram and scales afterwards; the
+    # oracle inverts the signed rational Gram of pairing_eval itself
+    datum = load_datum(name)
+    ctx = NicholsContext(datum, cap=cap)
+    for total in range(1, cap + 1):
+        for beta in multidegrees(datum.rank, total):
+            words = ctx.nichols_basis(beta).basis_words
+            sign = ONE if total % 2 == 0 else -ONE
+            gram = [[sign * pairing_eval(ctx, u, b) for b in words]
+                    for u in words]
+            assert ctx.dual_basis(beta) == invert(gram, ONE), beta
+
+
+@pytest.mark.parametrize("name,hw", [("A1", 4), ("B2", (4, 4)), ("G2", (4, 4))])
+def test_dual_basis_is_inverted_once_per_multidegree(name, hw, monkeypatch):
+    # the highest weights leave no singular vector below degree 5, so reading
+    # every coaction of the cap-4 Verma window asks for the dual basis of
+    # every multidegree of total 1..4, each inverted once
+    calls = []
+
+    def counted(rows, one):
+        calls.append(len(rows))
+        return invert(rows, one)
+
+    monkeypatch.setattr(nichols_module, "invert", counted)
+    datum = load_datum(name)
+    M = build_verma(datum, hw, 4)
+    for a in M.labels:
+        M.coaction(a)
+    degrees = [beta for total in range(1, 5)
+               for beta in multidegrees(datum.rank, total)]
+    assert len(calls) == len(degrees)
+    assert sorted(M.nichols._dual_memo) == sorted(degrees)
+    for beta in degrees:
+        assert M.nichols.dual_basis(beta) is M.nichols.dual_basis(beta)
+    assert len(calls) == len(degrees)

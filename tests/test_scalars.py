@@ -12,7 +12,7 @@ from uqbench.errors import ConfigError
 from uqbench.scalars import (_ONE_DEN, PadicParams, ScalarError, ScalarQ,
                              ValuationBound, _laurent, _lp_add, _lp_mul,
                              _lp_neg, _poly_gcd, _primitive, _reduced,
-                             gauss_valuation, is_prime, q_binomial,
+                             gauss_valuation, is_prime, q_binomial, q_diff,
                              q_factorial, q_int, q_rising, vp, vp_factorial)
 
 try:
@@ -95,6 +95,16 @@ def test_q_int_defining_quotient():
     den = Q(1) - Q(-1)
     for n in range(0, 9):
         assert q_int(n) * den == Q(n) - Q(-n)
+
+
+def test_q_diff_is_the_difference_of_q_powers():
+    # the same stored value, key order included, so reports print alike
+    for d in range(1, 4):
+        want = Q(d) - Q(-d)
+        got = q_diff(d)
+        assert got == want and got._den is _ONE_DEN
+        assert list(got._num.items()) == list(want._num.items())
+        assert str(got) == str(want)
 
 
 def test_q_int_rescaled_variable():
