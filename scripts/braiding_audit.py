@@ -10,34 +10,26 @@ verified on the degree-capped triple tensor window of Vermas over A1 and
 the rank-2 data A2, B2, G2 and A1xA1.  Last, on Vermas of two different
 weights over each of these data, the braiding is checked to be a module
 map (it commutes with every E_i and F_i acting on both tensor windows
-through `tensor_module`) and to satisfy both hexagons.  The hexagon
-sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) is checked
-with P = M.  The hexagon
-sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) is checked for
-every P at once: the coaction read from the E-action of M (x) N must be the
-twisted product of the coactions of M and N (`left_hexagon_failures`).
-Each stage takes the tensor windows it checks, so the two windows M (x) N
-and N (x) M of a datum are built once and serve all three stages.
+through `tensor_module`) and to satisfy both hexagons, by
+`naturality_failures`, `hexagon_failures` (with P = M) and
+`left_hexagon_failures` of `uqbench.weightmods`.  The two tensor windows
+M (x) N and N (x) M of a datum are built once and serve all three stages.
 """
 
 import argparse
 import sys
 import time
 
-from uqbench.errors import CapError
-from uqbench.nichols import word_degree
 from uqbench.rootdata import load_datum
-from uqbench.scalars import ScalarQ
-from uqbench.sparse import add_scaled, add_term
 from uqbench.weightmods import (braid_pair, build_verma,
-                                closed_form_braiding_rank1, tensor_module,
-                                ybe_check)
+                                closed_form_braiding_rank1, hexagon_failures,
+                                left_hexagon_failures, naturality_failures,
+                                tensor_module, ybe_check)
 
 YBE_DATA = ("A1", "A2", "B2", "G2", "A1xA1")
 # two highest weights and a cap per datum for the naturality and hexagon stages
 MIXED = {"A1": (2, -1, 4), "A2": ((1, 1), (0, 2), 3), "B2": ((1, 1), (2, 0), 3),
          "G2": ((1, 0), (0, 1), 2), "A1xA1": ((1, 2), (0, 1), 3)}
-ONE = ScalarQ.one()
 
 
 def audit_pairs(datum, lam_max, cap):
@@ -60,83 +52,19 @@ def audit_pairs(datum, lam_max, cap):
     return checked, mismatches
 
 
-def naturality_failures(datum, M, N, mn, nm):
-    """(cases, failures) of sigma X = X sigma for X = E_i and F_i acting on
-    the tensor windows mn = M (x) N and nm = N (x) M, on every label pair;
-    a case that leaves a window is skipped."""
-
-    def sigma(vec):
-        out = {}
-        for (a, b), c in vec.items():
-            add_scaled(out, braid_pair(datum, M, N, a, b).items(), c)
-        return out
-
-    cases = failures = 0
-    for pair in mn.labels:
-        for i in range(datum.rank):
-            for act_mn, act_nm in ((mn.apply_e, nm.apply_e),
-                                   (mn.apply_f, nm.apply_f)):
-                try:
-                    ok = sigma(act_mn(i, {pair: ONE})) == act_nm(i, sigma({pair: ONE}))
-                except CapError:
-                    continue
-                cases += 1
-                failures += not ok
-    return cases, failures
-
-
-def hexagon_failures(datum, M, N, P, np_):
-    """(cases, failures) of sigma_{M, N (x) P} =
-    (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on every label triple, with
-    np_ the tensor window N (x) P; a case that leaves a window is skipped."""
-    cases = failures = 0
-    for a in M.labels:
-        for (b, c) in np_.labels:
-            try:
-                lhs = braid_pair(datum, M, np_, a, (b, c))
-                rhs = {}
-                for (b2, a2), c1 in braid_pair(datum, M, N, a, b).items():
-                    for (c2, a3), c3 in braid_pair(datum, M, P, a2, c).items():
-                        add_term(rhs, ((b2, c2), a3), c1 * c3)
-            except CapError:
-                continue
-            cases += 1
-            failures += lhs != rhs
-    return cases, failures
-
-
-def left_hexagon_failures(datum, M, N, mn):
-    """(cases, failures) of the coaction identity that carries the hexagon
-    sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) for every P:
-        delta_{M (x) N}(a (x) b) = sum_{(v, b', c1) in delta_N(b)}
-            sum_{(u, a', c2) in delta_M(a)} c1 c2 q^{-(deg u, wt b')}
-            F_{u v} (x) (a', b'),
-    the left side the coaction the tensor window mn = M (x) N reads from its
-    own E-action, term for term, on every label pair that has a column there
-    and whose factors have one in M and N; u v is reduced in mn.nichols."""
-    cases = failures = 0
-    for (a, b), col in mn.coaction_cols.items():
-        if a not in M.coaction_cols or b not in N.coaction_cols:
-            continue
-        got, want = {}, {}
-        for w, t, c in col:
-            add_term(got, (w, t), c)
-        for v, b2, c1 in N.coaction(b):
-            for u, a2, c2 in M.coaction(a):
-                twist = ScalarQ.q_power(-datum.root_weight_pairing(
-                    word_degree(u, datum.rank), N.weight(b2)))
-                for w, c3 in mn.nichols.reduce_word(u + v).items():
-                    add_term(want, (w, (a2, b2)), c1 * c2 * twist * c3)
-        cases += 1
-        failures += got != want
-    return cases, failures
+def nonnegative(text):
+    """argparse type of the sizes: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--lam-max", type=int, default=4)
-    parser.add_argument("--cap", type=int, default=5)
-    parser.add_argument("--ybe-cap", type=int, default=3)
+    parser.add_argument("--lam-max", type=nonnegative, default=4)
+    parser.add_argument("--cap", type=nonnegative, default=5)
+    parser.add_argument("--ybe-cap", type=nonnegative, default=3)
     args = parser.parse_args(argv)
 
     datum = load_datum("A1")

@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from uqbench.errors import ConfigError
 from uqbench.nichols import NicholsContext, multidegrees, words_of_degree
 from uqbench.rootdata import load_datum
 
@@ -29,15 +30,26 @@ def sweep(name, max_total):
     print()
 
 
+def nonnegative(text):
+    """argparse type of the sizes: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="A1,A2,B2",
                         help="comma list of datum names or preset paths")
-    parser.add_argument("--max-total", type=int, default=5,
+    parser.add_argument("--max-total", type=nonnegative, default=5,
                         help="largest total degree to tabulate")
     args = parser.parse_args(argv)
-    for name in args.data.split(","):
-        sweep(name.strip(), args.max_total)
+    try:
+        for name in args.data.split(","):
+            sweep(name.strip(), args.max_total)
+    except ConfigError as exc:  # an unknown or malformed preset
+        parser.error(str(exc))
     return 0
 
 

@@ -49,16 +49,18 @@ commutes with every E_i and F_i acting this way.  At every rank the hexagon
 sigma_{M, N (x) P} = (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) holds, and so does
 sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) for every P: the
 coaction of M (x) N is a twisted product of the factors' coactions.
-`scripts/braiding_audit.py` checks naturality and both hexagons.
+`naturality_failures`, `hexagon_failures` and `left_hexagon_failures` count
+the cases and failures of these three axioms.
 
-`ybe_check` and `braid_rep` compute sigma once per call, one `braid_pair` per
-label pair, as a pair table: table[x, y] lists the image of the label pair
-as ((x2, y2), c), ....  One braid-word engine applies such a table:
+Every check that braids reads sigma_{M,N} from a pair table,
+`_SigmaTable(datum, M, N)`, one per module pair and call, filled by one
+`braid_pair` per label pair: table[x, y] lists the image of the label pair
+as ((y2, x2), c), ....  One braid-word engine applies such a table:
 `_braid_slot` acts on tensor slots (slot, slot+1) of sparse vectors of label
-tuples inside a window, and `braid_relation_holds` checks the braid relation
-of a table on label triples.  `ybe_check` is `braid_relation_holds` on its
-depth-capped triples, and `braid_rep` writes the dense matrix out only at
-the end.
+tuples inside a window, for `naturality_failures` and in
+`braid_relation_holds`, which checks the braid relation of a table on label
+triples.  `ybe_check` is `braid_relation_holds` on its depth-capped triples,
+and `braid_rep` writes the dense matrix out only at the end.
 """
 
 from __future__ import annotations
@@ -410,20 +412,22 @@ def braid_relation_holds(table: Mapping, triples: Iterable, window) -> bool:
 
 
 class _SigmaTable(dict):
-    """The braiding sigma on M (x) M, one label pair at a time.
+    """The braiding sigma_{M,N}: M (x) N -> N (x) M, one label pair at a time.
 
     table[a, b] is sigma(a (x) b) as a tuple of ((b2, a2), c), computed by
     `braid_pair` the first time the pair is asked for.  A table serves one
-    `ybe_check` or `braid_rep` call and is dropped with it.
+    call of `ybe_check`, `braid_rep`, `naturality_failures` or
+    `hexagon_failures` and is dropped with it.
     """
 
-    def __init__(self, datum: RootDatum, M: WeightModule):
+    def __init__(self, datum: RootDatum, M: WeightModule, N: WeightModule):
         super().__init__()
         self.datum = datum
         self.M = M
+        self.N = N
 
     def __missing__(self, pair):
-        col = tuple(braid_pair(self.datum, self.M, self.M, pair[0], pair[1]).items())
+        col = tuple(braid_pair(self.datum, self.M, self.N, pair[0], pair[1]).items())
         self[pair] = col
         return col
 
@@ -452,7 +456,7 @@ def ybe_check(datum: RootDatum, M: WeightModule, cap: int) -> bool:
     on all triples of total depth <= cap, with sigma computed once per label
     pair."""
     triples = _label_tuples(M, 3, cap)
-    return braid_relation_holds(_SigmaTable(datum, M), triples, set(triples))
+    return braid_relation_holds(_SigmaTable(datum, M, M), triples, set(triples))
 
 
 def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
@@ -475,7 +479,7 @@ def braid_rep(datum: RootDatum, M: WeightModule, n_strands: int,
         raise ConfigError("need at least two strands")
     basis = sorted(_label_tuples(M, n_strands, cap))
     window = set(basis)
-    sigma = _SigmaTable(datum, M)
+    sigma = _SigmaTable(datum, M, M)
     sigma_inv = None
     cols = {t: {t: ONE} for t in basis}
     for letter in word:
@@ -504,3 +508,79 @@ def _label_tuples(M: WeightModule, n: int, cap: int) -> list:
         tuples = [(t + (a,), d + depth[a]) for t, d in tuples for a in M.labels
                   if d + depth[a] + low * left <= cap]
     return [t for t, _ in tuples]
+
+
+# ---------------------------------------------------------------------------
+# The braided category: naturality and both hexagons
+# ---------------------------------------------------------------------------
+
+def naturality_failures(datum: RootDatum, M: WeightModule, N: WeightModule,
+                        mn: WeightModule, nm: WeightModule) -> tuple[int, int]:
+    """(cases, failures) of sigma X = X sigma for X = E_i and F_i acting on
+    the tensor windows mn = M (x) N and nm = N (x) M, on every label pair;
+    a case that leaves a window is skipped."""
+    sigma, window = _SigmaTable(datum, M, N), set(nm.labels)
+    cases = failures = 0
+    for pair in mn.labels:
+        for i in range(datum.rank):
+            for act_mn, act_nm in ((mn.apply_e, nm.apply_e),
+                                   (mn.apply_f, nm.apply_f)):
+                try:
+                    ok = (_braid_slot(sigma, 0, act_mn(i, {pair: ONE}), window)
+                          == act_nm(i, _braid_slot(sigma, 0, {pair: ONE}, window)))
+                except CapError:
+                    continue
+                cases += 1
+                failures += not ok
+    return cases, failures
+
+
+def hexagon_failures(datum: RootDatum, M: WeightModule, N: WeightModule,
+                     P: WeightModule, np_: WeightModule) -> tuple[int, int]:
+    """(cases, failures) of sigma_{M, N (x) P} =
+    (1 (x) sigma_{M,P})(sigma_{M,N} (x) 1) on every label triple, with
+    np_ the tensor window N (x) P; a case that leaves a window is skipped."""
+    sigma = _SigmaTable(datum, M, np_)
+    sigma_mn, sigma_mp = _SigmaTable(datum, M, N), _SigmaTable(datum, M, P)
+    cases = failures = 0
+    for a in M.labels:
+        for (b, c) in np_.labels:
+            try:
+                lhs = dict(sigma[a, (b, c)])
+                rhs: Vec = {}
+                for (b2, a2), c1 in sigma_mn[a, b]:
+                    for (c2, a3), c3 in sigma_mp[a2, c]:
+                        add_term(rhs, ((b2, c2), a3), c1 * c3)
+            except CapError:
+                continue
+            cases += 1
+            failures += lhs != rhs
+    return cases, failures
+
+
+def left_hexagon_failures(datum: RootDatum, M: WeightModule, N: WeightModule,
+                          mn: WeightModule) -> tuple[int, int]:
+    """(cases, failures) of the coaction identity that carries the hexagon
+    sigma_{M (x) N, P} = (sigma_{M,P} (x) 1)(1 (x) sigma_{N,P}) for every P:
+        delta_{M (x) N}(a (x) b) = sum_{(v, b', c1) in delta_N(b)}
+            sum_{(u, a', c2) in delta_M(a)} c1 c2 q^{-(deg u, wt b')}
+            F_{u v} (x) (a', b'),
+    the left side the coaction the tensor window mn = M (x) N reads from its
+    own E-action, term for term, on every label pair that has a column there
+    and whose factors have one in M and N; u v is reduced in mn.nichols."""
+    cases = failures = 0
+    for (a, b), col in mn.coaction_cols.items():
+        if a not in M.coaction_cols or b not in N.coaction_cols:
+            continue
+        got, want = {}, {}
+        for w, t, c in col:
+            add_term(got, (w, t), c)
+        for v, b2, c1 in N.coaction(b):
+            for u, a2, c2 in M.coaction(a):
+                twist = ScalarQ.q_power(-datum.root_weight_pairing(
+                    word_degree(u, datum.rank), N.weight(b2)))
+                for w, c3 in mn.nichols.reduce_word(u + v).items():
+                    add_term(want, (w, (a2, b2)), c1 * c2 * twist * c3)
+        cases += 1
+        failures += got != want
+    return cases, failures

@@ -33,7 +33,8 @@ from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
                                 build_verma, closed_form_braiding_rank1,
-                                tensor_module, ybe_check)
+                                hexagon_failures, left_hexagon_failures,
+                                naturality_failures, tensor_module, ybe_check)
 
 from oracles import (apply_k, double_pairing, mat_mul, pairing_eval,
                      verma_coaction, verma_e_coefficient, verma_k_exponent)
@@ -694,8 +695,8 @@ def test_tensor_module_weights_add():
 # ---------------------------------------------------------------------------
 
 def _braiding_audit():
-    """scripts/braiding_audit.py as a module: the naturality and hexagon
-    checks and the weights they run on."""
+    """scripts/braiding_audit.py as a module: the data and the weights the
+    naturality and hexagon checks run on."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "braiding_audit.py"
     spec = importlib.util.spec_from_file_location("braiding_audit", path)
     module = importlib.util.module_from_spec(spec)
@@ -746,7 +747,7 @@ def _mixed_windows(name):
 def test_braiding_commutes_with_the_tensor_action(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy, yx in ((M, N, mn, nm), (N, M, nm, mn)):
-        cases, failures = AUDIT.naturality_failures(datum, X, Y, xy, yx)
+        cases, failures = naturality_failures(datum, X, Y, xy, yx)
         assert cases > 0 and failures == 0, (cases, failures)
 
 
@@ -754,7 +755,7 @@ def test_braiding_commutes_with_the_tensor_action(name):
 def test_braiding_does_not_commute_with_the_coproduct_action(name):
     # negative control: the same check fails for the coproduct of UqContext
     datum, M, N, mn, nm = _mixed_windows(name)
-    cases, failures = AUDIT.naturality_failures(
+    cases, failures = naturality_failures(
         datum, M, N, _delta_tensor(datum, M, N, mn), _delta_tensor(datum, N, M, nm))
     assert 0 < failures < cases, (cases, failures)
 
@@ -763,7 +764,7 @@ def test_braiding_does_not_commute_with_the_coproduct_action(name):
 def test_right_hexagon_holds(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, yx in ((M, N, nm), (N, M, mn)):
-        cases, failures = AUDIT.hexagon_failures(datum, X, Y, X, yx)
+        cases, failures = hexagon_failures(datum, X, Y, X, yx)
         assert cases > 0 and failures == 0, (cases, failures)
 
 
@@ -772,16 +773,38 @@ def test_right_hexagon_fails_with_the_coproduct_f_action(name):
     # negative control: sigma_{M, N (x) P} acts with F-words on N (x) P, so
     # the tensor window's F-action is the one that matters here
     datum, M, N, _, nm = _mixed_windows(name)
-    cases, failures = AUDIT.hexagon_failures(datum, M, N, M,
-                                             _delta_tensor(datum, N, M, nm))
+    cases, failures = hexagon_failures(datum, M, N, M,
+                                       _delta_tensor(datum, N, M, nm))
     assert 0 < failures < cases, (cases, failures)
+
+
+def test_braided_checks_compute_sigma_once_per_label_pair(monkeypatch):
+    # each check reads sigma from one table per module pair, so within one
+    # call no label pair of a module pair is braided twice
+    datum, M, N, mn, nm = _mixed_windows("A2")
+    done = Counter()
+
+    def counted(datum, X, Y, a, b):
+        image = braid_pair(datum, X, Y, a, b)
+        done[id(X), id(Y), a, b] += 1
+        return image
+
+    monkeypatch.setattr(weightmods, "braid_pair", counted)
+    for check, windows in ((naturality_failures, (M, N, mn, nm)),
+                           (naturality_failures, (N, M, nm, mn)),
+                           (hexagon_failures, (M, N, M, nm)),
+                           (hexagon_failures, (N, M, N, mn))):
+        done.clear()
+        cases, failures = check(datum, *windows)
+        assert cases > 0 and failures == 0, (cases, failures)
+        assert done and max(done.values()) == 1, check.__name__
 
 
 @pytest.mark.parametrize("name", AUDIT.YBE_DATA)
 def test_left_hexagon_holds(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy in ((M, N, mn), (N, M, nm)):
-        cases, failures = AUDIT.left_hexagon_failures(datum, X, Y, xy)
+        cases, failures = left_hexagon_failures(datum, X, Y, xy)
         assert cases > 0 and failures == 0, (cases, failures)
 
 
@@ -790,7 +813,7 @@ def test_left_hexagon_fails_with_the_coproduct_coaction(name):
     # negative control: the coaction of M (x) N is read from the tensor
     # window's E-action, so that is the action that matters here
     datum, M, N, mn, _ = _mixed_windows(name)
-    cases, failures = AUDIT.left_hexagon_failures(
+    cases, failures = left_hexagon_failures(
         datum, M, N, _delta_tensor(datum, M, N, mn))
     assert 0 < failures < cases, (cases, failures)
 
