@@ -28,8 +28,7 @@ from .rootdata import RootDatum, load_datum, validate_datum
 from .nichols import NicholsContext, serre_element
 from .uq import UqContext
 from .weightmods import (WeightModule, braid_pair, braid_rep, build_mlambda,
-                         build_verma, closed_form_braiding_rank1,
-                         tensor_module, ybe_check)
+                         build_verma, tensor_module, ybe_check)
 from .norms import (ConvergenceCertificate, RadiusParams, admissible,
                     coaction_convergence, reverify_certificate,
                     rmatrix_condition)
@@ -45,8 +44,7 @@ __all__ = [
     "NicholsContext", "serre_element",
     "UqContext",
     "WeightModule", "build_verma", "build_mlambda", "tensor_module",
-    "braid_pair", "closed_form_braiding_rank1", "braid_rep",
-    "ybe_check",
+    "braid_pair", "braid_rep", "ybe_check",
     "RadiusParams", "ConvergenceCertificate",
     "admissible", "rmatrix_condition", "coaction_convergence",
     "reverify_certificate",

@@ -41,7 +41,9 @@ from .scalars import PadicParams, ScalarQ, ValuationError, is_prime, vp
 from .uq import (UqContext, check_antipode, check_coassociativity,
                  check_coproduct_multiplicative, check_counit)
 from .sparse import combine, scale
-from .weightmods import build_mlambda, build_verma, braid_rep, ybe_check
+from .weightmods import (braid_rep, build_mlambda, build_verma,
+                         hexagon_failures, left_hexagon_failures,
+                         naturality_failures, tensor_module, ybe_check)
 
 EXIT_MATH = 1
 EXIT_CONFIG = 2
@@ -266,6 +268,30 @@ def cmd_braid_rep(args):
     }, "OK"
 
 
+def cmd_braided_check(args):
+    """Naturality and both hexagons on Vermas M, N of weights --lam and
+    --lam2, each summed over the orders (M, N) and (N, M); the tensor
+    windows M (x) N and N (x) M are built once and serve all three."""
+    datum = load_datum(args.datum)
+    M = build_verma(datum, _parse_weight(args.lam), args.cap)
+    N = build_verma(datum, _parse_weight(args.lam2), args.cap)
+    mn, nm = tensor_module(datum, M, N), tensor_module(datum, N, M)
+    runs = {
+        "naturality": (naturality_failures(datum, M, N, mn, nm),
+                       naturality_failures(datum, N, M, nm, mn)),
+        "right_hexagon": (hexagon_failures(datum, M, N, M, nm),
+                          hexagon_failures(datum, N, M, N, mn)),
+        "left_hexagon": (left_hexagon_failures(datum, M, N, mn),
+                         left_hexagon_failures(datum, N, M, nm)),
+    }
+    result = {}
+    for name, pairs in runs.items():
+        cases, failures = map(sum, zip(*pairs))
+        result[name] = {"cases": cases, "failures": failures}
+    ok = not any(r["failures"] for r in result.values())
+    return result, "PASS" if ok else "FAIL"
+
+
 def cmd_verma(args):
     datum = load_datum(args.datum)
     M = build_verma(datum, _parse_weight(args.lam), args.cap)
@@ -472,6 +498,13 @@ _COMMANDS = {
          ("--cap", _int(2, help="total depth cap for the tensor basis")),
          ("--module-cap", _int(None, help="f-degree cap of each tensor "
                                "factor (default: same as --cap)"))]),
+    "braided-check": (
+        cmd_braided_check,
+        "naturality and both hexagons on two Verma windows",
+        [_DATUM, ("--lam", {"default": "2", "help": _LAM_HELP}),
+         ("--lam2", {"default": "-1", "help": "highest weight of the "
+                     "second Verma, as --lam"}),
+         ("--cap", _int(4))]),
     "verma": (
         cmd_verma,
         "windowed Verma module tables",

@@ -38,7 +38,6 @@ on the output legs, where ref is the module's reference weight and (,) is
 `RootDatum.root_weight_pairing`, depths against weights.  This is the inverse
 Cartan weight factor normalized to 1 on the reference pair; it is a genuine
 braiding (Yang-Baxter holds exactly, and mixed-weight triples pass as well).
-On rank 1 it is the closed form `closed_form_braiding_rank1`.
 
 `tensor_module` makes M (x) N a module through the bar-coproduct
     E_i -> E_i (x) t_i^{-1} + 1 (x) E_i,   F_i -> F_i (x) 1 + t_i (x) F_i,
@@ -73,7 +72,7 @@ from .errors import CapError, ConfigError
 from .linalg import invert
 from .nichols import NicholsContext, Word, multidegrees, word_degree
 from .rootdata import RootDatum
-from .scalars import ScalarQ, q_binomial, q_diff, q_int, q_rising
+from .scalars import ScalarQ, q_int
 from .sparse import add_scaled, add_term
 
 ZERO = ScalarQ.zero()
@@ -319,25 +318,6 @@ def braid_pair(datum: RootDatum, M: WeightModule, N: WeightModule,
                    + datum.root_weight_pairing(M.depths[a2], N.ref)
                    - datum.root_pairing(N.depths[b2], M.depths[a2]))
             add_term(out, (b2, a2), c * c2 * ScalarQ.q_power(exp))
-    return out
-
-
-def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int,
-                               m: int) -> list[tuple[tuple[int, int], ScalarQ]]:
-    """The rank-1 braiding of x^n (x) x^m, independent of braid_pair.
-
-    Output pairs (m+k, n-k) with coefficient
-    (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) times
-    q^{(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2}.
-    """
-    qd = q_diff(1)
-    out = []
-    for k in range(n + 1):
-        sign = ONE if k % 2 == 0 else -ONE
-        coeff = sign * qd ** k * q_binomial(n, k) * q_rising(lam - n, k)
-        exp = ((m + k) * lam + (n - k) * lam_prime - 2 * (m + k) * (n - k)
-               - k * (k - 1) // 2)
-        out.append(((m + k, n - k), coeff * ScalarQ.q_power(exp)))
     return out
 
 

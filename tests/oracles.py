@@ -1,18 +1,19 @@
 """Reference computations the tests compare the package against.
 
-None of these runs in a subcommand or a script, so none lives in `src/`.
+None of these runs in a subcommand, so none lives in `src/`.
 Each is an independent route to a value the package computes another way:
 
 - the rank-1 closed forms of the Verma E-action, weights and coaction,
-  against `weightmods.build_verma`;
+  against `weightmods.build_verma`, and of the braiding, against
+  `weightmods.braid_pair`;
 - the Cartan action K_lam on a weight module, which pins the weights of
   the Verma and window modules;
 - the rational Nichols pairing, the integer Gram of `NicholsContext` times
   the constant prod_i <v_i, v_i>^{deg_i} it leaves out, against which the
   tests check the radical and the dual bases;
 - one radical vector per non-basis word of a multidegree, read from
-  `NicholsContext.reduce_word`, whose count the `serre-check` report and
-  `scripts/dimension_sweep.py` take as words minus Nichols dimension;
+  `NicholsContext.reduce_word`, whose count the `serre-check` report
+  takes as words minus Nichols dimension;
 - the E-word/F-word pairing of the double, read from
   `uq.UqContext.double_pairing_mono`, which is built apart from the
   coaction it contracts;
@@ -25,6 +26,9 @@ Each is an independent route to a value the package computes another way:
   against the defining rows `deform._gauge_rows` it is solved on;
 - the degree-0 Chevalley-Eilenberg differential for the adjoint action,
   which plants coboundaries for `deform.coboundary_solve`.
+
+Beside them, the data and weights the braided-category tests run on:
+`YBE_DATA` and the two weights and cap of `MIXED` per datum.
 
 `tests/test_reachability.py` checks that another test module uses every
 definition here.
@@ -42,7 +46,7 @@ from uqbench.linalg import solve
 from uqbench.nichols import (Degree, NicholsContext, Word, word_degree,
                              words_of_degree)
 from uqbench.rootdata import RootDatum
-from uqbench.scalars import ScalarQ, q_binomial, q_int, q_rising
+from uqbench.scalars import ScalarQ, q_binomial, q_diff, q_int, q_rising
 from uqbench.sparse import add_term, combine, scale
 from uqbench.uq import UqContext
 from uqbench.weightmods import Vec, WeightModule
@@ -52,9 +56,14 @@ ONE = ScalarQ.one()
 
 S = TypeVar("S")
 
+YBE_DATA = ("A1", "A2", "B2", "G2", "A1xA1")
+# two highest weights and a cap per datum for the naturality and hexagon checks
+MIXED = {"A1": (2, -1, 4), "A2": ((1, 1), (0, 2), 3), "B2": ((1, 1), (2, 0), 3),
+         "G2": ((1, 0), (0, 1), 2), "A1xA1": ((1, 2), (0, 1), 3)}
+
 
 # ---------------------------------------------------------------------------
-# rank-1 Verma closed forms
+# rank-1 Verma and braiding closed forms
 # ---------------------------------------------------------------------------
 
 def verma_e_coefficient(lam: int, n: int, d: int = 1) -> ScalarQ:
@@ -88,6 +97,25 @@ def verma_coaction(datum: RootDatum, lam: int, n: int, cap: int) -> list[tuple[W
                  * ScalarQ.q_power(-d * k * (k - 1) // 2))
         if not coeff.is_zero():
             out.append(((0,) * k, n - k, coeff))
+    return out
+
+
+def closed_form_braiding_rank1(lam: int, lam_prime: int, n: int,
+                               m: int) -> list[tuple[tuple[int, int], ScalarQ]]:
+    """The rank-1 braiding of x^n (x) x^m, independent of braid_pair.
+
+    Output pairs (m+k, n-k) with coefficient
+    (-1)^k (q-q^{-1})^k [n]![lam-n+k]!/([k]![n-k]![lam-n]!) times
+    q^{(m+k) lam + (n-k) lam' - 2(m+k)(n-k) - k(k-1)/2}.
+    """
+    qd = q_diff(1)
+    out = []
+    for k in range(n + 1):
+        sign = ONE if k % 2 == 0 else -ONE
+        coeff = sign * qd ** k * q_binomial(n, k) * q_rising(lam - n, k)
+        exp = ((m + k) * lam + (n - k) * lam_prime - 2 * (m + k) * (n - k)
+               - k * (k - 1) // 2)
+        out.append(((m + k, n - k), coeff * ScalarQ.q_power(exp)))
     return out
 
 

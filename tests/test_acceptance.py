@@ -29,11 +29,10 @@ from uqbench.scalars import (PadicParams, ScalarQ, gauss_valuation, q_int,
 from uqbench.sparse import combine, scale
 from uqbench.uq import (UqContext, check_antipode, check_coassociativity,
                         check_coproduct_multiplicative, check_counit)
-from uqbench.weightmods import (braid_pair, build_mlambda, build_verma,
-                                closed_form_braiding_rank1, ybe_check)
+from uqbench.weightmods import braid_pair, build_mlambda, build_verma, ybe_check
 
-from oracles import (apply_k, radical_basis, verma_coaction,
-                     verma_e_coefficient, verma_k_exponent)
+from oracles import (apply_k, closed_form_braiding_rank1, radical_basis,
+                     verma_coaction, verma_e_coefficient, verma_k_exponent)
 
 ONE = ScalarQ.one()
 Q = ScalarQ.q_power

@@ -7,6 +7,7 @@ accidental dict-order dependence cannot hide.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -20,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqbench import cli, norms
+from uqbench import cli, norms, weightmods
 from uqbench.cli import _emit, main
 from uqbench.rootdata import PRESET_ENV
 from uqbench.scalars import ScalarQ
+
+from oracles import MIXED, YBE_DATA
 
 CASES = {
     "nichols-dims": ["nichols-dims", "--datum", "A2", "--max-degree", "3"],
@@ -33,6 +36,7 @@ CASES = {
     "ybe-check": ["ybe-check", "--datum", "A1", "--lam", "2", "--cap", "3"],
     "braid-rep": ["braid-rep", "--datum", "A1", "--lam", "1",
                   "--strands", "3", "--word", "1,2,-1", "--cap", "2"],
+    "braided-check": ["braided-check", "--datum", "A1"],
     "verma": ["verma", "--datum", "A1", "--lam", "3", "--cap", "3"],
     "mlambda": ["mlambda", "--datum", "A1", "--lam", "3", "--window", "2,2"],
     "converge-cert": ["converge-cert", "--p", "5", "--vh", "1"],
@@ -223,8 +227,8 @@ def test_exit_two_outside_domain_without_traceback(args):
 # `main` checks them all before any subcommand runs
 COUNT_OPTIONS = [
     *[[command, "--cap"] for command in (
-        "serre-check", "hopf-check", "ybe-check", "braid-rep", "verma",
-        "rigidity-solve", "trivialize")],
+        "serre-check", "hopf-check", "ybe-check", "braid-rep",
+        "braided-check", "verma", "rigidity-solve", "trivialize")],
     ["nichols-dims", "--max-degree"],
     ["hopf-check", "--samples"],
     ["rigidity-solve", "--order"],
@@ -597,19 +601,22 @@ _WINDOW = _mostly(st.lists(st.integers(0, 3), min_size=2, max_size=2).map(_joine
                   st.sampled_from(["-1,2", "1", "1,2,3", "", "x", "1,x"]))
 _CAP_FLAG = {"nichols-dims": "--max-degree", "serre-check": "--cap",
              "hopf-check": "--cap", "ybe-check": "--cap",
-             "braid-rep": "--cap", "verma": "--cap"}
+             "braid-rep": "--cap", "braided-check": "--cap", "verma": "--cap"}
 
 
 @st.composite
 def _module_argv(draw):
-    """A command line of one of the seven algebra and module subcommands."""
+    """A command line of one of the eight algebra and module subcommands."""
     command = draw(st.sampled_from(sorted(_CAP_FLAG) + ["mlambda"]))
     argv = [command, "--datum", draw(_DATUM)]
-    cap = draw(st.integers(-1, 4))
+    # braided-check's windows grow fast: G2 at cap 4 takes over a minute
+    cap = draw(st.integers(-1, 2 if command == "braided-check" else 4))
     if command in _CAP_FLAG:
         argv += [f"{_CAP_FLAG[command]}={cap}"]
-    if command in ("ybe-check", "braid-rep", "verma"):
+    if command in ("ybe-check", "braid-rep", "braided-check", "verma"):
         argv += ["--lam=" + draw(_WEIGHT)]
+    if command == "braided-check":
+        argv += ["--lam2=" + draw(_WEIGHT)]
     if command == "hopf-check":
         argv += ["--seed", str(draw(st.integers(0, 9))),
                  "--samples", str(draw(st.integers(-1, 3)))]
@@ -644,6 +651,90 @@ def test_module_commands_always_report(malformed_presets, argv):
     report = json.loads(out.getvalue())
     assert report["command"] == argv[0] and "status" in report
     assert "Traceback" not in err.getvalue()
+
+
+# (naturality, right hexagon, left hexagon) cases of braided-check on the
+# `MIXED` windows, each summed over both orders of the two Vermas
+BRAIDED_CASES = {"A1": (59, 146, 50), "A2": (420, 1474, 338),
+                 "B2": (442, 1646, 392), "G2": (152, 350, 98),
+                 "A1xA1": (356, 1025, 200)}
+
+
+def _weight_arg(weight):
+    return _joined(weight) if isinstance(weight, tuple) else str(weight)
+
+
+@functools.cache
+def _braided_run(name):
+    """braided-check in-process on the `MIXED` windows of a datum, recording
+    its tensor_module calls and the E-actions its windows read coactions
+    from: (exit code, report, calls, reads)."""
+    lam, lam2, cap = MIXED[name]
+    argv = ["braided-check", "--datum", name, f"--lam={_weight_arg(lam)}",
+            f"--lam2={_weight_arg(lam2)}", f"--cap={cap}"]
+    calls, reads = [], []
+    build, read = cli.tensor_module, weightmods._dual_basis_coaction
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    def reading(nichols, labels, e_cols):
+        reads.append(e_cols)
+        return read(nichols, labels, e_cols)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "tensor_module", counted)
+        mp.setattr(weightmods, "_dual_basis_coaction", reading)
+        code = main(argv)
+    return code, json.loads(out.getvalue()), calls, reads
+
+
+@pytest.mark.parametrize("name", list(MIXED))
+def test_braided_check_passes_on_the_mixed_windows(name):
+    code, report, _, _ = _braided_run(name)
+    assert code == 0 and report["status"] == "PASS"
+    naturality, right, left = BRAIDED_CASES[name]
+    assert report["result"] == {
+        "naturality": {"cases": naturality, "failures": 0},
+        "right_hexagon": {"cases": right, "failures": 0},
+        "left_hexagon": {"cases": left, "failures": 0}}
+
+
+@pytest.mark.parametrize("name", list(MIXED))
+def test_braided_check_builds_each_tensor_window_once(name):
+    # M (x) N and N (x) M serve naturality and both hexagons
+    _, _, calls, _ = _braided_run(name)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", list(MIXED))
+def test_braided_check_reads_each_coaction_once(name):
+    # every window, Verma or tensor, reads its coaction at most once; the
+    # recorded E-actions stay alive, so equal ids mean the same window
+    _, _, _, reads = _braided_run(name)
+    assert reads
+    assert len({id(e_cols) for e_cols in reads}) == len(reads)
+
+
+def test_braided_check_exits_one_on_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hexagon_failures", lambda *args: (3, 1))
+    assert main(["braided-check", "--datum", "A1", "--cap", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "FAIL"
+    assert report["result"]["right_hexagon"] == {"cases": 6, "failures": 2}
+    assert report["result"]["naturality"]["failures"] == 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", YBE_DATA)
+def test_ybe_check_holds_on_every_datum(name, k, capsys):
+    # the weights (0, 1) and (1, 0) at cap 2; on rank 1, 0 and 1
+    lam = str(k) if name == "A1" else f"{k},{1 - k}"
+    assert main(["ybe-check", "--datum", name, "--lam", lam,
+                 "--cap", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"ybe": True}
 
 
 def test_emit_passes_strings_and_writes_str_of_the_rest():
@@ -821,8 +912,9 @@ def test_deformation_reports_are_byte_identical(argv, code, digest):
 # sha256 of braiding, Hopf and Nichols reports.  The first five are the
 # digests the benchmark pool records for these jobs; the next three are rank
 # >= 2 reports as printed while E acted on Verma windows by normal ordering
-# through U_q, before the commutator formula replaced it; the last two print
-# weights as they were while every window stored one weight per label.
+# through U_q, before the commutator formula replaced it; the next two print
+# weights as they were while every window stored one weight per label; the
+# last is braided-check on the A2 windows of `MIXED`.
 GOLDEN_BRAIDING_NICHOLS_REPORTS = [
     ("ybe-check --datum A1 --lam 3 --cap 6",
      "178f3bb7b4889e58606440c9d3fc443f60ba7bfcebc1a5285afea21a51e491cf"),
@@ -844,6 +936,8 @@ GOLDEN_BRAIDING_NICHOLS_REPORTS = [
      "bce0f1c8e571b2b5cb609d055c45a424e381afe554385b84a5943123852cd1bb"),
     ("mlambda --datum A1 --lam 3 --window 3,2",
      "b596c9b57851dab12d356683dac78597282dc9c79641c54754bb224d1753936d"),
+    ("braided-check --datum A2 --lam 1,1 --lam2 0,2 --cap 3",
+     "753887595e26c5ed184d81837ba911bd6a9401e6e1190bd210a476a4716c40ee"),
 ]
 
 

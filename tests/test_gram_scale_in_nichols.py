@@ -5,9 +5,9 @@ removes it.
 prod_i <v_i, v_i>^{deg_i}, and `NicholsContext.dual_basis` multiplies that
 factor back into the inverse Gram.  Code outside `nichols.py` reads the
 Nichols form through `dual_basis`, `nichols_basis` and `reduce_word`, so no
-module of the package other than `nichols.py`, and no script, names
-`_pair_words` or the removed `word_gram` as an identifier (a name, an
-attribute or an imported name).  Docstrings and comments do not count.
+module of the package other than `nichols.py` names `_pair_words` or the
+removed `word_gram` as an identifier (a name, an attribute or an imported
+name).  Docstrings and comments do not count.
 """
 
 import ast
@@ -15,8 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uqbench"
-SEARCHED = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "nichols.py"]
-            + sorted((ROOT / "scripts").glob("*.py")))
+SEARCHED = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "nichols.py"]
 INTEGER_GRAM = {"_pair_words", "word_gram"}
 
 

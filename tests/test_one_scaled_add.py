@@ -12,8 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uqbench"
-SEARCHED = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sparse.py"]
-            + sorted((ROOT / "scripts").glob("*.py")))
+SEARCHED = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sparse.py"]
 
 
 def _is_scaled_add(loop: ast.For) -> bool:

@@ -1,13 +1,13 @@
 """Every top-level function and class of the package, and every method of a
-top-level class, is run by the package or a script; every top-level
-definition of the test oracles is run by a test.
+top-level class, is run by the package; every top-level definition of the
+test oracles is run by a test.
 
 A top-level `def` or `class` in `src/uqbench/*.py`, or a `def` directly in
 the body of such a class, is reached when its name is used as an identifier
-(a name, an attribute or an imported name) in `src/` or `scripts/`, outside
-its own body.  Docstrings and comments do not count, and neither does
-recursion, and neither do the re-exports of `src/uqbench/__init__.py`: an
-exported name is reached only where it is used.  Dunder methods are exempt:
+(a name, an attribute or an imported name) in `src/`, outside its own
+body.  Docstrings and comments do not count, and neither does recursion,
+and neither do the re-exports of `src/uqbench/__init__.py`: an exported
+name is reached only where it is used.  Dunder methods are exempt:
 Python calls them.  Tests do not reach: a reference computation that only
 tests run lives in `tests/oracles.py`, whose definitions are reached in the
 same sense from the other test modules.  Code that nothing reaches is
@@ -19,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "uqbench"
-SEARCHED = [ROOT / "src", ROOT / "scripts"]
+SEARCHED = [ROOT / "src"]
 EXPORTS = PACKAGE / "__init__.py"
 ORACLES = ROOT / "tests" / "oracles.py"
 
@@ -120,7 +120,7 @@ def test_guard_does_not_count_a_re_export():
                            "__all__ = ['exported', 'used']\n"),
         PACKAGE / "m.py": ast.parse("def exported():\n    return 1\n\n"
                                     "def used():\n    return 2\n"),
-        ROOT / "scripts" / "s.py": ast.parse("from uqbench.m import used\n"
-                                             "used()\n"),
+        PACKAGE / "user.py": ast.parse("from uqbench.m import used\n"
+                                       "used()\n"),
     }
     assert unreached(trees) == ["m.exported"]

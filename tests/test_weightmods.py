@@ -16,10 +16,8 @@ window reads its coaction once, on first use.
 
 import dataclasses
 import functools
-import importlib.util
 from collections import Counter
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -32,12 +30,13 @@ from uqbench.scalars import ScalarQ, q_factorial, q_int
 from uqbench.sparse import add_term
 from uqbench.uq import UqContext
 from uqbench.weightmods import (braid_pair, braid_rep, build_mlambda,
-                                build_verma, closed_form_braiding_rank1,
-                                hexagon_failures, left_hexagon_failures,
-                                naturality_failures, tensor_module, ybe_check)
+                                build_verma, hexagon_failures,
+                                left_hexagon_failures, naturality_failures,
+                                tensor_module, ybe_check)
 
-from oracles import (apply_k, double_pairing, mat_mul, pairing_eval,
-                     verma_coaction, verma_e_coefficient, verma_k_exponent)
+from oracles import (MIXED, YBE_DATA, apply_k, closed_form_braiding_rank1,
+                     double_pairing, mat_mul, pairing_eval, verma_coaction,
+                     verma_e_coefficient, verma_k_exponent)
 
 ONE = ScalarQ.one()
 ZERO = ScalarQ.zero()
@@ -694,19 +693,6 @@ def test_tensor_module_weights_add():
 # The braided category: naturality and both hexagons
 # ---------------------------------------------------------------------------
 
-def _braiding_audit():
-    """scripts/braiding_audit.py as a module: the data and the weights the
-    naturality and hexagon checks run on."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "braiding_audit.py"
-    spec = importlib.util.spec_from_file_location("braiding_audit", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-AUDIT = _braiding_audit()
-
-
 def _delta_tensor(datum, M, N, T):
     """Negative control: M (x) N acting by the coproduct of UqContext,
     E_i -> E_i (x) t_i + 1 (x) E_i and F_i -> F_i (x) 1 + t_i^{-1} (x) F_i,
@@ -735,15 +721,15 @@ def _delta_tensor(datum, M, N, T):
 
 @functools.cache
 def _mixed_windows(name):
-    """Vermas M, N of the two weights braiding_audit.py gives the datum, and
+    """Vermas M, N of the two weights `MIXED` gives the datum, and
     the tensor windows M (x) N and N (x) M, built once for every test."""
     datum = load_datum(name)
-    lam, lam_p, cap = AUDIT.MIXED[name]
+    lam, lam_p, cap = MIXED[name]
     M, N = build_verma(datum, lam, cap), build_verma(datum, lam_p, cap)
     return datum, M, N, tensor_module(datum, M, N), tensor_module(datum, N, M)
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_braiding_commutes_with_the_tensor_action(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy, yx in ((M, N, mn, nm), (N, M, nm, mn)):
@@ -751,7 +737,7 @@ def test_braiding_commutes_with_the_tensor_action(name):
         assert cases > 0 and failures == 0, (cases, failures)
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_braiding_does_not_commute_with_the_coproduct_action(name):
     # negative control: the same check fails for the coproduct of UqContext
     datum, M, N, mn, nm = _mixed_windows(name)
@@ -760,7 +746,7 @@ def test_braiding_does_not_commute_with_the_coproduct_action(name):
     assert 0 < failures < cases, (cases, failures)
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_right_hexagon_holds(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, yx in ((M, N, nm), (N, M, mn)):
@@ -768,7 +754,7 @@ def test_right_hexagon_holds(name):
         assert cases > 0 and failures == 0, (cases, failures)
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_right_hexagon_fails_with_the_coproduct_f_action(name):
     # negative control: sigma_{M, N (x) P} acts with F-words on N (x) P, so
     # the tensor window's F-action is the one that matters here
@@ -800,7 +786,7 @@ def test_braided_checks_compute_sigma_once_per_label_pair(monkeypatch):
         assert done and max(done.values()) == 1, check.__name__
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_left_hexagon_holds(name):
     datum, M, N, mn, nm = _mixed_windows(name)
     for X, Y, xy in ((M, N, mn), (N, M, nm)):
@@ -808,7 +794,7 @@ def test_left_hexagon_holds(name):
         assert cases > 0 and failures == 0, (cases, failures)
 
 
-@pytest.mark.parametrize("name", AUDIT.YBE_DATA)
+@pytest.mark.parametrize("name", YBE_DATA)
 def test_left_hexagon_fails_with_the_coproduct_coaction(name):
     # negative control: the coaction of M (x) N is read from the tensor
     # window's E-action, so that is the action that matters here
