@@ -24,7 +24,11 @@ integer Laurent polynomials is again one, and has no zero coefficient after
 only the gcd, since no polynomial factor can cancel, and go through the
 shift, content and sign step `_reduced` that ends the constructor: the
 inverse of a canonical n/d, a Laurent a plus a canonical c/d, which is
-(a d + c)/d, and a monomial c q^k times a canonical n/d.
+(a d + c)/d, and a monomial c q^k times a canonical n/d.  A product with a
+factor equal to one builds nothing: `*` returns the other factor itself.
+Sharing it is sound because values are immutable, no stored dict is ever
+mutated, and every canonical 1 has the shared denominator `_ONE_DEN`, so
+the test is one identity check and one small dict compare.
 
 The valuation side interprets q as exp(hbar) with v_p(hbar) = vh.  Then
 v(q - 1) = vh whenever vh > 1/(p-1) (the convergence disc of exp), and the
@@ -140,6 +144,8 @@ def _primitive(a: Mapping[int, int]) -> dict[int, int]:
 # The denominator of every integer Laurent polynomial, shared by all of them:
 # `x._den is _ONE_DEN` is the fast-path test.  No stored dict is ever mutated.
 _ONE_DEN: dict[int, int] = {0: 1}
+# The numerator of one, compared against, never stored.
+_ONE_NUM: dict[int, int] = {0: 1}
 
 
 class ScalarQ:
@@ -227,7 +233,7 @@ class ScalarQ:
         return bool(self._num)
 
     def is_one(self) -> bool:
-        return self._den is _ONE_DEN and self._num == {0: 1}
+        return self._den is _ONE_DEN and self._num == _ONE_NUM
 
     def is_laurent(self) -> bool:
         return len(self._den) == 1
@@ -271,6 +277,11 @@ class ScalarQ:
         return self + (-other)
 
     def __mul__(self, other: "ScalarQ") -> "ScalarQ":
+        # a factor of one gives the other factor itself, shared, not copied
+        if self._den is _ONE_DEN and self._num == _ONE_NUM:
+            return other
+        if other._den is _ONE_DEN and other._num == _ONE_NUM:
+            return self
         if self._den is _ONE_DEN:
             if other._den is _ONE_DEN:
                 return _laurent(_lp_mul(self._num, other._num))

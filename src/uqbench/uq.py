@@ -80,11 +80,6 @@ CMono = tuple[Word, tuple[int, ...]]  # (f_word, n): F-word . t^n
 Element = dict[Term, ScalarQ]  # a sparse combination of normal-ordered terms
 
 
-def _times(a: ScalarQ, b: ScalarQ) -> ScalarQ:
-    """a * b, with no product formed when either factor is one."""
-    return a if b.is_one() else b if a.is_one() else a * b
-
-
 class UqContext:
     """Holds the datum, the shared Nichols reduction, and normal-order memos."""
 
@@ -157,9 +152,9 @@ class UqContext:
             c = c * ScalarQ.q_power(-k) if k else c
             lam = tuple(a + b + cc for a, b, cc in zip(l1, mu, l2))
             for fw, cf in self.nichols.reduce_word(f1 + fa).items():
-                cf = _times(c, cf)
+                cf = c * cf
                 for ew, ce in self.nichols.reduce_word(ea + e2).items():
-                    out.append(((fw, lam, ew), _times(cf, ce)))
+                    out.append(((fw, lam, ew), cf * ce))
         self._term_mul_memo[key] = out
         return out
 

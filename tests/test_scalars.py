@@ -423,6 +423,62 @@ def test_gcd_free_routes_against_the_general_constructor_and_sympy(
         _assert_canonical(got)
 
 
+def _ones(k, y):
+    """Values equal to one built by arithmetic, each a new object: q^k q^-k,
+    y / y through the inverse, and 3/3 through the general constructor."""
+    ones = [Q(k) * Q(-k), ScalarQ({0: 3}, {0: 3})]
+    if y:
+        ones.append(y * y.inverse())
+    return ones
+
+
+@needs_sympy
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_laurents.map(_laurent_input), rational_functions()),
+       rational_functions(), st.integers(-4, 4))
+def test_a_factor_of_one_returns_the_other_factor(x_input, y_input, k):
+    # one times x builds nothing: the product is x itself, on either side,
+    # whether the one is the constant or a value that arithmetic reduced to 1;
+    # when x is one too, the product is one of the two factors
+    x, (num, den) = x_input
+    ex = _sym(num) / _sym(den)
+    want = _sym_canonical(ex)
+    for one in (ONE, *_ones(k, y_input[0])):
+        assert one.is_one() and one._den is _ONE_DEN
+        for got in (one * x, x * one):
+            assert got is x or x.is_one() and got is one
+            assert (got.num, got.den) == want
+            assert hash(got) == hash(ScalarQ(*want))
+            _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(int_laurents.map(_laurent_input), rational_functions()),
+       rational_functions(), st.integers(-4, 4))
+def test_arithmetic_on_a_shared_product_leaves_the_operand(x_input, y_input,
+                                                           k):
+    # the product shares its operand, so no later operation on it may
+    # change the operand's value or cached hash, nor the one it met
+    x, (num, den) = x_input
+    y = y_input[0]
+    rebuilt = ScalarQ(dict(num), dict(den))
+    value, stored, h = (dict(x._num), dict(x._den)), (x._num, x._den), hash(x)
+    for one in (ONE, *_ones(k, y)):
+        for r in (one * x, x * one):
+            later = [r + y, r - y, r * y, -r, r ** 2, r + r, r * one, one * r]
+            if r:
+                later += [r.inverse(), r / r, y / r]
+            if y:
+                later.append(r / y)
+            for z in later:
+                _assert_canonical(z)
+            assert (x._num, x._den) == value
+            assert x._num is stored[0] and x._den is stored[1]
+            assert hash(x) == h == hash(rebuilt) and x == rebuilt
+            assert one.is_one() and (one._num, one._den) == ({0: 1}, {0: 1})
+    assert (ONE._num, ONE._den) == ({0: 1}, {0: 1}) and ONE._den is _ONE_DEN
+
+
 def test_monomial_times_rational_divides_out_the_content():
     # 2q * 1/(2q + 2) = q/(q + 1): only the integer content can cancel
     x = ScalarQ({1: 2}) * ScalarQ({0: 1}, {0: 2, 1: 2})

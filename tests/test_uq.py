@@ -236,7 +236,9 @@ def test_term_mul_matches_the_product_of_generators(a2):
 def _term_mul_unshortcut(ctx, t1, t2):
     """`_term_mul` with no shortcut: every crossing exponent computed, the
     empty word reduced by `NicholsContext.reduce_word`, and every factor, 1
-    or not, multiplied in."""
+    or not, multiplied in with `*`.  The skip of a factor of one is not
+    repeated here: it lives in `ScalarQ.__mul__`, which returns the other
+    factor itself."""
     (f1, l1, e1), (f2, l2, e2) = t1, t2
     nichols = ctx.nichols
 
