@@ -47,11 +47,14 @@ window pair for the trivializer (_residual).  Both solve each order in one
 helper (_window_solve) and re-verify their output from the inputs through
 the same identities over all orders; the trivializer's check
 (trivialization_residuals) goes through the series core and shares only the
-algebra's product with _residual.  An order whose linear system has no
-solution inside the window raises ObstructionError carrying the order
-index; window solvability is a proxy for the cohomology vanishing the full
-statements assume, and the solvers report obstructions without
-interpreting them.
+algebra's product with _residual.  That check also certifies that the
+trivializer's input is associative, so its window triples are scanned for
+a Hochschild cocycle defect (_cocycle_defect) only after a solve or the
+check has failed, to name the failing order and triple.  An order whose
+linear system has no solution inside the window raises ObstructionError
+carrying the order index; window solvability is a proxy for the cohomology
+vanishing the full statements assume, and the solvers report obstructions
+without interpreting them.
 
 The trivializer searches over filtration-preserving gauges: each unknown
 map sends a monomial to a combination of monomials of no larger total
@@ -555,7 +558,7 @@ def _homogeneous_gauges(algebra: TruncatedUg) -> tuple[list, list]:
 def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
                        gauges: tuple[list, list]) -> dict:
     """Solve f_n(x, y) = x b(y) - b(xy) + b(x) y for a filtered window
-    endomorphism b, f_n a Hochschild cocycle on the window triples.
+    endomorphism b, f_n a table on window pairs that is unchecked here.
 
     On a monomial x = g w (g the leading PBW generator) the pair (g, w)
     forces b(g w) = g b(w) + b(g) w - f_n(g, w), so a filtered solution is
@@ -563,10 +566,12 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
     (degree at most one each).  b is one particular Leibniz extension (zero
     on 1 and the generators) plus a combination of the thirteen homogeneous
     ones of `gauges` (from `_homogeneous_gauges`).  The coefficients are
-    solved from the equation on the rows of `_gauge_rows`, which for a
-    cocycle f_n has the solutions of the equation on every window pair, with
+    solved from the equation on the rows of `_gauge_rows`, with
     lexicographic pivoting and free coordinates zero; inconsistency raises
-    ObstructionError carrying the order.
+    ObstructionError carrying the order.  For a Hochschild cocycle f_n
+    those rows have the solutions of the equation on every window pair.
+    A non-cocycle may solve on them, but its b then fails the equation on
+    some other pair, and `mult_trivialize`'s final check catches that.
     """
     homogeneous, defects = gauges
     particular = _leibniz(algebra, {}, f_n)
@@ -666,12 +671,18 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     re-verified before returning through the inversion-free identity
     V(mu(x, y)) = V(x) V(y) on every window pair (trivialization_residuals).
     At each order n, f_n is order n of that identity's residual for the
-    gauge so far (`_residual`); it must be a Hochschild cocycle, that is
-    associative at order n (ConfigError otherwise), and f_n(x, y) =
-    x b(y) - b(xy) + b(x) y must be solvable on the window
-    (ObstructionError with the order index otherwise).  Returns V as the
-    list of its orders, each a {monomial: image} column dict with absent
-    columns zero, and the per-order record.
+    gauge so far (`_residual`), and f_n(x, y) = x b(y) - b(xy) + b(x) y
+    is solved on the rows of `_gauge_rows` (ObstructionError with the
+    order index if it has no window solution).  The input must be
+    associative, each f_n a Hochschild cocycle.  The final check
+    certifies that: if it passes, each f_n is the coboundary of the
+    solved beta_n on every window pair, so a cocycle.  A non-cocycle
+    therefore ends in an ObstructionError or CapError, from the loop or
+    the final check; only then are the kept f_n scanned in order
+    (`_cocycle_defect`), and the first failing one raises ConfigError
+    naming its order and window triple in place of that error.  Returns
+    V as the list of its orders, each a {monomial: image} column dict
+    with absent columns zero, and the per-order record.
     """
     if not mu:
         raise ConfigError("need at least the order-0 multiplication")
@@ -687,30 +698,38 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     v_total: list[dict] = [identity_columns(algebra)] \
         + [{} for _ in range(upto)]
     transcript: list[dict] = []
+    tables: list[dict] = []  # f_1, f_2, ... as the loop reads them
     gauges = None
-    for n in range(1, upto + 1):
-        f_n = _residual(algebra, mu, v_total, n)
-        defect = _cocycle_defect(algebra, f_n)
-        if defect is not None:
-            raise ConfigError(
-                f"deformed multiplication is not associative at order {n} "
-                f"on {defect}")
-        if not f_n:
-            transcript.append({"order": n, "beta": {}, "defect": "zero"})
-            continue
-        if gauges is None:
-            gauges = _homogeneous_gauges(algebra)
-        beta = _solve_gauge_order(algebra, f_n, n, gauges)
-        transcript.append({"order": n, "beta": beta, "defect": "solved"})
-        step = [identity_columns(algebra)] + [beta if k == n else {}
-                                              for k in range(1, upto + 1)]
-        v_total = _series_mul(_compose, step, v_total, upto)
+    try:
+        for n in range(1, upto + 1):
+            f_n = _residual(algebra, mu, v_total, n)
+            tables.append(f_n)
+            if not f_n:
+                transcript.append({"order": n, "beta": {}, "defect": "zero"})
+                continue
+            if gauges is None:
+                gauges = _homogeneous_gauges(algebra)
+            beta = _solve_gauge_order(algebra, f_n, n, gauges)
+            transcript.append({"order": n, "beta": beta, "defect": "solved"})
+            step = [identity_columns(algebra)] + [beta if k == n else {}
+                                                  for k in range(1, upto + 1)]
+            v_total = _series_mul(_compose, step, v_total, upto)
 
-    residuals = trivialization_residuals(algebra, mu, v_total, upto)
-    if residuals:
-        n, pair = residuals[0]
-        raise ObstructionError(
-            f"internal: V(mu(x, y)) != V(x) V(y) at order {n} on {pair}")
+        residuals = trivialization_residuals(algebra, mu, v_total, upto)
+        if residuals:
+            n, pair = residuals[0]
+            raise ObstructionError(
+                f"internal: V(mu(x, y)) != V(x) V(y) at order {n} on {pair}")
+    except (ObstructionError, CapError):
+        # a certified run makes every f_n the coboundary of beta_n, so
+        # only an uncertified one can hold a non-cocycle to name
+        for n, f_n in enumerate(tables, start=1):
+            defect = _cocycle_defect(algebra, f_n)
+            if defect is not None:
+                raise ConfigError(
+                    "deformed multiplication is not associative at order "
+                    f"{n} on {defect}") from None
+        raise
     return v_total, transcript
 
 

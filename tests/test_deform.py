@@ -508,8 +508,8 @@ def test_trivialize_names_the_first_failing_triple(case, monkeypatch):
 
 
 def test_trivialize_obstructed_window_cocycle():
-    # mu_1(E, H) = E passes the associativity precheck at this window
-    # (no all-positive triple fits), yet lies outside the coboundary image
+    # mu_1(E, H) = E is a Hochschild cocycle at this window (no
+    # all-positive triple fits), yet lies outside the coboundary image
     a = alg(4, 2)
     mu = [standard_multiplication(a), {(E, H): {E: ONE}}]
     with pytest.raises(ObstructionError) as err:
@@ -1017,9 +1017,10 @@ def test_gauge_rows_are_the_generator_pairs_off_the_pbw_basis():
 ], ids=["F-E", "E-E", "HE-F"])
 def test_non_cocycle_off_the_gauge_rows_still_names_its_triple(
         window, pair, extra, first):
-    # perturbations on pairs the gauge solve reads no row of: the cocycle
-    # check scans every window triple, so the input is refused with its
-    # first failing triple all the same
+    # perturbations on pairs the gauge solve reads no row of: the run is
+    # not certified, and the scan that follows covers every window triple,
+    # not only the gauge rows,
+    # so the input is refused with its first failing triple all the same
     a = alg(2 * window, window)
     assert pair not in deform._gauge_rows(a)
     for order in (1, 2):
