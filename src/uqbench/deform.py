@@ -239,9 +239,11 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
     reaches, each s_i an int when it is integral and an exact Fraction
     otherwise.  Row order and repeated rows leave the reduced row echelon
     form, and so the solution, unchanged, so each distinct row is solved
-    once, the sparsest first: the elimination picks the first usable row of
-    a column as its pivot row, and a short pivot row touches few columns.
-    A monomial outside the targets raises CapError, an inconsistent system
+    once, the sparsest first.  `solve` eliminates only the connected
+    components that the right-hand side reaches; inside one, the
+    elimination picks the first usable row of a column as its pivot row,
+    and a short pivot row touches few columns.  A monomial outside the
+    targets raises CapError, an inconsistent system
     ObstructionError(message, order)."""
     t_index = {m: r for r, m in enumerate(targets)}
 
@@ -251,15 +253,20 @@ def _window_solve(equations, n: int, targets: list[Mono], message: str,
             raise CapError(f"element reaches monomial {m} outside the window")
         return r
 
+    zero_row = (0,) * n
     distinct: dict[tuple, None] = {}  # (row, rhs), in first-seen order
     for lin, want in equations:
         block: dict[int, list] = {}
         for i, el in enumerate(lin):
             for m, c in el.items():
-                block.setdefault(row_of(m), [0] * n)[i] = c
+                r = row_of(m)
+                if r not in block:
+                    block[r] = [0] * n
+                block[r][i] = c
         vec = {row_of(m): c for m, c in want.items()}
         for r in sorted(block.keys() | vec.keys()):
-            row, b = tuple(block.get(r, [0] * n)), vec.get(r, 0)
+            row = tuple(block[r]) if r in block else zero_row
+            b = vec.get(r, 0)
             if any(row) or b:
                 distinct[(row, b)] = None
     aug = sorted(distinct, key=lambda eq: sum(map(bool, eq[0])) + bool(eq[1]))

@@ -12,8 +12,11 @@ the work (a sparse pivot row touches few columns).  Callers encode their
 pivot preference by ordering the columns.
 
 `rref` is the one elimination.  The Nichols radical runs it over Q(q) on
-the Gram matrix of the right-extension candidates, the deformation solvers
-over Q through `solve`, and `invert` is built on it.
+the Gram matrix of the right-extension candidates, and `invert` is built on
+it.  The deformation solvers reach it over Q through `solve`, which splits
+its system into connected components (rows linked by a shared nonzero
+column) and eliminates only the components its right-hand side reaches:
+their systems are sparse, with few nonzero right-hand-side entries.
 """
 
 from __future__ import annotations
@@ -70,16 +73,50 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
           one: S) -> list[S] | None:
     """One solution x (length `ncols`) of A x = b with free coordinates set
     to zero, or None when the system is inconsistent.  An empty system is
-    solved by every x, so it returns the zero vector."""
+    solved by every x, so it returns the zero vector.
+
+    Two rows are in one component when they share a nonzero column, and
+    `rref` runs only on the components that hold a nonzero right-hand side,
+    each on its own columns with rows and columns in their original order.
+    The result is the whole system's, value for value: rows of different
+    components share no column, so the reduced row echelon form of A is the
+    direct sum of theirs, and pivots and free coordinates are per component.
+    A component with a zero right-hand side is homogeneous, so consistent
+    and solved by 0 with its free coordinates zero; any other is
+    inconsistent exactly when its own right-hand-side column is a pivot.
+    A zero row with a nonzero right-hand side is inconsistent by itself."""
     if len(rhs) != len(rows) or any(len(r) != ncols for r in rows):
         raise ValueError("solve: rows must have ncols entries, one rhs each")
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, one)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
+    parent = list(range(ncols))  # union-find forest over the columns
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supported = []  # (first nonzero column, row, rhs) of each nonzero row
+    for row, b in zip(rows, rhs):
+        cols = [j for j, a in enumerate(row) if a]
+        if not cols:
+            if b:
+                return None
+            continue
+        root = find(cols[0])
+        for j in cols[1:]:
+            parent[find(j)] = root
+        supported.append((cols[0], row, b))
+    roots = [find(c) for c, _, _ in supported]
     x = [one - one] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for root in {r for r, (_, _, b) in zip(roots, supported) if b}:
+        comp = [j for j in range(ncols) if find(j) == root]
+        block = [[row[j] for j in comp] + [b]
+                 for r, (_, row, b) in zip(roots, supported) if r == root]
+        red, pivots = rref(block, one)
+        if len(comp) in pivots:
+            return None  # pivot in the rhs column: inconsistent
+        for r, pc in enumerate(pivots):
+            x[comp[pc]] = red[r][-1]
     return x
 
 

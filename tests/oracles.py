@@ -18,6 +18,8 @@ Each is an independent route to a value the package computes another way:
   `uq.UqContext.double_pairing_mono`, which is built apart from the
   coaction it contracts;
 - the dense matrix product, against the sparse braid actions;
+- one elimination of the whole augmented system, against `linalg.solve`,
+  which eliminates only the components its right-hand side reaches;
 - the defining relations and associativity of the truncated enveloping
   algebra `deform.TruncatedUg`, checked on its multiplication table, and
   that table replayed one PBW letter at a time with no memo, against the
@@ -42,7 +44,7 @@ from typing import Sequence, TypeVar
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, El, Mono, TruncatedUg,
                             _gauge_defect, _leibniz)
 from uqbench.errors import CapError, ConfigError
-from uqbench.linalg import solve
+from uqbench.linalg import rref, solve
 from uqbench.nichols import (Degree, NicholsContext, Word, word_degree,
                              words_of_degree)
 from uqbench.rootdata import RootDatum
@@ -209,6 +211,20 @@ def mat_mul(a: Sequence[Sequence[S]], b: Sequence[Sequence[S]], zero: S) -> list
             orow.append(acc)
         out.append(orow)
     return out
+
+
+def whole_system_solve(rows: Sequence[Sequence[S]], rhs: Sequence[S],
+                       ncols: int, one: S) -> list[S] | None:
+    """x with A x = b and free coordinates zero, read from the reduced row
+    echelon form of the whole augmented matrix [A | b]; None when its
+    right-hand-side column is a pivot."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], one)
+    if ncols in pivots:
+        return None
+    x = [one - one] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 form: `rref` touches only the pivot row's nonzero columns, so random sparse
 matrices with zero rows, repeated rows and rank deficiency check that it
 still returns the dense result, pivots and all; `solve` is checked on the
-same matrices, 0-row systems included.  Seeded integer systems check that
-`solve` does not depend on row order or repeated rows.
+same matrices, 0-row systems included, down to the particular solution it
+picks.  `solve` eliminates only the connected components its right-hand
+side reaches, so block-structured systems check it against one elimination
+of the whole system (`oracles.whole_system_solve`), and a spy on `rref`
+checks that the other blocks are never eliminated.  Seeded integer systems
+check that `solve` does not depend on row order or repeated rows.
 """
 
 import random
@@ -13,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import whole_system_solve
+from uqbench import linalg
 from uqbench.linalg import rref, solve
 
 sympy = pytest.importorskip("sympy")
@@ -80,7 +86,7 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
         rhs = [sum((a * c for a, c in zip(row, coeffs)), ZERO)
                for row in rows]
     aug = [row + [b] for row, b in zip(rows, rhs)]
-    _, aug_pivots = _sympy_rref(aug, ncols + 1)
+    red, aug_pivots = _sympy_rref(aug, ncols + 1)
     x = solve(rows, rhs, ncols, ONE)
     if ncols in aug_pivots:
         assert x is None
@@ -88,6 +94,82 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
         assert x is not None and len(x) == ncols
         assert all(sum((a * xi for a, xi in zip(row, x)), ZERO) == b
                    for row, b in zip(rows, rhs))
+        # the particular solution: read off the pivot rows, free
+        # coordinates zero
+        for r, pc in enumerate(aug_pivots):
+            assert x[pc] == red[r][ncols]
+        assert all(x[j] == 0 for j in range(ncols) if j not in aug_pivots)
+
+
+@st.composite
+def block_systems(draw):
+    """(rows, rhs, ncols) made of 0-4 blocks on disjoint, interleaved sets of
+    0-4 columns, with int or Fraction entries.  Each block's right-hand side
+    is zero, in its column space or random (most often inconsistent); a zero
+    row with a nonzero right-hand side may be added, and rows are repeated
+    and shuffled."""
+    integral = draw(st.booleans())
+    zero = 0 if integral else ZERO
+    entry = (st.sampled_from([0, 0, -3, -2, -1, 1, 2, 3]) if integral
+             else entries)
+    widths = draw(st.lists(st.integers(0, 4), max_size=4))
+    ncols = sum(widths)
+    placement = draw(st.permutations(range(ncols)))
+    rows, rhs = [], []
+    for k, width in enumerate(widths):
+        cols = placement[sum(widths[:k]):sum(widths[:k + 1])]
+        base = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                             min_size=1, max_size=3))
+        kind = draw(st.sampled_from(["zero", "consistent", "consistent",
+                                     "random"]))
+        coeffs = draw(st.lists(entry, min_size=width, max_size=width))
+        for _ in range(draw(st.integers(0, 4))):
+            a, b = draw(entry), draw(entry)
+            first, second = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            local = [a * u + b * v for u, v in zip(first, second)]
+            row = [zero] * ncols
+            for c, v in zip(cols, local):
+                row[c] = v
+            rows.append(row)
+            rhs.append(zero if kind == "zero" else
+                       sum((u * c for u, c in zip(local, coeffs)), zero)
+                       if kind == "consistent" else draw(entry))
+    if draw(st.integers(0, 3)) == 0:
+        rows.append([zero] * ncols)
+        rhs.append(draw(entry.filter(bool)))
+    order = list(range(len(rows)))
+    if rows:
+        order += draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    order = draw(st.permutations(order))
+    return [rows[i] for i in order], [rhs[i] for i in order], ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_systems())
+def test_solve_matches_whole_system_elimination(system):
+    rows, rhs, ncols = system
+    assert solve(rows, rhs, ncols, ONE) == whole_system_solve(rows, rhs,
+                                                              ncols, ONE)
+
+
+def test_solve_eliminates_only_the_block_its_rhs_reaches(monkeypatch):
+    seen = []
+
+    def spy(rows, one):
+        seen.append([list(r) for r in rows])
+        return rref(rows, one)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    # blocks on columns {0, 3}, {1, 4} and {2, 5}; only the second has a
+    # nonzero right-hand side
+    rows = [[1, 0, 0, 2, 0, 0],
+            [0, 1, 0, 0, 1, 0],
+            [0, 0, 3, 0, 0, 1],
+            [1, 0, 0, 1, 0, 0],
+            [0, 2, 0, 0, 1, 0]]
+    rhs = [0, 1, 0, 0, 4]
+    assert solve(rows, rhs, 6, ONE) == [0, 3, 0, 0, -2, 0]
+    assert seen == [[[1, 1, 1], [2, 1, 4]]]
 
 
 @pytest.mark.parametrize("ncols", [0, 1, 3])
