@@ -7,9 +7,9 @@ degree <= window (with 2 * window <= cap) from which unknowns are drawn.
 Products whose degrees sum beyond the cap raise CapError instead of being
 truncated, so no computation silently loses terms.  The structure constants
 are ints, so integer data stay on int: _window_solve gives linalg.solve
-integer rows and the one Fraction(1) that makes every pivot inverse exact,
-and returns each solved coefficient as an int when it is integral, so both
-solvers stay on int unless a solution is fractional.
+sparse integer rows and the one Fraction(1) that makes every pivot inverse
+exact, and returns each solved coefficient as an int when it is integral,
+so both solvers stay on int unless a solution is fractional.
 
 Contents:
 
@@ -232,47 +232,33 @@ def cochain_differential(algebra: TruncatedUg, f: dict) -> dict:
 # Coboundary solver for the conjugation equation
 # ---------------------------------------------------------------------------
 
-def _window_solve(equations, n: int, targets: list[Mono], message: str,
+def _window_solve(equations, n: int, max_degree: int, message: str,
                   order: int | None) -> list:
     """The linalg.solve solution s of sum_i s_i lin[i] = rhs for every
-    (lin, rhs) in `equations`, one row per target monomial either side
-    reaches, each s_i an int when it is integral and an exact Fraction
-    otherwise.  Row order and repeated rows leave the reduced row echelon
-    form, and so the solution, unchanged, so each distinct row is solved
-    once, the sparsest first.  `solve` eliminates only the connected
-    components that the right-hand side reaches; inside one, the
-    elimination picks the first usable row of a column as its pivot row,
-    and a short pivot row touches few columns.  A monomial outside the
-    targets raises CapError, an inconsistent system
+    (lin, rhs) in `equations`, each s_i an int when it is integral and an
+    exact Fraction otherwise.  Each equation gives one sparse row
+    {i: coefficient of m in lin[i]} per monomial m either side reaches;
+    the reduced row echelon form depends only on the row space, so rows
+    are neither merged nor ordered.  A monomial of degree above
+    `max_degree` raises CapError, an inconsistent system
     ObstructionError(message, order)."""
-    t_index = {m: r for r, m in enumerate(targets)}
-
-    def row_of(m: Mono) -> int:
-        r = t_index.get(m)
-        if r is None:
-            raise CapError(f"element reaches monomial {m} outside the window")
-        return r
-
-    zero_row = (0,) * n
-    distinct: dict[tuple, None] = {}  # (row, rhs), in first-seen order
+    rows, rhs = [], []
     for lin, want in equations:
-        block: dict[int, list] = {}
+        block: dict[Mono, dict[int, int]] = {}
         for i, el in enumerate(lin):
             for m, c in el.items():
-                r = row_of(m)
-                if r not in block:
-                    block[r] = [0] * n
-                block[r][i] = c
-        vec = {row_of(m): c for m, c in want.items()}
-        for r in sorted(block.keys() | vec.keys()):
-            row = tuple(block[r]) if r in block else zero_row
-            b = vec.get(r, 0)
-            if any(row) or b:
-                distinct[(row, b)] = None
-    aug = sorted(distinct, key=lambda eq: sum(map(bool, eq[0])) + bool(eq[1]))
+                block.setdefault(m, {})[i] = c
+        for m in want:
+            block.setdefault(m, {})
+        for m, row in block.items():
+            if sum(m) > max_degree:
+                raise CapError(
+                    f"element reaches monomial {m} outside the window")
+            rows.append(row)
+            rhs.append(want.get(m, 0))
     # one = Fraction(1) makes each pivot inverse one / p exact; an int one
     # would divide to a float
-    sol = solve([row for row, _ in aug], [b for _, b in aug], n, Fraction(1))
+    sol = solve(rows, rhs, n, Fraction(1))
     if sol is None:
         raise ObstructionError(message, order=order)
     return [s.numerator if s.denominator == 1 else s for s in sol]
@@ -284,7 +270,9 @@ def coboundary_solve(algebra: TruncatedUg, f: dict,
 
     f is a 1-cochain over generator monomials.  The cocycle identity for the
     adjoint action x . v = [x, v] is checked on generator pairs first; a
-    violation is a ConfigError.  The linear system is then solved exactly
+    violation is a ConfigError.  The linear system has one row per
+    generator and monomial reached; a monomial of degree above
+    min(cap, max(window, deg f)) raises CapError.  It is solved exactly
     with lexicographic pivoting and free coordinates set to zero, so the
     returned u is deterministic and of minimal support among echelon
     solutions.  If the window contains no solution, ObstructionError
@@ -302,7 +290,7 @@ def coboundary_solve(algebra: TruncatedUg, f: dict,
     sol = _window_solve(
         (([algebra.commutator({g: 1}, {m: 1}) for m in unknowns], f.get(g, {}))
          for g in GEN_ORDER),
-        len(unknowns), algebra.basis(t_deg),
+        len(unknowns), t_deg,
         f"coboundary equation has no solution within the window{at}", order)
     return {m: c for m, c in zip(unknowns, sol) if c}
 
@@ -586,7 +574,7 @@ def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
         ((lin, combine(f_n.get(pair, {}),
                        _gauge_defect(algebra, particular, *pair), -1))
          for pair, lin in defects),
-        len(homogeneous), algebra.monos,
+        len(homogeneous), algebra.window,
         f"gauge coboundary equation has no window solution at order {order}",
         order)
     out: dict[Mono, El] = {}

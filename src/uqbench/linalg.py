@@ -1,6 +1,7 @@
 """Small exact linear algebra over any field-like scalar (ScalarQ or Fraction).
 
-Matrices are lists of lists.  Scalars must support +, -, * and /, and their
+Matrices are lists of lists; only `solve` takes sparse rows, one
+{column: value} dict per row.  Scalars must support +, -, * and /, and their
 truth value must mean "nonzero" (int, Fraction and ScalarQ all qualify); one
 is passed in, and the routines make every other entry they create from it
 (zero = one - one).
@@ -15,13 +16,14 @@ pivot preference by ordering the columns.
 the Gram matrix of the right-extension candidates, and `invert` is built on
 it.  The deformation solvers reach it over Q through `solve`, which splits
 its system into connected components (rows linked by a shared nonzero
-column) and eliminates only the components its right-hand side reaches:
-their systems are sparse, with few nonzero right-hand-side entries.
+column) and eliminates only the components its right-hand side reaches,
+each densified once: their systems are sparse, with few nonzero
+right-hand-side entries.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import Mapping, Sequence, TypeVar
 
 S = TypeVar("S")
 
@@ -69,15 +71,17 @@ def rref(rows: Sequence[Sequence[S]], one: S) -> tuple[list[list[S]], list[int]]
     return m, pivots
 
 
-def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
+def solve(rows: Sequence[Mapping[int, S]], rhs: Sequence[S], ncols: int,
           one: S) -> list[S] | None:
     """One solution x (length `ncols`) of A x = b with free coordinates set
-    to zero, or None when the system is inconsistent.  An empty system is
-    solved by every x, so it returns the zero vector.
+    to zero, or None when the system is inconsistent.  Each row of A is a
+    {column: value} dict over range(ncols); a column it leaves out, or
+    stores a zero in, is zero.  An empty system is solved by every x, so it
+    returns the zero vector.
 
     Two rows are in one component when they share a nonzero column, and
     `rref` runs only on the components that hold a nonzero right-hand side,
-    each on its own columns with rows and columns in their original order.
+    each densified on its own columns, in their original order.
     The result is the whole system's, value for value: rows of different
     components share no column, so the reduced row echelon form of A is the
     direct sum of theirs, and pivots and free coordinates are per component.
@@ -85,8 +89,10 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
     and solved by 0 with its free coordinates zero; any other is
     inconsistent exactly when its own right-hand-side column is a pivot.
     A zero row with a nonzero right-hand side is inconsistent by itself."""
-    if len(rhs) != len(rows) or any(len(r) != ncols for r in rows):
-        raise ValueError("solve: rows must have ncols entries, one rhs each")
+    if len(rhs) != len(rows) or any(not 0 <= j < ncols
+                                    for row in rows for j in row):
+        raise ValueError("solve: columns must lie in range(ncols), "
+                         "one rhs per row")
     parent = list(range(ncols))  # union-find forest over the columns
 
     def find(c: int) -> int:
@@ -95,9 +101,9 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
             c = parent[c]
         return c
 
-    supported = []  # (first nonzero column, row, rhs) of each nonzero row
+    supported = []  # (a nonzero column, row, rhs) of each nonzero row
     for row, b in zip(rows, rhs):
-        cols = [j for j, a in enumerate(row) if a]
+        cols = [j for j, a in row.items() if a]
         if not cols:
             if b:
                 return None
@@ -107,10 +113,11 @@ def solve(rows: Sequence[Sequence[S]], rhs: Sequence[S], ncols: int,
             parent[find(j)] = root
         supported.append((cols[0], row, b))
     roots = [find(c) for c, _, _ in supported]
-    x = [one - one] * ncols
+    zero = one - one
+    x = [zero] * ncols
     for root in {r for r, (_, _, b) in zip(roots, supported) if b}:
         comp = [j for j in range(ncols) if find(j) == root]
-        block = [[row[j] for j in comp] + [b]
+        block = [[row.get(j, zero) for j in comp] + [b]
                  for r, (_, row, b) in zip(roots, supported) if r == root]
         red, pivots = rref(block, one)
         if len(comp) in pivots:

@@ -285,7 +285,7 @@ def all_pairs_gauge_solve(algebra: TruncatedUg, f_n: dict) -> dict | None:
     """A solution b of f_n(x, y) = x b(y) - b(xy) + b(x) y on every window
     pair, or None: b is the particular Leibniz extension of f_n plus the
     thirteen homogeneous ones, their coefficients solved by `linalg.solve`
-    from one row per pair and window monomial, in pair order and with
+    from one sparse row per pair and window monomial, in pair order and with
     repeated rows kept, so pivoting is lexicographic over the unknowns and
     free coordinates are zero."""
     unknowns = [(UNIT, UNIT)] + [(g, im) for g in sorted(GEN_MONO.values())
@@ -299,7 +299,7 @@ def all_pairs_gauge_solve(algebra: TruncatedUg, f_n: dict) -> dict | None:
         want = combine(f_n.get((x, y), {}),
                        _gauge_defect(algebra, particular, x, y), -1)
         for m in sorted(set(want).union(*lin), key=index.__getitem__):
-            rows.append([el.get(m, 0) for el in lin])
+            rows.append({i: el[m] for i, el in enumerate(lin) if m in el})
             rhs.append(want.get(m, 0))
     sol = solve(rows, rhs, len(homogeneous), Fraction(1))
     if sol is None:

@@ -11,6 +11,8 @@ Obstructed inputs are pinned as errors with the failing order attached.
 import contextlib
 import io
 import json
+import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -182,8 +184,8 @@ def test_coboundary_rejects_non_cocycle():
 @pytest.mark.parametrize("window", [2, 3, 4])
 def test_coboundary_of_degree_window_plus_one_is_an_obstruction(window, shape):
     # ad(u) for u of degree window + 1 is a cocycle of that degree: its
-    # rows lie in the targets, with no unknown reaching them, so the window
-    # holds no solution; it is not a monomial outside the targets
+    # rows lie within the degree bound max(window, deg f), with no unknown
+    # reaching them, so the window holds no solution; it is no CapError
     a = alg(2 * window, window)
     d = window + 1
     u = {{"E": (0, 0, d), "F": (d, 0, 0), "FE": (1, 0, d - 1)}[shape]: ONE}
@@ -764,15 +766,89 @@ def test_integer_f_rule_on_a_preset_with_kappa_four(tmp_path, monkeypatch):
 
 def test_window_solve_returns_int_when_integral_else_fraction():
     # 2x = 1 on integer rows is exact 1/2, never the float 0.5
-    sol = deform._window_solve([([{UNIT: 2}], {UNIT: 1})], 1, [UNIT],
+    sol = deform._window_solve([([{UNIT: 2}], {UNIT: 1})], 1, 0,
                                "unsolvable", None)
     assert sol == [Fraction(1, 2)] and type(sol[0]) is Fraction
     sol = deform._window_solve([([{UNIT: 2}, {E: 3}], {UNIT: 4, E: 3})], 2,
-                               [UNIT, E], "unsolvable", None)
+                               1, "unsolvable", None)
     assert sol == [2, 1] and all(type(s) is int for s in sol)
     with pytest.raises(ObstructionError):
-        deform._window_solve([([{UNIT: 2}], {E: 1})], 1, [UNIT, E],
+        deform._window_solve([([{UNIT: 2}], {E: 1})], 1, 1,
                              "unsolvable", 4)
+
+
+@pytest.mark.parametrize("lin, want, far, within", [
+    # a lin element reaches (1, 1, 0); with max_degree 2 it is solved
+    ([{UNIT: 1}, {E: 1, (1, 1, 0): 2}], {UNIT: 1}, (1, 1, 0), [1, 0]),
+    # the right-hand side reaches (0, 2, 0), which no unknown reaches
+    ([{UNIT: 1}, {E: 1}], {UNIT: 1, (0, 2, 0): 3}, (0, 2, 0), None),
+])
+def test_window_solve_refuses_a_monomial_above_max_degree(lin, want, far,
+                                                          within):
+    eqs = [([{H: 1}], {H: 1}), (lin, want)]
+    with pytest.raises(CapError, match=re.escape(
+            f"element reaches monomial {far} outside the window")):
+        deform._window_solve(eqs, 2, 1, "unsolvable", None)
+    if within is None:
+        with pytest.raises(ObstructionError):
+            deform._window_solve(eqs, 2, 2, "unsolvable", None)
+    else:
+        assert deform._window_solve(eqs, 2, 2, "unsolvable", None) == within
+
+
+def _reinserted(el: dict) -> dict:
+    """`el` with its entries inserted in reverse order."""
+    return dict(reversed(el.items()))
+
+
+def test_window_solve_ignores_insertion_order():
+    # rows are neither merged nor sorted, so building each equation's dicts
+    # in another order hands linalg.solve its rows in another order; the
+    # solution, and the int or Fraction type of each coefficient, stay
+    a = alg(6, 3)
+    f = differential0(a, {(1, 1, 1): 3, F: -2, (0, 2, 0): 5})
+    cobound = [([a.commutator({g: 1}, {m: 1}) for m in a.monos], f[g])
+               for g in GEN_ORDER]
+    rng = random.Random(7)
+    monos = a.basis(1)
+    systems = [(cobound, len(a.monos), 3)]
+    for _ in range(40):
+        # integer rows, often fewer than unknowns; a right-hand side at a
+        # rational point, or random
+        n = rng.randint(1, 6)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            lin = [{m: rng.randint(-3, 3) or 1
+                    for m in rng.sample(monos, rng.randint(0, 3))}
+                   for _ in range(n)]
+            want = {}
+            if rng.random() < 0.8:
+                for xi, el in zip(x, lin):
+                    for m, c in el.items():
+                        add_term(want, m, xi * c)
+            else:
+                want = {m: rng.randint(-3, 3) or 1
+                        for m in rng.sample(monos, rng.randint(0, 2))}
+            eqs.append((lin, want))
+        systems.append((eqs, n, 1))
+    fractional = obstructed = 0
+    for eqs, n, bound in systems:
+        flipped = [([_reinserted(el) for el in lin], _reinserted(want))
+                   for lin, want in reversed(eqs)]
+        try:
+            sol = deform._window_solve(eqs, n, bound, "unsolvable", None)
+        except ObstructionError:
+            obstructed += 1
+            with pytest.raises(ObstructionError):
+                deform._window_solve(flipped, n, bound, "unsolvable", None)
+            continue
+        got = deform._window_solve(flipped, n, bound, "unsolvable", None)
+        assert got == sol
+        assert [type(s) for s in got] == [type(s) for s in sol]
+        fractional += any(type(s) is Fraction for s in sol)
+    # both types and both outcomes are reached
+    assert fractional and obstructed and len(systems) - obstructed > fractional
 
 
 @pytest.mark.parametrize("upto", [3, 4, 5])

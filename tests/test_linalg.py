@@ -7,7 +7,10 @@ picks.  `solve` eliminates only the connected components its right-hand
 side reaches, so block-structured systems check it against one elimination
 of the whole system (`oracles.whole_system_solve`), and a spy on `rref`
 checks that the other blocks are never eliminated.  Seeded integer systems
-check that `solve` does not depend on row order or repeated rows.
+check that `solve` does not depend on row order or repeated rows.  The
+strategies draw dense rows, the form sympy and the oracle read; `_sparse`
+hands `solve` the same rows as {column: value} dicts, with some of the
+drawn zeros kept as stored zeros, which `solve` must accept.
 """
 
 import random
@@ -56,6 +59,13 @@ def sparse_matrices(draw, ncols=None):
     return rows
 
 
+def _sparse(rows):
+    """Dense rows as the {column: value} dicts `solve` takes, keeping the
+    zeros drawn where row plus column index is a multiple of three."""
+    return [{j: a for j, a in enumerate(row) if a or (i + j) % 3 == 0}
+            for i, row in enumerate(rows)]
+
+
 def _sympy_rref(rows, ncols):
     mat = sympy.Matrix(len(rows), ncols,
                        [sympy.Rational(x.numerator, x.denominator)
@@ -87,7 +97,7 @@ def test_solve_none_exactly_when_rhs_is_a_pivot(ncols, data):
                for row in rows]
     aug = [row + [b] for row, b in zip(rows, rhs)]
     red, aug_pivots = _sympy_rref(aug, ncols + 1)
-    x = solve(rows, rhs, ncols, ONE)
+    x = solve(_sparse(rows), rhs, ncols, ONE)
     if ncols in aug_pivots:
         assert x is None
     else:
@@ -148,8 +158,8 @@ def block_systems(draw):
 @given(block_systems())
 def test_solve_matches_whole_system_elimination(system):
     rows, rhs, ncols = system
-    assert solve(rows, rhs, ncols, ONE) == whole_system_solve(rows, rhs,
-                                                              ncols, ONE)
+    assert solve(_sparse(rows), rhs, ncols, ONE) == whole_system_solve(
+        rows, rhs, ncols, ONE)
 
 
 def test_solve_eliminates_only_the_block_its_rhs_reaches(monkeypatch):
@@ -168,7 +178,7 @@ def test_solve_eliminates_only_the_block_its_rhs_reaches(monkeypatch):
             [1, 0, 0, 1, 0, 0],
             [0, 2, 0, 0, 1, 0]]
     rhs = [0, 1, 0, 0, 4]
-    assert solve(rows, rhs, 6, ONE) == [0, 3, 0, 0, -2, 0]
+    assert solve(_sparse(rows), rhs, 6, ONE) == [0, 3, 0, 0, -2, 0]
     assert seen == [[[1, 1, 1], [2, 1, 4]]]
 
 
@@ -180,9 +190,12 @@ def test_solve_empty_system_returns_zero_vector(ncols):
 
 def test_solve_refuses_mismatched_shapes():
     with pytest.raises(ValueError):
-        solve([[ONE, ZERO]], [ONE], 3, ONE)
+        solve([{0: ONE}], [], 1, ONE)
+    # a column outside range(ncols), below or above it
     with pytest.raises(ValueError):
-        solve([[ONE]], [], 1, ONE)
+        solve([{0: ONE, -1: ONE}], [ONE], 3, ONE)
+    with pytest.raises(ValueError):
+        solve([{0: ONE, 3: ONE}], [ONE], 3, ONE)
 
 
 def _int_system(rng: random.Random) -> tuple[list, list, int]:
@@ -208,6 +221,7 @@ def test_solve_ignores_row_order_and_repeated_rows(seed):
     # shuffling rows and repeating some gives the same solution, or None
     rng = random.Random(seed)
     rows, rhs, ncols = _int_system(rng)
+    rows = _sparse(rows)
     want = solve(rows, rhs, ncols, ONE)
     for _ in range(4):
         order = list(range(len(rows)))
