@@ -38,7 +38,7 @@ Contents:
     with F x F^{-1} = d'(x) on the generators order by order, and
     mult_trivialize removes a deformed multiplication through the coboundary
     equation f(x, y) = x b(y) - b(xy) + b(x) y, solved among Leibniz
-    extensions.
+    extensions as the Chevalley-Eilenberg equation on generator pairs.
 
 Each solver reads the right-hand side of order n from an identity with no
 inverse in it, evaluated on its partial solution: F x = d'(x) F for the
@@ -504,88 +504,59 @@ def _leibniz(algebra: TruncatedUg, images: dict, f: dict) -> dict:
     return cols
 
 
-def _gauge_defect(algebra: TruncatedUg, b: dict, x: Mono, y: Mono) -> El:
-    """x b(y) - b(xy) + b(x) y on a window pair, through the algebra's
-    product and the sparse columns of b."""
-    out: El = algebra.multiply({x: 1}, b[y]) if y in b else {}
-    for m, c in algebra.mono_mul(x, y).items():
-        if m in b:
-            add_scaled(out, b[m].items(), -c)
-    if x in b:
-        add_scaled(out, algebra.multiply(b[x], {y: 1}).items(), 1)
-    return out
-
-
-def _gauge_rows(algebra: TruncatedUg) -> list[tuple[Mono, Mono]]:
-    """The window pairs the gauge equation is solved on: (1, 1), and each
-    (g, y) with g a generator that is not the leading PBW letter of g y.
-
-    For a Hochschild cocycle f these rows imply every other window pair.
-    The difference D = f - (x b(y) - b(xy) + b(x) y) is again a cocycle on
-    the window triples.  A pair (g, w) with w != 1 and g the leading letter
-    of g w is the Leibniz recursion that builds b, so D(g, w) = 0 there for
-    every extension.  The cocycle identity gives D(g, 1) = g D(1, 1) on
-    (g, 1, 1), D(1, z) = D(1, 1) z on (1, 1, z), and on (g, w, z), for
-    x = g w with g its leading letter,
-        D(x, z) = g D(w, z) + D(g, wz) - D(g, w) z,
-    so D vanishes on every window pair by induction on the degree of x."""
-    return [(x, y) for x, y in algebra.pairs
-            if x == y == UNIT
-            or sum(x) == 1 and _lead(tuple(map(sum, zip(x, y)))) != x]
-
-
-def _homogeneous_gauges(algebra: TruncatedUg) -> tuple[list, list]:
-    """The thirteen homogeneous Leibniz extensions of the gauge solve, one
-    per unknown coefficient (the value on 1, and on each generator one basis
-    monomial of degree at most one), and their defects on the rows of
-    `_gauge_rows` as ((x, y), [x b(y) - b(xy) + b(x) y for each b]).  Both
-    depend only on the algebra, so `mult_trivialize` builds them once for
-    all orders."""
-    unknowns = [(UNIT, UNIT)] + [(gm, im) for gm in sorted(GEN_MONO.values())
-                                 for im in algebra.basis(1)]
-    homogeneous = [_leibniz(algebra, {m: {im: 1}}, {})
-                   for m, im in unknowns]
-    return homogeneous, [((x, y), [_gauge_defect(algebra, b, x, y)
-                                   for b in homogeneous])
-                         for x, y in _gauge_rows(algebra)]
-
-
-def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int,
-                       gauges: tuple[list, list]) -> dict:
+def _solve_gauge_order(algebra: TruncatedUg, f_n: dict, order: int) -> dict:
     """Solve f_n(x, y) = x b(y) - b(xy) + b(x) y for a filtered window
     endomorphism b, f_n a table on window pairs that is unchecked here.
 
-    On a monomial x = g w (g the leading PBW generator) the pair (g, w)
-    forces b(g w) = g b(w) + b(g) w - f_n(g, w), so a filtered solution is
-    determined by its values on 1 (a scalar) and on the three generators
-    (degree at most one each).  b is one particular Leibniz extension (zero
-    on 1 and the generators) plus a combination of the thirteen homogeneous
-    ones of `gauges` (from `_homogeneous_gauges`).  The coefficients are
-    solved from the equation on the rows of `_gauge_rows`, with
-    lexicographic pivoting and free coordinates zero; inconsistency raises
-    ObstructionError carrying the order.  For a Hochschild cocycle f_n
-    those rows have the solutions of the equation on every window pair.
-    A non-cocycle may solve on them, but its b then fails the equation on
-    some other pair, and `mult_trivialize`'s final check catches that.
+    A filtered b is the Leibniz extension b(g w) = g b(w) + b(g) w - f_n(g, w)
+    (g the leading PBW letter of g w) of a scalar b(1) and of generator
+    images of degree at most one: thirteen unknowns, b(1) first, then the
+    coefficient of each m in algebra.basis(1) in b(g), g in PBW order.  They
+    are solved from b(1) = f_n(1, 1) and, on each generator pair g before h
+    in GEN_ORDER, the Chevalley-Eilenberg equation
+        [g, b(h)] - [h, b(g)] - b([g, h]) = f_n(g, h) - f_n(h, g),
+    its rows the `cochain_differential` of the basis 1-cochains g -> m.
+    Its left side is the gauge defect on (g, h) minus the one on (h, g),
+    a Leibniz pair where the defect is f_n(h, g), so it is the equation on
+    (g, h).  Pivoting is lexicographic over the unknowns with free
+    coordinates zero; inconsistency raises ObstructionError carrying the
+    order.
+
+    For a Hochschild cocycle f_n these equations imply the equation on
+    every window pair.  D = f_n - (x b(y) - b(xy) + b(x) y) is a cocycle on
+    the window triples.  It vanishes on (1, 1), on each Leibniz pair (g, w)
+    with w != 1, on (g, 1), where D(g, 1) = g D(1, 1) by (g, 1, 1), and on
+    the generator pairs, where D(g, h) = D(h, g) and one of the two is a
+    Leibniz pair.  For (g, y) with y = h w, h the leading letter of y and
+    g after h in PBW order, the identity on (g, h, w) and then on
+    (h, g, w) gives
+        D(g, y) = h D(g, w) + D(h, g w) + D([g, h], w).
+    At rank 1, h is the leading letter of h m for every monomial m of g w,
+    so D(h, g w) = 0, and induction on the degree of y gives D(g, y) = 0.
+    Then D(1, z) = D(1, 1) z by (1, 1, z), and on (g, w, z), for x = g w
+    with g its leading letter, D(x, z) = g D(w, z) + D(g, wz) - D(g, w) z,
+    so D vanishes on every window pair by induction on the degree of x.
+    At window 1 no generator pair is a window pair: f_n has no entry
+    there, and the homogeneous rows keep the echelon choice b(g) = 0.
+    A non-cocycle may solve, but its b then fails the equation on some
+    other pair, and `mult_trivialize`'s final check catches that.
     """
-    homogeneous, defects = gauges
-    particular = _leibniz(algebra, {}, f_n)
+    unknowns = [(g, m) for g in sorted(GEN_MONO.values())
+                for m in algebra.basis(1)]
+    diffs = [cochain_differential(algebra, {g: {m: 1}}) for g, m in unknowns]
+    equations = [([{UNIT: 1}], f_n.get((UNIT, UNIT), {}))]
+    equations += [([{}] + [d[(g, h)] for d in diffs],
+                   combine(f_n.get((g, h), {}), f_n.get((h, g), {}), -1))
+                  for g, h in diffs[0]]
     sol = _window_solve(
-        ((lin, combine(f_n.get(pair, {}),
-                       _gauge_defect(algebra, particular, *pair), -1))
-         for pair, lin in defects),
-        len(homogeneous), algebra.window,
+        equations, 1 + len(unknowns), algebra.window,
         f"gauge coboundary equation has no window solution at order {order}",
         order)
-    out: dict[Mono, El] = {}
-    for m in algebra.monos:
-        el = dict(particular.get(m, {}))
-        for s, b in zip(sol, homogeneous):
-            if s and m in b:
-                add_scaled(el, b[m].items(), s)
-        if el:
-            out[m] = el
-    return out
+    images: dict[Mono, El] = {UNIT: {UNIT: sol[0]}} if sol[0] else {}
+    for (g, m), s in zip(unknowns, sol[1:]):
+        if s:
+            images.setdefault(g, {})[m] = s
+    return _leibniz(algebra, images, f_n)
 
 
 def identity_columns(algebra: TruncatedUg) -> dict:
@@ -667,8 +638,9 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
     V(mu(x, y)) = V(x) V(y) on every window pair (trivialization_residuals).
     At each order n, f_n is order n of that identity's residual for the
     gauge so far (`_residual`), and f_n(x, y) = x b(y) - b(xy) + b(x) y
-    is solved on the rows of `_gauge_rows` (ObstructionError with the
-    order index if it has no window solution).  The input must be
+    is solved as b(1) = f_n(1, 1) and the Chevalley-Eilenberg equation on
+    generator pairs (`_solve_gauge_order`; ObstructionError with the order
+    index if it has no window solution).  The input must be
     associative, each f_n a Hochschild cocycle.  The final check
     certifies that: if it passes, each f_n is the coboundary of the
     solved beta_n on every window pair, so a cocycle.  A non-cocycle
@@ -694,7 +666,6 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
         + [{} for _ in range(upto)]
     transcript: list[dict] = []
     tables: list[dict] = []  # f_1, f_2, ... as the loop reads them
-    gauges = None
     try:
         for n in range(1, upto + 1):
             f_n = _residual(algebra, mu, v_total, n)
@@ -702,9 +673,7 @@ def mult_trivialize(algebra: TruncatedUg, mu: list,
             if not f_n:
                 transcript.append({"order": n, "beta": {}, "defect": "zero"})
                 continue
-            if gauges is None:
-                gauges = _homogeneous_gauges(algebra)
-            beta = _solve_gauge_order(algebra, f_n, n, gauges)
+            beta = _solve_gauge_order(algebra, f_n, n)
             transcript.append({"order": n, "beta": beta, "defect": "solved"})
             step = [identity_columns(algebra)] + [beta if k == n else {}
                                                   for k in range(1, upto + 1)]

@@ -25,7 +25,8 @@ Each is an independent route to a value the package computes another way:
   that table replayed one PBW letter at a time with no memo, against the
   prefix-memoised `TruncatedUg.mono_mul`;
 - the gauge step of `deform.mult_trivialize` solved on every window pair,
-  against the defining rows `deform._gauge_rows` it is solved on;
+  with the gauge defect x b(y) - b(xy) + b(x) y computed here, against
+  the Chevalley-Eilenberg equation on generator pairs it is solved as;
 - the degree-0 Chevalley-Eilenberg differential for the adjoint action,
   which plants coboundaries for `deform.coboundary_solve`.
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, El, Mono, TruncatedUg,
-                            _gauge_defect, _leibniz)
+                            _leibniz)
 from uqbench.errors import CapError, ConfigError
 from uqbench.linalg import rref, solve
 from uqbench.nichols import (Degree, NicholsContext, Word, word_degree,
@@ -281,6 +282,15 @@ def chain_mono_mul(algebra: TruncatedUg, m1: Mono, m2: Mono) -> El:
     return acc
 
 
+def gauge_defect(algebra: TruncatedUg, b: dict, x: Mono, y: Mono) -> El:
+    """x b(y) - b(xy) + b(x) y on a window pair, through
+    `TruncatedUg.multiply` and `mono_mul`; a column b lacks is zero."""
+    out = algebra.multiply({x: 1}, b.get(y, {}))
+    for m, c in algebra.mono_mul(x, y).items():
+        out = combine(out, scale(b.get(m, {}), c), -1)
+    return combine(out, algebra.multiply(b.get(x, {}), {y: 1}))
+
+
 def all_pairs_gauge_solve(algebra: TruncatedUg, f_n: dict) -> dict | None:
     """A solution b of f_n(x, y) = x b(y) - b(xy) + b(x) y on every window
     pair, or None: b is the particular Leibniz extension of f_n plus the
@@ -295,9 +305,9 @@ def all_pairs_gauge_solve(algebra: TruncatedUg, f_n: dict) -> dict | None:
     index = {m: r for r, m in enumerate(algebra.monos)}
     rows, rhs = [], []
     for x, y in algebra.pairs:
-        lin = [_gauge_defect(algebra, b, x, y) for b in homogeneous]
+        lin = [gauge_defect(algebra, b, x, y) for b in homogeneous]
         want = combine(f_n.get((x, y), {}),
-                       _gauge_defect(algebra, particular, x, y), -1)
+                       gauge_defect(algebra, particular, x, y), -1)
         for m in sorted(set(want).union(*lin), key=index.__getitem__):
             rows.append({i: el[m] for i, el in enumerate(lin) if m in el})
             rhs.append(want.get(m, 0))

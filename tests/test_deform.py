@@ -31,11 +31,13 @@ from uqbench.deform import (GEN_MONO, GEN_ORDER, UNIT, ObstructionError,
                             standard_multiplication,
                             trivialization_residuals, rigidity_conjugator)
 from uqbench.errors import CapError, ConfigError
+from uqbench.linalg import solve
 from uqbench.rootdata import PRESET_ENV, load_datum
 from uqbench.sparse import add_term, combine
 
 from oracles import (all_pairs_gauge_solve, chain_mono_mul,
-                     check_associativity, check_relations, differential0)
+                     check_associativity, check_relations, differential0,
+                     gauge_defect)
 
 A1 = load_datum("A1")
 E, H, F = GEN_MONO["E"], GEN_MONO["H"], GEN_MONO["F"]
@@ -1015,7 +1017,7 @@ def test_window_pairs_degree_bound():
 
 
 # ---------------------------------------------------------------------------
-# the gauge solve on its defining rows, and the prefix-memoised product
+# the gauge solve on generator pairs, and the prefix-memoised product
 # ---------------------------------------------------------------------------
 
 # the plants of the benchmark's trivialize jobs
@@ -1025,17 +1027,17 @@ TRIVIALIZE_PLANTS = [["--plant", "E=H"], ["--plant", "H=E"], ["--plant", "F=0"],
 
 @pytest.mark.parametrize("order", [3, 4, 5])
 @pytest.mark.parametrize("plant", TRIVIALIZE_PLANTS, ids=" ".join)
-@pytest.mark.parametrize("window", [2, 3, 4])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
 def test_gauge_solve_matches_the_all_pairs_system(window, plant, order,
                                                   monkeypatch):
     # the benchmark's trivialize jobs (window 3) and the same jobs at
-    # windows 2 and 4: at every solved order the defining rows give the
-    # beta that the equation on every window pair gives
+    # windows 1, 2, 4 and 5: at every solved order the generator pairs
+    # give the beta that the equation on every window pair gives
     steps = []
     solve_order = deform._solve_gauge_order
 
-    def record(algebra, f_n, n, gauges):
-        beta = solve_order(algebra, f_n, n, gauges)
+    def record(algebra, f_n, n):
+        beta = solve_order(algebra, f_n, n)
         steps.append((algebra, f_n, beta))
         return beta
 
@@ -1045,44 +1047,107 @@ def test_gauge_solve_matches_the_all_pairs_system(window, plant, order,
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    transcript = json.loads(out.getvalue())["result"]["transcript"]
+    result = json.loads(out.getvalue())["result"]
+    transcript = result["transcript"]
     assert len(steps) == sum(t["defect"] == "solved" for t in transcript)
-    assert steps or plant == ["--plant", "F=0"]
+    if window == 1:
+        # no generator pair is a window pair and a planted gauge moves no
+        # product of degree <= 1: the report is the identity gauge with
+        # every order zero
+        assert steps == [] and result["planted_order1_terms"] == 0
+        assert transcript == [{"order": n, "defect": "zero", "beta": {}}
+                              for n in range(1, order + 1)]
+        assert result["gauge"] == {
+            str(m): [{str(m): "1"}] + [{}] * order
+            for m in sorted(alg(2, 1).monos)}
+    assert steps or plant == ["--plant", "F=0"] or window == 1
     for algebra, f_n, beta in steps:
         assert beta == all_pairs_gauge_solve(algebra, f_n)
+
+
+def _matches_all_pairs(a, f):
+    """"solved" or "obstructed", once the gauge step on the order-1 table f
+    has ended as the all-pairs system ends, with the same beta if solved."""
+    want = all_pairs_gauge_solve(a, f)
+    if want is None:
+        with pytest.raises(ObstructionError):
+            deform._solve_gauge_order(a, f, 1)
+        return "obstructed"
+    assert deform._solve_gauge_order(a, f, 1) == want
+    return "solved"
 
 
 def test_gauge_solve_matches_the_all_pairs_system_on_unit_cocycles():
     # every order-1 table with one entry, a monomial of at most the pair's
     # degree on one window pair, that is a cocycle at window 2: solved on
-    # the defining rows exactly when on every window pair, to the same beta
+    # the generator pairs exactly when on every window pair, to the same
+    # beta
     a = alg(4, 2)
-    gauges = deform._homogeneous_gauges(a)
     seen = {"solved": 0, "obstructed": 0}
     for x, y in a.pairs:
         for m in a.basis(sum(x) + sum(y)):
             f = {(x, y): {m: 1}}
-            if deform._cocycle_defect(a, f) is not None:
-                continue
-            want = all_pairs_gauge_solve(a, f)
-            if want is None:
-                with pytest.raises(ObstructionError):
-                    deform._solve_gauge_order(a, f, 1, gauges)
-                seen["obstructed"] += 1
-            else:
-                assert deform._solve_gauge_order(a, f, 1, gauges) == want
-                seen["solved"] += 1
+            if deform._cocycle_defect(a, f) is None:
+                seen[_matches_all_pairs(a, f)] += 1
     assert seen == {"solved": 42, "obstructed": 48}
 
 
-def test_gauge_rows_are_the_generator_pairs_off_the_pbw_basis():
-    # (1, 1), and each (g, y) whose product g y is not the PBW monomial
-    # with the exponents of g and y added
+@pytest.mark.parametrize("window, expected", [
+    (3, {"solved": 24, "obstructed": 16}),
+    (4, {"solved": 16, "obstructed": 24}),
+])
+def test_gauge_solve_matches_the_all_pairs_system_on_degree_two_coboundaries(
+        window, expected):
+    # f = x b(y) - b(xy) + b(x) y for b the Leibniz extension of generator
+    # images of degree 2: ad(u) for a drawn u of degree 2, a derivation
+    # that adds nothing to f, plus drawn images of degree <= 1 and, in
+    # about half the draws, one more monomial of degree 2.  Such an f is a
+    # cocycle, solved on the generator pairs exactly when on every window
+    # pair, to the same beta
+    a = alg(2 * window, window)
+    rng = random.Random(window)
+    top = [m for m in a.basis(2) if sum(m) == 2]
+    seen = {"solved": 0, "obstructed": 0}
+    while sum(seen.values()) < 40:
+        u = {m: c for m in top if (c := rng.choice((-1, 0, 1)))}
+        images = {g: combine(a.commutator({g: 1}, u),
+                             {m: c for m in a.basis(1)
+                              if (c := rng.choice((-1, 0, 1)))})
+                  for g in GEN_ORDER}
+        if rng.random() < 0.5:
+            g = rng.choice(GEN_ORDER)
+            images[g] = combine(images[g],
+                                {rng.choice(top): rng.choice((-1, 1))})
+        if max(el_degree(im) for im in images.values()) != 2:
+            continue
+        b = derivation_gauge(a, images)
+        f = {(x, y): d for x, y in a.pairs if (d := gauge_defect(a, b, x, y))}
+        assert deform._cocycle_defect(a, f) is None
+        seen[_matches_all_pairs(a, f)] += 1
+    assert seen == expected
+
+
+def test_gauge_rows_are_the_generator_pairs_off_the_pbw_basis(monkeypatch):
+    # the gauge step solves b(1) = f(1, 1) and one equation per generator
+    # pair (g, h) whose product g h is not the PBW monomial with the
+    # exponents of g and h added, one row per monomial reached: 13 rows
+    # over the 13 unknowns at window 3
     a = alg(6, 3)
-    assert deform._gauge_rows(a) == [(UNIT, UNIT)] + [
-        (x, y) for x, y in a.pairs if x in GEN_ORDER
-        and a.mono_mul(x, y) != {tuple(map(sum, zip(x, y))): 1}]
-    assert len(deform._gauge_rows(a)) == 12 and len(a.pairs) == 84
+    off_basis = [(g, h) for g in GEN_ORDER for h in GEN_ORDER
+                 if a.mono_mul(g, h) != {tuple(map(sum, zip(g, h))): 1}]
+    assert off_basis == list(cochain_differential(a, {}))
+    systems = []
+
+    def record(rows, rhs, n, one):
+        systems.append((len(rows), n))
+        return solve(rows, rhs, n, one)
+
+    monkeypatch.setattr(deform, "solve", record)
+    argv = ["trivialize", "--cap", "6", "--window", "3", "--order", "3",
+            "--plant", "E=H"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert systems == [(13, 13)]
 
 
 @pytest.mark.parametrize("window", [3, 4])
@@ -1093,12 +1158,12 @@ def test_gauge_rows_are_the_generator_pairs_off_the_pbw_basis():
 ], ids=["F-E", "E-E", "HE-F"])
 def test_non_cocycle_off_the_gauge_rows_still_names_its_triple(
         window, pair, extra, first):
-    # perturbations on pairs the gauge solve reads no row of: the run is
-    # not certified, and the scan that follows covers every window triple,
-    # not only the gauge rows,
+    # perturbations on pairs that are no gauge row, no generator pair g
+    # before h in GEN_ORDER: the run is not certified, and the scan that
+    # follows covers every window triple, not only the gauge rows,
     # so the input is refused with its first failing triple all the same
     a = alg(2 * window, window)
-    assert pair not in deform._gauge_rows(a)
+    assert pair not in cochain_differential(a, {})
     for order in (1, 2):
         mu = _perturbed_plant(a, order, pair, extra)
         with pytest.raises(ConfigError) as err:

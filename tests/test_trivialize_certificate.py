@@ -127,7 +127,6 @@ def _scan_first_outcome(a, mu, upto):
     ("ok", V, transcript), ("config", message) or ("obstruction", order)."""
     V = [identity_columns(a)] + [{} for _ in range(upto)]
     transcript = []
-    gauges = deform._homogeneous_gauges(a)
     for n in range(1, upto + 1):
         f_n = _residual(a, mu, V, n)
         defect = deform._cocycle_defect(a, f_n)
@@ -138,7 +137,7 @@ def _scan_first_outcome(a, mu, upto):
             transcript.append({"order": n, "beta": {}, "defect": "zero"})
             continue
         try:
-            beta = deform._solve_gauge_order(a, f_n, n, gauges)
+            beta = deform._solve_gauge_order(a, f_n, n)
         except ObstructionError as err:
             return ("obstruction", err.order)
         transcript.append({"order": n, "beta": beta, "defect": "solved"})
